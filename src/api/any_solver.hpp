@@ -3,12 +3,14 @@
 // The facade of the api layer: LaplacianSolver (Theorems 1.1/1.2), the
 // KS16 and CG baselines, and the dense ground truth all present the same
 // factor-once / solve-many surface. Instances are created by name through
-// SolverRegistry (solver_registry.hpp); each solve() returns a RunReport
-// with uniformly-defined timings and residuals. Tools and future
-// subsystems (batching, sharding, services) program against this header
-// instead of the concrete solver classes.
+// SolverRegistry (solver_registry.hpp); every solve is a panel of
+// right-hand sides (solve() is the width-1 case), and each right-hand
+// side gets a RunReport with uniformly-defined timings and residuals.
+// Tools and future subsystems (batching, sharding, services) program
+// against this header instead of the concrete solver classes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -46,8 +48,11 @@ struct SolverConfig {
 /// L is projected out first (the least-squares convention), and reported
 /// residuals are relative to the projected b.
 ///
-/// Threading contract: one instance may serve many callers. solve() is
-/// const and MUST be safe to call concurrently from multiple threads on
+/// There is one solve path: solve_panel() is the only virtual solve, and
+/// solve() is a width-1 panel.
+///
+/// Threading contract: one instance may serve many callers. solve_panel()
+/// is const and MUST be safe to call concurrently from multiple threads on
 /// the same instance (implementations keep per-call scratch, typically
 /// via WorkspacePool, never mutable member buffers) and deterministic:
 /// for fixed (b, eps) the result is bit-identical regardless of which
@@ -61,33 +66,30 @@ class AnySolver {
   AnySolver(const AnySolver&) = delete;
   AnySolver& operator=(const AnySolver&) = delete;
 
-  /// Solves L x = b to relative residual eps. `x` is overwritten (no
-  /// warm start); `b.size()` and `x.size()` must equal dimension().
-  /// Thread-safe (see the class contract above).
-  [[nodiscard]] virtual RunReport solve(std::span<const double> b,
-                                        std::span<double> x,
-                                        double eps) const = 0;
+  /// Solves L x = b to relative residual eps as a width-1 panel. `x` is
+  /// overwritten (no warm start); `b.size()` and `x.size()` must equal
+  /// dimension(). Thread-safe (see the class contract above).
+  [[nodiscard]] RunReport solve(std::span<const double> b,
+                                std::span<double> x, double eps) const {
+    PARLAP_CHECK_MSG(x.size() == b.size(),
+                     "solve wants x sized like b, got " << x.size()
+                                                        << " vs " << b.size());
+    const Vector bv(b.begin(), b.end());
+    Vector xv;
+    RunReport report = solve_panel({&bv, 1}, {&xv, 1}, eps).front();
+    std::copy(xv.begin(), xv.end(), x.begin());
+    return report;
+  }
 
   /// Solves one system per entry of `bs`, returning one RunReport per
-  /// right-hand side. xs[i] receives the solution of bs[i] and must be
-  /// bit-identical to solve(bs[i], xs[i], eps) — a caller may batch any
-  /// subset of its traffic without changing results. The default is a
-  /// sequential loop of solve(); blocked implementations (the paper's
-  /// solver) share one factorization traversal per preconditioner
-  /// application across the whole panel. Residuals stay per-RHS against
-  /// the input operator. Thread-safe under the same contract as solve().
+  /// right-hand side; xs[i] receives the solution of bs[i]. Column i's
+  /// solution and report are bit-identical to a width-1 solve of bs[i],
+  /// so a caller may batch any subset of its traffic without changing
+  /// results. Blocked implementations (the paper's solver) share one
+  /// factorization traversal per preconditioner application across the
+  /// whole panel. Residuals stay per-RHS against the input operator.
   [[nodiscard]] virtual std::vector<RunReport> solve_panel(
-      std::span<const Vector> bs, std::span<Vector> xs, double eps) const {
-    PARLAP_CHECK_MSG(bs.size() == xs.size(),
-                     "solve_panel wants one output per rhs, got "
-                         << bs.size() << " rhs vs " << xs.size());
-    std::vector<RunReport> reports;
-    reports.reserve(bs.size());
-    for (std::size_t i = 0; i < bs.size(); ++i) {
-      reports.push_back(solve(bs[i], xs[i], eps));
-    }
-    return reports;
-  }
+      std::span<const Vector> bs, std::span<Vector> xs, double eps) const = 0;
 
   /// The registry key this instance was created under.
   [[nodiscard]] virtual const std::string& method() const noexcept = 0;

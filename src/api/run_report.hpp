@@ -16,7 +16,8 @@
 
 namespace parlap {
 
-/// What one AnySolver::solve() call did, in method-agnostic fields.
+/// What one right-hand side of an AnySolver solve cost and reached, in
+/// method-agnostic fields.
 struct RunReport {
   std::string method;   ///< registry key ("parlap", "cg-tree", ...)
   Vertex vertices = 0;  ///< input graph size n
@@ -25,7 +26,7 @@ struct RunReport {
   /// Wall-clock seconds the factory spent factorizing (paid once per
   /// solver instance, repeated verbatim in every report it produces).
   double setup_seconds = 0.0;
-  double solve_seconds = 0.0;  ///< this solve() call only
+  double solve_seconds = 0.0;  ///< this right-hand side's solve time
   int iterations = 0;          ///< outer iterations; 0 for direct methods
   /// ||b_p - L x|| / ||b_p|| with b_p the right-hand side after
   /// projecting out per-component means (the solvable part of b). For
@@ -35,13 +36,13 @@ struct RunReport {
   bool converged = false;  ///< relative_residual <= the requested eps
   int threads = 1;         ///< OpenMP threads available during the solve
   /// Columns solved together in the blocked call that produced this
-  /// report (1 for scalar solve()). In a panel, solve_seconds is the
+  /// report (1 for solve()). In a panel, solve_seconds is the
   /// panel's shared wall time divided evenly over its columns, so sums
   /// over jobs stay meaningful.
   int panel_width = 1;
   /// Preconditioner-apply wall seconds attributed to this right-hand
   /// side (the panel's shared apply time divided over its columns).
-  /// Reported by blocked paths of methods that measure it; 0 otherwise.
+  /// Reported by methods that measure it; 0 otherwise.
   double apply_seconds = 0.0;
   /// Build-phase attribution of the factorization behind this solve
   /// (per-phase seconds, arena counters; repeated verbatim in every

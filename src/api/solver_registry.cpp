@@ -31,51 +31,10 @@ namespace {
 // *input* operator so reports are comparable across methods.
 class SolverBase : public AnySolver {
  public:
-  [[nodiscard]] RunReport solve(std::span<const double> b,
-                                std::span<double> x, double eps) const final {
-    const auto n = static_cast<std::size_t>(op_.dimension());
-    PARLAP_CHECK_MSG(b.size() == n && x.size() == n,
-                     "solver dimension " << n << " vs b " << b.size()
-                                         << ", x " << x.size());
-    Vector bp(b.begin(), b.end());
-    project_out_ones_per_component(bp, comps_.label, comps_.count);
-    const double b_norm = norm2(bp);
-
-    RunReport report;
-    report.method = method_;
-    report.vertices = op_.dimension();
-    report.edges = op_.num_multi_edges();
-    report.components = comps_.count;
-    report.setup_seconds = setup_seconds_;
-    report.threads = omp_get_max_threads();
-    report.precision = precision_;
-    if (const BuildStats* bs = build_stats()) {
-      report.has_build_stats = true;
-      report.build = *bs;
-    }
-
-    fill(x, 0.0);
-    WallTimer timer;
-    if (b_norm > 0.0) {
-      report.iterations = run(bp, x, eps, report.escalations);
-    }
-    report.solve_seconds = timer.seconds();
-
-    if (b_norm > 0.0) {
-      Vector residual = op_.apply(x);
-      axpy(-1.0, bp, residual);  // residual = L x - b_p
-      report.relative_residual = norm2(residual) / b_norm;
-    }
-    report.converged = report.relative_residual <= eps;
-    return report;
-  }
-
-  /// Blocked path: projects and measures residuals per column (so each
-  /// report's relative_residual is the true per-RHS residual against the
-  /// input operator), delegating the solve itself to run_panel — a
-  /// sequential loop by default, a true blocked solve for methods that
-  /// override it. solve_seconds is the panel's shared wall time divided
-  /// evenly over its columns.
+  /// Projects and measures residuals per column (so each report's
+  /// relative_residual is the true per-RHS residual against the input
+  /// operator), delegating the solve itself to run_panel. solve_seconds
+  /// is the panel's shared wall time divided evenly over its columns.
   [[nodiscard]] std::vector<RunReport> solve_panel(
       std::span<const Vector> bs, std::span<Vector> xs,
       double eps) const final {
@@ -159,32 +118,17 @@ class SolverBase : public AnySolver {
   /// method has a precision knob). Call from the adapter constructor.
   void set_precision(Precision p) noexcept { precision_ = p; }
 
-  /// Solves L x = b_p (already kernel-projected, nonzero) to eps and
-  /// returns the outer-iteration count, recording escalation rounds for
-  /// methods that have them. x arrives zero-filled. Must be safe for
-  /// concurrent callers (the AnySolver threading contract).
-  virtual int run(std::span<const double> bp, std::span<double> x, double eps,
-                  int& escalations) const = 0;
-
-  /// Blocked analogue of run(): solves every column of `bp` (already
-  /// kernel-projected; columns with b_norms[c] == 0 must be left as the
-  /// zero vector) into `x` (arrives zero-filled), recording per-column
-  /// outer-iteration and escalation counts and, when the method measures
-  /// it, the panel's total preconditioner-apply seconds. Default: a
-  /// sequential loop of run(), which is the loop fallback every baseline
-  /// inherits.
+  /// Solves every column of `bp` (already kernel-projected; columns with
+  /// b_norms[c] == 0 must be left as the zero vector) into `x` (arrives
+  /// zero-filled), recording per-column outer-iteration and escalation
+  /// counts and, when the method measures it, the panel's total
+  /// preconditioner-apply seconds. Must be safe for concurrent callers
+  /// (the AnySolver threading contract).
   virtual void run_panel(const Panel& bp, Panel& x, double eps,
                          std::span<const double> b_norms,
                          std::span<int> iterations,
                          std::span<int> escalations,
-                         double& apply_seconds) const {
-    (void)apply_seconds;
-    for (std::size_t c = 0; c < bp.cols(); ++c) {
-      if (b_norms[c] > 0.0) {
-        iterations[c] = run(bp.col(c), x.col(c), eps, escalations[c]);
-      }
-    }
-  }
+                         double& apply_seconds) const = 0;
 
   [[nodiscard]] const LaplacianOperator& op() const noexcept { return op_; }
 
@@ -202,6 +146,28 @@ class SolverBase : public AnySolver {
   Components comps_;
   double setup_seconds_ = 0.0;
   Precision precision_ = Precision::kFp64;
+};
+
+/// Base of the methods without a blocked kernel (the baselines): a panel
+/// is solved column by column through run(), zero columns skipped.
+class ColumnSolverBase : public SolverBase {
+ protected:
+  using SolverBase::SolverBase;
+
+  /// Solves L x = b_p (kernel-projected, nonzero; x arrives zero-filled)
+  /// to eps and returns the outer-iteration count.
+  virtual int run(std::span<const double> bp, std::span<double> x,
+                  double eps) const = 0;
+
+ private:
+  void run_panel(const Panel& bp, Panel& x, double eps,
+                 std::span<const double> b_norms, std::span<int> iterations,
+                 std::span<int> /*escalations*/,
+                 double& /*apply_seconds*/) const final {
+    for (std::size_t c = 0; c < bp.cols(); ++c) {
+      if (b_norms[c] > 0.0) iterations[c] = run(bp.col(c), x.col(c), eps);
+    }
+  }
 };
 
 /// Times the whole factorization (base construction included) and stamps
@@ -254,16 +220,9 @@ class ParlapAdapter final : public SolverBase {
   }
 
  private:
-  int run(std::span<const double> bp, std::span<double> x, double eps,
-          int& escalations) const override {
-    const SolveStats stats = impl_->solve(bp, x, eps);
-    escalations = stats.rebuilds;
-    return stats.iterations;
-  }
-
   /// True blocked solve: one chain traversal per preconditioner apply
   /// serves the whole panel (zero-norm columns come back as zero from
-  /// the projected Richardson, matching the scalar convention).
+  /// the projected Richardson).
   void run_panel(const Panel& bp, Panel& x, double eps,
                  std::span<const double> b_norms,
                  std::span<int> iterations,
@@ -283,13 +242,13 @@ class ParlapAdapter final : public SolverBase {
 
 // --- Conjugate gradient family -------------------------------------------
 
-class CgAdapter final : public SolverBase {
+class CgAdapter final : public ColumnSolverBase {
  public:
   enum class Kind { kPlain, kJacobi, kTree };
 
   CgAdapter(std::string name, const Multigraph& g, const SolverConfig& c,
             Kind kind)
-      : SolverBase(std::move(name), g) {
+      : ColumnSolverBase(std::move(name), g) {
     cg_options_.max_iterations = c.max_iterations;
     if (kind == Kind::kJacobi) {
       precond_ = jacobi_diagonal_preconditioner(op());
@@ -310,8 +269,8 @@ class CgAdapter final : public SolverBase {
   }
 
  private:
-  int run(std::span<const double> bp, std::span<double> x, double eps,
-          int& /*escalations*/) const override {
+  int run(std::span<const double> bp, std::span<double> x,
+          double eps) const override {
     const IterationStats stats =
         precond_ ? preconditioned_cg(op(), precond_, bp, x, eps, cg_options_)
                  : conjugate_gradient(op(), bp, x, eps, cg_options_);
@@ -325,10 +284,10 @@ class CgAdapter final : public SolverBase {
 
 // --- KS16 sequential approximate Cholesky --------------------------------
 
-class Ks16Adapter final : public SolverBase {
+class Ks16Adapter final : public ColumnSolverBase {
  public:
   Ks16Adapter(std::string name, const Multigraph& g, const SolverConfig& c)
-      : SolverBase(std::move(name), g) {
+      : ColumnSolverBase(std::move(name), g) {
     require_connected();
     Ks16Options options;
     options.seed = c.seed;
@@ -343,8 +302,8 @@ class Ks16Adapter final : public SolverBase {
   }
 
  private:
-  int run(std::span<const double> bp, std::span<double> x, double eps,
-          int& /*escalations*/) const override {
+  int run(std::span<const double> bp, std::span<double> x,
+          double eps) const override {
     return impl_->solve(bp, x, eps).iterations;
   }
 
@@ -353,12 +312,12 @@ class Ks16Adapter final : public SolverBase {
 
 // --- Dense ground truth ---------------------------------------------------
 
-class DenseAdapter final : public SolverBase {
+class DenseAdapter final : public ColumnSolverBase {
  public:
   static constexpr Vertex kMaxVertices = 4096;
 
   DenseAdapter(std::string name, const Multigraph& g, const SolverConfig&)
-      : SolverBase(std::move(name), g) {
+      : ColumnSolverBase(std::move(name), g) {
     if (g.num_vertices() > kMaxVertices) {
       throw std::invalid_argument(
           "method 'dense' is O(n^3) time / O(n^2) memory; refusing n = " +
@@ -375,8 +334,8 @@ class DenseAdapter final : public SolverBase {
   }
 
  private:
-  int run(std::span<const double> bp, std::span<double> x, double /*eps*/,
-          int& /*escalations*/) const override {
+  int run(std::span<const double> bp, std::span<double> x,
+          double /*eps*/) const override {
     impl_->solve(bp, x);
     return 0;
   }

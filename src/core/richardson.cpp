@@ -14,7 +14,8 @@ namespace parlap {
 namespace {
 
 /// Cumulative outer-iteration count across every Richardson run in the
-/// process (scalar and panel; per-run counts stay in IterationStats).
+/// process, summed over panel columns (per-run counts stay in
+/// IterationStats).
 obs::Counter& iteration_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("parlap.richardson.iterations");
@@ -24,110 +25,30 @@ obs::Counter& iteration_counter() {
 }  // namespace
 
 double estimate_max_eigenvalue(const LaplacianOperator& a,
-                               const LinearMap& precond, int iterations) {
+                               const PanelMap& precond, int iterations) {
   // Power iteration on B A (similar to the symmetric PSD matrix
   // B^{1/2} A B^{1/2}, so the dominant eigenvalue is real positive and
   // the Rayleigh quotient converges from below).
   const auto n = static_cast<std::size_t>(a.dimension());
-  Vector v(n);
+  Panel v(n, 1);
   for (std::size_t i = 0; i < n; ++i) {
     // Deterministic pseudo-random start, mean-free up to rounding.
-    v[i] = static_cast<double>((i * 2654435761u) % 1024) - 511.5;
+    v.at(i, 0) = static_cast<double>((i * 2654435761u) % 1024) - 511.5;
   }
-  Vector av(n);
-  Vector bav(n);
+  Panel av;
+  Panel bav;
   double lambda = 0.0;
   for (int it = 0; it < iterations; ++it) {
     a.apply(v, av);
     precond(av, bav);
-    const double nrm = norm2(bav);
+    const double nrm = norm2(bav.col(0));
     if (nrm <= 0.0) break;
-    lambda = dot(v, bav) / std::max(dot(v, v), 1e-300);
-    scale(bav, 1.0 / nrm);
+    lambda = dot(v.col(0), bav.col(0)) /
+             std::max(dot(v.col(0), v.col(0)), 1e-300);
+    scale(bav.col(0), 1.0 / nrm);
     std::swap(v, bav);
   }
   return lambda;
-}
-
-IterationStats preconditioned_richardson(const LaplacianOperator& a,
-                                         const LinearMap& precond,
-                                         std::span<const double> b,
-                                         std::span<double> x, double eps,
-                                         const RichardsonOptions& opts) {
-  const std::size_t n = b.size();
-  PARLAP_CHECK(x.size() == n);
-  PARLAP_CHECK(eps > 0.0 && eps < 1.0);
-
-  PARLAP_TRACE_SPAN_N(span, "richardson.solve", "solve");
-  IterationStats stats;
-  const double b_norm = norm2(b);
-  if (b_norm == 0.0) {
-    fill(x, 0.0);
-    stats.reached_target = true;
-    return stats;
-  }
-
-  double alpha = 2.0 / (std::exp(-opts.delta) + std::exp(opts.delta));
-  if (opts.fixed_alpha > 0.0) {
-    alpha = opts.fixed_alpha;
-  } else if (opts.auto_step) {
-    const double lambda =
-        estimate_max_eigenvalue(a, precond, opts.power_iterations);
-    if (lambda > 0.0) alpha = 0.95 / lambda;
-  }
-  const int cap =
-      opts.max_iterations > 0
-          ? opts.max_iterations
-          : std::max(1, static_cast<int>(std::ceil(
-                            std::exp(2.0 * opts.delta) * std::log(1.0 / eps))));
-  const double target =
-      opts.residual_target >= 0.0 ? opts.residual_target : eps;
-
-  // x^(0) = B b   (Algorithm 5, line 3)
-  precond(b, x);
-
-  Vector r(n);
-  Vector br(n);
-  double stall_ref = std::numeric_limits<double>::infinity();
-  for (int k = 0; k < cap; ++k) {
-    a.apply(x, r);
-    parallel_for(std::size_t{0}, n,
-                 [&](std::size_t i) { r[i] = b[i] - r[i]; });
-    stats.relative_residual = norm2(r) / b_norm;
-    stats.iterations = k;
-    if (stats.relative_residual <= target) {
-      stats.reached_target = true;
-      iteration_counter().add(static_cast<std::uint64_t>(k));
-      span.arg("iterations", static_cast<double>(k));
-      return stats;
-    }
-    if (opts.stall_window > 0) {
-      // Stalled (or numerically broken) runs stop early so the caller's
-      // escalation path can take over; reached_target stays false.
-      const bool checkpoint = (k + 1) % opts.stall_window == 0;
-      const bool stalled =
-          checkpoint &&
-          stats.relative_residual > stall_ref * opts.stall_improvement;
-      if (!std::isfinite(stats.relative_residual) || stalled) {
-        iteration_counter().add(static_cast<std::uint64_t>(k));
-        span.arg("iterations", static_cast<double>(k));
-        return stats;
-      }
-      if (checkpoint) stall_ref = stats.relative_residual;
-    }
-    // x^(k) = x^(k-1) + alpha B r   (equivalent to Algorithm 5, line 5)
-    precond(r, br);
-    axpy(alpha, br, x);
-  }
-
-  a.apply(x, r);
-  parallel_for(std::size_t{0}, n, [&](std::size_t i) { r[i] = b[i] - r[i]; });
-  stats.relative_residual = norm2(r) / b_norm;
-  stats.iterations = cap;
-  stats.reached_target = stats.relative_residual <= target;
-  iteration_counter().add(static_cast<std::uint64_t>(cap));
-  span.arg("iterations", static_cast<double>(cap));
-  return stats;
 }
 
 std::vector<IterationStats> preconditioned_richardson(
@@ -148,7 +69,7 @@ std::vector<IterationStats> preconditioned_richardson(
 
   // active[c] != 0 while column c still iterates; a frozen column's x is
   // never written again (panel_axpy honors the mask), which is what makes
-  // each column's history identical to its scalar solve.
+  // each column's history identical to its width-1 solve.
   std::vector<unsigned char> active(k, 1);
   std::size_t n_active = k;
   for (std::size_t c = 0; c < k; ++c) {
@@ -163,19 +84,10 @@ std::vector<IterationStats> preconditioned_richardson(
   if (opts.fixed_alpha > 0.0) {
     alpha = opts.fixed_alpha;
   } else if (opts.auto_step && n_active > 0) {
-    // The scalar path estimates per solve with a deterministic start
-    // vector, so every column would compute the same lambda; one
-    // estimate (through a 1-column panel wrapper) matches it exactly.
-    Panel one_in(n, 1);
-    Panel one_out;
-    const LinearMap scalar_precond = [&](std::span<const double> rr,
-                                         std::span<double> yy) {
-      std::copy(rr.begin(), rr.end(), one_in.col(0).begin());
-      precond(one_in, one_out);
-      std::copy(one_out.col(0).begin(), one_out.col(0).end(), yy.begin());
-    };
+    // The estimate starts from a deterministic vector, so it is one
+    // width-1 power iteration shared by every column.
     const double lambda =
-        estimate_max_eigenvalue(a, scalar_precond, opts.power_iterations);
+        estimate_max_eigenvalue(a, precond, opts.power_iterations);
     if (lambda > 0.0) alpha = 0.95 / lambda;
   }
   const int cap =
@@ -216,8 +128,8 @@ std::vector<IterationStats> preconditioned_richardson(
         continue;
       }
       if (opts.stall_window > 0) {
-        // Same checkpoints and thresholds as the scalar path, so a
-        // frozen-on-stall column's history still equals its scalar solve.
+        // Per-column checkpoints, so a frozen-on-stall column's history
+        // still equals its width-1 solve.
         const bool checkpoint = (it + 1) % opts.stall_window == 0;
         const bool stalled =
             checkpoint &&

@@ -17,11 +17,13 @@
 
 namespace parlap {
 
-/// y = M x for a fixed linear operator M.
+/// y = M x for a fixed linear operator M (the Krylov baselines' form).
 using LinearMap =
     std::function<void(std::span<const double>, std::span<double>)>;
 
-/// Y = M X column-wise for a fixed linear operator M (blocked apply).
+/// Y = M X column-wise for a fixed linear operator M (blocked apply). The
+/// Richardson loop and its step estimate only ever apply M to panels; a
+/// single right-hand side is a width-1 panel.
 using PanelMap = std::function<void(const Panel&, Panel&)>;
 
 struct RichardsonOptions {
@@ -57,9 +59,9 @@ struct RichardsonOptions {
 };
 
 /// lambda_max of precond∘a (a symmetric-similar PSD product) by power
-/// iteration from a deterministic start vector.
+/// iteration on width-1 panels from a deterministic start vector.
 [[nodiscard]] double estimate_max_eigenvalue(const LaplacianOperator& a,
-                                             const LinearMap& precond,
+                                             const PanelMap& precond,
                                              int iterations = 8);
 
 struct IterationStats {
@@ -68,21 +70,14 @@ struct IterationStats {
   bool reached_target = false;
 };
 
-/// Solves A x = b to eps using preconditioner `precond` (= B above).
-/// `x` is the output (overwritten).
-IterationStats preconditioned_richardson(const LaplacianOperator& a,
-                                         const LinearMap& precond,
-                                         std::span<const double> b,
-                                         std::span<double> x, double eps,
-                                         const RichardsonOptions& opts = {});
-
-/// Blocked Richardson: solves A x.col(c) = b.col(c) for every column of
-/// the panel, sharing each A-apply and preconditioner apply across all
-/// still-running columns. A column that reaches its target is frozen (its
-/// x never changes again), so column c's iterate history — and therefore
-/// its returned stats and solution bits — is identical to the scalar
-/// preconditioned_richardson on b.col(c), at any block width and thread
-/// count. x is resized to b's shape and overwritten.
+/// Solves A x.col(c) = b.col(c) to eps for every column of the panel with
+/// preconditioner `precond` (= B above), sharing each A-apply and
+/// preconditioner apply across all still-running columns; one right-hand
+/// side is a width-1 panel. A column that reaches its target is frozen
+/// (its x never changes again), so column c's iterate history — and
+/// therefore its returned stats and solution bits — is identical to a
+/// width-1 solve of b.col(c), at any block width and thread count. x is
+/// resized to b's shape and overwritten.
 std::vector<IterationStats> preconditioned_richardson(
     const LaplacianOperator& a, const PanelMap& precond, const Panel& b,
     Panel& x, double eps, const RichardsonOptions& opts = {});

@@ -186,8 +186,7 @@ double LaplacianSolver::step_size_for(const ComponentSolver& comp,
   const double cached = cr.alpha_cache.load(std::memory_order_relaxed);
   if (cached > 0.0) return cached;
   const BlockCholeskyChain& chain = cr.chain;
-  const LinearMap precond = [&chain, &w](std::span<const double> rr,
-                                         std::span<double> yy) {
+  const PanelMap precond = [&chain, &w](const Panel& rr, Panel& yy) {
     chain.apply(rr, yy, w);
   };
   const double lambda = estimate_max_eigenvalue(
@@ -219,26 +218,12 @@ void LaplacianSolver::apply_laplacian(std::span<const double> x,
 
 void LaplacianSolver::apply_preconditioner(std::span<const double> r,
                                            std::span<double> y) const {
-  PARLAP_CHECK(r.size() == static_cast<std::size_t>(info_.n));
-  PARLAP_CHECK(y.size() == static_cast<std::size_t>(info_.n));
-  const auto scratch = scratch_pool_.acquire();
-  for (std::size_t c = 0; c < comps_.size(); ++c) {
-    const ComponentSolver& cs = comps_[c];
-    Vector& b_local = scratch->b_local;
-    Vector& x_local = scratch->x_local;
-    b_local.resize(cs.vertices.size());
-    x_local.resize(cs.vertices.size());
-    for (std::size_t i = 0; i < cs.vertices.size(); ++i) {
-      b_local[i] = r[static_cast<std::size_t>(cs.vertices[i])];
-    }
-    project_out_ones(b_local);
-    cs.rounds.front()->chain.apply(b_local, x_local,
-                                   scratch->component_ws(c, comps_.size()));
-    project_out_ones(x_local);
-    for (std::size_t i = 0; i < cs.vertices.size(); ++i) {
-      y[static_cast<std::size_t>(cs.vertices[i])] = x_local[i];
-    }
-  }
+  PARLAP_CHECK(y.size() == r.size());
+  Panel rp(r.size(), 1);
+  assign(rp.col(0), r);
+  Panel yp;
+  apply_preconditioner(rp, yp);
+  assign(y, yp.col(0));
 }
 
 void LaplacianSolver::apply_preconditioner(const Panel& r, Panel& y) const {
@@ -283,7 +268,7 @@ std::vector<SolveStats> LaplacianSolver::solve_panel_impl(
     xl.resize(cs.vertices.size(), k);
 
     // Columns still escalating; everyone starts at round 0. A column's
-    // round sequence (and so its bits) is exactly what a scalar solve of
+    // round sequence (and so its bits) is exactly what a width-1 solve of
     // that column would run — escalation only compacts the stalled
     // columns into a narrower panel.
     std::vector<std::size_t> active(k);

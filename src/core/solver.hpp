@@ -27,12 +27,12 @@
 // Richardson step-size estimates are cached in atomics. Results are
 // bit-identical regardless of interleaving and thread count.
 //
-// Blocked solves: every solve path runs on column-major Panels — solve()
-// is a width-1 panel, solve_many() chunks its right-hand sides into
-// panels of options().max_block_width — so one chain traversal per
-// preconditioner application serves every column of a panel. Columns are
-// arithmetically independent and ordered as the scalar kernels order
-// them, so panel results are bit-identical, column for column, to
+// Blocked solves: there is one solve path, on column-major Panels.
+// solve() and the span apply_preconditioner() are width-1 panels,
+// solve_many() chunks its right-hand sides into panels of
+// options().max_block_width, so one chain traversal per preconditioner
+// application serves every column of a panel. Columns are arithmetically
+// independent, so panel results are bit-identical, column for column, to
 // sequential solve() calls at any block width.
 #pragma once
 
@@ -133,8 +133,8 @@ class LaplacianSolver {
   /// self-loops, out-of-range endpoints).
   explicit LaplacianSolver(const Multigraph& g, SolverOptions opts = {});
 
-  /// Solves L x = b to relative accuracy eps. Returns per-solve stats.
-  /// Thread-safe; deterministic for fixed (b, eps).
+  /// Solves L x = b to relative accuracy eps as a width-1 panel. Returns
+  /// per-solve stats. Thread-safe; deterministic for fixed (b, eps).
   SolveStats solve(std::span<const double> b, std::span<double> x,
                    double eps) const;
 
@@ -148,21 +148,22 @@ class LaplacianSolver {
                                      std::span<Vector> xs, double eps) const;
 
   /// Solves all columns of `b` as one panel (x.col(c) receives the
-  /// solution of b.col(c), bit-identical to a scalar solve of that
-  /// column). The blocked primitive under solve_many(); exposed for
-  /// callers that already hold panel data (SolveEngine). Thread-safe.
+  /// solution of b.col(c), bit-identical to a width-1 solve of that
+  /// column). The primitive under solve() and solve_many(); exposed for
+  /// callers that already hold panel data (the api adapter). Thread-safe.
   std::vector<SolveStats> solve_panel(const Panel& b, Panel& x,
                                       double eps) const;
 
   /// Applies the block Cholesky preconditioner W (block-diagonal over
-  /// components, kernel directions projected). Exposed for PCG-style
-  /// outer iterations and diagnostics. Thread-safe.
+  /// components, kernel directions projected) to one vector, as a
+  /// width-1 panel. Exposed for PCG-style outer iterations and
+  /// diagnostics. Thread-safe.
   void apply_preconditioner(std::span<const double> r,
                             std::span<double> y) const;
 
   /// Blocked preconditioner apply: one chain traversal per component for
-  /// the whole panel (bench E17's headline kernel). Column c equals
-  /// apply_preconditioner on r.col(c). Thread-safe.
+  /// the whole panel (bench E17's headline kernel). Column c equals a
+  /// width-1 apply of r.col(c). Thread-safe.
   void apply_preconditioner(const Panel& r, Panel& y) const;
 
   /// One exact L-multiply of the *input* graph (for residual checks).
@@ -216,12 +217,10 @@ class LaplacianSolver {
   /// while concurrent solves each hold their own. One ApplyWorkspace
   /// per component (a shared one would be re-prepared on every
   /// component switch — the identity check in prepare_workspace) plus
-  /// the gather/scatter vectors.
+  /// component-local panels, escalation sub-panels, and the global
+  /// panels solve() and solve_many() pack their input into.
   struct SolveScratch {
     std::vector<ApplyWorkspace> per_component;
-    Vector b_local, x_local;
-    /// Panel-path scratch: component-local panels, escalation sub-panels,
-    /// and the global panels the span-based solve() wraps its input in.
     Panel pb_local, px_local, pb_sub, px_sub, pb_global, px_global;
 
     ApplyWorkspace& component_ws(std::size_t c, std::size_t total) {

@@ -528,12 +528,13 @@ void SolveServer::serve() {
       if (s->broken && s->pending == 0) dead.push_back(id);
       // A broken session with jobs still in flight keeps its slot until
       // the results come back (and are dropped), so accounting stays
-      // exact — but its queued jobs are purged right away below.
+      // exact; read_ready already purged the queued jobs of a client
+      // that disconnected.
       else if (s->close_after_flush && s->wbuf.empty() && s->pending == 0) {
         dead.push_back(id);
       }
     }
-    for (const std::uint64_t id : dead) close_session(id, "closed");
+    for (const std::uint64_t id : dead) close_session(id);
     reap_idle_sessions();
 
     if (draining_ && drain_complete()) break;
@@ -749,27 +750,21 @@ void SolveServer::read_ready(Session& s) {
     // Disconnect: free the client's queue slots immediately (an
     // in-flight job finishes and its result is dropped at delivery).
     s.broken = true;
-    bool purged = false;
-    {
-      const std::scoped_lock lock(queue_mutex_);
-      const auto it = session_queues_.find(s.id);
-      if (it != session_queues_.end()) {
-        for (const PendingJob& pj : it->second) {
-          queued_bytes_ -= pj.bytes;
-          --queued_jobs_;
-          PARLAP_CHECK(s.pending > 0);
-          --s.pending;
-        }
-        session_queues_.erase(it);
-        rr_order_.erase(
-            std::remove(rr_order_.begin(), rr_order_.end(), s.id),
-            rr_order_.end());
-        purged = true;
-        metrics_->queue_depth.set(static_cast<std::int64_t>(queued_jobs_));
-        metrics_->queued_bytes.set(static_cast<std::int64_t>(queued_bytes_));
+    const std::scoped_lock lock(queue_mutex_);
+    const auto it = session_queues_.find(s.id);
+    if (it != session_queues_.end()) {
+      for (const PendingJob& pj : it->second) {
+        queued_bytes_ -= pj.bytes;
+        --queued_jobs_;
+        PARLAP_CHECK(s.pending > 0);
+        --s.pending;
       }
+      session_queues_.erase(it);
+      rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), s.id),
+                      rr_order_.end());
+      metrics_->queue_depth.set(static_cast<std::int64_t>(queued_jobs_));
+      metrics_->queued_bytes.set(static_cast<std::int64_t>(queued_bytes_));
     }
-    (void)purged;
   }
 }
 
@@ -1152,6 +1147,9 @@ void SolveServer::flush_session(Session& s) {
     const ssize_t n =
         ::send(s.fd, s.wbuf.data(), s.wbuf.size(), MSG_NOSIGNAL);
     if (n > 0) {
+      // Sending is activity too: a session whose solve outlasts the idle
+      // timeout must not be reaped the moment its answer flushes.
+      s.last_activity_ns = steady_now_ns();
       s.wbuf.erase(0, static_cast<std::size_t>(n));
       continue;
     }
@@ -1179,28 +1177,13 @@ void SolveServer::deliver_completed() {
   }
 }
 
-void SolveServer::close_session(std::uint64_t id, const char* why) {
-  (void)why;
+void SolveServer::close_session(std::uint64_t id) {
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   Session& s = *it->second;
-  // read_ready purges queued jobs on EOF; do it again here for sessions
-  // closed by other paths (idle reap) so no slot can leak.
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    const auto qit = session_queues_.find(id);
-    if (qit != session_queues_.end()) {
-      for (const PendingJob& pj : qit->second) {
-        queued_bytes_ -= pj.bytes;
-        --queued_jobs_;
-      }
-      session_queues_.erase(qit);
-      rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), id),
-                      rr_order_.end());
-      metrics_->queue_depth.set(static_cast<std::int64_t>(queued_jobs_));
-      metrics_->queued_bytes.set(static_cast<std::int64_t>(queued_bytes_));
-    }
-  }
+  // Every queued job counts in `pending`, so a session with none has
+  // nothing left in the admission queue to purge.
+  PARLAP_CHECK(s.pending == 0);
   if (s.fd >= 0) ::close(s.fd);
   sessions_.erase(it);
 }
@@ -1219,7 +1202,7 @@ void SolveServer::reap_idle_sessions() {
   }
   for (const std::uint64_t id : idle) {
     metrics_->idle_reaped.add();
-    close_session(id, "idle");
+    close_session(id);
   }
 }
 

@@ -91,8 +91,9 @@ struct ServerOptions {
   /// A request line longer than this is answered with a structured
   /// error and discarded through its terminating newline.
   std::size_t max_line_bytes = std::size_t{1} << 20;
-  /// Sessions silent this long with nothing queued, running, or
-  /// unflushed are reaped (0 = never).
+  /// Sessions with nothing queued, running, or unflushed that have
+  /// neither sent a request nor been sent an answer for this long are
+  /// reaped (0 = never).
   int idle_timeout_ms = 0;
   int retry_after_ms = 100;  ///< hint in shed-load responses
   /// JSONL event-log path ("" = off): lifecycle events plus one
@@ -161,7 +162,7 @@ class SolveServer {
   [[nodiscard]] std::string stats_response();
   void respond(Session& s, std::string line);
   void flush_session(Session& s);
-  void close_session(std::uint64_t id, const char* why);
+  void close_session(std::uint64_t id);
   void deliver_completed();
   void reap_idle_sessions();
   void begin_drain();

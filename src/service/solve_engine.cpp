@@ -264,66 +264,12 @@ Precision SolveEngine::job_precision(const SolveJob& job) const {
   return *mode;
 }
 
-JobResult SolveEngine::run_job(const SolveJob& job) {
+JobResult SolveEngine::run_one(const SolveJob& job) {
   JobResult result;
-  result.id = job.id;
-  const WallTimer job_timer;
-  try {
-    const std::shared_ptr<const LoadedGraph> loaded = graph_for(job);
-    const Vertex n = loaded->graph->num_vertices();
-
-    Vector b = job_rhs(job, n);
-    const RhsCompatibility compat =
-        check_rhs_compatibility(b, loaded->components);
-    if (!compat.compatible && !job.project_rhs) {
-      throw std::runtime_error(
-          "right-hand side is incompatible: component " +
-          std::to_string(compat.worst_component) + " has relative net "
-          "imbalance " + std::to_string(compat.worst_imbalance) +
-          " (set \"project_rhs\": true to solve the least-squares "
-          "projection)");
-    }
-
-    // Resolve kAuto against the loaded graph BEFORE keying, so an fp32
-    // and an fp64 factorization of the same graph never collide and an
-    // auto job shares the entry of the mode it resolves to.
-    const Precision precision = resolve_precision(job_precision(job), n);
-
-    FactorizationKey key;
-    key.graph_hash = loaded->fingerprint;
-    key.method = job.method;
-    key.seed = job.seed;
-    key.split_scale = job.split_scale;
-    key.max_iterations = job.max_iterations;
-    key.precision = precision;
-
-    SolverConfig config;
-    config.seed = job.seed;
-    config.split_scale = job.split_scale;
-    config.max_iterations = job.max_iterations;
-    config.precision = precision;
-    const Multigraph& graph = *loaded->graph;
-    const WallTimer factor_timer;
-    const auto [solver, hit] = cache_.get_or_create(key, [&] {
-      return SolverRegistry::instance().create(job.method, graph, config);
-    });
-    result.build_seconds = factor_timer.seconds();
-    result.cache_hit = hit;
-
-    Vector x(static_cast<std::size_t>(n), 0.0);
-    result.report = solver->solve(b, x, job.eps);
-    result.solution_hash = hash_solution(x);
-    if (options_.keep_solutions) result.solution = std::move(x);
-    result.ok = true;
-  } catch (const std::exception& e) {
-    result.ok = false;
-    result.error = e.what();
-  }
-  result.wall_seconds = job_timer.seconds();
+  const std::size_t member = 0;
+  (void)run_panel_task({&job, 1}, {&member, 1}, {&result, 1});
   return result;
 }
-
-JobResult SolveEngine::run_one(const SolveJob& job) { return run_job(job); }
 
 PanelStats SolveEngine::run_panel_task(std::span<const SolveJob> jobs,
                                        std::span<const std::size_t> members,
@@ -367,6 +313,9 @@ PanelStats SolveEngine::run_panel_task(std::span<const SolveJob> jobs,
   if (!survivors.empty()) {
     const SolveJob& lead = jobs[survivors.front()];
     try {
+      // Resolve kAuto against the loaded graph BEFORE keying, so an fp32
+      // and an fp64 factorization of the same graph never collide and an
+      // auto job shares the entry of the mode it resolves to.
       const Precision precision = resolve_precision(
           job_precision(lead), loaded->graph->num_vertices());
       FactorizationKey key;
@@ -428,10 +377,11 @@ BatchResult SolveEngine::run(std::span<const SolveJob> jobs) {
   const WallTimer batch_timer;
   const std::uint64_t batch_start_ns = steady_now_ns();
 
-  // Task list: at block_width 1 every job is its own task (the scalar
-  // path, unchanged); otherwise jobs are grouped by panel_group_key in
-  // input order and chunked to the width. Built before any worker runs,
-  // so the panel composition never depends on scheduling.
+  // Task list: at block_width 1 every job is its own width-1 panel, in
+  // input order (so workers start distinct factorizations side by side);
+  // otherwise jobs are grouped by panel_group_key in input order and
+  // chunked to the width. Built before any worker runs, so the panel
+  // composition never depends on scheduling.
   const auto width =
       static_cast<std::size_t>(std::max(1, options_.block_width));
   std::vector<std::vector<std::size_t>> tasks;
@@ -485,18 +435,7 @@ BatchResult SolveEngine::run(std::span<const SolveJob> jobs) {
       task_span.arg("width", static_cast<double>(members.size()));
       task_span.arg("queue_ms", queue_seconds * 1e3);
       const WallTimer task_timer;
-      if (members.size() == 1) {
-        batch.jobs[members.front()] = run_job(jobs[members.front()]);
-        PanelStats& panel = batch.panels[t];
-        panel.width = 1;
-        panel.job_ids.push_back(jobs[members.front()].id);
-        const JobResult& r = batch.jobs[members.front()];
-        panel.cache_hit = r.cache_hit;
-        panel.solve_seconds = r.report.solve_seconds;
-        panel.apply_seconds = r.report.apply_seconds;
-      } else {
-        batch.panels[t] = run_panel_task(jobs, members, batch.jobs);
-      }
+      batch.panels[t] = run_panel_task(jobs, members, batch.jobs);
       batch.panels[t].queue_seconds = queue_seconds;
       batch.panels[t].exec_seconds = task_timer.seconds();
     }

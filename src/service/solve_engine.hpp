@@ -4,13 +4,15 @@
 // a batch of SolveJobs (job_file.hpp) runs on a pool of worker threads
 // that share one FactorizationCache, so repeated graphs factor once and
 // then serve many solves concurrently through the const, thread-safe
-// AnySolver::solve surface.
+// AnySolver::solve_panel surface.
 //
+// Every job runs as a panel task (run_panel_task): one graph load, one
+// cache lookup, and one AnySolver::solve_panel call. A run_one() request
+// is a width-1 panel task, and so is every batch job at block_width 1.
 // Panel grouping (EngineOptions::block_width > 1): jobs that share a
 // factorization (graph content, method, config, eps) are grouped — in
 // input order, before any worker runs — into panels of up to
-// block_width right-hand sides, and each panel is one
-// AnySolver::solve_panel call, so the paper's solver traverses its chain
+// block_width right-hand sides, so the paper's solver traverses its chain
 // once per preconditioner application for the whole panel. Per-job
 // results are bit-identical at every block width (the solve_panel
 // contract); a panel's jobs share one cache lookup, so hit/miss
@@ -21,8 +23,8 @@
 // graph, method, knobs). It does not depend on the worker count, on
 // which worker picks the job up, or on completion order. This holds
 // because (a) factorizations are pure functions of (graph content,
-// method, config), (b) AnySolver::solve is deterministic across thread
-// counts, and (c) each job's right-hand side comes from a Philox stream
+// method, config), (b) AnySolver::solve_panel is deterministic across
+// thread counts and panel widths, and (c) each job's right-hand side comes from a Philox stream
 // keyed by (seed, job id) rather than any shared counter. Tests compare
 // --workers 1 against --workers N for bit-identical results.
 //
@@ -172,13 +174,14 @@ class SolveEngine {
   /// the factorization cache persists across batches.
   [[nodiscard]] BatchResult run(std::span<const SolveJob> jobs);
 
-  /// Runs ONE job synchronously on the calling thread — the per-request
-  /// path of the parlap_serve daemon, whose own worker pool replaces the
-  /// batch pool above. Safe from any number of threads concurrently:
-  /// graph loads and factorizations share the engine's caches (with
-  /// single-flight builds), and the result is the same pure function of
-  /// the job as in a batch run, so serve and batch traffic for the same
-  /// job yield bit-identical solution hashes. Never throws: failures
+  /// Runs ONE job synchronously on the calling thread as a width-1 panel
+  /// task — the per-request path of the parlap_serve daemon, whose own
+  /// worker pool replaces the batch pool above. Safe from any number of
+  /// threads concurrently: graph loads and factorizations share the
+  /// engine's caches (with single-flight builds), and the result is the
+  /// same pure function of the job as in a batch run (the same code
+  /// path), so serve and batch traffic for the same job yield
+  /// bit-identical results. Never throws: failures
   /// come back as JobResult::ok == false. EngineOptions::workers does
   /// not limit run_one callers; inner OpenMP parallelism is whatever
   /// the calling thread has configured.
@@ -207,12 +210,10 @@ class SolveEngine {
   /// engine default), before per-graph kAuto resolution.
   [[nodiscard]] Precision job_precision(const SolveJob& job) const;
 
-  [[nodiscard]] JobResult run_job(const SolveJob& job);
-
-  /// Runs one multi-job panel: shared graph + factorization lookup, one
-  /// solve_panel call for the rhs-compatible jobs, per-job failure
-  /// isolation for the rest. Writes results[i] for every i in `members`
-  /// and returns the panel telemetry.
+  /// Runs one panel task, the only way a job is solved: shared graph +
+  /// factorization lookup, one solve_panel call for the rhs-compatible
+  /// jobs, per-job failure isolation for the rest. Writes results[i] for
+  /// every i in `members` and returns the panel telemetry.
   [[nodiscard]] PanelStats run_panel_task(std::span<const SolveJob> jobs,
                                           std::span<const std::size_t> members,
                                           std::span<JobResult> results);

@@ -93,26 +93,51 @@ TEST(JacobiLemma, LongerSeriesTighter) {
 }
 
 // ---------------------------------------------------------------------
+// Theorem 3.8 on width-1 panels: one right-hand side is a one-column
+// panel through the (only) blocked Richardson overload.
+
+/// One right-hand side as a width-1 panel.
+Panel column_panel(const Vector& b) {
+  Panel p;
+  panel_from_vectors({&b, 1}, p);
+  return p;
+}
+
+/// y = c * P r, column by column (the dense test preconditioners have no
+/// blocked form).
+PanelMap dense_map(const DenseMatrix& p, double c = 1.0) {
+  return [&p, c](const Panel& r, Panel& y) {
+    y.resize(r.rows(), r.cols());
+    for (std::size_t j = 0; j < r.cols(); ++j) {
+      const Vector out = p.apply(r.col(j));
+      for (std::size_t i = 0; i < out.size(); ++i) y.at(i, j) = c * out[i];
+    }
+  };
+}
+
+const PanelMap kIdentityMap = [](const Panel& r, Panel& y) { y = r; };
+
+/// A mean-free random right-hand side of length n.
+Vector projected_random(std::size_t n, std::uint64_t seed) {
+  Vector b(n);
+  Rng rng(seed, RngTag::kTest, 0);
+  for (auto& v : b) v = rng.next_in(-1.0, 1.0);
+  project_out_ones(b);
+  return b;
+}
 
 TEST(Richardson, ExactPreconditionerOneShot) {
   const Multigraph g = make_grid2d(6, 6);
   const LaplacianOperator op(g);
   const DenseMatrix pinv = pseudo_inverse(laplacian_dense(g));
-  const LinearMap precond = [&](std::span<const double> r,
-                                std::span<double> y) {
-    const Vector out = pinv.apply(r);
-    std::copy(out.begin(), out.end(), y.begin());
-  };
-  Vector b(36);
-  Rng rng(1, RngTag::kTest, 0);
-  for (auto& v : b) v = rng.next_in(-1.0, 1.0);
-  project_out_ones(b);
-  Vector x(36, 0.0);
+  const Panel b = column_panel(projected_random(36, 1));
+  Panel x;
   RichardsonOptions opts;
   opts.delta = 1e-6;
   opts.auto_step = false;  // test the paper's alpha = 2/(e^-d + e^d)
   const IterationStats st =
-      preconditioned_richardson(op, precond, b, x, 1e-10, opts);
+      preconditioned_richardson(op, dense_map(pinv), b, x, 1e-10, opts)
+          .front();
   EXPECT_TRUE(st.reached_target);
   EXPECT_LE(st.iterations, 2);
 }
@@ -124,31 +149,23 @@ TEST(Richardson, AutoStepSurvivesMiscalibratedPreconditioner) {
   const Multigraph g = make_cycle(40);
   const LaplacianOperator op(g);
   const DenseMatrix pinv = pseudo_inverse(laplacian_dense(g));
-  const double c = std::exp(2.0);
-  const LinearMap precond = [&](std::span<const double> r,
-                                std::span<double> y) {
-    const Vector out = pinv.apply(r);
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] = c * out[i];
-  };
-  Vector b(40);
-  Rng rng(5, RngTag::kTest, 0);
-  for (auto& v : b) v = rng.next_in(-1.0, 1.0);
-  project_out_ones(b);
+  const PanelMap precond = dense_map(pinv, std::exp(2.0));
+  const Panel b = column_panel(projected_random(40, 5));
 
   RichardsonOptions fixed;
   fixed.auto_step = false;
   fixed.delta = 1.0;  // wrong: actual delta is 2
   fixed.max_iterations = 60;
-  Vector x1(40, 0.0);
+  Panel x1;
   const IterationStats diverged =
-      preconditioned_richardson(op, precond, b, x1, 1e-8, fixed);
+      preconditioned_richardson(op, precond, b, x1, 1e-8, fixed).front();
   EXPECT_FALSE(diverged.reached_target);
 
   RichardsonOptions autod;
   autod.max_iterations = 60;
-  Vector x2(40, 0.0);
+  Panel x2;
   const IterationStats converged =
-      preconditioned_richardson(op, precond, b, x2, 1e-8, autod);
+      preconditioned_richardson(op, precond, b, x2, 1e-8, autod).front();
   EXPECT_TRUE(converged.reached_target);
 }
 
@@ -158,23 +175,17 @@ TEST(Richardson, ScaledPreconditionerConvergesAtTheoryRate) {
   const Multigraph g = make_cycle(40);
   const LaplacianOperator op(g);
   const DenseMatrix pinv = pseudo_inverse(laplacian_dense(g));
-  const double c = std::exp(0.8);
-  const LinearMap precond = [&](std::span<const double> r,
-                                std::span<double> y) {
-    const Vector out = pinv.apply(r);
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] = c * out[i];
-  };
-  Vector b(40);
-  Rng rng(2, RngTag::kTest, 0);
-  for (auto& v : b) v = rng.next_in(-1.0, 1.0);
-  project_out_ones(b);
-  Vector x(40, 0.0);
+  const Panel b = column_panel(projected_random(40, 2));
+  Panel x;
   RichardsonOptions opts;
   opts.delta = 0.8;
   opts.auto_step = false;  // measure the paper's fixed-alpha rate
   opts.residual_target = 1e-10;
   const double eps = 1e-10;
-  const IterationStats st = preconditioned_richardson(op, precond, b, x, eps, opts);
+  const IterationStats st =
+      preconditioned_richardson(op, dense_map(pinv, std::exp(0.8)), b, x,
+                                eps, opts)
+          .front();
   EXPECT_TRUE(st.reached_target);
   EXPECT_LE(st.iterations, static_cast<int>(std::ceil(
                                std::exp(1.6) * std::log(1.0 / eps))) +
@@ -184,34 +195,24 @@ TEST(Richardson, ScaledPreconditionerConvergesAtTheoryRate) {
 TEST(Richardson, ZeroRhsReturnsZero) {
   const Multigraph g = make_path(10);
   const LaplacianOperator op(g);
-  const LinearMap identity_map = [](std::span<const double> r,
-                                    std::span<double> y) {
-    std::copy(r.begin(), r.end(), y.begin());
-  };
-  const Vector b(10, 0.0);
-  Vector x(10, 5.0);
+  const Panel b(10, 1);
+  Panel x(10, 1);
+  panel_fill(x, 5.0);
   const IterationStats st =
-      preconditioned_richardson(op, identity_map, b, x, 0.5);
+      preconditioned_richardson(op, kIdentityMap, b, x, 0.5).front();
   EXPECT_TRUE(st.reached_target);
-  for (const double v : x) EXPECT_EQ(v, 0.0);
+  for (const double v : x.col(0)) EXPECT_EQ(v, 0.0);
 }
 
 TEST(Richardson, IterationCapRespected) {
   const Multigraph g = make_path(200);  // terrible conditioning
   const LaplacianOperator op(g);
-  const LinearMap identity_map = [](std::span<const double> r,
-                                    std::span<double> y) {
-    std::copy(r.begin(), r.end(), y.begin());
-  };
-  Vector b(200);
-  Rng rng(3, RngTag::kTest, 0);
-  for (auto& v : b) v = rng.next_in(-1.0, 1.0);
-  project_out_ones(b);
-  Vector x(200, 0.0);
+  const Panel b = column_panel(projected_random(200, 3));
+  Panel x;
   RichardsonOptions opts;
   opts.max_iterations = 7;
   const IterationStats st =
-      preconditioned_richardson(op, identity_map, b, x, 1e-12, opts);
+      preconditioned_richardson(op, kIdentityMap, b, x, 1e-12, opts).front();
   EXPECT_FALSE(st.reached_target);
   EXPECT_EQ(st.iterations, 7);
 }
@@ -219,12 +220,9 @@ TEST(Richardson, IterationCapRespected) {
 TEST(Richardson, InvalidEpsThrows) {
   const Multigraph g = make_path(4);
   const LaplacianOperator op(g);
-  const LinearMap id_map = [](std::span<const double> r, std::span<double> y) {
-    std::copy(r.begin(), r.end(), y.begin());
-  };
-  const Vector b(4, 0.0);
-  Vector x(4);
-  EXPECT_THROW((void)preconditioned_richardson(op, id_map, b, x, 1.5),
+  const Panel b(4, 1);
+  Panel x;
+  EXPECT_THROW((void)preconditioned_richardson(op, kIdentityMap, b, x, 1.5),
                std::runtime_error);
 }
 

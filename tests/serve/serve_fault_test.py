@@ -133,6 +133,18 @@ def test_idle_timeout(c, binary):
                 r = busy.request(fast_job("tick"), timeout=30.0)
                 c.check(r.get("status") == "ok", "active session not reaped")
                 time.sleep(0.15)
+        # The idle clock restarts when an answer is delivered: a cold solve
+        # that outlasts the timeout leaves its session open for more work.
+        with d.connect() as slow:
+            r = slow.request(slow_job("cold", seed=99, n=96), timeout=300.0)
+            c.check(r.get("status") == "ok" and r.get("wall_seconds", 0) > 0.3,
+                    "cold solve outlasted the idle timeout: %r" % r)
+            try:
+                pong = slow.request({"type": "ping"}, timeout=30.0)
+            except OSError as e:
+                pong = {"error": repr(e)}
+            c.check(pong is not None and pong.get("type") == "pong",
+                    "session answered after a slow solve: %r" % pong)
         st = d.stats()
         c.check(st["counters"]["idle_reaped"] >= 1,
                 "idle_reaped counter incremented")

@@ -278,9 +278,23 @@ def test_metrics_exposition(c, binary, scripts_dir):
                 "unknown target is a 404: %r" % status)
 
 
+def deterministic_fields(r):
+    """The per-job result fields that are a pure function of the job.
+
+    cache_hit depends on arrival order and is left out; serve reports
+    escalations under "timings"."""
+    return {"converged": r.get("converged"),
+            "iterations": r.get("iterations"),
+            "escalations": r.get("escalations",
+                                 r.get("timings", {}).get("escalations")),
+            "precision": r.get("precision"),
+            "relative_residual": r.get("relative_residual"),
+            "solution_hash": r.get("solution_hash")}
+
+
 def test_determinism_vs_batch(c, serve_bin, cli_bin):
     """Same jobs via batch CLI and via concurrent serve clients give
-    bit-identical solution hashes, any worker count / arrival order."""
+    bit-identical results, any worker count / arrival order."""
     jobs = []
     for i in range(3):
         jobs.append({"id": "g%d" % i, "graph": "grid2d:16,16",
@@ -305,10 +319,15 @@ def test_determinism_vs_batch(c, serve_bin, cli_bin):
             check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         with open(json_path) as f:
             batch = json.load(f)
-    batch_hashes = {j["id"]: j["solution_hash"] for j in batch["jobs"]}
-    c.check(len(batch_hashes) == len(jobs), "batch solved every job")
+    batch_results = {j["id"]: deterministic_fields(j) for j in batch["jobs"]}
+    c.check(len(batch_results) == len(jobs)
+            and all(j.get("ok") for j in batch["jobs"]),
+            "batch solved every job")
+    c.check(all(v is not None for r in batch_results.values()
+                for v in r.values()),
+            "batch reports every compared field: %r" % batch_results)
 
-    serve_hashes = {}
+    serve_results = {}
     lock = threading.Lock()
 
     def submit(my_jobs):
@@ -320,7 +339,7 @@ def test_determinism_vs_batch(c, serve_bin, cli_bin):
             for _ in my_jobs:
                 r = cl.recv(timeout=300.0)
                 with lock:
-                    serve_hashes[r["id"]] = r.get("solution_hash")
+                    serve_results[r["id"]] = deterministic_fields(r)
 
     with ServeDaemon(serve_bin, workers=3) as d:
         shuffled = list(jobs)
@@ -333,9 +352,9 @@ def test_determinism_vs_batch(c, serve_bin, cli_bin):
         for t in threads:
             t.join()
 
-    c.check(serve_hashes == batch_hashes,
-            "serve hashes match batch hashes: %r vs %r"
-            % (serve_hashes, batch_hashes))
+    c.check(serve_results == batch_results,
+            "serve results match batch results: %r vs %r"
+            % (serve_results, batch_results))
 
 
 def main():

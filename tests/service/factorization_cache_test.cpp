@@ -17,13 +17,14 @@
 namespace parlap::service {
 namespace {
 
-/// A solver stub with a controllable cost; solve() is never called here.
+/// A solver stub with a controllable cost; it is never asked to solve.
 class StubSolver : public AnySolver {
  public:
   explicit StubSolver(EdgeId cost) : cost_(cost) {}
 
-  [[nodiscard]] RunReport solve(std::span<const double>, std::span<double>,
-                                double) const override {
+  [[nodiscard]] std::vector<RunReport> solve_panel(std::span<const Vector>,
+                                                   std::span<Vector>,
+                                                   double) const override {
     return {};
   }
   [[nodiscard]] const std::string& method() const noexcept override {

@@ -46,7 +46,8 @@ Capacity:
   --queue-limit N        max queued jobs before shedding (default 256)
   --max-queued-bytes B   max request bytes queued or executing (default 8 MiB)
   --max-line-bytes B     max request line length (default 1 MiB)
-  --idle-timeout-ms T    reap sessions silent this long (default 0 = never)
+  --idle-timeout-ms T    reap sessions with no traffic either way this long
+                         (default 0 = never)
   --retry-after-ms T     hint in overloaded responses (default 100)
   --cache-budget E       factorization cache budget in edge entries (0 = off)
   --graph-cache N        loaded-graph LRU bound (default 32)

@@ -218,26 +218,33 @@ void LaplacianSolver::apply_laplacian(std::span<const double> x,
 
 void LaplacianSolver::apply_preconditioner(std::span<const double> r,
                                            std::span<double> y) const {
-  PARLAP_CHECK(y.size() == r.size());
-  Panel rp(r.size(), 1);
-  assign(rp.col(0), r);
-  Panel yp;
-  apply_preconditioner(rp, yp);
-  assign(y, yp.col(0));
+  PARLAP_CHECK(r.size() == static_cast<std::size_t>(info_.n));
+  PARLAP_CHECK(y.size() == static_cast<std::size_t>(info_.n));
+  const auto scratch = scratch_pool_.acquire();
+  Panel& rg = scratch->pb_global;
+  rg.resize(r.size(), 1);
+  assign(rg.col(0), r);
+  apply_preconditioner_impl(rg, scratch->px_global, *scratch);
+  assign(y, scratch->px_global.col(0));
 }
 
 void LaplacianSolver::apply_preconditioner(const Panel& r, Panel& y) const {
+  const auto scratch = scratch_pool_.acquire();
+  apply_preconditioner_impl(r, y, *scratch);
+}
+
+void LaplacianSolver::apply_preconditioner_impl(const Panel& r, Panel& y,
+                                                SolveScratch& scratch) const {
   PARLAP_CHECK(r.rows() == static_cast<std::size_t>(info_.n));
   y.resize(r.rows(), r.cols());
-  const auto scratch = scratch_pool_.acquire();
   for (std::size_t c = 0; c < comps_.size(); ++c) {
     const ComponentSolver& cs = comps_[c];
-    Panel& bl = scratch->pb_local;
-    Panel& xl = scratch->px_local;
+    Panel& bl = scratch.pb_local;
+    Panel& xl = scratch.px_local;
     panel_gather_rows(r, cs.vertices, bl);
     panel_project_out_ones(bl);
     cs.rounds.front()->chain.apply(bl, xl,
-                                   scratch->component_ws(c, comps_.size()));
+                                   scratch.component_ws(c, comps_.size()));
     panel_project_out_ones(xl);
     panel_scatter_rows(xl, cs.vertices, y);
   }

@@ -218,7 +218,8 @@ class LaplacianSolver {
   /// per component (a shared one would be re-prepared on every
   /// component switch — the identity check in prepare_workspace) plus
   /// component-local panels, escalation sub-panels, and the global
-  /// panels solve() and solve_many() pack their input into.
+  /// panels solve(), solve_many() and the span apply_preconditioner()
+  /// pack their input into.
   struct SolveScratch {
     std::vector<ApplyWorkspace> per_component;
     Panel pb_local, px_local, pb_sub, px_sub, pb_global, px_global;
@@ -262,6 +263,10 @@ class LaplacianSolver {
   std::vector<SolveStats> solve_panel_impl(const Panel& b, Panel& x,
                                            double eps,
                                            SolveScratch& scratch) const;
+
+  /// The panel apply shared by both apply_preconditioner() overloads.
+  void apply_preconditioner_impl(const Panel& r, Panel& y,
+                                 SolveScratch& scratch) const;
 
   SolverOptions opts_;
   FactorizationInfo info_;

@@ -14,6 +14,7 @@
 
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/kernels/numa.hpp"
+#include "support/json_writer.hpp"
 
 #ifndef PARLAP_GIT_COMMIT
 #define PARLAP_GIT_COMMIT "unknown"
@@ -32,109 +33,6 @@ const char* getenv_or(const char* name, const char* fallback) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// JsonWriter
-// ---------------------------------------------------------------------------
-
-void JsonWriter::begin_value() {
-  if (!after_key_ && needs_comma_.back()) out_ << ',';
-  if (!after_key_) needs_comma_.back() = true;
-  after_key_ = false;
-}
-
-void JsonWriter::begin_object() {
-  begin_value();
-  out_ << '{';
-  needs_comma_.push_back(false);
-}
-
-void JsonWriter::end_object() {
-  needs_comma_.pop_back();
-  out_ << '}';
-}
-
-void JsonWriter::begin_array() {
-  begin_value();
-  out_ << '[';
-  needs_comma_.push_back(false);
-}
-
-void JsonWriter::end_array() {
-  needs_comma_.pop_back();
-  out_ << ']';
-}
-
-void JsonWriter::key(std::string_view k) {
-  if (needs_comma_.back()) out_ << ',';
-  needs_comma_.back() = true;
-  out_ << escape(k) << ':';
-  after_key_ = true;
-}
-
-void JsonWriter::value(std::string_view s) {
-  begin_value();
-  out_ << escape(s);
-}
-
-void JsonWriter::value(double d) {
-  begin_value();
-  out_ << format_number(d);
-}
-
-void JsonWriter::value(std::int64_t i) {
-  begin_value();
-  out_ << i;
-}
-
-void JsonWriter::value(bool b) {
-  begin_value();
-  out_ << (b ? "true" : "false");
-}
-
-void JsonWriter::null() {
-  begin_value();
-  out_ << "null";
-}
-
-std::string JsonWriter::escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::string JsonWriter::format_number(double d) {
-  if (!std::isfinite(d)) return "null";
-  constexpr double kExactInt = 9007199254740992.0;  // 2^53
-  if (d == std::floor(d) && std::fabs(d) < kExactInt) {
-    return std::to_string(static_cast<std::int64_t>(d));
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
 
 // ---------------------------------------------------------------------------
 // Timing aggregation
@@ -253,7 +151,8 @@ void BenchReporter::record_time(
 
 void BenchReporter::write(std::ostream& out) const {
   const RunMetadata md = collect_metadata();
-  JsonWriter w(out);
+  std::string doc;
+  JsonWriter w(doc);
   w.begin_object();
   w.member("schema_version", std::int64_t{1});
   w.member("experiment", experiment_);
@@ -304,7 +203,8 @@ void BenchReporter::write(std::ostream& out) const {
   w.end_array();
 
   w.end_object();
-  out << '\n';
+  doc += '\n';
+  out << doc;
 }
 
 bool BenchReporter::write_to_env_path() {

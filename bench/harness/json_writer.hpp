@@ -1,4 +1,4 @@
-// Benchmark-harness reporting: a minimal JSON emitter plus the shared
+// Benchmark-harness reporting: the JSON bench report plus the shared
 // run-metadata / warmup / repetition / aggregation logic used by every
 // experiment binary (see EXPERIMENTS.md).
 //
@@ -14,68 +14,12 @@
 #include <iosfwd>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "support/timer.hpp"
 
 namespace parlap::bench {
-
-// ---------------------------------------------------------------------------
-// JsonWriter — a tiny streaming JSON emitter.
-// ---------------------------------------------------------------------------
-
-/// Streams syntactically valid JSON to an ostream: nested objects/arrays
-/// with automatic comma placement, full string escaping, and non-finite
-/// doubles mapped to null (JSON has no NaN/Inf). The caller is
-/// responsible for balanced begin/end calls.
-class JsonWriter {
- public:
-  explicit JsonWriter(std::ostream& out) : out_(out) {}
-
-  JsonWriter(const JsonWriter&) = delete;
-  JsonWriter& operator=(const JsonWriter&) = delete;
-
-  void begin_object();
-  void end_object();
-  void begin_array();
-  void end_array();
-
-  /// Emits the key of the next member; must be inside an object.
-  void key(std::string_view k);
-
-  void value(std::string_view s);
-  void value(const char* s) { value(std::string_view(s)); }
-  void value(double d);
-  void value(std::int64_t i);
-  void value(int i) { value(static_cast<std::int64_t>(i)); }
-  void value(bool b);
-  void null();
-
-  /// key() + value() in one call.
-  template <typename T>
-  void member(std::string_view k, T&& v) {
-    key(k);
-    value(std::forward<T>(v));
-  }
-
-  /// Escapes `s` per RFC 8259 and returns it wrapped in double quotes.
-  static std::string escape(std::string_view s);
-
-  /// Shortest round-trippable decimal form; integral values within the
-  /// exactly-representable range print without a fraction.
-  static std::string format_number(double d);
-
- private:
-  void begin_value();
-
-  std::ostream& out_;
-  // One frame per open container: whether a comma is pending before the
-  // next element at that depth.
-  std::vector<bool> needs_comma_{false};
-  bool after_key_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // Timing aggregation

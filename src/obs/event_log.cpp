@@ -7,13 +7,10 @@
 
 namespace parlap::obs {
 
-void EventLog::append(std::string_view json_line) const noexcept {
-  if (path_.empty()) return;
+void EventLog::write_line(std::string_view line) const noexcept {
   const int fd = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
                         0644);
   if (fd < 0) return;
-  std::string line(json_line);
-  line.push_back('\n');
   // Single write so concurrent appenders (worker threads) interleave at
   // line granularity under O_APPEND. Short writes on a regular file are
   // effectively ENOSPC; nothing useful to do but drop.

@@ -13,7 +13,13 @@
 #include <string>
 #include <string_view>
 
+#include "support/json_writer.hpp"
+
 namespace parlap::obs {
+
+/// Wall-clock seconds since the Unix epoch (system_clock — event logs
+/// are correlated with external logs, unlike steady_now_ns() spans).
+[[nodiscard]] double unix_now_seconds() noexcept;
 
 class EventLog {
  public:
@@ -22,17 +28,28 @@ class EventLog {
 
   [[nodiscard]] bool enabled() const noexcept { return !path_.empty(); }
 
-  /// Appends `json_line` (a complete JSON object, no trailing newline)
-  /// plus '\n'. Write failures are swallowed: telemetry must never take
+  /// Appends the line {"event":EVENT,"ts":unix seconds,...} whose other
+  /// members `fill(JsonWriter&)` writes; `fill` runs only when the log
+  /// is enabled. Write failures are swallowed: telemetry must never take
   /// down the serving path.
-  void append(std::string_view json_line) const noexcept;
+  template <typename Fill>
+  void append(const char* event, Fill&& fill) const {
+    if (!enabled()) return;
+    std::string line;
+    JsonWriter w(line);
+    w.begin_object();
+    w.member("event", event);
+    w.member("ts", unix_now_seconds());
+    fill(w);
+    w.end_object();
+    line += '\n';
+    write_line(line);
+  }
 
  private:
+  void write_line(std::string_view line) const noexcept;
+
   std::string path_;
 };
-
-/// Wall-clock seconds since the Unix epoch (system_clock — event logs
-/// are correlated with external logs, unlike steady_now_ns() spans).
-[[nodiscard]] double unix_now_seconds() noexcept;
 
 }  // namespace parlap::obs

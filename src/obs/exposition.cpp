@@ -2,6 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <sstream>
+
+#include "support/json_writer.hpp"
+#include "support/table.hpp"
 
 namespace parlap::obs {
 
@@ -137,33 +141,51 @@ std::string render_prometheus(const std::vector<MetricSample>& samples) {
 }
 
 std::string render_metrics_json(const std::vector<MetricSample>& samples) {
-  std::string out = "{\"schema\":\"parlap-metrics-v1\",\"metrics\":[";
-  bool first = true;
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.member("schema", "parlap-metrics-v1");
+  w.key("metrics");
+  w.begin_array();
   for (const MetricSample& s : samples) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"";
-    out += s.name;  // registry names are dotted identifiers, no escapes
-    out += "\",\"kind\":\"";
-    out += kind_string(s.kind);
-    out += "\",\"value\":";
-    append_double(out, s.value);
+    w.begin_object();
+    w.member("name", s.name);
+    w.member("kind", kind_string(s.kind));
+    w.member("value", s.value);
     if (s.kind == MetricSample::Kind::kHistogram) {
-      out += ",\"count\":";
-      append_u64(out, s.count);
-      out += ",\"mean\":";
-      append_double(out, s.mean);
-      out += ",\"p50\":";
-      append_double(out, s.p50);
-      out += ",\"p95\":";
-      append_double(out, s.p95);
-      out += ",\"p99\":";
-      append_double(out, s.p99);
+      w.member("count", s.count);
+      w.member("mean", s.mean);
+      w.member("p50", s.p50);
+      w.member("p95", s.p95);
+      w.member("p99", s.p99);
     }
-    out += "}";
+    w.end_object();
   }
-  out += "]}";
+  w.end_array();
+  w.end_object();
   return out;
+}
+
+std::string render_metrics_table(const std::vector<MetricSample>& samples) {
+  TextTable table("metrics: process-wide registry (this run)");
+  table.set_header(
+      {"metric", "kind", "value", "count", "p50_ms", "p95_ms", "p99_ms"}, 4);
+  for (const MetricSample& s : samples) {
+    const char* kind = "counter";
+    if (s.kind == MetricSample::Kind::kRealCounter) kind = "sum";
+    if (s.kind == MetricSample::Kind::kGauge) kind = "gauge";
+    if (s.kind == MetricSample::Kind::kHistogram) {
+      table.add_row({s.name, std::string("histogram"), s.value,
+                     static_cast<std::int64_t>(s.count), s.p50 * 1e3,
+                     s.p95 * 1e3, s.p99 * 1e3});
+    } else {
+      table.add_row({s.name, std::string(kind), s.value, std::string(""),
+                     std::string(""), std::string(""), std::string("")});
+    }
+  }
+  std::ostringstream os;
+  table.print(os);
+  return os.str();
 }
 
 }  // namespace parlap::obs

@@ -1,5 +1,5 @@
-// Metric exporters: Prometheus text exposition (v0.0.4) and a JSON
-// snapshot, both rendered from MetricsRegistry::snapshot() samples.
+// Metric exporters: Prometheus text exposition (v0.0.4), a JSON snapshot
+// and a human table, all rendered from MetricsRegistry::snapshot().
 //
 // The Prometheus names derived here are a compatibility surface —
 // dashboards and alerts key on them. docs/OBSERVABILITY.md carries the
@@ -38,6 +38,11 @@ inline constexpr const char* kPrometheusContentType =
 /// {"schema":"parlap-metrics-v1","metrics":[...]} — the `--metrics-out`
 /// final snapshot shape, mirroring batch JSON v3's metrics object.
 [[nodiscard]] std::string render_metrics_json(
+    const std::vector<MetricSample>& samples);
+
+/// The human table the tools' `--metrics` flag prints: one row per
+/// sample, histogram percentiles in milliseconds.
+[[nodiscard]] std::string render_metrics_table(
     const std::vector<MetricSample>& samples);
 
 }  // namespace parlap::obs

@@ -3,7 +3,10 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <string>
 #include <vector>
+
+#include "support/json_writer.hpp"
 
 namespace parlap::obs {
 
@@ -39,21 +42,6 @@ Registry& registry() {
 thread_local Tracer::Buffer* tls_buffer = nullptr;
 
 thread_local std::uint64_t tls_request_id = 0;
-
-void write_escaped(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';  // span names are literals; control chars are a bug
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
 
 }  // namespace
 
@@ -128,38 +116,46 @@ void Tracer::clear() {
 void Tracer::write_chrome(std::ostream& os) const {
   Registry& reg = registry();
   const std::scoped_lock lock(reg.mutex);
-  // Timestamps are microseconds on the steady clock — values around
-  // 1e12; default stream precision (6 significant digits) would
-  // collapse them onto each other.
-  const std::streamsize old_precision = os.precision(17);
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
+  // Written one event per line as it is built: the document never sits
+  // in memory whole, and a grep for a request id lists its spans.
+  std::string chunk;
+  JsonWriter w(chunk);
+  w.begin_object();
+  w.member("displayTimeUnit", "ms");
+  w.key("traceEvents");
+  w.begin_array();
   for (const auto& b : reg.buffers) {
     const std::size_t n = b->size.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < n; ++i) {
       const TraceEvent& ev = b->events[i];
-      if (!first) os << ',';
-      first = false;
-      os << "\n{\"name\":";
-      write_escaped(os, ev.name);
-      os << ",\"cat\":";
-      write_escaped(os, ev.cat);
+      chunk += '\n';
+      w.begin_object();
+      w.member("name", ev.name);
+      w.member("cat", ev.cat);
+      w.member("ph", "X");
       // Microsecond timestamps are the trace-event contract; fractional
       // keeps the ns resolution.
-      os << ",\"ph\":\"X\",\"ts\":" << static_cast<double>(ev.ts_ns) / 1e3
-         << ",\"dur\":" << static_cast<double>(ev.dur_ns) / 1e3
-         << ",\"pid\":1,\"tid\":" << ev.tid << ",\"args\":{\"span_id\":"
-         << ev.span_id;
+      w.member("ts", static_cast<double>(ev.ts_ns) / 1e3);
+      w.member("dur", static_cast<double>(ev.dur_ns) / 1e3);
+      w.member("pid", 1);
+      w.member("tid", ev.tid);
+      w.key("args");
+      w.begin_object();
+      w.member("span_id", ev.span_id);
       for (std::uint32_t a = 0; a < ev.nargs; ++a) {
-        os << ',';
-        write_escaped(os, ev.args[a].key);
-        os << ':' << ev.args[a].value;
+        w.member(ev.args[a].key, ev.args[a].value);
       }
-      os << "}}";
+      w.end_object();
+      w.end_object();
+      os << chunk;
+      chunk.clear();
     }
   }
-  os << "\n]}\n";
-  os.precision(old_precision);
+  chunk += '\n';
+  w.end_array();
+  w.end_object();
+  chunk += '\n';
+  os << chunk;
 }
 
 void ScopedSpan::finish() noexcept {

@@ -41,17 +41,22 @@ void WindowedHistogram::record_ns_at(std::uint64_t ns,
   if (claim_slot(slot, epoch)) slot.hist.record_ns(ns);
 }
 
+WindowDigest WindowDigest::of(const LatencyHistogram& h) noexcept {
+  WindowDigest d;
+  d.count = h.count();
+  d.sum_seconds = h.sum_seconds();
+  d.mean = h.mean_seconds();
+  d.p50 = h.percentile_seconds(0.50);
+  d.p95 = h.percentile_seconds(0.95);
+  d.p99 = h.percentile_seconds(0.99);
+  return d;
+}
+
 WindowDigest WindowedHistogram::digest_at(std::uint64_t window_ns,
                                           std::uint64_t now_ns) const noexcept {
   LatencyHistogram merged;
   merge_window_into(merged, window_ns, now_ns);
-  WindowDigest d;
-  d.count = merged.count();
-  d.sum_seconds = merged.sum_seconds();
-  d.mean = merged.mean_seconds();
-  d.p50 = merged.percentile_seconds(0.50);
-  d.p95 = merged.percentile_seconds(0.95);
-  d.p99 = merged.percentile_seconds(0.99);
+  WindowDigest d = WindowDigest::of(merged);
   d.window_seconds = static_cast<double>(window_ns) * 1e-9;
   return d;
 }

@@ -54,6 +54,9 @@ struct WindowDigest {
   double p99 = 0.0;
   /// Nominal window length the digest was asked for, in seconds.
   double window_seconds = 0.0;
+
+  /// The digest of a whole histogram (window_seconds stays 0).
+  [[nodiscard]] static WindowDigest of(const LatencyHistogram& h) noexcept;
 };
 
 /// Sliding-window wrapper over LatencyHistogram: a ring of per-epoch

@@ -2,8 +2,8 @@
 //
 // The service layer speaks JSONL (one JSON object per line) for batch
 // job files, and the repo deliberately carries no third-party JSON
-// dependency — bench/harness has the *writer*; this is the matching
-// reader. Scope is RFC 8259 minus the corners the job format never
+// dependency — support/json_writer.hpp is the *writer*; this is the
+// matching reader. Scope is RFC 8259 minus the corners the job format never
 // produces: numbers parse via strtod (so 1e-8 and -3.5 work), strings
 // support the standard escapes plus \uXXXX for BMP code points, and
 // objects keep the last value for a duplicated key.

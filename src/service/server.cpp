@@ -11,8 +11,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -27,6 +25,7 @@
 #include "parallel/for_each.hpp"
 #include "service/json.hpp"
 #include "support/check.hpp"
+#include "support/json_writer.hpp"
 #include "support/timer.hpp"
 
 namespace parlap::service {
@@ -34,91 +33,48 @@ namespace parlap::service {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Wire-format helpers: tiny append-style JSON writing. The server emits
-// flat one-line objects, so a full writer (bench/harness JsonWriter) is
-// more machinery than the job needs — and src/service deliberately does
-// not depend on the bench tree.
+// Wire-format helpers: response shapes more than one site writes.
 // ---------------------------------------------------------------------------
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        // Control chars must be escaped; high bytes are escaped too so
-        // an error message echoing hostile input stays valid UTF-8.
-        if (static_cast<unsigned char>(c) < 0x20 ||
-            static_cast<unsigned char>(c) >= 0x7f) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+/// {"type":TYPE,"status":"ok"}
+std::string ok_line(const char* type) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.member("type", type);
+  w.member("status", "ok");
+  w.end_object();
+  return out;
 }
 
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) v = 0.0;  // JSON has no inf/nan
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+/// Opens a result line, {"type":"result","id":...,"request_id":...,
+/// "status":STATUS; the caller adds members and closes it.
+void begin_result(JsonWriter& w, std::string_view id,
+                  std::uint64_t request_id, const char* status) {
+  w.begin_object();
+  w.member("type", "result");
+  w.member("id", id);
+  w.member("request_id", request_id);
+  w.member("status", status);
 }
 
-std::string hex_hash(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf);
-}
-
-/// {"count":N,"mean":x,"p50":x,"p95":x,"p99":x} from a registry histogram.
-void append_histogram_digest(std::string& out, const char* key,
-                             const obs::LatencyHistogram& h) {
-  out += '"';
-  out += key;
-  out += "\":{\"count\":";
-  out += std::to_string(h.count());
-  out += ",\"mean\":";
-  append_json_number(out, h.mean_seconds());
-  out += ",\"p50\":";
-  append_json_number(out, h.percentile_seconds(0.50));
-  out += ",\"p95\":";
-  append_json_number(out, h.percentile_seconds(0.95));
-  out += ",\"p99\":";
-  append_json_number(out, h.percentile_seconds(0.99));
-  out += '}';
+/// "KEY":{"count":N,"mean":x,"p50":x,"p95":x,"p99":x}, the digest shape
+/// of the stats lifetime and window blocks.
+void write_digest(JsonWriter& w, std::string_view key,
+                  const obs::WindowDigest& d) {
+  w.key(key);
+  w.begin_object();
+  w.member("count", d.count);
+  w.member("mean", d.mean);
+  w.member("p50", d.p50);
+  w.member("p95", d.p95);
+  w.member("p99", d.p99);
+  w.end_object();
 }
 
 /// The stats "window" block and the windowed instruments report this
 /// span (docs/SERVING.md documents the 60s contract).
 constexpr std::uint64_t kStatsWindowNs = 60'000'000'000ull;
-
-/// Same shape as append_histogram_digest, from a window digest.
-void append_window_digest(std::string& out, const char* key,
-                          const obs::WindowDigest& d) {
-  out += '"';
-  out += key;
-  out += "\":{\"count\":";
-  out += std::to_string(d.count);
-  out += ",\"mean\":";
-  append_json_number(out, d.mean);
-  out += ",\"p50\":";
-  append_json_number(out, d.p50);
-  out += ",\"p95\":";
-  append_json_number(out, d.p95);
-  out += ",\"p99\":";
-  append_json_number(out, d.p99);
-  out += '}';
-}
 
 void set_nonblocking_cloexec(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
@@ -330,18 +286,11 @@ void SolveServer::start() {
   }
   start_ns_ = steady_now_ns();
   started_ = true;
-  if (event_log_.enabled()) {
-    std::string ev = "{\"event\":\"server_start\",\"ts\":";
-    append_json_number(ev, obs::unix_now_seconds());
-    ev += ",\"workers\":";
-    ev += std::to_string(options_.workers);
-    ev += ",\"socket\":";
-    append_json_string(ev, options_.socket_path);
-    ev += ",\"tcp_port\":";
-    ev += std::to_string(tcp_port_);
-    ev += '}';
-    event_log_.append(ev);
-  }
+  event_log_.append("server_start", [&](JsonWriter& w) {
+    w.member("workers", options_.workers);
+    w.member("socket", options_.socket_path);
+    w.member("tcp_port", tcp_port_);
+  });
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
     workers_.emplace_back([this] { worker_main(); });
@@ -415,79 +364,50 @@ void SolveServer::worker_main() {
     metrics_->completed.add();
     metrics_->completed_window.add();
 
-    std::string line = "{\"type\":\"result\",\"id\":";
-    append_json_string(line, result.id);
-    line += ",\"request_id\":";
-    line += std::to_string(pj.request_id);
+    std::string line;
+    JsonWriter w(line);
+    begin_result(w, result.id, pj.request_id, result.ok ? "ok" : "error");
     if (result.ok) {
-      line += ",\"status\":\"ok\",\"cache_hit\":";
-      line += result.cache_hit ? "true" : "false";
-      line += ",\"converged\":";
-      line += result.report.converged ? "true" : "false";
-      line += ",\"iterations\":";
-      line += std::to_string(result.report.iterations);
-      line += ",\"precision\":\"";
-      line += precision_name(result.report.precision);
-      line += "\",\"relative_residual\":";
-      append_json_number(line, result.report.relative_residual);
-      line += ",\"solve_seconds\":";
-      append_json_number(line, result.report.solve_seconds);
-      line += ",\"wall_seconds\":";
-      append_json_number(line, result.wall_seconds);
-      line += ",\"queue_seconds\":";
-      append_json_number(line, queue_seconds);
-      line += ",\"timings\":{\"queue_wait_ms\":";
-      append_json_number(line, queue_seconds * 1e3);
-      line += ",\"cache\":\"";
-      line += result.cache_hit ? "hit" : "miss";
-      line += "\",\"build_ms\":";
-      append_json_number(line, result.build_seconds * 1e3);
-      line += ",\"solve_ms\":";
-      append_json_number(line, result.report.solve_seconds * 1e3);
+      w.member("cache_hit", result.cache_hit);
+      w.member("converged", result.report.converged);
+      w.member("iterations", result.report.iterations);
+      w.member("precision", precision_name(result.report.precision));
+      w.member("relative_residual", result.report.relative_residual);
+      w.member("solve_seconds", result.report.solve_seconds);
+      w.member("wall_seconds", result.wall_seconds);
+      w.member("queue_seconds", queue_seconds);
+      w.key("timings");
+      w.begin_object();
+      w.member("queue_wait_ms", queue_seconds * 1e3);
+      w.member("cache", result.cache_hit ? "hit" : "miss");
+      w.member("build_ms", result.build_seconds * 1e3);
+      w.member("solve_ms", result.report.solve_seconds * 1e3);
       // Refinement breakdown: outer fp64 refinement iterations and the
       // escalation rounds (fp32 -> fp64 rebuilds) this solve needed.
-      line += ",\"refinement_iterations\":";
-      line += std::to_string(result.report.iterations);
-      line += ",\"escalations\":";
-      line += std::to_string(result.report.escalations);
-      line += "},\"solution_hash\":\"";
-      line += hex_hash(result.solution_hash);
-      line += "\"}";
+      w.member("refinement_iterations", result.report.iterations);
+      w.member("escalations", result.report.escalations);
+      w.end_object();
+      w.member("solution_hash", result.solution_hash_hex());
     } else {
-      line += ",\"status\":\"error\",\"error\":";
-      append_json_string(line, result.error);
-      line += '}';
+      w.member("error", result.error);
     }
+    w.end_object();
 
     // Slow-request journal: every completed solve at or past the
     // --slow-ms wall threshold (0 = all) gets one JSONL event.
-    if (event_log_.enabled() && result.wall_seconds * 1e3 >= options_.slow_ms) {
-      std::string ev = "{\"event\":\"request\",\"ts\":";
-      append_json_number(ev, obs::unix_now_seconds());
-      ev += ",\"request_id\":";
-      ev += std::to_string(pj.request_id);
-      ev += ",\"id\":";
-      append_json_string(ev, result.id);
-      ev += ",\"session\":";
-      ev += std::to_string(pj.session_id);
-      ev += ",\"status\":\"";
-      ev += result.ok ? "ok" : "error";
-      ev += "\",\"cache\":\"";
-      ev += result.cache_hit ? "hit" : "miss";
-      ev += "\",\"queue_wait_ms\":";
-      append_json_number(ev, queue_seconds * 1e3);
-      ev += ",\"build_ms\":";
-      append_json_number(ev, result.build_seconds * 1e3);
-      ev += ",\"solve_ms\":";
-      append_json_number(ev, result.report.solve_seconds * 1e3);
-      ev += ",\"wall_ms\":";
-      append_json_number(ev, result.wall_seconds * 1e3);
-      if (!result.ok) {
-        ev += ",\"error\":";
-        append_json_string(ev, result.error);
-      }
-      ev += '}';
-      event_log_.append(ev);
+    if (result.wall_seconds * 1e3 >= options_.slow_ms) {
+      event_log_.append("request", [&](JsonWriter& e) {
+        e.member("request_id", pj.request_id);
+        e.member("id", result.id);
+        e.member("session", pj.session_id);
+        e.member("status", result.ok ? "ok" : "error");
+        e.member("cache", result.cache_hit ? "hit" : "miss");
+        e.member("queue_wait_ms", queue_seconds * 1e3);
+        e.member("build_ms", result.build_seconds * 1e3);
+        e.member("solve_ms", result.report.solve_seconds * 1e3);
+        e.member("wall_ms", result.wall_seconds * 1e3);
+        if (!result.ok) e.member("error", result.error);
+      });
     }
 
     // Publish the result BEFORE releasing the in-flight slot: once
@@ -605,35 +525,18 @@ void SolveServer::serve() {
     workers_.clear();
   }
   if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
-  if (event_log_.enabled()) {
-    std::string ev = "{\"event\":\"drain_complete\",\"ts\":";
-    append_json_number(ev, obs::unix_now_seconds());
-    ev += ",\"completed\":";
-    ev += std::to_string(completed_count_.load(std::memory_order_relaxed));
-    ev += '}';
-    event_log_.append(ev);
-  }
+  event_log_.append("drain_complete", [&](JsonWriter& w) {
+    w.member("completed", completed_count_.load(std::memory_order_relaxed));
+  });
 }
 
 void SolveServer::begin_drain() {
   draining_ = true;
-  if (event_log_.enabled()) {
-    std::size_t depth = 0;
-    std::size_t inflight = 0;
-    {
-      const std::scoped_lock lock(queue_mutex_);
-      depth = queued_jobs_;
-      inflight = in_flight_;
-    }
-    std::string ev = "{\"event\":\"drain_begin\",\"ts\":";
-    append_json_number(ev, obs::unix_now_seconds());
-    ev += ",\"queued\":";
-    ev += std::to_string(depth);
-    ev += ",\"in_flight\":";
-    ev += std::to_string(inflight);
-    ev += '}';
-    event_log_.append(ev);
-  }
+  event_log_.append("drain_begin", [&](JsonWriter& w) {
+    const std::scoped_lock lock(queue_mutex_);
+    w.member("queued", queued_jobs_);
+    w.member("in_flight", in_flight_);
+  });
   if (unix_fd_ >= 0) {
     ::close(unix_fd_);
     unix_fd_ = -1;
@@ -713,23 +616,18 @@ void SolveServer::read_ready(Session& s) {
           s.rbuf.clear();
           if (!line.empty() && line.back() == '\r') line.pop_back();
           if (line.size() > options_.max_line_bytes) {
-            metrics_->errors.add();
-            respond(s,
-                    "{\"type\":\"error\",\"status\":\"error\",\"error\":"
-                    "\"request line exceeds " +
-                        std::to_string(options_.max_line_bytes) +
-                        " bytes\"}");
+            respond_error(s, "request line exceeds " +
+                                 std::to_string(options_.max_line_bytes) +
+                                 " bytes");
           } else {
             handle_line(s, line);
           }
           if (s.broken) return;
         }
         if (s.rbuf.size() > options_.max_line_bytes) {
-          metrics_->errors.add();
-          respond(s,
-                  "{\"type\":\"error\",\"status\":\"error\",\"error\":"
-                  "\"request line exceeds " +
-                      std::to_string(options_.max_line_bytes) + " bytes\"}");
+          respond_error(s, "request line exceeds " +
+                               std::to_string(options_.max_line_bytes) +
+                               " bytes");
           s.rbuf.clear();
           s.rbuf.shrink_to_fit();
           s.discarding = true;
@@ -800,11 +698,7 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
       throw std::invalid_argument("expected a JSON object");
     }
   } catch (const std::exception& e) {
-    metrics_->errors.add();
-    std::string out = "{\"type\":\"error\",\"status\":\"error\",\"error\":";
-    append_json_string(out, e.what());
-    out += '}';
-    respond(s, std::move(out));
+    respond_error(s, e.what());
     return;
   }
 
@@ -812,10 +706,7 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
   std::string type = "solve";
   if (type_v != nullptr) {
     if (!type_v->is_string()) {
-      metrics_->errors.add();
-      respond(s,
-              "{\"type\":\"error\",\"status\":\"error\",\"error\":"
-              "\"type must be a string\"}");
+      respond_error(s, "type must be a string");
       return;
     }
     type = type_v->as_string();
@@ -823,7 +714,7 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
   span.arg("solve", type == "solve" ? 1.0 : 0.0);
 
   if (type == "ping") {
-    respond(s, "{\"type\":\"pong\",\"status\":\"ok\"}");
+    respond(s, ok_line("pong"));
     return;
   }
   if (type == "stats") {
@@ -835,30 +726,26 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
     // bytes to a GET /metrics scrape, for clients already connected.
     PARLAP_TRACE_SPAN("serve.scrape", "serve");
     metrics_->scrapes.add();
-    const std::string text =
-        obs::render_prometheus(obs::MetricsRegistry::global().snapshot());
-    std::string out = "{\"type\":\"metrics\",\"status\":\"ok\""
-                      ",\"content_type\":";
-    append_json_string(out, obs::kPrometheusContentType);
-    out += ",\"text\":";
-    append_json_string(out, text);
-    out += '}';
+    std::string out;
+    JsonWriter w(out);
+    w.begin_object();
+    w.member("type", "metrics");
+    w.member("status", "ok");
+    w.member("content_type", obs::kPrometheusContentType);
+    w.member("text",
+             obs::render_prometheus(obs::MetricsRegistry::global().snapshot()));
+    w.end_object();
     respond(s, std::move(out));
     return;
   }
   if (type == "shutdown") {
-    respond(s, "{\"type\":\"shutdown\",\"status\":\"ok\"}");
+    respond(s, ok_line("shutdown"));
     request_drain();
     return;
   }
   if (type != "solve") {
-    metrics_->errors.add();
-    std::string out = "{\"type\":\"error\",\"status\":\"error\",\"error\":";
-    append_json_string(out, "unknown request type '" + type +
-                               "' (want solve, stats, metrics, ping, "
-                               "shutdown)");
-    out += '}';
-    respond(s, std::move(out));
+    respond_error(s, "unknown request type '" + type +
+                         "' (want solve, stats, metrics, ping, shutdown)");
     return;
   }
 
@@ -868,18 +755,8 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
                            "req" + std::to_string(s.requests),
                            /*allow_type_field=*/true);
   } catch (const std::exception& e) {
-    metrics_->errors.add();
-    std::string out = "{\"type\":\"error\",\"status\":\"error\"";
     // Correlate the schema error with the request when possible.
-    const JsonValue* idv = doc.find("id");
-    if (idv != nullptr && idv->is_string()) {
-      out += ",\"id\":";
-      append_json_string(out, idv->as_string());
-    }
-    out += ",\"error\":";
-    append_json_string(out, e.what());
-    out += '}';
-    respond(s, std::move(out));
+    respond_error(s, e.what(), doc.find("id"));
     return;
   }
   handle_solve(s, std::move(job), line.size(), rid);
@@ -890,11 +767,11 @@ void SolveServer::handle_solve(Session& s, SolveJob job,
                                std::uint64_t request_id) {
   if (draining_) {
     metrics_->rejected.add();
-    std::string out = "{\"type\":\"result\",\"id\":";
-    append_json_string(out, job.id);
-    out += ",\"request_id\":";
-    out += std::to_string(request_id);
-    out += ",\"status\":\"rejected\",\"error\":\"server is draining\"}";
+    std::string out;
+    JsonWriter w(out);
+    begin_result(w, job.id, request_id, "rejected");
+    w.member("error", "server is draining");
+    w.end_object();
     respond(s, std::move(out));
     return;
   }
@@ -931,28 +808,18 @@ void SolveServer::handle_solve(Session& s, SolveJob job,
   // the backlog (and the client's tail latency) grow without bound.
   metrics_->shed.add();
   metrics_->shed_window.add();
-  if (event_log_.enabled()) {
-    std::string ev = "{\"event\":\"shed\",\"ts\":";
-    append_json_number(ev, obs::unix_now_seconds());
-    ev += ",\"request_id\":";
-    ev += std::to_string(request_id);
-    ev += ",\"id\":";
-    append_json_string(ev, job.id);
-    ev += ",\"queue_depth\":";
-    ev += std::to_string(depth_seen);
-    ev += '}';
-    event_log_.append(ev);
-  }
-  std::string out = "{\"type\":\"result\",\"id\":";
-  append_json_string(out, job.id);
-  out += ",\"request_id\":";
-  out += std::to_string(request_id);
-  out += ",\"status\":\"overloaded\",\"error\":\"admission queue full\""
-         ",\"retry_after_ms\":";
-  out += std::to_string(options_.retry_after_ms);
-  out += ",\"queue_depth\":";
-  out += std::to_string(depth_seen);
-  out += '}';
+  event_log_.append("shed", [&](JsonWriter& w) {
+    w.member("request_id", request_id);
+    w.member("id", job.id);
+    w.member("queue_depth", depth_seen);
+  });
+  std::string out;
+  JsonWriter w(out);
+  begin_result(w, job.id, request_id, "overloaded");
+  w.member("error", "admission queue full");
+  w.member("retry_after_ms", options_.retry_after_ms);
+  w.member("queue_depth", depth_seen);
+  w.end_object();
   respond(s, std::move(out));
 }
 
@@ -1001,15 +868,6 @@ void SolveServer::respond_http(Session& s) {
 
 std::string SolveServer::stats_response() {
   PARLAP_TRACE_SPAN("serve.stats", "serve");
-  std::size_t depth = 0;
-  std::size_t bytes = 0;
-  std::size_t inflight = 0;
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    depth = queued_jobs_;
-    bytes = queued_bytes_;
-    inflight = in_flight_;
-  }
   const FactorizationCache::Stats cache = engine_->cache_stats();
   const double hit_rate =
       cache.lookups() > 0
@@ -1017,123 +875,113 @@ std::string SolveServer::stats_response() {
                 static_cast<double>(cache.lookups())
           : 0.0;
 
-  std::string out = "{\"type\":\"stats\",\"status\":\"ok\"";
-  out += ",\"uptime_seconds\":";
-  append_json_number(
-      out, static_cast<double>(steady_now_ns() - start_ns_) * 1e-9);
-  out += ",\"draining\":";
-  out += draining_ ? "true" : "false";
-  out += ",\"workers\":";
-  out += std::to_string(options_.workers);
-  out += ",\"queue_limit\":";
-  out += std::to_string(options_.max_queue_depth);
-  out += ",\"queue_depth\":";
-  out += std::to_string(depth);
-  out += ",\"queued_bytes\":";
-  out += std::to_string(bytes);
-  out += ",\"in_flight\":";
-  out += std::to_string(inflight);
-  out += ",\"sessions\":";
-  out += std::to_string(sessions_.size());
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.member("type", "stats");
+  w.member("status", "ok");
+  w.member("uptime_seconds",
+           static_cast<double>(steady_now_ns() - start_ns_) * 1e-9);
+  w.member("draining", draining_);
+  w.member("workers", options_.workers);
+  w.member("queue_limit", options_.max_queue_depth);
+  {
+    const std::scoped_lock lock(queue_mutex_);
+    w.member("queue_depth", queued_jobs_);
+    w.member("queued_bytes", queued_bytes_);
+    w.member("in_flight", in_flight_);
+  }
+  w.member("sessions", sessions_.size());
   // Config echo: black-box suites read the launch configuration from
   // here instead of hard-coding the daemon's flags.
-  out += ",\"config\":{\"workers\":";
-  out += std::to_string(options_.workers);
-  out += ",\"queue_limit\":";
-  out += std::to_string(options_.max_queue_depth);
-  out += ",\"max_queued_bytes\":";
-  out += std::to_string(options_.max_queued_bytes);
-  out += ",\"max_line_bytes\":";
-  out += std::to_string(options_.max_line_bytes);
-  out += ",\"idle_timeout_ms\":";
-  out += std::to_string(options_.idle_timeout_ms);
-  out += ",\"retry_after_ms\":";
-  out += std::to_string(options_.retry_after_ms);
-  out += ",\"cache_budget_entries\":";
-  out += std::to_string(options_.cache_budget_entries);
-  out += ",\"graph_cache_limit\":";
-  out += std::to_string(options_.graph_cache_limit);
-  out += ",\"tcp_port\":";
-  out += std::to_string(tcp_port_);
-  out += ",\"socket\":";
-  append_json_string(out, options_.socket_path);
-  out += ",\"slow_ms\":";
-  append_json_number(out, options_.slow_ms);
-  out += ",\"event_log\":";
-  append_json_string(out, options_.event_log_path);
+  w.key("config");
+  w.begin_object();
+  w.member("workers", options_.workers);
+  w.member("queue_limit", options_.max_queue_depth);
+  w.member("max_queued_bytes", options_.max_queued_bytes);
+  w.member("max_line_bytes", options_.max_line_bytes);
+  w.member("idle_timeout_ms", options_.idle_timeout_ms);
+  w.member("retry_after_ms", options_.retry_after_ms);
+  w.member("cache_budget_entries", options_.cache_budget_entries);
+  w.member("graph_cache_limit", options_.graph_cache_limit);
+  w.member("tcp_port", tcp_port_);
+  w.member("socket", options_.socket_path);
+  w.member("slow_ms", options_.slow_ms);
+  w.member("event_log", options_.event_log_path);
   // Kernel dispatch + NUMA placement actually in effect (post-CPUID
   // clamp), so a dashboard can tell a scalar-forced daemon from an AVX2
   // host at a glance.
-  out += ",\"simd_detected\":";
-  append_json_string(out,
-                     kernels::simd_level_name(kernels::detected_simd_level()));
-  out += ",\"simd_active\":";
-  append_json_string(out,
-                     kernels::simd_level_name(kernels::active_simd_level()));
-  out += ",\"numa\":";
-  append_json_string(out,
-                     kernels::numa_policy_name(kernels::active_numa_policy()));
-  out += ",\"numa_nodes\":";
-  out += std::to_string(kernels::numa_node_count());
+  w.member("simd_detected",
+           kernels::simd_level_name(kernels::detected_simd_level()));
+  w.member("simd_active", kernels::simd_level_name(kernels::active_simd_level()));
+  w.member("numa", kernels::numa_policy_name(kernels::active_numa_policy()));
+  w.member("numa_nodes", kernels::numa_node_count());
   // Default precision mode for requests without their own field ("auto"
   // is echoed as spelled — it resolves per graph at solve time).
-  out += ",\"precision\":";
-  append_json_string(
-      out, options_.precision.empty() ? "fp64" : options_.precision);
-  out += '}';
+  w.member("precision",
+           options_.precision.empty() ? "fp64" : options_.precision);
+  w.end_object();
   // Rolling last-60s view next to the lifetime digests below, so a
   // dashboard can tell "slow now" from "slow once, long ago".
-  const obs::WindowDigest wsolve =
-      metrics_->solve_window.digest(kStatsWindowNs);
-  const obs::WindowDigest wqueue =
-      metrics_->queue_wait_window.digest(kStatsWindowNs);
   const std::uint64_t wcompleted =
       metrics_->completed_window.sum(kStatsWindowNs);
-  const std::uint64_t wshed = metrics_->shed_window.sum(kStatsWindowNs);
   // Divide (exact for powers of ten) instead of scaling by 1e-9 so the
   // 60s window serializes as "60", not "60.000000000000007".
   const double window_seconds = static_cast<double>(kStatsWindowNs) / 1e9;
-  out += ",\"window\":{\"window_seconds\":";
-  append_json_number(out, window_seconds);
-  out += ",\"completed\":";
-  out += std::to_string(wcompleted);
-  out += ",\"shed\":";
-  out += std::to_string(wshed);
-  out += ",\"throughput_per_second\":";
-  append_json_number(out, static_cast<double>(wcompleted) / window_seconds);
-  out += ',';
-  append_window_digest(out, "solve_seconds", wsolve);
-  out += ',';
-  append_window_digest(out, "queue_wait_seconds", wqueue);
-  out += '}';
-  out += ",\"counters\":{";
-  out += "\"sessions\":" + std::to_string(metrics_->sessions.value());
-  out += ",\"requests\":" + std::to_string(metrics_->requests.value());
-  out += ",\"admitted\":" + std::to_string(metrics_->admitted.value());
-  out += ",\"completed\":" + std::to_string(metrics_->completed.value());
-  out += ",\"shed\":" + std::to_string(metrics_->shed.value());
-  out += ",\"rejected\":" + std::to_string(metrics_->rejected.value());
-  out += ",\"errors\":" + std::to_string(metrics_->errors.value());
-  out += ",\"idle_reaped\":" + std::to_string(metrics_->idle_reaped.value());
-  out += ",\"scrapes\":" + std::to_string(metrics_->scrapes.value());
-  out += "},";
-  append_histogram_digest(out, "solve_seconds", metrics_->solve_seconds);
-  out += ',';
-  append_histogram_digest(out, "queue_wait_seconds",
-                          metrics_->queue_wait_seconds);
-  out += ",\"cache\":{";
-  out += "\"hits\":" + std::to_string(cache.hits);
-  out += ",\"misses\":" + std::to_string(cache.misses);
-  out += ",\"evictions\":" + std::to_string(cache.evictions);
-  out += ",\"resident_count\":" + std::to_string(cache.resident_count);
-  out += ",\"hit_rate\":";
-  append_json_number(out, hit_rate);
-  out += ",\"build_seconds\":";
-  append_json_number(out, cache.build_seconds);
-  out += ",\"single_flight_waits\":" +
-         std::to_string(cache.single_flight_waits);
-  out += "}}";
+  w.key("window");
+  w.begin_object();
+  w.member("window_seconds", window_seconds);
+  w.member("completed", wcompleted);
+  w.member("shed", metrics_->shed_window.sum(kStatsWindowNs));
+  w.member("throughput_per_second",
+           static_cast<double>(wcompleted) / window_seconds);
+  write_digest(w, "solve_seconds",
+               metrics_->solve_window.digest(kStatsWindowNs));
+  write_digest(w, "queue_wait_seconds",
+               metrics_->queue_wait_window.digest(kStatsWindowNs));
+  w.end_object();
+  w.key("counters");
+  w.begin_object();
+  w.member("sessions", metrics_->sessions.value());
+  w.member("requests", metrics_->requests.value());
+  w.member("admitted", metrics_->admitted.value());
+  w.member("completed", metrics_->completed.value());
+  w.member("shed", metrics_->shed.value());
+  w.member("rejected", metrics_->rejected.value());
+  w.member("errors", metrics_->errors.value());
+  w.member("idle_reaped", metrics_->idle_reaped.value());
+  w.member("scrapes", metrics_->scrapes.value());
+  w.end_object();
+  write_digest(w, "solve_seconds",
+               obs::WindowDigest::of(metrics_->solve_seconds));
+  write_digest(w, "queue_wait_seconds",
+               obs::WindowDigest::of(metrics_->queue_wait_seconds));
+  w.key("cache");
+  w.begin_object();
+  w.member("hits", cache.hits);
+  w.member("misses", cache.misses);
+  w.member("evictions", cache.evictions);
+  w.member("resident_count", cache.resident_count);
+  w.member("hit_rate", hit_rate);
+  w.member("build_seconds", cache.build_seconds);
+  w.member("single_flight_waits", cache.single_flight_waits);
+  w.end_object();
+  w.end_object();
   return out;
+}
+
+void SolveServer::respond_error(Session& s, std::string_view message,
+                                const JsonValue* id) {
+  metrics_->errors.add();
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.member("type", "error");
+  w.member("status", "error");
+  if (id != nullptr && id->is_string()) w.member("id", id->as_string());
+  w.member("error", message);
+  w.end_object();
+  respond(s, std::move(out));
 }
 
 void SolveServer::respond(Session& s, std::string line) {

@@ -60,6 +60,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -161,6 +162,11 @@ class SolveServer {
   void respond_http(Session& s);
   [[nodiscard]] std::string stats_response();
   void respond(Session& s, std::string line);
+  /// Counts an error and answers {"type":"error","status":"error",...},
+  /// the reply to a line that is not a valid request; `id` (the
+  /// request's id member) is echoed when it is a string.
+  void respond_error(Session& s, std::string_view message,
+                     const JsonValue* id = nullptr);
   void flush_session(Session& s);
   void close_session(std::uint64_t id);
   void deliver_completed();

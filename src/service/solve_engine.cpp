@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -164,6 +165,13 @@ Vector job_rhs(const SolveJob& job, Vertex n) {
   }
   throw std::invalid_argument("job '" + job.id + "': unknown rhs spec '" +
                               spec + "' (want random[:k] or demand:S,T)");
+}
+
+std::string JobResult::solution_hash_hex() const {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(solution_hash));
+  return buf;
 }
 
 SolveEngine::SolveEngine(EngineOptions options)

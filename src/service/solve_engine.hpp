@@ -72,6 +72,10 @@ struct JobResult {
   /// counts without shipping the vectors.
   std::uint64_t solution_hash = 0;
   Vector solution;  ///< kept only under EngineOptions::keep_solutions
+
+  /// solution_hash as 16 lowercase hex digits, the form batch and serve
+  /// output carry (a JSON number would lose bits past 2^53).
+  [[nodiscard]] std::string solution_hash_hex() const;
 };
 
 struct EngineOptions {

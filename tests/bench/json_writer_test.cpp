@@ -1,6 +1,7 @@
-// Unit tests for the benchmark-harness JSON reporter: string escaping,
-// number formatting, median/stddev aggregation, measure(), and the
-// metadata fields of a full BenchReporter document.
+// Unit tests for the benchmark-harness JSON reporter: median/stddev
+// aggregation, measure(), and the metadata fields of a full
+// BenchReporter document (tests/support/json_writer_test.cpp covers the
+// writer it uses).
 #include "harness/json_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -8,63 +9,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <vector>
 
 namespace parlap::bench {
 namespace {
-
-TEST(JsonEscape, PassesPlainTextThrough) {
-  EXPECT_EQ(JsonWriter::escape("grid2d/n=4096"), "\"grid2d/n=4096\"");
-  EXPECT_EQ(JsonWriter::escape(""), "\"\"");
-}
-
-TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(JsonWriter::escape("a\"b"), "\"a\\\"b\"");
-  EXPECT_EQ(JsonWriter::escape("a\\b"), "\"a\\\\b\"");
-  EXPECT_EQ(JsonWriter::escape("a\nb\tc"), "\"a\\nb\\tc\"");
-  EXPECT_EQ(JsonWriter::escape("\b\f\r"), "\"\\b\\f\\r\"");
-  EXPECT_EQ(JsonWriter::escape(std::string_view("\x01\x1f", 2)),
-            "\"\\u0001\\u001f\"");
-}
-
-TEST(JsonNumbers, IntegralDoublesPrintWithoutFraction) {
-  EXPECT_EQ(JsonWriter::format_number(4096.0), "4096");
-  EXPECT_EQ(JsonWriter::format_number(-3.0), "-3");
-  EXPECT_EQ(JsonWriter::format_number(0.0), "0");
-}
-
-TEST(JsonNumbers, NonFiniteBecomesNull) {
-  EXPECT_EQ(JsonWriter::format_number(std::nan("")), "null");
-  EXPECT_EQ(JsonWriter::format_number(
-                std::numeric_limits<double>::infinity()),
-            "null");
-}
-
-TEST(JsonNumbers, FractionsRoundTrip) {
-  const double x = 0.1234567890123;
-  EXPECT_DOUBLE_EQ(std::strtod(JsonWriter::format_number(x).c_str(), nullptr),
-                   x);
-}
-
-TEST(JsonWriterTest, NestedStructureHasBalancedCommas) {
-  std::ostringstream out;
-  JsonWriter w(out);
-  w.begin_object();
-  w.member("a", std::int64_t{1});
-  w.member("b", "x");
-  w.key("c");
-  w.begin_array();
-  w.value(1.5);
-  w.null();
-  w.begin_object();
-  w.member("d", true);
-  w.end_object();
-  w.end_array();
-  w.end_object();
-  EXPECT_EQ(out.str(), R"({"a":1,"b":"x","c":[1.5,null,{"d":true}]})");
-}
 
 TEST(Summarize, EmptyAndSingle) {
   EXPECT_EQ(summarize({}).reps, 0);

@@ -30,8 +30,9 @@ def check(cond, what):
         failures.append(what)
 
 
-def run(cli, *args):
-    return subprocess.run([str(cli), *args], capture_output=True, text=True)
+def run(cli, *args, errors="strict"):
+    return subprocess.run([str(cli), *args], capture_output=True, text=True,
+                          errors=errors)
 
 
 def load_solution(path):
@@ -323,14 +324,31 @@ def run_checks(cli, data, fixture, tmp):
     check(p.returncode == 3, f"batch malformed job: exit 3 (got {p.returncode})")
     check("line 1" in p.stderr, "batch malformed job: names the line")
 
-    # A failing job is isolated: exit 1, the rest still solve.
+    # A failing job is isolated: exit 1, the rest still solve. The report
+    # stays valid UTF-8 when a job's graph (echoed in its error) holds a
+    # raw 0xff byte.
     mixed_jobs = tmp / "mixed.jsonl"
-    mixed_jobs.write_text(
-        '{"id": "good", "graph": "grid2d:6"}\n'
-        '{"id": "bad", "graph": "grid2d:6", "method": "no-such"}\n')
-    p = run(cli, "batch", "--jobs", str(mixed_jobs))
+    mixed_jobs.write_bytes(
+        b'{"id": "good", "graph": "grid2d:6"}\n'
+        b'{"id": "bad", "graph": "grid2d:6", "method": "no-such"}\n'
+        b'{"id": "raw", "graph": "grid2d:\xff"}\n')
+    mixed_json = tmp / "mixed.json"
+    # stderr echoes the raw byte; only the JSON report must be UTF-8.
+    p = run(cli, "batch", "--jobs", str(mixed_jobs), "--json", str(mixed_json),
+            errors="replace")
     check(p.returncode == 1, f"batch with failing job: exit 1 (got {p.returncode})")
     check("no-such" in p.stderr, "batch with failing job: error surfaced")
+    try:
+        mixed = json.loads(mixed_json.read_bytes().decode("utf-8"))
+    except (OSError, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        check(False, f"batch with failing job: JSON loads as strict UTF-8 ({e})")
+        mixed = {}
+    jobs = {j.get("id"): j for j in mixed.get("jobs", [])}
+    check(jobs.get("good", {}).get("converged") is True,
+          "batch with failing job: the good job solves")
+    for bad in ("bad", "raw"):
+        check(jobs.get(bad, {}).get("ok") is False and jobs[bad].get("error"),
+              f"batch with failing job: job {bad} reports ok false and its error")
 
     # --- bench smoke ------------------------------------------------------
     bench_json = tmp / "bench.json"

@@ -14,6 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/exposition.hpp"
+#include "service/json.hpp"
+
 namespace parlap::obs {
 namespace {
 
@@ -225,6 +228,19 @@ TEST(MetricsTest, SnapshotExportsSortedSamplesAndResetZeroes) {
     EXPECT_EQ(s.value, 0.0) << s.name;
     EXPECT_EQ(s.count, 0u) << s.name;
   }
+}
+
+TEST(MetricsTest, SnapshotJsonEscapesMetricNames) {
+  MetricsRegistry reg;
+  reg.counter("odd.\"quoted\".name").add(3);
+  const service::JsonValue doc =
+      service::parse_json(render_metrics_json(reg.snapshot()));
+  const service::JsonValue* metrics = doc.find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_EQ(metrics->as_array().size(), 1u);
+  const service::JsonValue& sample = metrics->as_array()[0];
+  ASSERT_NE(sample.find("name"), nullptr);
+  EXPECT_EQ(sample.find("name")->as_string(), "odd.\"quoted\".name");
 }
 
 }  // namespace

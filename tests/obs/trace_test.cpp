@@ -98,23 +98,27 @@ TEST(TraceTest, EnabledSpansEmitValidChromeJson) {
     PARLAP_TRACE_SPAN_N(outer, "outer", "test");
     outer.arg("answer", 42.0);
     { PARLAP_TRACE_SPAN("inner", "test"); }
+    // Names are written by the JSON writer's string rule: a quote and a
+    // tab come back from the parser exactly.
+    { PARLAP_TRACE_SPAN("say \"hi\"\tnow", "test"); }
   }
   // A second thread gets its own buffer and tid.
   std::thread worker([] { PARLAP_TRACE_SPAN("worker", "test"); });
   worker.join();
   tracer.disable();
 
-  EXPECT_EQ(tracer.event_count(), 3u);
+  EXPECT_EQ(tracer.event_count(), 4u);
   EXPECT_EQ(tracer.dropped(), 0u);
 
   std::ostringstream os;
   tracer.write_chrome(os);
   const service::JsonValue doc = service::parse_json(os.str());
   const auto& events = at(doc, "traceEvents").as_array();
-  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(events.size(), 4u);
 
   bool saw_outer = false;
   bool saw_inner = false;
+  bool saw_escaped = false;
   bool saw_worker = false;
   std::uint64_t main_tid = 0;
   std::uint64_t worker_tid = 0;
@@ -131,12 +135,14 @@ TEST(TraceTest, EnabledSpansEmitValidChromeJson) {
       EXPECT_EQ(at(at(ev, "args"), "answer").as_number(), 42.0);
     } else if (name == "inner") {
       saw_inner = true;
+    } else if (name == "say \"hi\"\tnow") {
+      saw_escaped = true;
     } else if (name == "worker") {
       saw_worker = true;
       worker_tid = static_cast<std::uint64_t>(at(ev, "tid").as_number());
     }
   }
-  EXPECT_TRUE(saw_outer && saw_inner && saw_worker);
+  EXPECT_TRUE(saw_outer && saw_inner && saw_escaped && saw_worker);
   EXPECT_NE(main_tid, worker_tid);
   tracer.clear();
 }

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -40,10 +39,12 @@
 #include "harness/json_writer.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/kernels/numa.hpp"
+#include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/job_file.hpp"
 #include "service/solve_engine.hpp"
+#include "support/json_writer.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -178,7 +179,7 @@ std::string describe_input(const InputOptions& in) {
   return in.input_path.empty() ? "gen:" + in.gen_spec : in.input_path;
 }
 
-void write_json_metadata(bench::JsonWriter& w) {
+void write_json_metadata(JsonWriter& w) {
   const bench::RunMetadata md = bench::collect_metadata();
   w.key("metadata");
   w.begin_object();
@@ -238,31 +239,10 @@ struct ObsOptions {
       }
       std::cerr << "\n";
     }
-    if (metrics) print_metrics_table();
-  }
-
-  static void print_metrics_table() {
-    const std::vector<obs::MetricSample> samples =
-        obs::MetricsRegistry::global().snapshot();
-    TextTable table("metrics: process-wide registry (this run)");
-    table.set_header({"metric", "kind", "value", "count", "p50_ms", "p95_ms",
-                      "p99_ms"},
-                     4);
-    for (const obs::MetricSample& s : samples) {
-      const char* kind = "counter";
-      if (s.kind == obs::MetricSample::Kind::kRealCounter) kind = "sum";
-      if (s.kind == obs::MetricSample::Kind::kGauge) kind = "gauge";
-      if (s.kind == obs::MetricSample::Kind::kHistogram) kind = "histogram";
-      if (s.kind == obs::MetricSample::Kind::kHistogram) {
-        table.add_row({s.name, std::string(kind), s.value,
-                       static_cast<std::int64_t>(s.count), s.p50 * 1e3,
-                       s.p95 * 1e3, s.p99 * 1e3});
-      } else {
-        table.add_row({s.name, std::string(kind), s.value, std::string(""),
-                       std::string(""), std::string(""), std::string("")});
-      }
+    if (metrics) {
+      std::cout << obs::render_metrics_table(
+          obs::MetricsRegistry::global().snapshot());
     }
-    table.print(std::cout);
   }
 };
 
@@ -273,7 +253,7 @@ struct ObsOptions {
 void print_build_stats(const std::string& method, const BuildStats& bs) {
   TextTable table("build: method " + method + ", " +
                   std::to_string(bs.levels) + " level(s), arena " +
-                  bench::JsonWriter::format_number(
+                  JsonWriter::format_number(
                       static_cast<double>(bs.peak_arena_bytes) / (1 << 20)) +
                   " MiB, " + std::to_string(bs.arena_allocations) +
                   " arena realloc(s)");
@@ -302,15 +282,14 @@ void print_build_stats(const std::string& method, const BuildStats& bs) {
             << " s total\n";
 }
 
-void write_build_stats_json(bench::JsonWriter& w, const BuildStats& bs) {
+void write_build_stats_json(JsonWriter& w, const BuildStats& bs) {
   w.key("build");
   w.begin_object();
   w.member("total_seconds", bs.total_seconds);
   w.member("base_seconds", bs.base_seconds);
   w.member("levels", bs.levels);
-  w.member("peak_arena_bytes", static_cast<std::int64_t>(bs.peak_arena_bytes));
-  w.member("arena_allocations",
-           static_cast<std::int64_t>(bs.arena_allocations));
+  w.member("peak_arena_bytes", bs.peak_arena_bytes);
+  w.member("arena_allocations", bs.arena_allocations);
   w.key("phases");
   w.begin_object();
   w.member("degrees_seconds", bs.phases.degrees);
@@ -324,9 +303,9 @@ void write_build_stats_json(bench::JsonWriter& w, const BuildStats& bs) {
   w.begin_array();
   for (const BuildLevelTiming& lt : bs.level_timings) {
     w.begin_object();
-    w.member("n", static_cast<std::int64_t>(lt.n));
-    w.member("edges", static_cast<std::int64_t>(lt.edges));
-    w.member("f_size", static_cast<std::int64_t>(lt.f_size));
+    w.member("n", lt.n);
+    w.member("edges", lt.edges);
+    w.member("f_size", lt.f_size);
     w.member("degrees_seconds", lt.phases.degrees);
     w.member("five_dd_seconds", lt.phases.five_dd);
     w.member("partition_seconds", lt.phases.partition);
@@ -493,7 +472,7 @@ int cmd_solve(Args& args) {
   const Precision precision_used =
       reports.empty() ? *precision_mode : reports.front().precision;
   TextTable table("solve: method " + method + ", eps " +
-                  bench::JsonWriter::format_number(eps) + ", precision " +
+                  JsonWriter::format_number(eps) + ", precision " +
                   precision_name(precision_used));
   table.set_header({"rhs", "iterations", "solve_s", "residual", "converged"},
                    6);
@@ -519,17 +498,17 @@ int cmd_solve(Args& args) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream os = open_output(json_path);
-    bench::JsonWriter w(os);
+    std::string doc;
+    JsonWriter w(doc);
     w.begin_object();
     w.member("schema", "parlap-cli-solve-v1");
     write_json_metadata(w);
     w.key("input");
     w.begin_object();
     w.member("source", describe_input(in));
-    w.member("vertices", static_cast<std::int64_t>(n));
-    w.member("edges", static_cast<std::int64_t>(g.num_edges()));
-    w.member("components", static_cast<std::int64_t>(comps.count));
+    w.member("vertices", n);
+    w.member("edges", g.num_edges());
+    w.member("components", comps.count);
     w.end_object();
     w.member("method", method);
     w.member("eps", eps);
@@ -555,7 +534,8 @@ int cmd_solve(Args& args) {
     w.end_array();
     w.member("all_converged", all_converged);
     w.end_object();
-    os << '\n';
+    doc += '\n';
+    open_output(json_path) << doc;
   }
 
   cli_span.end();
@@ -651,31 +631,28 @@ int cmd_batch(Args& args) {
             << stats.cache_hit_rate << "\n";
 
   if (!json_path.empty()) {
-    std::ofstream os = open_output(json_path);
-    bench::JsonWriter w(os);
+    std::string doc;
+    JsonWriter w(doc);
     w.begin_object();
     w.member("schema", "parlap-cli-batch-v3");
     write_json_metadata(w);
     w.member("jobs_file", jobs_path);
-    w.member("workers", static_cast<std::int64_t>(workers));
-    w.member("block_width", static_cast<std::int64_t>(block_width));
+    w.member("workers", workers);
+    w.member("block_width", block_width);
     // The engine-default precision mode; per-job precision (post-auto
     // resolution) rides in each job entry below.
     w.member("precision", precision.empty() ? "fp64" : precision);
     w.key("cache");
     w.begin_object();
-    w.member("budget_entries", static_cast<std::int64_t>(cache_budget));
-    w.member("hits", static_cast<std::int64_t>(stats.cache.hits));
-    w.member("misses", static_cast<std::int64_t>(stats.cache.misses));
-    w.member("evictions", static_cast<std::int64_t>(stats.cache.evictions));
-    w.member("resident_entries",
-             static_cast<std::int64_t>(stats.cache.resident_entries));
-    w.member("resident_count",
-             static_cast<std::int64_t>(stats.cache.resident_count));
+    w.member("budget_entries", cache_budget);
+    w.member("hits", stats.cache.hits);
+    w.member("misses", stats.cache.misses);
+    w.member("evictions", stats.cache.evictions);
+    w.member("resident_entries", stats.cache.resident_entries);
+    w.member("resident_count", stats.cache.resident_count);
     // Miss cost attribution: wall seconds this batch spent factorizing.
     w.member("build_seconds", stats.cache.build_seconds);
-    w.member("single_flight_waits",
-             static_cast<std::int64_t>(stats.cache.single_flight_waits));
+    w.member("single_flight_waits", stats.cache.single_flight_waits);
     w.member("single_flight_wait_seconds",
              stats.cache.single_flight_wait_seconds);
     w.end_object();
@@ -713,8 +690,7 @@ int cmd_batch(Args& args) {
     w.member("p99", stats.p99_queue_seconds);
     w.end_object();
     w.member("cache_hit_rate", stats.cache_hit_rate);
-    w.member("cache_single_flight_waits",
-             static_cast<std::int64_t>(stats.cache.single_flight_waits));
+    w.member("cache_single_flight_waits", stats.cache.single_flight_waits);
     w.member("cache_single_flight_wait_seconds",
              stats.cache.single_flight_wait_seconds);
     w.end_object();
@@ -724,7 +700,7 @@ int cmd_batch(Args& args) {
     w.begin_array();
     for (const service::PanelStats& p : batch.panels) {
       w.begin_object();
-      w.member("width", static_cast<std::int64_t>(p.width));
+      w.member("width", p.width);
       w.member("cache_hit", p.cache_hit);
       w.member("solve_seconds", p.solve_seconds);
       w.member("apply_seconds", p.apply_seconds);
@@ -758,30 +734,25 @@ int cmd_batch(Args& args) {
                  r.report.has_build_stats ? r.report.build.total_seconds
                                           : 0.0);
         w.member("build_arena_allocations",
-                 r.report.has_build_stats
-                     ? static_cast<std::int64_t>(
-                           r.report.build.arena_allocations)
-                     : std::int64_t{0});
+                 r.report.has_build_stats ? r.report.build.arena_allocations
+                                          : 0);
         w.member("solve_seconds", r.report.solve_seconds);
         w.member("apply_seconds", r.report.apply_seconds);
-        w.member("panel_width", static_cast<std::int64_t>(r.report.panel_width));
+        w.member("panel_width", r.report.panel_width);
         w.member("iterations", r.report.iterations);
-        w.member("escalations", static_cast<std::int64_t>(r.report.escalations));
+        w.member("escalations", r.report.escalations);
         w.member("precision", precision_name(r.report.precision));
         w.member("relative_residual", r.report.relative_residual);
         w.member("converged", r.report.converged);
-        // Hex so the 64-bit fingerprint survives JSON double precision.
-        char hex[17];
-        std::snprintf(hex, sizeof hex, "%016llx",
-                      static_cast<unsigned long long>(r.solution_hash));
-        w.member("solution_hash", hex);
+        w.member("solution_hash", r.solution_hash_hex());
       }
       w.end_object();
     }
     w.end_array();
     w.member("all_converged", all_converged);
     w.end_object();
-    os << '\n';
+    doc += '\n';
+    open_output(json_path) << doc;
   }
 
   // Solutions last, after the JSON report is safely on disk: an
@@ -865,19 +836,19 @@ int cmd_info(Args& args) {
   table.print(std::cout);
 
   if (!json_path.empty()) {
-    std::ofstream os = open_output(json_path);
-    bench::JsonWriter w(os);
+    std::string doc;
+    JsonWriter w(doc);
     w.begin_object();
     w.member("schema", "parlap-cli-info-v1");
     write_json_metadata(w);
     w.member("source", describe_input(in));
-    w.member("vertices", static_cast<std::int64_t>(n));
-    w.member("edges", static_cast<std::int64_t>(g.num_edges()));
-    w.member("components", static_cast<std::int64_t>(comps.count));
-    w.member("largest_component", static_cast<std::int64_t>(largest));
-    w.member("min_degree", static_cast<std::int64_t>(min_deg));
+    w.member("vertices", n);
+    w.member("edges", g.num_edges());
+    w.member("components", comps.count);
+    w.member("largest_component", largest);
+    w.member("min_degree", min_deg);
     w.member("mean_degree", mean_deg);
-    w.member("max_degree", static_cast<std::int64_t>(max_deg));
+    w.member("max_degree", max_deg);
     w.member("min_weighted_degree", min_w);
     w.member("max_weighted_degree", max_w);
     w.member("total_weight", g.total_weight());
@@ -887,9 +858,10 @@ int cmd_info(Args& args) {
              kernels::simd_level_name(kernels::active_simd_level()));
     w.member("numa_policy",
              kernels::numa_policy_name(kernels::active_numa_policy()));
-    w.member("numa_nodes", static_cast<std::int64_t>(kernels::numa_node_count()));
+    w.member("numa_nodes", kernels::numa_node_count());
     w.end_object();
-    os << '\n';
+    doc += '\n';
+    open_output(json_path) << doc;
   }
   return kExitOk;
 }

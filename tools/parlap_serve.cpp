@@ -25,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/server.hpp"
-#include "support/table.hpp"
 
 namespace {
 
@@ -146,29 +145,6 @@ bool parse_bool_flag(std::vector<std::string>& args, const std::string& flag) {
   if (it == args.end()) return false;
   args.erase(it);
   return true;
-}
-
-void print_metrics_table() {
-  const std::vector<obs::MetricSample> samples =
-      obs::MetricsRegistry::global().snapshot();
-  TextTable table("metrics: process-wide registry (this run)");
-  table.set_header(
-      {"metric", "kind", "value", "count", "p50_ms", "p95_ms", "p99_ms"}, 4);
-  for (const obs::MetricSample& s : samples) {
-    const char* kind = "counter";
-    if (s.kind == obs::MetricSample::Kind::kRealCounter) kind = "sum";
-    if (s.kind == obs::MetricSample::Kind::kGauge) kind = "gauge";
-    if (s.kind == obs::MetricSample::Kind::kHistogram) kind = "histogram";
-    if (s.kind == obs::MetricSample::Kind::kHistogram) {
-      table.add_row({s.name, std::string(kind), s.value,
-                     static_cast<std::int64_t>(s.count), s.p50 * 1e3,
-                     s.p95 * 1e3, s.p99 * 1e3});
-    } else {
-      table.add_row({s.name, std::string(kind), s.value, std::string(""),
-                     std::string(""), std::string(""), std::string("")});
-    }
-  }
-  table.print(std::cout);
 }
 
 int run(int argc, char** argv) {
@@ -297,7 +273,10 @@ int run(int argc, char** argv) {
     std::cerr << "parlap_serve: wrote metrics snapshot to " << metrics_out
               << "\n";
   }
-  if (metrics) print_metrics_table();
+  if (metrics) {
+    std::cout << obs::render_metrics_table(
+        obs::MetricsRegistry::global().snapshot());
+  }
   return kExitOk;
 }
 

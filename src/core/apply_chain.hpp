@@ -6,6 +6,9 @@
 // in arena-recycled EliminationLevel scratch, then finalize() packs every
 // level's F/C lists, Jacobi diagonals (1/X_ff, diag Y), and the three
 // sub-CSR blocks (F-F for Y, F->C, C->F) into six contiguous arrays.
+// Each block row holds one entry per column: the parallel multi-edges the
+// level graph keeps for sampling are summed when the level is extracted,
+// so the chain stores the operator, not the multigraph.
 // Row offsets are rebased to absolute positions in the shared column /
 // weight arrays, so applying the chain is one monotone sweep over three
 // flat buffers — no per-level pointer chasing, no per-level allocations,
@@ -54,15 +57,17 @@ struct EliminationLevel {
   std::vector<double> inv_x;   ///< 1/X_ff; 0 for isolated vertices
   std::vector<double> y_diag;  ///< induced-F weighted degree (Y diagonal)
 
-  /// Row-compressed adjacency over local index spaces.
+  /// Row-compressed adjacency over local index spaces: one entry per
+  /// (row, column), weighted by the sum of that pair's multi-edges and
+  /// ordered by first occurrence in the walk-graph row.
   struct SubCsr {
     std::vector<EdgeId> off;  ///< size rows+1
-    std::vector<Vertex> nbr;  ///< column indices (target space)
+    std::vector<Vertex> nbr;  ///< column indices (target space), distinct per row
     std::vector<Weight> w;
   };
-  SubCsr ff;  ///< F-row -> F-col (Y off-diagonal entries, both directions)
+  SubCsr ff;  ///< F-row -> F-col: Y's off-diagonal weights, both directions
   SubCsr fc;  ///< F-row -> C-col (L_FC)
-  SubCsr cf;  ///< C-row -> F-col (L_CF)
+  SubCsr cf;  ///< C-row -> F-col (L_CF), the stable transpose of fc
 };
 
 /// One storage type's apply scratch (interleaved panels; see

@@ -25,31 +25,73 @@ std::uint64_t level_seed(std::uint64_t seed, int level) {
 }
 
 /// Builds one level's staging storage from the F-row adjacency. The walk
-/// graph rows list every edge incident to F, so Y (= F-F), L_FC and L_CF
-/// all derive from it without touching C-C edges. `lvl` is arena-owned
-/// staging (f_list/c_list/n/nf/nc already set by the caller); its buffers
-/// are recycled across levels and builds, and transient counting-sort
-/// scratch comes from the arena.
+/// graph rows list every multi-edge incident to F, so Y (= F-F), L_FC and
+/// L_CF all derive from it without touching C-C edges. The parallel
+/// copies the multigraph keeps for sampling (Lemma 3.2 splitting, walks
+/// that land on the same pair) are summed as each row is split: ff and fc
+/// hold one entry per (row, target), in first-occurrence order, each the
+/// sum of its copies in walk-graph row order. The stored blocks are thus
+/// the multigraph's Laplacian blocks up to rounding, and identical under
+/// any thread count. `lvl` is arena-owned staging (f_list/c_list/n/nf/nc
+/// already set by the caller); its buffers are recycled across levels and
+/// builds, and the slot and counting-sort scratch come from the arena.
 void extract_level(const WalkGraph& wg, std::span<const double> wdeg,
                    std::span<const Vertex> f_index,
                    std::span<const Vertex> c_index, ChainBuildArena& arena,
                    EliminationLevel& lvl) {
-  lvl.inv_x.resize(static_cast<std::size_t>(lvl.nf));
-  lvl.y_diag.resize(static_cast<std::size_t>(lvl.nf));
+  const auto nfz = static_cast<std::size_t>(lvl.nf);
+  const auto nz = static_cast<std::size_t>(lvl.n);
+  lvl.inv_x.resize(nfz);
+  lvl.y_diag.resize(nfz);
 
-  // Split each F row of the walk graph into F-F and F-C parts; counts are
-  // written straight into the level's offset arrays and scanned in place.
-  lvl.ff.off.assign(static_cast<std::size_t>(lvl.nf) + 1, 0);
-  lvl.fc.off.assign(static_cast<std::size_t>(lvl.nf) + 1, 0);
-  parallel_for(Vertex{0}, lvl.nf, [&](Vertex i) {
-    const auto lo = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i)]);
-    const auto hi = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i) + 1]);
-    EdgeId nff = 0;
-    for (std::size_t p = lo; p < hi; ++p) {
-      if (f_index[static_cast<std::size_t>(wg.nbr[p])] != kInvalidVertex) ++nff;
+  // Rows are split in contiguous chunks, like parallel_for's static
+  // schedule (one chunk below its grain). Chunk c owns slot[c*n, (c+1)*n):
+  // slot[t] is where target t's entry of the row being split sits. A slot
+  // is trusted only if it lies in the current row's range and that entry
+  // names t, so stale slots from other rows, levels or builds never need
+  // clearing.
+  const int row_chunks =
+      lvl.nf >= 2048 && parallelism_allowed()
+          ? static_cast<int>(std::clamp<std::int64_t>(
+                (std::int64_t{1} << 24) / std::max<std::int64_t>(lvl.n, 1), 1,
+                thread_count()))
+          : 1;
+  arena.extract_slot.resize(static_cast<std::size_t>(row_chunks) * nz);
+  const auto for_each_row = [&](auto&& row) {
+#pragma omp parallel for schedule(static) num_threads(row_chunks) if (row_chunks > 1)
+    for (int c = 0; c < row_chunks; ++c) {
+      const auto cz = static_cast<std::size_t>(c);
+      const auto chunks = static_cast<std::size_t>(row_chunks);
+      EdgeId* slot = arena.extract_slot.data() + cz * nz;
+      for (std::size_t i = nfz * cz / chunks; i < nfz * (cz + 1) / chunks; ++i) {
+        row(i, slot);
+      }
     }
-    lvl.ff.off[static_cast<std::size_t>(i)] = nff;
-    lvl.fc.off[static_cast<std::size_t>(i)] = static_cast<EdgeId>(hi - lo) - nff;
+  };
+
+  // Count each row's distinct F and C targets; counts are written straight
+  // into the level's offset arrays and scanned in place. Here a slot holds
+  // the walk-graph position of the target's first copy in the row.
+  lvl.ff.off.assign(nfz + 1, 0);
+  lvl.fc.off.assign(nfz + 1, 0);
+  for_each_row([&](std::size_t i, EdgeId* slot) {
+    const EdgeId lo = wg.off[i];
+    const EdgeId hi = wg.off[i + 1];
+    EdgeId nff = 0;
+    EdgeId nfc = 0;
+    for (EdgeId p = lo; p < hi; ++p) {
+      const Vertex t = wg.nbr[static_cast<std::size_t>(p)];
+      const EdgeId s = slot[static_cast<std::size_t>(t)];
+      if (s >= lo && s < p && wg.nbr[static_cast<std::size_t>(s)] == t) continue;
+      slot[static_cast<std::size_t>(t)] = p;
+      if (f_index[static_cast<std::size_t>(t)] != kInvalidVertex) {
+        ++nff;
+      } else {
+        ++nfc;
+      }
+    }
+    lvl.ff.off[i] = nff;
+    lvl.fc.off[i] = nfc;
   });
   const EdgeId ff_total = exclusive_scan(std::span<EdgeId>(lvl.ff.off));
   const EdgeId fc_total = exclusive_scan(std::span<EdgeId>(lvl.fc.off));
@@ -58,26 +100,33 @@ void extract_level(const WalkGraph& wg, std::span<const double> wdeg,
   lvl.fc.nbr.resize(static_cast<std::size_t>(fc_total));
   lvl.fc.w.resize(static_cast<std::size_t>(fc_total));
 
-  parallel_for(Vertex{0}, lvl.nf, [&](Vertex i) {
-    const auto lo = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i)]);
-    const auto hi = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i) + 1]);
-    EdgeId pf = lvl.ff.off[static_cast<std::size_t>(i)];
-    EdgeId pc = lvl.fc.off[static_cast<std::size_t>(i)];
+  // Fill: a slot now holds the target's position in ff or fc. The Y
+  // diagonal (induced F degree) sums every F copy in row order.
+  const auto add = [](EliminationLevel::SubCsr& blk, EdgeId lo, EdgeId& end,
+                      EdgeId& s, Vertex col, Weight w) {
+    if (s >= lo && s < end && blk.nbr[static_cast<std::size_t>(s)] == col) {
+      blk.w[static_cast<std::size_t>(s)] += w;
+      return;
+    }
+    s = end++;
+    blk.nbr[static_cast<std::size_t>(s)] = col;
+    blk.w[static_cast<std::size_t>(s)] = w;
+  };
+  for_each_row([&](std::size_t i, EdgeId* slot) {
+    const EdgeId ff_lo = lvl.ff.off[i];
+    const EdgeId fc_lo = lvl.fc.off[i];
+    EdgeId pf = ff_lo;
+    EdgeId pc = fc_lo;
     double induced = 0.0;
-    for (std::size_t p = lo; p < hi; ++p) {
-      const Vertex t = wg.nbr[p];
-      const Weight w = wg.w[p];
-      const Vertex ft = f_index[static_cast<std::size_t>(t)];
+    for (EdgeId p = wg.off[i]; p < wg.off[i + 1]; ++p) {
+      const auto t = static_cast<std::size_t>(wg.nbr[static_cast<std::size_t>(p)]);
+      const Weight w = wg.w[static_cast<std::size_t>(p)];
+      const Vertex ft = f_index[t];
       if (ft != kInvalidVertex) {
-        lvl.ff.nbr[static_cast<std::size_t>(pf)] = ft;
-        lvl.ff.w[static_cast<std::size_t>(pf)] = w;
-        ++pf;
+        add(lvl.ff, ff_lo, pf, slot[t], ft, w);
         induced += w;
       } else {
-        lvl.fc.nbr[static_cast<std::size_t>(pc)] =
-            c_index[static_cast<std::size_t>(t)];
-        lvl.fc.w[static_cast<std::size_t>(pc)] = w;
-        ++pc;
+        add(lvl.fc, fc_lo, pc, slot[t], c_index[t], w);
       }
     }
     const Vertex v = lvl.f_list[static_cast<std::size_t>(i)];

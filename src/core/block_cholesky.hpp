@@ -15,7 +15,9 @@
 //
 // Memory: only edges incident to the eliminated sets are retained (three
 // sub-CSR blocks per level: F-F for Y, F->C and C->F for the off-diagonal
-// blocks), totalling O(sum_k vol(F_k)) = O(m log n) in expectation. The
+// blocks), with one summed entry per (row, column) however many parallel
+// multi-edges the level graph holds, totalling at most
+// O(sum_k vol(F_k)) = O(m log n) in expectation. The
 // blocks of every level are packed into one immutable ApplyChain
 // (core/apply_chain.hpp) at the end of build: six contiguous arrays with
 // absolute row offsets, so ApplyCholesky is a flat cache-dense sweep and

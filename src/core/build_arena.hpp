@@ -13,9 +13,9 @@
 //     other, then the roles swap (level 0 reads the caller's graph
 //     directly through MultigraphView, so nothing is ever copied);
 //   * WalkGraph rows/alias tables, F/C index maps, weighted-degree
-//     vectors, counting-sort histograms, and the 5-DD sampling buffers
-//     all live here and are resized (never reallocated, once warm) per
-//     level.
+//     vectors, counting-sort histograms, level extraction's per-chunk
+//     target slots, and the 5-DD sampling buffers all live here and
+//     are resized (never reallocated, once warm) per level.
 //
 // The per-level sub-CSRs and f/c lists are staged in arena-recycled
 // EliminationLevel buffers too; only the chain's own outputs — the
@@ -78,6 +78,9 @@ class ChainBuildArena {
   FiveDdScratch five_dd;             ///< 5-DD sampling scratch
   std::vector<EdgeId> extract_hist;  ///< level-extraction transpose scratch
   std::vector<EdgeId> extract_base;
+  /// Level extraction's per-chunk target slots (chunks x n), used to sum
+  /// a row's parallel copies into one entry.
+  std::vector<EdgeId> extract_slot;
   /// Per-level staging the ApplyChain packer consumes: one recycled
   /// EliminationLevel per level built so far (grows to the deepest chain
   /// this arena has seen; inner buffers keep their high-water capacity).

@@ -59,6 +59,14 @@ def validate_solve_json(doc, method, n_runs):
     check(doc.get("method") == method, f"{method}: method echoed")
     check(doc.get("eps") == EPS, f"{method}: eps echoed")
     check(doc.get("setup_seconds", -1) >= 0, f"{method}: setup_seconds >= 0")
+    stored = doc.get("stored_entries", 0)
+    check(isinstance(stored, int) and stored >= 1,
+          f"{method}: stored_entries >= 1, got {stored}")
+    check(isinstance(doc.get("stored_bytes"), int) and doc["stored_bytes"] >= 1,
+          f"{method}: stored_bytes >= 1, got {doc.get('stored_bytes')}")
+    oc = doc.get("op_complexity", -1)
+    check(abs(oc - stored / inp.get("edges", 1)) <= 1e-12 * max(oc, 1),
+          f"{method}: op_complexity {oc} = stored_entries / input edges")
     runs = doc.get("runs", [])
     check(len(runs) == n_runs, f"{method}: {n_runs} run(s), got {len(runs)}")
     for r in runs:
@@ -135,6 +143,25 @@ def run_checks(cli, data, fixture, tmp):
     if p.returncode == 0:
         check("build" not in json.loads(out_json.read_text()),
               "build-stats: cg reports no build object")
+
+    # --- chain shape: one stored entry per (row, column) ---------------
+    # Splitting puts many parallel copies of each edge into the level
+    # graphs; the stored chain sums them. Storing every copy gives ~111
+    # entries per input edge here, summing gives ~12.5.
+    out_json = tmp / "grid48.json"
+    p = run(cli, "solve", "--gen", "grid2d:48", "--seed", "1",
+            "--build-stats", "--json", str(out_json))
+    check(p.returncode == 0, f"chain shape: exit 0 (got {p.returncode})")
+    if p.returncode == 0:
+        doc = json.loads(out_json.read_text())
+        check(doc.get("op_complexity", 1e9) < 30,
+              f"chain shape: grid2d:48 op_complexity {doc.get('op_complexity')} < 30")
+        line = (f"chain: stored_entries {doc.get('stored_entries')}, "
+                f"op_complexity ")
+        check(any(l.startswith(line) and
+                  l.endswith(f", stored_bytes {doc.get('stored_bytes')}")
+                  for l in p.stdout.splitlines()),
+              "chain shape: --build-stats prints the JSON's chain numbers")
 
     # --- documented failure modes ---------------------------------------
     p = run(cli, "solve", "--input", str(data / "malformed.mtx"))

@@ -3,7 +3,10 @@
 // and the W ~1 L^+ approximation measured densely on small graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "core/alpha_bound.hpp"
 #include "core/block_cholesky.hpp"
@@ -175,14 +178,84 @@ TEST(BlockCholesky, JacobiTermsAreOddAndLogInDepth) {
 }
 
 TEST(BlockCholesky, StoredEntriesAreWellBelowNaiveChain) {
-  // Memory claim: only F-incident edges are retained, so stored entries
-  // are a small multiple of m, not m * depth.
+  // Memory claim: only F-incident edges are retained, and parallel copies
+  // of one edge share a single stored entry, so stored entries stay a
+  // small multiple of m, not m * depth.
   const Multigraph g = make_grid2d(30, 30);
   const Multigraph split = split_edges_uniform(g, 4);
   const BlockCholeskyChain chain = BlockCholeskyChain::build(split, 23);
   const EdgeId naive =
       2 * split.num_edges() * static_cast<EdgeId>(chain.depth());
   EXPECT_LT(chain.stored_entries(), naive / 4);
+}
+
+TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
+  // The level graphs keep every split copy for sampling, but extraction
+  // sums a row's copies: no packed row of ff, fc or cf repeats a column,
+  // each ff row still sums to its Y diagonal, and cf is fc's transpose
+  // bit for bit.
+  const Multigraph grid = split_edges_uniform(make_grid2d(24, 24), 8);
+  const Multigraph rmat = split_edges_uniform(make_rmat(10, 4096, 31), 8);
+  for (const Multigraph* g : {&grid, &rmat}) {
+    const BlockCholeskyChain chain = BlockCholeskyChain::build(*g, 29);
+    const ApplyChain& ac = chain.apply_chain();
+    const auto off = ac.offsets();
+    const auto col = ac.columns();
+    const auto w = ac.weights();
+    ASSERT_GE(ac.depth(), 1);
+    for (std::size_t k = 0; k < ac.levels().size(); ++k) {
+      const ApplyChain::Level& lvl = ac.levels()[k];
+      const auto rows_distinct = [&](std::size_t base, Vertex rows,
+                                     Vertex cols, const char* block) {
+        std::vector<Vertex> seen(static_cast<std::size_t>(cols), -1);
+        for (Vertex r = 0; r < rows; ++r) {
+          const auto rz = static_cast<std::size_t>(r);
+          for (EdgeId p = off[base + rz]; p < off[base + rz + 1]; ++p) {
+            const auto c = static_cast<std::size_t>(col[static_cast<std::size_t>(p)]);
+            ASSERT_LT(c, seen.size());
+            ASSERT_NE(seen[c], r) << block << " row " << r << " level " << k
+                                  << " repeats column " << c;
+            seen[c] = r;
+          }
+        }
+      };
+      rows_distinct(lvl.ff_off, lvl.nf, lvl.nf, "ff");
+      rows_distinct(lvl.fc_off, lvl.nf, lvl.nc, "fc");
+      rows_distinct(lvl.cf_off, lvl.nc, lvl.nf, "cf");
+
+      for (Vertex i = 0; i < lvl.nf; ++i) {
+        const auto iz = static_cast<std::size_t>(i);
+        double sum = 0.0;
+        for (EdgeId p = off[lvl.ff_off + iz]; p < off[lvl.ff_off + iz + 1]; ++p) {
+          sum += w[static_cast<std::size_t>(p)];
+        }
+        const double diag = ac.y_diag()[lvl.f_base + iz];
+        EXPECT_LE(std::abs(sum - diag), 1e-12 * std::abs(diag))
+            << "level " << k << " F row " << i;
+      }
+
+      using Triple = std::tuple<Vertex, Vertex, double>;
+      std::vector<Triple> fc;
+      std::vector<Triple> cf;
+      for (Vertex i = 0; i < lvl.nf; ++i) {
+        const auto iz = static_cast<std::size_t>(i);
+        for (EdgeId p = off[lvl.fc_off + iz]; p < off[lvl.fc_off + iz + 1]; ++p) {
+          const auto pz = static_cast<std::size_t>(p);
+          fc.emplace_back(i, col[pz], w[pz]);
+        }
+      }
+      for (Vertex j = 0; j < lvl.nc; ++j) {
+        const auto jz = static_cast<std::size_t>(j);
+        for (EdgeId p = off[lvl.cf_off + jz]; p < off[lvl.cf_off + jz + 1]; ++p) {
+          const auto pz = static_cast<std::size_t>(p);
+          cf.emplace_back(col[pz], j, w[pz]);
+        }
+      }
+      std::sort(fc.begin(), fc.end());
+      std::sort(cf.begin(), cf.end());
+      EXPECT_EQ(fc, cf) << "level " << k;
+    }
+  }
 }
 
 }  // namespace

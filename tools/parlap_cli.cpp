@@ -21,9 +21,11 @@
 #include <cctype>
 #include <cstdint>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -451,7 +453,16 @@ int cmd_solve(Args& args) {
       SolverRegistry::instance().create(method, g, config);
   std::cerr << "parlap_cli: method '" << method << "' factored in "
             << solver->setup_seconds() << " s\n";
+  // Operator complexity (as in LAMG): stored entries per input edge.
+  const double op_complexity =
+      static_cast<double>(solver->stored_entries()) /
+      static_cast<double>(std::max<EdgeId>(1, g.num_edges()));
   if (build_stats) {
+    std::ostringstream line;
+    line << "chain: stored_entries " << solver->stored_entries()
+         << ", op_complexity " << std::setprecision(4) << op_complexity
+         << ", stored_bytes " << solver->stored_bytes() << '\n';
+    std::cout << line.str();
     if (const BuildStats* bs = solver->build_stats()) {
       print_build_stats(method, *bs);
     } else {
@@ -514,6 +525,9 @@ int cmd_solve(Args& args) {
     w.member("eps", eps);
     w.member("precision", precision_name(precision_used));
     w.member("setup_seconds", solver->setup_seconds());
+    w.member("stored_entries", solver->stored_entries());
+    w.member("op_complexity", op_complexity);
+    w.member("stored_bytes", solver->stored_bytes());
     if (const BuildStats* bs = solver->build_stats()) {
       write_build_stats_json(w, *bs);
     }

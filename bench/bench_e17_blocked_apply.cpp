@@ -3,7 +3,7 @@
 //
 // The headline kernel of the CSR-packed ApplyChain + Panel refactor: one
 // chain traversal serves k right-hand sides, so the chain's index arrays
-// (offsets, columns, weights, gather lists) and the parallel-region
+// (offsets, columns, weights, slot lists) and the parallel-region
 // launches amortize across the panel. Width 1 is the scalar baseline;
 // the per-RHS apply cost should drop as the width grows (bandwidth-bound
 // regime), with bit-identical results at every width — E15's batch

@@ -51,23 +51,32 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
   jacobi_terms_ = jacobi_terms;
   build_id_ = build_id;
 
+  const auto stored_rows = [](const EliminationLevel::SubCsr& blk) {
+    std::size_t rows = 0;
+    for (std::size_t j = 0; j + 1 < blk.off.size(); ++j) {
+      rows += blk.off[j + 1] > blk.off[j] ? 1 : 0;
+    }
+    return rows;
+  };
   std::size_t nf_total = 0;
-  std::size_t nc_total = 0;
+  std::size_t cf_rows_total = 0;
   std::size_t off_total = 0;
   std::size_t data_total = 0;
   for (const EliminationLevel& lvl : staging) {
+    const std::size_t cf_rows = stored_rows(lvl.cf);
     nf_total += static_cast<std::size_t>(lvl.nf);
-    nc_total += static_cast<std::size_t>(lvl.nc);
-    off_total += 2 * (static_cast<std::size_t>(lvl.nf) + 1) +
-                 static_cast<std::size_t>(lvl.nc) + 1;
+    cf_rows_total += cf_rows;
+    off_total += 2 * (static_cast<std::size_t>(lvl.nf) + 1) + cf_rows + 1;
     data_total += lvl.ff.nbr.size() + lvl.fc.nbr.size() + lvl.cf.nbr.size();
   }
+  PARLAP_CHECK(nf_total + static_cast<std::size_t>(base_n) ==
+               static_cast<std::size_t>(n0));
   levels_.reserve(staging.size());
   // AlignedBuffer growth first-touches the pages under the active
   // NumaPolicy: finalize runs on the engine worker that will traverse
   // the chain, so "local" placement lands the arrays on its node.
   f_lists_.resize(nf_total);
-  c_lists_.resize(nc_total);
+  cf_slots_.resize(cf_rows_total);
   off_.resize(off_total);
   nbr_.resize(data_total);
   if (fp32) {
@@ -82,16 +91,23 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
 
   const auto narrow = [](double v) { return static_cast<float>(v); };
   std::size_t f_pos = 0;
-  std::size_t c_pos = 0;
+  std::size_t cf_pos = 0;
   std::size_t off_pos = 0;
   std::size_t data_pos = 0;
+  // Packs blk's rows; with `tags`, only the rows that have an entry, each
+  // tagged with its row index (a next-level C index, which the slot pass
+  // below turns into a slot).
   const auto pack_block = [&](const EliminationLevel::SubCsr& blk,
-                              std::size_t rows) {
+                              std::size_t rows, Vertex* tags) {
     const std::size_t base = off_pos;
-    for (std::size_t i = 0; i <= rows; ++i) {
-      off_[off_pos + i] = blk.off[i] + static_cast<EdgeId>(data_pos);
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (tags != nullptr) {
+        if (blk.off[i + 1] == blk.off[i]) continue;
+        *tags++ = static_cast<Vertex>(i);
+      }
+      off_[off_pos++] = blk.off[i] + static_cast<EdgeId>(data_pos);
     }
-    off_pos += rows + 1;
+    off_[off_pos++] = blk.off[rows] + static_cast<EdgeId>(data_pos);
     std::copy(blk.nbr.begin(), blk.nbr.end(), nbr_.begin() + data_pos);
     if (fp32) {
       std::transform(blk.w.begin(), blk.w.end(), w_f_.begin() + data_pos,
@@ -109,7 +125,7 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
     meta.nf = lvl.nf;
     meta.nc = lvl.nc;
     meta.f_base = f_pos;
-    meta.c_base = c_pos;
+    meta.cf_base = cf_pos;
     std::copy(lvl.f_list.begin(), lvl.f_list.end(), f_lists_.begin() + f_pos);
     if (fp32) {
       std::transform(lvl.inv_x.begin(), lvl.inv_x.end(),
@@ -121,12 +137,53 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
       std::copy(lvl.y_diag.begin(), lvl.y_diag.end(), y_diag_.begin() + f_pos);
     }
     f_pos += static_cast<std::size_t>(lvl.nf);
-    std::copy(lvl.c_list.begin(), lvl.c_list.end(), c_lists_.begin() + c_pos);
-    c_pos += static_cast<std::size_t>(lvl.nc);
-    meta.ff_off = pack_block(lvl.ff, static_cast<std::size_t>(lvl.nf));
-    meta.fc_off = pack_block(lvl.fc, static_cast<std::size_t>(lvl.nf));
-    meta.cf_off = pack_block(lvl.cf, static_cast<std::size_t>(lvl.nc));
+    const auto nf = static_cast<std::size_t>(lvl.nf);
+    meta.ff_off = pack_block(lvl.ff, nf, nullptr);
+    meta.fc_off = pack_block(lvl.fc, nf, nullptr);
+    meta.cf_off = pack_block(lvl.cf, static_cast<std::size_t>(lvl.nc),
+                             cf_slots_.data() + cf_pos);
+    meta.cf_rows = static_cast<Vertex>(off_pos - meta.cf_off - 1);
+    cf_pos += static_cast<std::size_t>(meta.cf_rows);
     levels_.push_back(meta);
+  }
+
+  // Slots, walked from the base up: the base owns the last base_n slots,
+  // level k's F vertices own [f_base, f_base + nf), and a C vertex takes
+  // the slot of its next-level index. `below` holds level k+1's slots
+  // while level k's fc columns and cf row tags (next-level C indices)
+  // are rewritten to slots; `here` collects level k's. The two maps live
+  // in slots_ and slot_rows_, which the walk leaves holding level 0's.
+  slots_.resize(static_cast<std::size_t>(n0));
+  slot_rows_.resize(static_cast<std::size_t>(n0));
+  Vertex* below = slots_.data();
+  Vertex* here = slot_rows_.data();
+  for (Vertex j = 0; j < base_n; ++j) {
+    below[static_cast<std::size_t>(j)] = n0 - base_n + j;
+  }
+  for (std::size_t k = staging.size(); k-- > 0;) {
+    const EliminationLevel& lvl = staging[k];
+    const Level& meta = levels_[k];
+    const auto nf = static_cast<std::size_t>(lvl.nf);
+    for (auto p = static_cast<std::size_t>(off_[meta.fc_off]);
+         p < static_cast<std::size_t>(off_[meta.fc_off + nf]); ++p) {
+      nbr_[p] = below[static_cast<std::size_t>(nbr_[p])];
+    }
+    Vertex* tags = cf_slots_.data() + meta.cf_base;
+    for (Vertex r = 0; r < meta.cf_rows; ++r) {
+      tags[r] = below[static_cast<std::size_t>(tags[r])];
+    }
+    for (std::size_t i = 0; i < nf; ++i) {
+      here[static_cast<std::size_t>(lvl.f_list[i])] =
+          static_cast<Vertex>(meta.f_base + i);
+    }
+    for (std::size_t j = 0; j < lvl.c_list.size(); ++j) {
+      here[static_cast<std::size_t>(lvl.c_list[j])] = below[j];
+    }
+    std::swap(below, here);
+  }
+  if (below != slots_.data()) std::swap(slots_, slot_rows_);
+  for (Vertex v = 0; v < n0; ++v) {
+    slot_rows_[static_cast<std::size_t>(slots_[static_cast<std::size_t>(v)])] = v;
   }
 }
 
@@ -141,30 +198,24 @@ void ApplyChain::prepare_workspace(ApplyWorkspace& ws,
   // the id also pins which of the two buffer sets was sized.
   if (ws.prepared_for == build_id_ && ws.prepared_cols == cols) return;
   ApplyBuffers<T>& buf = ws.buffers<T>();
-  const std::size_t d = levels_.size();
-  buf.level_vec.resize(d + 1);
-  buf.level_yf.resize(d);
   std::size_t max_nf = 1;
-  for (std::size_t k = 0; k < d; ++k) {
-    buf.level_vec[k].resize(static_cast<std::size_t>(levels_[k].n) * cols);
-    buf.level_yf[k].resize(static_cast<std::size_t>(levels_[k].nf) * cols);
-    max_nf = std::max(max_nf, static_cast<std::size_t>(levels_[k].nf));
+  for (const Level& lvl : levels_) {
+    max_nf = std::max(max_nf, static_cast<std::size_t>(lvl.nf));
   }
-  buf.level_vec[d].resize(static_cast<std::size_t>(base_n_) * cols);
+  buf.vec.resize(static_cast<std::size_t>(n0_) * cols);
   buf.jac_b.resize(max_nf * cols);
   buf.jac_cur.resize(max_nf * cols);
   buf.jac_tmp.resize(max_nf * cols);
   buf.scratch_f.resize(max_nf * cols);
-  buf.scratch_f2.resize(max_nf * cols);
   buf.base_out.resize(static_cast<std::size_t>(base_n_) * cols);
   ws.prepared_for = build_id_;
   ws.prepared_cols = cols;
 }
 
 template <typename T>
-void ApplyChain::jacobi_solve(const Level& lvl, const T* b_f,
-                              T* out, std::size_t cols,
-                              ApplyWorkspace& ws) const {
+const T* ApplyChain::jacobi_solve(const Level& lvl, const T* b_f,
+                                  std::size_t cols,
+                                  ApplyWorkspace& ws) const {
   // Z b = sum_{i=0}^{l} X^-1 (-Y X^-1)^i b via the recurrence
   // x^(i) = X^-1 b - X^-1 Y x^(i-1)   (Algorithm 2, Jacobi procedure),
   // run on all `cols` columns per CSR sweep. Buffers are interleaved
@@ -198,7 +249,7 @@ void ApplyChain::jacobi_solve(const Level& lvl, const T* b_f,
     });
     std::swap(cur, tmp);
   }
-  std::memcpy(out, cur, nf * cols * sizeof(T));
+  return cur;
 }
 
 void ApplyChain::apply(std::span<const double> b, std::span<double> y,
@@ -219,20 +270,20 @@ template <typename T>
 void ApplyChain::prefetch_level(std::size_t k) const {
   const Level& lvl = levels_[k];
   const auto nf = static_cast<std::size_t>(lvl.nf);
-  const auto nc = static_cast<std::size_t>(lvl.nc);
+  const auto cf_rows = static_cast<std::size_t>(lvl.cf_rows);
   const auto cap = [](std::size_t bytes) {
     return std::min(bytes, kMaxPrefetchBytes);
   };
-  kernels::prefetch_bytes(f_lists_.data() + lvl.f_base, cap(nf * sizeof(Vertex)));
-  kernels::prefetch_bytes(c_lists_.data() + lvl.c_base, cap(nc * sizeof(Vertex)));
+  kernels::prefetch_bytes(cf_slots_.data() + lvl.cf_base,
+                          cap(cf_rows * sizeof(Vertex)));
   kernels::prefetch_bytes(inv_x_data<T>() + lvl.f_base, cap(nf * sizeof(T)));
   kernels::prefetch_bytes(y_diag_data<T>() + lvl.f_base, cap(nf * sizeof(T)));
   // The three offset rows are packed consecutively (ff, fc, cf), as is
   // the level's nbr_/w_ data range they delimit.
-  const std::size_t off_len = 2 * (nf + 1) + nc + 1;
+  const std::size_t off_len = 2 * (nf + 1) + cf_rows + 1;
   kernels::prefetch_bytes(off_.data() + lvl.ff_off, cap(off_len * sizeof(EdgeId)));
   const auto data_lo = static_cast<std::size_t>(off_[lvl.ff_off]);
-  const auto data_hi = static_cast<std::size_t>(off_[lvl.cf_off + nc]);
+  const auto data_hi = static_cast<std::size_t>(off_[lvl.cf_off + cf_rows]);
   const std::size_t data_len = data_hi - data_lo;
   kernels::prefetch_bytes(nbr_.data() + data_lo, cap(data_len * sizeof(Vertex)));
   kernels::prefetch_bytes(w_data<T>() + data_lo, cap(data_len * sizeof(T)));
@@ -259,18 +310,18 @@ void ApplyChain::apply_cols_t(const double* b, double* y, std::size_t cols,
   const std::size_t d = levels_.size();
   const auto n0 = static_cast<std::size_t>(n0_);
   const kernels::KernelTableT<T>& kt = kernels::active_for<T>();
+  T* x = buf.vec.data();
 
-  // Panel (column-major, leading dimension ld) -> interleaved workspace.
-  // cols == 1 degenerates to a straight copy (fp32 chains narrow here:
-  // the panel stays double at the API surface).
-  {
-    T* v0 = buf.level_vec[0].data();
-    parallel_for(std::size_t{0}, n0, [&](std::size_t i) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        v0[i * cols + c] = static_cast<T>(b[c * ld + i]);
-      }
-    });
-  }
+  // Panel (column-major, leading dimension ld) -> interleaved apply
+  // vector in slot order: a gather, so each thread writes its own slot
+  // range (fp32 chains narrow here: the panel stays double at the API
+  // surface).
+  parallel_for(std::size_t{0}, n0, [&](std::size_t s) {
+    const auto r = static_cast<std::size_t>(slot_rows_[s]);
+    for (std::size_t c = 0; c < cols; ++c) {
+      x[s * cols + c] = static_cast<T>(b[c * ld + r]);
+    }
+  });
 
   // Forward substitution (Algorithm 2, lines 3-5).
   for (std::size_t k = 0; k < d; ++k) {
@@ -279,95 +330,75 @@ void ApplyChain::apply_cols_t(const double* b, double* y, std::size_t cols,
     level_span.arg("dir", 0.0);  // forward substitution
     const Level& lvl = levels_[k];
     const auto nf = static_cast<std::size_t>(lvl.nf);
-    const auto nc = static_cast<std::size_t>(lvl.nc);
-    const T* vec = buf.level_vec[k].data();
-    T* yf = buf.level_yf[k].data();
-    const Vertex* f_list = f_lists_.data() + lvl.f_base;
-    const Vertex* c_list = c_lists_.data() + lvl.c_base;
+    T* xf = x + lvl.f_base * cols;
 
     // Pull the NEXT level's packed slices toward the cache while this
     // level's sweeps run out of the current one.
     if (k + 1 < d) prefetch_level<T>(k + 1);
 
-    // y_F = Z^(k) b_F — gather the F rows (contiguous per row in the
-    // interleaved layout), then the Jacobi series.
-    T* bf = buf.scratch_f.data();
-    parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
-      const auto fi = static_cast<std::size_t>(f_list[i]);
-      std::memcpy(bf + i * cols, vec + fi * cols, cols * sizeof(T));
-    });
-    jacobi_solve<T>(lvl, bf, yf, cols, ws);
+    // y_F = Z^(k) b_F, in place on the level's F slice (backward
+    // substitution reads y_F back from there).
+    std::memcpy(xf, jacobi_solve<T>(lvl, xf, cols, ws), nf * cols * sizeof(T));
 
-    // b^(k+1) = y_C = b_C - L_CF y_F = b_C + sum_{c~f} w * y_F[f]
-    T* next = buf.level_vec[k + 1].data();
-    const EdgeId* cf_off = off_.data() + lvl.cf_off;
-    kernels::for_row_blocks(nc, [&](std::size_t lo, std::size_t hi) {
-      kt.csr_fwd(lo, hi, cols, cf_off, nbr_.data(), w_data<T>(), c_list, vec,
-                 yf, next);
-    });
+    // b^(k+1) = y_C = b_C - L_CF y_F = b_C + sum_{c~f} w * y_F[f], added
+    // in place into the slots of the C rows that have an F neighbour.
+    kernels::for_row_blocks(
+        static_cast<std::size_t>(lvl.cf_rows), [&](std::size_t lo, std::size_t hi) {
+          kt.csr_fwd(lo, hi, cols, off_.data() + lvl.cf_off, nbr_.data(),
+                     w_data<T>(), cf_slots_.data() + lvl.cf_base, xf, x);
+        });
   }
 
-  // Base solve x^(d) = L_{G^(d)}^+ b^(d) (Algorithm 2, line 6): row-dot
-  // products per column, identical order to DenseMatrix::apply.
+  // Base solve x^(d) = L_{G^(d)}^+ b^(d) (Algorithm 2, line 6) on the
+  // trailing slots: row-dot products per column, identical order to
+  // DenseMatrix::apply.
   {
     const auto bn = static_cast<std::size_t>(base_n_);
-    const T* in = buf.level_vec[d].data();
+    T* xb = x + (n0 - bn) * cols;
     T* out = buf.base_out.data();
     kernels::for_row_blocks(bn, [&](std::size_t lo, std::size_t hi) {
-      kt.dense_rows(lo, hi, cols, bn, base_pinv_data<T>(), in, out);
+      kt.dense_rows(lo, hi, cols, bn, base_pinv_data<T>(), xb, out);
     });
-    std::memcpy(buf.level_vec[d].data(), out, bn * cols * sizeof(T));
+    std::memcpy(xb, out, bn * cols * sizeof(T));
   }
 
-  // Backward substitution (lines 7-8): x_F = y_F - Z^(k) (L_FC x_C).
+  // Backward substitution (lines 7-8): x_F = y_F - Z^(k) (L_FC x_C). The
+  // fc columns are slots, so x_C is read where the deeper levels left it.
   for (std::size_t k = d; k-- > 0;) {
     PARLAP_TRACE_SPAN_N(level_span, "chain.level", "apply");
     level_span.arg("level", static_cast<double>(k));
     level_span.arg("dir", 1.0);  // backward substitution
     const Level& lvl = levels_[k];
     const auto nf = static_cast<std::size_t>(lvl.nf);
-    const auto nc = static_cast<std::size_t>(lvl.nc);
-    const T* xc = buf.level_vec[k + 1].data();
-    T* out = buf.level_vec[k].data();
-    const T* yf = buf.level_yf[k].data();
-    const Vertex* f_list = f_lists_.data() + lvl.f_base;
-    const Vertex* c_list = c_lists_.data() + lvl.c_base;
+    T* xf = x + lvl.f_base * cols;
 
     // Walking back up the chain: the PREVIOUS level's slices are next.
     if (k > 0) prefetch_level<T>(k - 1);
 
     T* tf = buf.scratch_f.data();
-    const EdgeId* fc_off = off_.data() + lvl.fc_off;
     kernels::for_row_blocks(nf, [&](std::size_t lo, std::size_t hi) {
-      kt.csr_bwd(lo, hi, cols, fc_off, nbr_.data(), w_data<T>(), xc, tf);
+      kt.csr_bwd(lo, hi, cols, off_.data() + lvl.fc_off, nbr_.data(),
+                 w_data<T>(), x, tf);
     });
-    T* zf = buf.scratch_f2.data();
-    jacobi_solve<T>(lvl, tf, zf, cols, ws);
+    const T* zf = jacobi_solve<T>(lvl, tf, cols, ws);
 
     parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
-      const auto fi = static_cast<std::size_t>(f_list[i]);
       // Native-T difference: bit-equal to widen-subtract-narrow.
       for (std::size_t c = 0; c < cols; ++c) {
-        out[fi * cols + c] =
-            static_cast<T>(yf[i * cols + c] - zf[i * cols + c]);
+        xf[i * cols + c] = static_cast<T>(xf[i * cols + c] - zf[i * cols + c]);
       }
-    });
-    parallel_for(std::size_t{0}, nc, [&](std::size_t j) {
-      const auto cj = static_cast<std::size_t>(c_list[j]);
-      std::memcpy(out + cj * cols, xc + j * cols, cols * sizeof(T));
     });
   }
 
-  // Interleaved workspace -> panel (column-major, leading dimension ld;
-  // float->double widening is exact, so pack-out never rounds).
-  {
-    const T* v0 = buf.level_vec[0].data();
-    parallel_for(std::size_t{0}, n0, [&](std::size_t i) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        y[c * ld + i] = static_cast<double>(v0[i * cols + c]);
-      }
-    });
-  }
+  // Interleaved apply vector -> panel (column-major, leading dimension
+  // ld), gathering each input row from its slot; float->double widening
+  // is exact, so pack-out never rounds.
+  parallel_for(std::size_t{0}, n0, [&](std::size_t i) {
+    const auto s = static_cast<std::size_t>(slots_[i]);
+    for (std::size_t c = 0; c < cols; ++c) {
+      y[c * ld + i] = static_cast<double>(x[s * cols + c]);
+    }
+  });
 
   // Cumulative process-wide apply telemetry (references cached; the
   // per-apply cost is a few relaxed atomics against a >= microsecond

@@ -4,8 +4,8 @@
 //
 // Construction (BlockCholeskyChain::build) stages each elimination level
 // in arena-recycled EliminationLevel scratch, then finalize() packs every
-// level's F/C lists, Jacobi diagonals (1/X_ff, diag Y), and the three
-// sub-CSR blocks (F-F for Y, F->C, C->F) into six contiguous arrays.
+// level's F list, Jacobi diagonals (1/X_ff, diag Y), and the three
+// sub-CSR blocks (F-F for Y, F->C, C->F) into contiguous arrays.
 // Each block row holds one entry per column: the parallel multi-edges the
 // level graph keeps for sampling are summed when the level is extracted,
 // so the chain stores the operator, not the multigraph.
@@ -14,6 +14,15 @@
 // flat buffers — no per-level pointer chasing, no per-level allocations,
 // and the whole operator's index data is as cache-dense as a single CSR
 // matrix. After finalize() the chain never mutates.
+//
+// Elimination slots: every input vertex owns one row of a single n0-row
+// apply vector. Level k's F vertices take slots [f_base, f_base + nf) in
+// f_list order, and the base takes the last base_n slots; a kept vertex
+// keeps its slot all the way down. finalize() rewrites the F->C columns
+// to slots and tags each stored C->F row (only C vertices with an F
+// neighbour have one) with its slot, so ApplyCholesky works in place on
+// that one vector: level k reads and writes its contiguous F slice plus
+// the slots its blocks name, and no kept row is copied between levels.
 //
 // Storage precision: a chain is packed EITHER fp64 (the default — value
 // arrays double, solves bit-identical to the pre-precision code) OR fp32
@@ -26,7 +35,7 @@
 // finalize().
 //
 // apply() serves one vector; apply() on a Panel serves k right-hand
-// sides with ONE chain traversal: every gather list, offset row, and
+// sides with ONE chain traversal: every slot list, offset row, and
 // neighbor/weight entry is read once per panel instead of once per RHS.
 // Columns are computed independently, in exactly the arithmetic order of
 // the k=1 kernel, so panel results are bit-identical, column for column,
@@ -76,14 +85,12 @@ struct EliminationLevel {
 /// keeps each set's capacity warm.
 template <typename T>
 struct ApplyBuffers {
-  /// n_k x cols per level, + base level.
-  std::vector<kernels::AlignedBuffer<T>> level_vec;
-  /// nf_k x cols per level.
-  std::vector<kernels::AlignedBuffer<T>> level_yf;
+  /// The apply vector: n0 x cols, rows in elimination-slot order.
+  kernels::AlignedBuffer<T> vec;
   /// Jacobi scratch, max_nf x cols each.
   kernels::AlignedBuffer<T> jac_b, jac_cur, jac_tmp;
-  /// Gather/apply scratch, max_nf x cols each.
-  kernels::AlignedBuffer<T> scratch_f, scratch_f2;
+  /// Back-substitution's L_FC x_C, max_nf x cols.
+  kernels::AlignedBuffer<T> scratch_f;
   /// base_n x cols.
   kernels::AlignedBuffer<T> base_out;
 };
@@ -101,11 +108,12 @@ struct ApplyBuffers {
 ///
 /// Buffers hold k-column panels INTERLEAVED — element (i, c) lives at
 /// i*cols + c, so one row's column values are contiguous and the SIMD
-/// kernels (linalg/kernels/) load them with one vector instruction. At
-/// cols == 1 the layout degenerates to the plain vector layout, so the
-/// k=1 addressing is byte-for-byte the pre-blocking layout. Storage is
-/// 64-byte-aligned AlignedBuffer, first-touched under the active
-/// NumaPolicy on the preparing (worker) thread.
+/// kernels (linalg/kernels/) load them with one vector instruction; at
+/// cols == 1 the layout is the plain vector layout. The apply vector's
+/// rows are elimination slots, not input rows: pack-in and pack-out
+/// permute between the two. Storage is 64-byte-aligned AlignedBuffer,
+/// first-touched under the active NumaPolicy on the preparing (worker)
+/// thread.
 class ApplyWorkspace {
  public:
   ApplyBuffers<double> f64;
@@ -131,16 +139,21 @@ class ApplyChain {
  public:
   /// Per-level metadata: sizes plus base indices into the packed arrays.
   /// Row-offset values stored in offsets() are absolute into columns() /
-  /// weights(); per level the blocks are packed ff, fc, cf.
+  /// weights(); per level the blocks are packed ff, fc, cf. ff and cf
+  /// columns are level-local F indices, fc columns are slots. cf stores
+  /// only the C rows that have an entry, in C order.
   struct Level {
     Vertex n = 0;
     Vertex nf = 0;
     Vertex nc = 0;
-    std::size_t f_base = 0;   ///< f_lists() / inv_x() / y_diag(), nf entries
-    std::size_t c_base = 0;   ///< c_lists(), nc entries
+    Vertex cf_rows = 0;       ///< stored cf rows (C vertices with an F neighbour)
+    /// f_lists() / inv_x() / y_diag(), nf entries; also the level's first
+    /// slot (its F vertices own slots [f_base, f_base + nf)).
+    std::size_t f_base = 0;
+    std::size_t cf_base = 0;  ///< cf_slots(), cf_rows entries
     std::size_t ff_off = 0;   ///< offsets(), nf+1 entries
     std::size_t fc_off = 0;   ///< offsets(), nf+1 entries
-    std::size_t cf_off = 0;   ///< offsets(), nc+1 entries
+    std::size_t cf_off = 0;   ///< offsets(), cf_rows+1 entries
   };
 
   /// Packs `staging` (consumed by copy; buffers stay with the arena for
@@ -188,8 +201,14 @@ class ApplyChain {
   [[nodiscard]] std::span<const Vertex> f_lists() const noexcept {
     return {f_lists_.data(), f_lists_.size()};
   }
-  [[nodiscard]] std::span<const Vertex> c_lists() const noexcept {
-    return {c_lists_.data(), c_lists_.size()};
+  /// slots()[v] is input row v's elimination slot (a permutation of
+  /// [0, dimension())).
+  [[nodiscard]] std::span<const Vertex> slots() const noexcept {
+    return {slots_.data(), slots_.size()};
+  }
+  /// The slot of each stored cf row, per level at Level::cf_base.
+  [[nodiscard]] std::span<const Vertex> cf_slots() const noexcept {
+    return {cf_slots_.data(), cf_slots_.size()};
   }
   [[nodiscard]] std::span<const double> inv_x() const noexcept {
     return {inv_x_.data(), inv_x_.size()};
@@ -247,12 +266,14 @@ class ApplyChain {
   void prepare_workspace(ApplyWorkspace& ws, std::size_t cols) const;
 
   /// Truncated Jacobi series Z b over level `lvl` (nf x cols panels).
+  /// Returns the result, which lives in ws's Jacobi scratch until the
+  /// next call.
   template <typename T>
-  void jacobi_solve(const Level& lvl, const T* b_f, T* out,
-                    std::size_t cols, ApplyWorkspace& ws) const;
+  const T* jacobi_solve(const Level& lvl, const T* b_f, std::size_t cols,
+                        ApplyWorkspace& ws) const;
 
-  /// Prefetches level `k`'s packed slices (all six arrays) so the next
-  /// level's index data is in cache before its sweeps start.
+  /// Prefetches level `k`'s packed slices so the next level's index and
+  /// value data is in cache before its sweeps start.
   template <typename T>
   void prefetch_level(std::size_t k) const;
 
@@ -274,7 +295,9 @@ class ApplyChain {
   // shared by both storage modes; value arrays exist in exactly one of
   // the double / float variants, per storage_.
   kernels::AlignedBuffer<Vertex> f_lists_;
-  kernels::AlignedBuffer<Vertex> c_lists_;
+  kernels::AlignedBuffer<Vertex> cf_slots_;
+  kernels::AlignedBuffer<Vertex> slots_;      ///< input row -> slot
+  kernels::AlignedBuffer<Vertex> slot_rows_;  ///< slot -> input row
   kernels::AlignedBuffer<double> inv_x_;
   kernels::AlignedBuffer<double> y_diag_;
   kernels::AlignedBuffer<EdgeId> off_;  ///< absolute into nbr_ / w_

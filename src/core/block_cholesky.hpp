@@ -19,9 +19,10 @@
 // multi-edges the level graph holds, totalling at most
 // O(sum_k vol(F_k)) = O(m log n) in expectation. The
 // blocks of every level are packed into one immutable ApplyChain
-// (core/apply_chain.hpp) at the end of build: six contiguous arrays with
-// absolute row offsets, so ApplyCholesky is a flat cache-dense sweep and
-// one traversal can serve a whole Panel of right-hand sides.
+// (core/apply_chain.hpp) at the end of build: contiguous arrays with
+// absolute row offsets, so ApplyCholesky is a flat cache-dense sweep, in
+// place on one slot-ordered vector, and one traversal can serve a whole
+// Panel of right-hand sides.
 //
 // Construction runs against a ChainBuildArena (build_arena.hpp): level
 // graphs live in the arena's double-buffered edge arrays (level 0 is read

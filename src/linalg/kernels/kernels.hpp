@@ -118,12 +118,13 @@ struct KernelTableT {
                      const EdgeId* off, const Vertex* nbr, const T* w,
                      const T* inv_x, const T* y_diag,
                      const T* xb, const T* cur, T* tmp);
-  /// Forward elimination rows [lo, hi):
-  /// out(j, :) = seed(idx[j], :) + sum_p w[p] * src(nbr[p], :).
+  /// Forward elimination rows [lo, hi), in place:
+  /// out(idx[j], :) += sum_p w[p] * src(nbr[p], :), accumulated from the
+  /// row's current value in entry order. idx must be duplicate-free and
+  /// name no row of src.
   void (*csr_fwd)(std::size_t lo, std::size_t hi, std::size_t k,
                   const EdgeId* off, const Vertex* nbr, const T* w,
-                  const Vertex* idx, const T* seed, const T* src,
-                  T* out);
+                  const Vertex* idx, const T* src, T* out);
   /// Back-substitution rows [lo, hi):
   /// out(i, :) = - sum_p w[p] * src(nbr[p], :).
   void (*csr_bwd)(std::size_t lo, std::size_t hi, std::size_t k,

@@ -134,20 +134,21 @@ void csr_jacobi(std::size_t lo, std::size_t hi, std::size_t k,
 
 template <typename T>
 void csr_fwd(std::size_t lo, std::size_t hi, std::size_t k, const EdgeId* off,
-             const Vertex* nbr, const T* w, const Vertex* idx,
-             const T* seed, const T* src, T* out) {
+             const Vertex* nbr, const T* w, const Vertex* idx, const T* src,
+             T* out) {
   if (k == 1) {
     for (std::size_t j = lo; j < hi; ++j) {
       const EdgeId plo = off[j];
       const EdgeId phi = off[j + 1];
-      T acc = seed[static_cast<std::size_t>(idx[j])];
+      T& row = out[static_cast<std::size_t>(idx[j])];
+      T acc = row;
       for (EdgeId p = plo; p < phi; ++p) {
         acc = static_cast<T>(
             acc +
             w[static_cast<std::size_t>(p)] *
                 src[static_cast<std::size_t>(nbr[static_cast<std::size_t>(p)])]);
       }
-      out[j] = acc;
+      row = acc;
     }
     return;
   }
@@ -159,7 +160,7 @@ void csr_fwd(std::size_t lo, std::size_t hi, std::size_t k, const EdgeId* off,
       const std::size_t cw = std::min(kColChunk, k - c0);
       T acc[kColChunk];
       for (std::size_t cc = 0; cc < cw; ++cc) {
-        acc[cc] = seed[sj * k + c0 + cc];
+        acc[cc] = out[sj * k + c0 + cc];
       }
       for (EdgeId p = plo; p < phi; ++p) {
         const auto t = static_cast<std::size_t>(nbr[static_cast<std::size_t>(p)]);
@@ -169,7 +170,7 @@ void csr_fwd(std::size_t lo, std::size_t hi, std::size_t k, const EdgeId* off,
         }
       }
       for (std::size_t cc = 0; cc < cw; ++cc) {
-        out[j * k + c0 + cc] = acc[cc];
+        out[sj * k + c0 + cc] = acc[cc];
       }
     }
   }

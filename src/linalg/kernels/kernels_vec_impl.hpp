@@ -185,28 +185,27 @@ struct VecKernels {
 
   static void csr_fwd(std::size_t lo, std::size_t hi, std::size_t k,
                       const EdgeId* off, const Vertex* nbr, const elem* w,
-                      const Vertex* idx, const elem* seed, const elem* src,
-                      elem* out) {
+                      const Vertex* idx, const elem* src, elem* out) {
     if (k < W) {
-      V::lower().csr_fwd(lo, hi, k, off, nbr, w, idx, seed, src, out);
+      V::lower().csr_fwd(lo, hi, k, off, nbr, w, idx, src, out);
       return;
     }
     for (std::size_t j = lo; j < hi; ++j) {
-      const auto sj = static_cast<std::size_t>(idx[j]);
+      elem* row = out + static_cast<std::size_t>(idx[j]) * k;
       const EdgeId plo = off[j];
       const EdgeId phi = off[j + 1];
       std::size_t c0 = 0;
       for (; c0 + W <= k; c0 += W) {
-        reg acc = V::loadu(seed + sj * k + c0);
+        reg acc = V::loadu(row + c0);
         for (EdgeId p = plo; p < phi; ++p) {
           const auto t = static_cast<std::size_t>(nbr[static_cast<std::size_t>(p)]);
           const reg wp = V::set1(static_cast<double>(w[static_cast<std::size_t>(p)]));
           acc = V::add(acc, V::mul(wp, V::loadu(src + t * k + c0)));
         }
-        V::storeu(out + j * k + c0, acc);
+        V::storeu(row + c0, acc);
       }
       for (; c0 < k; ++c0) {
-        elem acc = seed[sj * k + c0];
+        elem acc = row[c0];
         for (EdgeId p = plo; p < phi; ++p) {
           acc = static_cast<elem>(
               acc +
@@ -214,7 +213,7 @@ struct VecKernels {
                   src[static_cast<std::size_t>(
                           nbr[static_cast<std::size_t>(p)]) * k + c0]);
         }
-        out[j * k + c0] = acc;
+        row[c0] = acc;
       }
     }
   }

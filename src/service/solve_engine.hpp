@@ -32,7 +32,12 @@
 // count to 1 and enters a SerialScope, so a machine runs `workers`
 // single-threaded solves side by side instead of workers * max_threads
 // oversubscribed ones. With workers == 1 the solves keep their inner
-// OpenMP parallelism (latency mode vs throughput mode).
+// OpenMP parallelism (latency mode vs throughput mode), but run() still
+// starts that one worker on a fresh std::thread, and libgomp gives a new
+// thread the process default (OMP_NUM_THREADS, else one per core), not
+// the count the caller set with omp_set_num_threads(). A caller that
+// lowered its own thread count therefore gets batch solves at the
+// default count.
 #pragma once
 
 #include <cstdint>

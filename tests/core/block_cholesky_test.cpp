@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/alpha_bound.hpp"
@@ -191,9 +194,10 @@ TEST(BlockCholesky, StoredEntriesAreWellBelowNaiveChain) {
 
 TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
   // The level graphs keep every split copy for sampling, but extraction
-  // sums a row's copies: no packed row of ff, fc or cf repeats a column,
-  // each ff row still sums to its Y diagonal, and cf is fc's transpose
-  // bit for bit.
+  // sums a row's copies: no packed row of ff or cf repeats an F column, no
+  // fc row repeats a slot, no two stored cf rows carry the same slot, each
+  // ff row still sums to its Y diagonal, and cf is fc's transpose bit for
+  // bit.
   const Multigraph grid = split_edges_uniform(make_grid2d(24, 24), 8);
   const Multigraph rmat = split_edges_uniform(make_rmat(10, 4096, 31), 8);
   for (const Multigraph* g : {&grid, &rmat}) {
@@ -202,9 +206,11 @@ TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
     const auto off = ac.offsets();
     const auto col = ac.columns();
     const auto w = ac.weights();
+    const auto cf_slots = ac.cf_slots();
     ASSERT_GE(ac.depth(), 1);
     for (std::size_t k = 0; k < ac.levels().size(); ++k) {
       const ApplyChain::Level& lvl = ac.levels()[k];
+      // Columns are F indices (ff, cf: below nf) or slots (fc: below n0).
       const auto rows_distinct = [&](std::size_t base, Vertex rows,
                                      Vertex cols, const char* block) {
         std::vector<Vertex> seen(static_cast<std::size_t>(cols), -1);
@@ -220,8 +226,15 @@ TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
         }
       };
       rows_distinct(lvl.ff_off, lvl.nf, lvl.nf, "ff");
-      rows_distinct(lvl.fc_off, lvl.nf, lvl.nc, "fc");
-      rows_distinct(lvl.cf_off, lvl.nc, lvl.nf, "cf");
+      rows_distinct(lvl.fc_off, lvl.nf, ac.dimension(), "fc");
+      rows_distinct(lvl.cf_off, lvl.cf_rows, lvl.nf, "cf");
+
+      std::vector<Vertex> tags(cf_slots.begin() + static_cast<std::ptrdiff_t>(lvl.cf_base),
+                               cf_slots.begin() + static_cast<std::ptrdiff_t>(
+                                                      lvl.cf_base + static_cast<std::size_t>(lvl.cf_rows)));
+      std::sort(tags.begin(), tags.end());
+      EXPECT_EQ(std::adjacent_find(tags.begin(), tags.end()), tags.end())
+          << "level " << k << " stores two cf rows for one slot";
 
       for (Vertex i = 0; i < lvl.nf; ++i) {
         const auto iz = static_cast<std::size_t>(i);
@@ -234,6 +247,7 @@ TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
             << "level " << k << " F row " << i;
       }
 
+      // (F index, slot, weight) from both blocks.
       using Triple = std::tuple<Vertex, Vertex, double>;
       std::vector<Triple> fc;
       std::vector<Triple> cf;
@@ -244,17 +258,102 @@ TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
           fc.emplace_back(i, col[pz], w[pz]);
         }
       }
-      for (Vertex j = 0; j < lvl.nc; ++j) {
-        const auto jz = static_cast<std::size_t>(j);
-        for (EdgeId p = off[lvl.cf_off + jz]; p < off[lvl.cf_off + jz + 1]; ++p) {
+      for (Vertex r = 0; r < lvl.cf_rows; ++r) {
+        const auto rz = static_cast<std::size_t>(r);
+        const Vertex slot = cf_slots[lvl.cf_base + rz];
+        for (EdgeId p = off[lvl.cf_off + rz]; p < off[lvl.cf_off + rz + 1]; ++p) {
           const auto pz = static_cast<std::size_t>(p);
-          cf.emplace_back(col[pz], j, w[pz]);
+          cf.emplace_back(col[pz], slot, w[pz]);
         }
       }
       std::sort(fc.begin(), fc.end());
       std::sort(cf.begin(), cf.end());
       EXPECT_EQ(fc, cf) << "level " << k;
     }
+  }
+}
+
+TEST(BlockCholesky, SlotsPartitionVerticesByLevel) {
+  // Every input vertex owns one row (slot) of the apply vector: level k's
+  // F vertices hold [f_base, f_base + nf) in f_list order, the base holds
+  // the last base_n slots in base order, and the slots a level's fc
+  // columns and cf rows name belong to vertices it keeps. The elimination
+  // is replayed from the F lists alone: a level keeps its other vertices
+  // in increasing order, which numbers the next level.
+  const Multigraph grid = split_edges_uniform(make_grid2d(24, 24), 8);
+  const Multigraph rmat = split_edges_uniform(make_rmat(10, 4096, 31), 8);
+  for (const Multigraph* g : {&grid, &rmat}) {
+    const BlockCholeskyChain chain = BlockCholeskyChain::build(*g, 29);
+    const ApplyChain& ac = chain.apply_chain();
+    const auto n0 = static_cast<std::size_t>(ac.dimension());
+    const auto slots = ac.slots();
+    const auto f_lists = ac.f_lists();
+    const auto off = ac.offsets();
+    const auto col = ac.columns();
+    const auto cf_slots = ac.cf_slots();
+    ASSERT_GE(ac.depth(), 1);
+    ASSERT_EQ(slots.size(), n0);
+
+    std::vector<Vertex> sorted(slots.begin(), slots.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t s = 0; s < n0; ++s) {
+      ASSERT_EQ(sorted[s], static_cast<Vertex>(s)) << "slots are no permutation";
+    }
+
+    // rows[v]: input row of the current level's vertex v.
+    std::vector<Vertex> rows(n0);
+    std::iota(rows.begin(), rows.end(), 0);
+    for (std::size_t k = 0; k < ac.levels().size(); ++k) {
+      const ApplyChain::Level& lvl = ac.levels()[k];
+      ASSERT_EQ(rows.size(), static_cast<std::size_t>(lvl.n));
+      std::vector<bool> is_f(rows.size(), false);
+      for (Vertex i = 0; i < lvl.nf; ++i) {
+        const std::size_t slot = lvl.f_base + static_cast<std::size_t>(i);
+        const auto v = static_cast<std::size_t>(f_lists[slot]);
+        is_f[v] = true;
+        EXPECT_EQ(static_cast<std::size_t>(slots[static_cast<std::size_t>(rows[v])]), slot)
+            << "level " << k << " F vertex " << i;
+      }
+      std::vector<Vertex> kept;
+      for (std::size_t v = 0; v < rows.size(); ++v) {
+        if (!is_f[v]) kept.push_back(rows[v]);
+      }
+      ASSERT_EQ(kept.size(), static_cast<std::size_t>(lvl.nc));
+
+      // Slots past this level's F slice are exactly the kept vertices'.
+      const std::size_t first_kept = lvl.f_base + static_cast<std::size_t>(lvl.nf);
+      const auto nfz = static_cast<std::size_t>(lvl.nf);
+      for (EdgeId p = off[lvl.fc_off]; p < off[lvl.fc_off + nfz]; ++p) {
+        const auto s = static_cast<std::size_t>(col[static_cast<std::size_t>(p)]);
+        EXPECT_GE(s, first_kept) << "level " << k << " fc column";
+        EXPECT_LT(s, n0) << "level " << k << " fc column";
+      }
+      for (Vertex r = 0; r < lvl.cf_rows; ++r) {
+        const auto s = static_cast<std::size_t>(
+            cf_slots[lvl.cf_base + static_cast<std::size_t>(r)]);
+        EXPECT_GE(s, first_kept) << "level " << k << " cf row " << r;
+        EXPECT_LT(s, n0) << "level " << k << " cf row " << r;
+      }
+      rows = std::move(kept);
+    }
+
+    const auto base_n = static_cast<std::size_t>(ac.base_size());
+    ASSERT_EQ(rows.size(), base_n);
+    for (std::size_t j = 0; j < base_n; ++j) {
+      EXPECT_EQ(static_cast<std::size_t>(slots[static_cast<std::size_t>(rows[j])]),
+                n0 - base_n + j)
+          << "base vertex " << j;
+    }
+  }
+
+  // Depth 0 (the TinyGraphSkipsElimination graph): the base is the whole
+  // vector, so the slots are the identity.
+  const BlockCholeskyChain tiny = BlockCholeskyChain::build(make_path(50), 1);
+  ASSERT_EQ(tiny.depth(), 0);
+  const auto slots = tiny.apply_chain().slots();
+  ASSERT_EQ(slots.size(), 50u);
+  for (std::size_t v = 0; v < slots.size(); ++v) {
+    EXPECT_EQ(static_cast<std::size_t>(slots[v]), v);
   }
 }
 

@@ -52,9 +52,9 @@ void expect_same_chain(const BlockCholeskyChain& a,
   EXPECT_EQ(a.base_size(), b.base_size());
   EXPECT_EQ(a.jacobi_terms(), b.jacobi_terms());
   EXPECT_EQ(a.stored_entries(), b.stored_entries());
-  // The packed ApplyChain arrays cover every level's f/c lists, Jacobi
-  // diagonals, and sub-CSR blocks; bit-equality of the six arrays (plus
-  // the per-level metadata) is bit-equality of the whole factorization.
+  // The packed ApplyChain arrays cover every level's F list, slots, Jacobi
+  // diagonals, and sub-CSR blocks; bit-equality of the arrays (plus the
+  // per-level metadata) is bit-equality of the whole factorization.
   const ApplyChain& pa = a.apply_chain();
   const ApplyChain& pb = b.apply_chain();
   ASSERT_EQ(pa.levels().size(), pb.levels().size());
@@ -65,13 +65,15 @@ void expect_same_chain(const BlockCholeskyChain& a,
     EXPECT_EQ(la.nf, lb.nf);
     EXPECT_EQ(la.nc, lb.nc);
     EXPECT_EQ(la.f_base, lb.f_base);
-    EXPECT_EQ(la.c_base, lb.c_base);
+    EXPECT_EQ(la.cf_rows, lb.cf_rows);
+    EXPECT_EQ(la.cf_base, lb.cf_base);
     EXPECT_EQ(la.ff_off, lb.ff_off);
     EXPECT_EQ(la.fc_off, lb.fc_off);
     EXPECT_EQ(la.cf_off, lb.cf_off);
   }
   expect_same_span(pa.f_lists(), pb.f_lists());
-  expect_same_span(pa.c_lists(), pb.c_lists());
+  expect_same_span(pa.cf_slots(), pb.cf_slots());
+  expect_same_span(pa.slots(), pb.slots());
   expect_same_span(pa.inv_x(), pb.inv_x());
   expect_same_span(pa.y_diag(), pb.y_diag());
   expect_same_span(pa.offsets(), pb.offsets());

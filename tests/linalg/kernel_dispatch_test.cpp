@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "linalg/kernels/aligned_buffer.hpp"
@@ -76,6 +77,40 @@ struct CsrFixture {
     }
   }
 };
+
+/// csr_fwd's row list: `count` distinct rows of [0, n_out) in shuffled
+/// order, so a kernel that writes row j instead of idx[j] diverges.
+std::vector<Vertex> shuffled_rows(std::size_t count, std::size_t n_out,
+                                  std::uint64_t seed) {
+  std::vector<Vertex> rows(n_out);
+  for (std::size_t i = 0; i < n_out; ++i) rows[i] = static_cast<Vertex>(i);
+  Rng rng(seed, RngTag::kTest, 31);
+  for (std::size_t i = n_out; i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng.next_below(i)]);
+  }
+  rows.resize(count);
+  return rows;
+}
+
+/// csr_fwd written out plainly: row idx[j] accumulates its entries in
+/// order, starting from its current value.
+template <typename T>
+void naive_csr_fwd(std::size_t lo, std::size_t hi, std::size_t k,
+                   const CsrFixture& csr, const std::vector<T>& w,
+                   const std::vector<Vertex>& idx, const T* src, T* out) {
+  for (std::size_t j = lo; j < hi; ++j) {
+    const auto r = static_cast<std::size_t>(idx[j]);
+    for (std::size_t c = 0; c < k; ++c) {
+      T acc = out[r * k + c];
+      for (EdgeId p = csr.off[j]; p < csr.off[j + 1]; ++p) {
+        const auto pz = static_cast<std::size_t>(p);
+        acc = static_cast<T>(
+            acc + w[pz] * src[static_cast<std::size_t>(csr.nbr[pz]) * k + c]);
+      }
+      out[r * k + c] = acc;
+    }
+  }
+}
 
 /// Misaligned view: a buffer whose data pointer is one double past any
 /// allocator alignment, so vector loads can never assume 16/32/64-byte
@@ -251,28 +286,32 @@ TEST(KernelDispatch, CsrJacobiMatchesScalarBitwise) {
 }
 
 TEST(KernelDispatch, CsrFwdMatchesScalarBitwise) {
+  // In place: row j of the block adds into output row idx[j]. The scalar
+  // reference must equal the plain loop, and every tier the reference.
   const KernelTable& ref = table_for(SimdLevel::kScalar);
   const std::size_t n_src = 180;
-  const std::size_t n_seed = 300;
+  const std::size_t n_out = 300;
   const CsrFixture csr(kRows, n_src, 501);
-  std::vector<Vertex> idx(kRows);
-  for (std::size_t j = 0; j < kRows; ++j) {
-    idx[j] = static_cast<Vertex>((j * 31 + 7) % n_seed);
-  }
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTable& vec = table_for(lvl);
-    for (std::size_t k : kWidths) {
-      const Misaligned seed(random_doubles(n_seed * k, 502));
-      const Misaligned src(random_doubles(n_src * k, 503));
-      const std::vector<double> out0 = random_doubles(kRows * k, 504);
-      for (const auto& [lo, hi] : kRanges) {
-        std::vector<double> want = out0;
-        std::vector<double> got = out0;
-        ref.csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(), csr.w.data(),
-                    idx.data(), seed.data(), src.data(), want.data());
-        vec.csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(), csr.w.data(),
-                    idx.data(), seed.data(), src.data(), got.data());
-        expect_bits_equal(got, want, "csr_fwd", lvl, k, lo, hi);
+  const std::vector<Vertex> idx = shuffled_rows(kRows, n_out, 502);
+  for (std::size_t k : kWidths) {
+    const Misaligned src(random_doubles(n_src * k, 503));
+    const std::vector<double> out0 = random_doubles(n_out * k, 504);
+    for (const auto& [lo, hi] : kRanges) {
+      // The kernel loads and stores its output rows, so they are
+      // misaligned too.
+      Misaligned want(out0);
+      Misaligned plain(out0);
+      ref.csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(), csr.w.data(),
+                  idx.data(), src.data(), want.data());
+      naive_csr_fwd(lo, hi, k, csr, csr.w, idx, src.data(), plain.data());
+      expect_bits_equal(want.store, plain.store, "csr_fwd(reference)",
+                        SimdLevel::kScalar, k, lo, hi);
+      for (SimdLevel lvl : available_vector_levels()) {
+        Misaligned got(out0);
+        table_for(lvl).csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(),
+                               csr.w.data(), idx.data(), src.data(),
+                               got.data());
+        expect_bits_equal(got.store, want.store, "csr_fwd", lvl, k, lo, hi);
       }
     }
   }
@@ -532,31 +571,31 @@ TEST(KernelDispatchF32, CsrJacobiMatchesScalarBitwise) {
 TEST(KernelDispatchF32, CsrFwdMatchesScalarBitwise) {
   const KernelTableF32& ref = table_for_f32(SimdLevel::kScalar);
   const std::size_t n_src = 180;
-  const std::size_t n_seed = 300;
+  const std::size_t n_out = 300;
   const CsrFixture csr(kRows, n_src, 511);
   const std::vector<float> w(csr.w.begin(), csr.w.end());
-  std::vector<Vertex> idx(kRows);
-  for (std::size_t j = 0; j < kRows; ++j) {
-    idx[j] = static_cast<Vertex>((j * 31 + 7) % n_seed);
-  }
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableF32& vec = table_for_f32(lvl);
-    for (std::size_t k : kWidths) {
-      std::vector<float> seedv = random_floats(n_seed * k, 512);
-      std::vector<float> srcv = random_floats(n_src * k, 513);
-      inject_specials(seedv);
-      inject_specials(srcv);
-      const MisalignedF seed(std::move(seedv));
-      const MisalignedF src(std::move(srcv));
-      const std::vector<float> out0 = random_floats(kRows * k, 514);
-      for (const auto& [lo, hi] : kRanges) {
-        std::vector<float> want = out0;
-        std::vector<float> got = out0;
-        ref.csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(), w.data(),
-                    idx.data(), seed.data(), src.data(), want.data());
-        vec.csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(), w.data(),
-                    idx.data(), seed.data(), src.data(), got.data());
-        expect_bits_equal_f32(got, want, "csr_fwd", lvl, k, lo, hi);
+  const std::vector<Vertex> idx = shuffled_rows(kRows, n_out, 512);
+  for (std::size_t k : kWidths) {
+    std::vector<float> srcv = random_floats(n_src * k, 513);
+    inject_specials(srcv);
+    const MisalignedF src(std::move(srcv));
+    std::vector<float> out0 = random_floats(n_out * k, 514);
+    inject_specials(out0);
+    for (const auto& [lo, hi] : kRanges) {
+      MisalignedF want(out0);
+      MisalignedF plain(out0);
+      ref.csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(), w.data(),
+                  idx.data(), src.data(), want.data());
+      naive_csr_fwd(lo, hi, k, csr, w, idx, src.data(), plain.data());
+      expect_bits_equal_f32(want.store, plain.store, "csr_fwd(reference)",
+                            SimdLevel::kScalar, k, lo, hi);
+      for (SimdLevel lvl : available_vector_levels()) {
+        MisalignedF got(out0);
+        table_for_f32(lvl).csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(),
+                                   w.data(), idx.data(), src.data(),
+                                   got.data());
+        expect_bits_equal_f32(got.store, want.store, "csr_fwd", lvl, k, lo,
+                              hi);
       }
     }
   }

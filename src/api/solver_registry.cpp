@@ -197,7 +197,7 @@ class ParlapAdapter final : public SolverBase {
     options.precision = c.precision;
     if (c.split_scale > 0.0) options.split_scale = c.split_scale;
     if (c.max_iterations > 0)
-      options.richardson.max_iterations = c.max_iterations;
+      options.outer.max_iterations = c.max_iterations;
     impl_.emplace(g, options);
     // The solver resolves kAuto at construction; reports carry the
     // concrete storage precision it picked.
@@ -222,7 +222,7 @@ class ParlapAdapter final : public SolverBase {
  private:
   /// True blocked solve: one chain traversal per preconditioner apply
   /// serves the whole panel (zero-norm columns come back as zero from
-  /// the projected Richardson).
+  /// the projected PCG).
   void run_panel(const Panel& bp, Panel& x, double eps,
                  std::span<const double> b_norms,
                  std::span<int> iterations,
@@ -347,7 +347,7 @@ void register_builtins(SolverRegistry& r) {
   r.register_method(
       "parlap",
       "paper solver: uniform edge split (Thm 1.1), block Cholesky chain, "
-      "preconditioned Richardson",
+      "PCG outer loop",
       [](const Multigraph& g, const SolverConfig& c) {
         return timed_make<ParlapAdapter>("parlap", g, c,
                                          SplitStrategy::kUniform);

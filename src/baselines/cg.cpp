@@ -1,7 +1,6 @@
 #include "baselines/cg.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "parallel/for_each.hpp"
 #include "support/check.hpp"
@@ -10,58 +9,24 @@ namespace parlap {
 
 namespace {
 
-IterationStats cg_impl(const LaplacianOperator& a, const LinearMap* precond,
+/// One right-hand side as a width-1 panel_pcg call with the baselines'
+/// own cap; x is projected onto the range of L at the end.
+IterationStats run_pcg(const LaplacianOperator& a, const PanelMap& precond,
                        std::span<const double> b, std::span<double> x,
                        double tol, const CgOptions& opts) {
   const std::size_t n = b.size();
   PARLAP_CHECK(x.size() == n);
-  IterationStats stats;
-  const double b_norm = norm2(b);
-  if (b_norm == 0.0) {
-    fill(x, 0.0);
-    stats.reached_target = true;
-    return stats;
-  }
-  const int cap = opts.max_iterations > 0
-                      ? opts.max_iterations
-                      : std::min<int>(20000, 10 * static_cast<int>(n) + 50);
-
-  fill(x, 0.0);
-  Vector r(b.begin(), b.end());
-  Vector z(n);
-  if (precond != nullptr) {
-    (*precond)(r, z);
-  } else {
-    assign(z, r);
-  }
-  Vector p(z.begin(), z.end());
-  Vector ap(n);
-  double rz = dot(r, z);
-
-  for (int k = 1; k <= cap; ++k) {
-    a.apply(p, ap);
-    const double p_ap = dot(p, ap);
-    if (p_ap <= 0.0) break;  // numerical breakdown on the semidefinite system
-    const double alpha = rz / p_ap;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
-    stats.iterations = k;
-    stats.relative_residual = norm2(r) / b_norm;
-    if (stats.relative_residual <= tol) {
-      stats.reached_target = true;
-      break;
-    }
-    if (precond != nullptr) {
-      (*precond)(r, z);
-    } else {
-      assign(z, r);
-    }
-    const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
-    parallel_for(std::size_t{0}, n,
-                 [&](std::size_t i) { p[i] = z[i] + beta * p[i]; });
-    rz = rz_new;
-  }
+  OuterOptions outer;
+  outer.max_iterations =
+      opts.max_iterations > 0
+          ? opts.max_iterations
+          : std::min<int>(20000, 10 * static_cast<int>(n) + 50);
+  Panel bp(n, 1);
+  assign(bp.col(0), b);
+  Panel xp;
+  const IterationStats stats =
+      panel_pcg(a, precond, bp, xp, tol, outer).front();
+  assign(x, xp.col(0));
   project_out_ones(x);
   return stats;
 }
@@ -72,7 +37,8 @@ IterationStats conjugate_gradient(const LaplacianOperator& a,
                                   std::span<const double> b,
                                   std::span<double> x, double tol,
                                   const CgOptions& opts) {
-  return cg_impl(a, nullptr, b, x, tol, opts);
+  const PanelMap identity = [](const Panel& r, Panel& z) { z = r; };
+  return run_pcg(a, identity, b, x, tol, opts);
 }
 
 IterationStats preconditioned_cg(const LaplacianOperator& a,
@@ -80,7 +46,11 @@ IterationStats preconditioned_cg(const LaplacianOperator& a,
                                  std::span<const double> b,
                                  std::span<double> x, double tol,
                                  const CgOptions& opts) {
-  return cg_impl(a, &precond, b, x, tol, opts);
+  const PanelMap panel_precond = [&precond](const Panel& r, Panel& z) {
+    z.resize(r.rows(), 1);
+    precond(r.col(0), z.col(0));
+  };
+  return run_pcg(a, panel_precond, b, x, tol, opts);
 }
 
 LinearMap jacobi_diagonal_preconditioner(const LaplacianOperator& a) {

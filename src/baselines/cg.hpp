@@ -5,19 +5,21 @@
 // count scales with sqrt(condition number) — Theta(n) on a path/grid —
 // whereas the block Cholesky preconditioner makes the iteration count
 // O(log 1/eps) independent of the graph. Bench E3 regenerates that
-// comparison.
+// comparison. Both entry points are width-1 calls of the solver's own
+// panel PCG loop (core/pcg.hpp); plain CG uses the identity as its
+// preconditioner.
 #pragma once
 
 #include <span>
 
-#include "core/richardson.hpp"  // LinearMap, IterationStats
+#include "core/pcg.hpp"  // LinearMap, IterationStats
 #include "linalg/laplacian_op.hpp"
 
 namespace parlap {
 
 /// Tuning knobs shared by the CG / PCG baselines.
 struct CgOptions {
-  /// Iteration cap; 0 = min(20000, 10 n).
+  /// Iteration cap; 0 = min(20000, 10 n + 50).
   int max_iterations = 0;
 };
 

@@ -30,7 +30,7 @@
 // traversal computes in NATIVE float — half the bytes per value and
 // twice the SIMD lanes per register — so an fp32 chain is the same
 // operator evaluated in float, a constant-quality preconditioner the
-// solver's fp64 outer Richardson loop refines to any requested eps.
+// solver's fp64 outer PCG loop refines to any requested eps.
 // Build staging is always fp64; the narrowing happens once, inside
 // finalize().
 //

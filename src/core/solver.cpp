@@ -1,7 +1,6 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/alpha_bound.hpp"
 #include "obs/metrics.hpp"
@@ -176,29 +175,6 @@ std::shared_ptr<LaplacianSolver::ChainRound> LaplacianSolver::round_for(
   return slot;
 }
 
-double LaplacianSolver::step_size_for(const ComponentSolver& comp,
-                                      ChainRound& cr,
-                                      ApplyWorkspace& w) const {
-  // The step estimate depends only on the factorization: computed once
-  // per chain and reused across solves (factor-once / solve-many). The
-  // power iteration is deterministic, so concurrent first callers store
-  // the same bits and the relaxed race is benign.
-  const double cached = cr.alpha_cache.load(std::memory_order_relaxed);
-  if (cached > 0.0) return cached;
-  const BlockCholeskyChain& chain = cr.chain;
-  const PanelMap precond = [&chain, &w](const Panel& rr, Panel& yy) {
-    chain.apply(rr, yy, w);
-  };
-  const double lambda = estimate_max_eigenvalue(
-      comp.op, precond, opts_.richardson.power_iterations);
-  const double alpha =
-      lambda > 0.0 ? 0.95 / lambda
-                   : 2.0 / (std::exp(-opts_.richardson.delta) +
-                            std::exp(opts_.richardson.delta));
-  cr.alpha_cache.store(alpha, std::memory_order_relaxed);
-  return alpha;
-}
-
 void LaplacianSolver::apply_laplacian(std::span<const double> x,
                                       std::span<double> y) const {
   PARLAP_CHECK(x.size() == static_cast<std::size_t>(info_.n));
@@ -303,25 +279,25 @@ std::vector<SolveStats> LaplacianSolver::solve_panel_impl(
       const std::shared_ptr<ChainRound> cr = round_for(cs, round);
       const BlockCholeskyChain& chain = cr->chain;
       ApplyWorkspace& w = scratch.component_ws(c, comps_.size());
-      RichardsonOptions rich = opts_.richardson;
-      if (chain.storage() == Precision::kFp32 && rich.stall_window == 0) {
+      OuterOptions outer = opts_.outer;
+      if (chain.storage() == Precision::kFp32 && outer.stall_window == 0) {
         // Refinement rounds on the fp32 chain get stall detection: a
         // column pinned at its float-storage residual floor escalates to
         // the fp64 rung instead of burning the iteration cap. Healthy
         // refinement contracts far faster than 0.75x per 5 iterations,
-        // so this never fires on a converging column. fp64 rounds keep
-        // the exact pre-precision iteration behavior.
-        rich.stall_window = 5;
-        rich.stall_improvement = 0.75;
+        // so this never fires on a converging column. fp64 rounds run
+        // without it.
+        outer.stall_window = 5;
+        outer.stall_improvement = 0.75;
       }
-      if (rich.auto_step && rich.fixed_alpha <= 0.0) {
-        rich.fixed_alpha = step_size_for(cs, *cr, w);
-      }
+      // The projected W: every output column is made mean-free, as
+      // apply_preconditioner does, so PCG never steps along the kernel.
       const PanelMap precond = [&chain, &w, &apply_seconds](const Panel& rr,
                                                            Panel& yy) {
         const WallTimer t;
         chain.apply(rr, yy, w);
         apply_seconds += t.seconds();
+        panel_project_out_ones(yy);
       };
 
       const bool whole = active.size() == k;
@@ -336,9 +312,8 @@ std::vector<SolveStats> LaplacianSolver::solve_panel_impl(
         round_b = &bsub;
         round_x = &scratch.px_sub;
       }
-      const std::vector<IterationStats> its =
-          preconditioned_richardson(cs.op, precond, *round_b, *round_x, eps,
-                                    rich);
+      const std::vector<IterationStats> its = panel_pcg(
+          cs.op, precond, *round_b, *round_x, eps, outer, &scratch.pcg);
 
       std::vector<std::size_t> still;
       for (std::size_t j = 0; j < active.size(); ++j) {

@@ -4,9 +4,13 @@
 //   input graph -> connected components -> per component:
 //     alpha-bounding edge split (uniform, Lemma 3.2, = Thm 1.1; or by
 //     leverage-score overestimates, Lemma 3.3, = Thm 1.2)
-//     -> BlockCholesky chain (Algorithm 1) -> solve() drives
-//     PreconRichardson (Algorithm 5) with ApplyCholesky (Algorithm 2) as
-//     the constant-quality preconditioner.
+//     -> BlockCholesky chain (Algorithm 1) -> solve() drives PCG
+//     (core/pcg.hpp) with ApplyCholesky (Algorithm 2), projected onto
+//     the range of L, as the constant-quality preconditioner. The paper
+//     uses PreconRichardson (Algorithm 5) because it keeps the analysis
+//     short; PCG needs no step size and its iteration count grows as
+//     sqrt(kappa) rather than kappa (Richardson stays a free function,
+//     core/richardson.hpp, for bench E7).
 //
 // solve() accepts any right-hand side; the component of b in the kernel of
 // L (per-component constants) is projected out, which is the standard
@@ -22,10 +26,10 @@
 //
 // Concurrency: solve(), solve_many(), solve_panel(), and
 // apply_preconditioner() are const and safe to call concurrently from
-// any number of threads on one instance. Per-call scratch comes from a
-// WorkspacePool; escalation chains are published under a mutex;
-// Richardson step-size estimates are cached in atomics. Results are
-// bit-identical regardless of interleaving and thread count.
+// any number of threads on one instance. Per-call scratch (the PCG
+// panels included) comes from a WorkspacePool; escalation chains are
+// published under a mutex. Results are bit-identical regardless of
+// interleaving and thread count.
 //
 // Blocked solves: there is one solve path, on column-major Panels.
 // solve() and the span apply_preconditioner() are width-1 panels,
@@ -36,7 +40,6 @@
 // sequential solve() calls at any block width.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -45,7 +48,7 @@
 
 #include "core/block_cholesky.hpp"
 #include "core/leverage.hpp"
-#include "core/richardson.hpp"
+#include "core/pcg.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/multigraph.hpp"
 #include "linalg/laplacian_op.hpp"
@@ -67,22 +70,23 @@ struct SolverOptions {
   std::uint64_t seed = 42;
   /// alpha^-1 = max(1, ceil(split_scale * ceil(log2 n)^2)) edge copies.
   /// Theory wants a large hidden constant; 0.1 is a practical default
-  /// (Richardson absorbs the weaker concentration; `adaptive` rebuilds
-  /// guard the tail). Ablated in bench E9.
+  /// (the outer PCG loop absorbs the weaker concentration; `adaptive`
+  /// rebuilds guard the tail). Ablated in bench E9.
   double split_scale = 0.1;
   SplitStrategy split = SplitStrategy::kUniform;
   LeverageOptions leverage;  ///< used when split == kLeverage
   BlockCholeskyOptions chain;
-  RichardsonOptions richardson;
-  /// Escalate to doubled split copies when Richardson stalls.
+  /// The outer PCG loop's cap, residual target and stall window.
+  OuterOptions outer;
+  /// Escalate to doubled split copies when a solve misses eps.
   bool adaptive = true;
   int max_rebuilds = 2;
   /// Storage precision of the factorization (support/precision.hpp).
-  /// kFp64 (default): bit-identical to the pre-precision solver. kFp32:
-  /// the chain's value arrays are float and the fp64 outer Richardson
-  /// loop acts as iterative refinement — requested eps is met via extra
-  /// outer iterations, never bitwise parity with fp64; if refinement
-  /// stalls (operator too ill-conditioned for float storage), the solve
+  /// kFp64 (default). kFp32: the chain's value arrays are float and the
+  /// fp64 outer PCG loop (flexible beta, so a preconditioner symmetric
+  /// only up to float rounding is fine) acts as iterative refinement —
+  /// requested eps is met via extra outer iterations, never bitwise
+  /// parity with fp64; if refinement stalls (operator too ill-conditioned for float storage), the solve
   /// escalates to an fp64 rebuild of the same factorization, then on to
   /// the usual doubled-copies rounds. kAuto resolves per graph size at
   /// construction (resolve_precision).
@@ -125,8 +129,8 @@ struct FactorizationInfo {
 };
 
 /// The paper's parallel Laplacian solver (Theorems 1.1 / 1.2): edge
-/// splitting, per-component BlockCholesky chains, and a preconditioned
-/// Richardson outer loop behind a factor-once / solve-many interface.
+/// splitting, per-component BlockCholesky chains, and a PCG outer loop
+/// behind a factor-once / solve-many interface.
 class LaplacianSolver {
  public:
   /// Factorizes immediately. Throws on invalid input (negative weights,
@@ -156,8 +160,8 @@ class LaplacianSolver {
 
   /// Applies the block Cholesky preconditioner W (block-diagonal over
   /// components, kernel directions projected) to one vector, as a
-  /// width-1 panel. Exposed for PCG-style outer iterations and
-  /// diagnostics. Thread-safe.
+  /// width-1 panel. Exposed for external outer loops (benches E3 and E7
+  /// run Richardson on it) and diagnostics. Thread-safe.
   void apply_preconditioner(std::span<const double> r,
                             std::span<double> y) const;
 
@@ -192,15 +196,12 @@ class LaplacianSolver {
   }
 
  private:
-  /// One factorization of one component at one escalation round. The
-  /// chain is immutable after construction; only the cached Richardson
-  /// step size is written afterwards (atomically — the power iteration is
-  /// deterministic, so racing writers store the same value).
+  /// One factorization of one component at one escalation round,
+  /// immutable after construction.
   struct ChainRound {
     BlockCholeskyChain chain;
     std::int64_t copies = 0;
     EdgeId split_edges = 0;
-    std::atomic<double> alpha_cache{0.0};
   };
 
   struct ComponentSolver {
@@ -217,12 +218,13 @@ class LaplacianSolver {
   /// while concurrent solves each hold their own. One ApplyWorkspace
   /// per component (a shared one would be re-prepared on every
   /// component switch — the identity check in prepare_workspace) plus
-  /// component-local panels, escalation sub-panels, and the global
-  /// panels solve(), solve_many() and the span apply_preconditioner()
-  /// pack their input into.
+  /// component-local panels, escalation sub-panels, the global panels
+  /// solve(), solve_many() and the span apply_preconditioner() pack
+  /// their input into, and the PCG loop's panels.
   struct SolveScratch {
     std::vector<ApplyWorkspace> per_component;
     Panel pb_local, px_local, pb_sub, px_sub, pb_global, px_global;
+    PcgWorkspace pcg;
 
     ApplyWorkspace& component_ws(std::size_t c, std::size_t total) {
       if (per_component.size() < total) per_component.resize(total);
@@ -252,12 +254,6 @@ class LaplacianSolver {
     return adaptive_rounds +
            (opts_.precision == Precision::kFp32 ? 1 : 0);
   }
-
-  /// The cached (or freshly estimated) Richardson step for `cr`,
-  /// computed with the caller's workspace.
-  [[nodiscard]] double step_size_for(const ComponentSolver& comp,
-                                     ChainRound& cr,
-                                     ApplyWorkspace& ws) const;
 
   /// The panel solve shared by solve(), solve_many(), and solve_panel().
   std::vector<SolveStats> solve_panel_impl(const Panel& b, Panel& x,

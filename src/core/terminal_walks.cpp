@@ -163,8 +163,10 @@ void sample_schur_complement(MultigraphView g, const WalkGraph& walk_graph,
 
 #pragma omp parallel num_threads(num_threads)
   {
-    WalkStats& ls =
-        local_stats[static_cast<std::size_t>(omp_get_thread_num())];
+    // Counted in a thread-private local and stored once at the end: the
+    // per-thread slots of local_stats are adjacent, so bumping them per
+    // edge would share cache lines between threads.
+    WalkStats ls;
 
     auto run_walk = [&](Vertex start, Rng& rng) {
       for (int attempt = 0;; ++attempt) {
@@ -238,6 +240,7 @@ void sample_schur_complement(MultigraphView g, const WalkGraph& walk_graph,
       walk_w[static_cast<std::size_t>(e)] = 1.0 / inv_sum;
       keep[static_cast<std::size_t>(e)] = 1;
     }
+    local_stats[static_cast<std::size_t>(omp_get_thread_num())] = ls;
   }
 
   PARLAP_CHECK_MSG(!retries_exhausted.load(),

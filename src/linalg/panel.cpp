@@ -42,6 +42,39 @@ void col_dots_chunked(const double* a, const double* b, std::size_t n,
   }
 }
 
+/// out[c] = sum of column c with sum()'s chunk structure (serial below
+/// one chunk, chunk partials folded in chunk order), so each column's
+/// sum equals sum(p.col(c)) bit for bit; one pass serves every column.
+void col_sums_chunked(const double* d, std::size_t n, std::size_t k,
+                      double* out) {
+  constexpr std::size_t kChunk = kernels::kReductionChunk;
+  const auto chunk_sums = [&](std::size_t lo, std::size_t hi, double* part) {
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* col = d + c * n;
+      double s = 0.0;
+      for (std::size_t i = lo; i < hi; ++i) s += col[i];
+      part[c] = s;
+    }
+  };
+  if (n < kChunk) {
+    chunk_sums(0, n, out);
+    return;
+  }
+  const std::size_t chunks = (n + kChunk - 1) / kChunk;
+  std::vector<double> partial(chunks * k);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
+    const std::size_t lo = static_cast<std::size_t>(c) * kChunk;
+    chunk_sums(lo, std::min(n, lo + kChunk),
+               partial.data() + static_cast<std::size_t>(c) * k);
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    double total = 0.0;
+    for (std::size_t ch = 0; ch < chunks; ++ch) total += partial[ch * k + c];
+    out[c] = total;
+  }
+}
+
 }  // namespace
 
 void panel_from_vectors(std::span<const Vector> bs, Panel& dst) {
@@ -129,7 +162,19 @@ void panel_scatter_rows(const Panel& src, std::span<const Vertex> rows,
 }
 
 void panel_project_out_ones(Panel& p) {
-  for (std::size_t c = 0; c < p.cols(); ++c) project_out_ones(p.col(c));
+  const std::size_t n = p.rows();
+  const std::size_t k = p.cols();
+  if (n == 0) return;
+  std::vector<double> mean(k);
+  col_sums_chunked(p.data(), n, k, mean.data());
+  for (double& m : mean) m /= static_cast<double>(n);
+  double* d = p.data();
+  kernels::for_row_blocks(n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = 0; c < k; ++c) {
+      double* col = d + c * n;
+      for (std::size_t i = lo; i < hi; ++i) col[i] -= mean[c];
+    }
+  });
 }
 
 }  // namespace parlap

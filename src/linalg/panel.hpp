@@ -97,8 +97,8 @@ void panel_gather_rows(const Panel& src, std::span<const Vertex> rows,
 void panel_scatter_rows(const Panel& src, std::span<const Vertex> rows,
                         Panel& dst);
 
-/// Kernel projection per column: col -= mean(col). Identical to
-/// project_out_ones on each column.
+/// Kernel projection per column: col -= mean(col), in one pass over the
+/// panel. Bit-identical to project_out_ones on each column.
 void panel_project_out_ones(Panel& p);
 
 }  // namespace parlap

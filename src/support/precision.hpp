@@ -7,7 +7,7 @@
 // weights, dense base pseudo-inverse) in float — index arrays stay
 // int32/int64 — and the chain apply computes in native float (half the
 // bytes, twice the SIMD lanes per register); the requested accuracy is
-// recovered by the fp64 outer Richardson loop (iterative refinement),
+// recovered by the fp64 outer PCG loop (iterative refinement),
 // escalating to an fp64 factorization when refinement stalls. kAuto
 // resolves per graph at solve setup: refinement needs a few extra outer
 // iterations to pay off, so tiny systems (where the chain is

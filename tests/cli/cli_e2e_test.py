@@ -163,6 +163,42 @@ def run_checks(cli, data, fixture, tmp):
                   for l in p.stdout.splitlines()),
               "chain shape: --build-stats prints the JSON's chain numbers")
 
+    # --- outer loop: PCG needs no rebuild where Richardson needed one ---
+    # On this path the paper's Richardson loop took 73 iterations and one
+    # doubled-copies rebuild; the PCG outer loop converges on the first
+    # chain in about 26.
+    out_json = tmp / "path5000.json"
+    p = run(cli, "solve", "--gen", "path:5000", "--seed", "42",
+            "--rhs-random", "1", "--json", str(out_json))
+    check(p.returncode == 0, f"path:5000: exit 0 (got {p.returncode})")
+    if p.returncode == 0:
+        r = json.loads(out_json.read_text())["runs"][0]
+        check(r.get("converged") is True and r.get("relative_residual", 1) <= EPS,
+              f"path:5000: converged to eps ({r.get('relative_residual')})")
+        check(r.get("escalations") == 0,
+              f"path:5000: no escalation (got {r.get('escalations')})")
+
+    # --- hard instances: converged means eps; never worse than x = 0 ----
+    # Weights spanning 1e+-6 defeat some of these at eps 1e-8 (exit 1);
+    # a failed solve must still report the true residual of an x no worse
+    # than the zero start (relative residual 1).
+    out_json = tmp / "hard.json"
+    for graph in ("grid2d:32", "path:80", "barbell:60", "rmat:10"):
+        for weights in ("unit", "powerlaw:1e-4,1e4,1", "powerlaw:1e-6,1e6,1"):
+            what = f"hard {graph} {weights}"
+            p = run(cli, "solve", "--gen", graph, "--weights", weights,
+                    "--seed", "1", "--rhs-random", "1", "--json", str(out_json))
+            check(p.returncode in (0, 1), f"{what}: exit 0 or 1 (got {p.returncode})")
+            if p.returncode not in (0, 1):
+                continue
+            r = json.loads(out_json.read_text())["runs"][0]
+            res = r.get("relative_residual", 2.0)
+            check(res <= 1.0, f"{what}: residual {res} <= 1")
+            if r.get("converged") is True:
+                check(res <= EPS, f"{what}: converged residual {res} <= eps")
+            check((p.returncode == 0) == (r.get("converged") is True),
+                  f"{what}: exit code matches converged")
+
     # --- documented failure modes ---------------------------------------
     p = run(cli, "solve", "--input", str(data / "malformed.mtx"))
     check(p.returncode == 3, f"malformed mtx: exit 3 (got {p.returncode})")

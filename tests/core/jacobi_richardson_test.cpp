@@ -1,9 +1,11 @@
-// Lemma 3.5 (truncated Jacobi series on 5-DD matrices) and Theorem 3.8
-// (preconditioned Richardson), verified densely.
+// Lemma 3.5 (truncated Jacobi series on 5-DD matrices), Theorem 3.8
+// (preconditioned Richardson) and the solver's panel PCG outer loop,
+// verified densely.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/pcg.hpp"
 #include "core/richardson.hpp"
 #include "graph/generators.hpp"
 #include "linalg/dense.hpp"
@@ -224,6 +226,164 @@ TEST(Richardson, InvalidEpsThrows) {
   Panel x;
   EXPECT_THROW((void)preconditioned_richardson(op, kIdentityMap, b, x, 1.5),
                std::runtime_error);
+}
+
+// ---------------------------------------------------------------------
+// panel_pcg: the solver's outer loop.
+
+/// ||b.col(c) - A x.col(c)|| / ||b.col(c)||, computed independently of
+/// the loop.
+double own_residual(const LaplacianOperator& op, const Panel& b,
+                    const Panel& x, std::size_t c) {
+  Vector ax(b.rows());
+  op.apply(x.col(c), ax);
+  for (std::size_t i = 0; i < b.rows(); ++i) ax[i] = b.at(i, c) - ax[i];
+  return norm2(ax) / norm2(b.col(c));
+}
+
+/// Columns of mean-free random right-hand sides.
+Panel projected_panel(std::size_t n, std::size_t cols, std::uint64_t seed) {
+  std::vector<Vector> bs;
+  for (std::size_t c = 0; c < cols; ++c) {
+    bs.push_back(projected_random(n, seed + c));
+  }
+  Panel p;
+  panel_from_vectors(bs, p);
+  return p;
+}
+
+TEST(Pcg, ExactPreconditionerConvergesInTwoIterations) {
+  const Multigraph g = make_grid2d(6, 6);
+  const LaplacianOperator op(g);
+  const DenseMatrix pinv = pseudo_inverse(laplacian_dense(g));
+  const Panel b = column_panel(projected_random(36, 1));
+  Panel x;
+  const IterationStats st =
+      panel_pcg(op, dense_map(pinv), b, x, 1e-10).front();
+  EXPECT_TRUE(st.reached_target);
+  EXPECT_LE(st.iterations, 2);
+  EXPECT_LE(st.relative_residual, 1e-10);
+}
+
+TEST(Pcg, ZeroRhsColumnIsExactlyZero) {
+  const Multigraph g = make_path(10);
+  const LaplacianOperator op(g);
+  Panel b = projected_panel(10, 2, 4);
+  fill(b.col(0), 0.0);
+  Panel x(10, 2);
+  panel_fill(x, 5.0);
+  const std::vector<IterationStats> st =
+      panel_pcg(op, kIdentityMap, b, x, 1e-8);
+  EXPECT_TRUE(st[0].reached_target);
+  EXPECT_EQ(st[0].iterations, 0);
+  EXPECT_EQ(st[0].relative_residual, 0.0);
+  for (const double v : x.col(0)) EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(st[1].reached_target);  // the nonzero column still solves
+  EXPECT_GT(st[1].iterations, 0);
+}
+
+TEST(Pcg, IterationCapRespected) {
+  const Multigraph g = make_path(200);  // terrible conditioning
+  const LaplacianOperator op(g);
+  const Panel b = column_panel(projected_random(200, 3));
+  Panel x;
+  OuterOptions opts;
+  opts.max_iterations = 7;
+  const IterationStats st =
+      panel_pcg(op, kIdentityMap, b, x, 1e-12, opts).front();
+  EXPECT_FALSE(st.reached_target);
+  EXPECT_EQ(st.iterations, 7);
+}
+
+TEST(Pcg, InvalidEpsThrows) {
+  const Multigraph g = make_path(4);
+  const LaplacianOperator op(g);
+  const Panel b(4, 1);
+  Panel x;
+  EXPECT_THROW((void)panel_pcg(op, kIdentityMap, b, x, 1.5),
+               std::runtime_error);
+  EXPECT_THROW((void)panel_pcg(op, kIdentityMap, b, x, 0.0),
+               std::runtime_error);
+}
+
+TEST(Pcg, ReportedResidualIsTheTrueResidual) {
+  // Unpreconditioned CG on a 300-vertex path: 40 iterations leave every
+  // column unconverged, 2000 converge them; both must report the
+  // residual of the x they return.
+  const Multigraph g = make_path(300);
+  const LaplacianOperator op(g);
+  const Panel b = projected_panel(300, 3, 11);
+  for (const int cap : {40, 2000}) {
+    OuterOptions opts;
+    opts.max_iterations = cap;
+    Panel x;
+    const std::vector<IterationStats> st =
+        panel_pcg(op, kIdentityMap, b, x, 1e-9, opts);
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(st[c].reached_target, cap == 2000) << "cap " << cap;
+      EXPECT_DOUBLE_EQ(st[c].relative_residual, own_residual(op, b, x, c))
+          << "cap " << cap << " col " << c;
+      if (st[c].reached_target) {
+        EXPECT_LE(st[c].relative_residual, 1e-9);
+      }
+    }
+  }
+}
+
+TEST(Pcg, IndefinitePreconditionerNeverReturnsWorseThanZero) {
+  // M = +-(1 + 3k) L^+ on L's k-th eigenvector, the sign alternating: not
+  // PSD, so PCG's energy argument fails and a capped column can stop at
+  // an x worse than its start x = 0 (residual 1). The loop must return
+  // an x no worse than that start, and report its residual truthfully.
+  const Multigraph g = make_cycle(40);
+  const LaplacianOperator op(g);
+  const EigenDecomposition eig = symmetric_eigen(laplacian_dense(g));
+  const int n = 40;
+  DenseMatrix m(n, n);
+  for (int k = 1; k < n; ++k) {  // k = 0 is the kernel
+    const double s = (k % 2 == 0 ? -1.0 : 1.0) * (1.0 + 3.0 * k) /
+                     eig.values[static_cast<std::size_t>(k)];
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        m(i, j) += s * eig.vectors(i, k) * eig.vectors(j, k);
+      }
+    }
+  }
+  const Panel b = projected_panel(40, 8, 21);
+  for (const int cap : {3, 5, 0}) {  // 0: the default cap
+    OuterOptions opts;
+    opts.max_iterations = cap;
+    Panel x;
+    const std::vector<IterationStats> st =
+        panel_pcg(op, dense_map(m), b, x, 1e-10, opts);
+    for (std::size_t c = 0; c < 8; ++c) {
+      EXPECT_LE(st[c].relative_residual, 1.0) << "cap " << cap << " col " << c;
+      EXPECT_DOUBLE_EQ(st[c].relative_residual, own_residual(op, b, x, c))
+          << "cap " << cap << " col " << c;
+    }
+  }
+}
+
+TEST(Pcg, PanelColumnsMatchWidthOneSolves) {
+  // Columns are arithmetically independent: a panel column's bits and
+  // stats equal a width-1 solve of that column, whichever columns
+  // converge first.
+  const Multigraph g = make_grid2d(12, 12);
+  const LaplacianOperator op(g);
+  const Panel b = projected_panel(144, 5, 31);
+  Panel x;
+  const std::vector<IterationStats> st =
+      panel_pcg(op, kIdentityMap, b, x, 1e-9);
+  for (std::size_t c = 0; c < 5; ++c) {
+    Panel bc(144, 1);
+    assign(bc.col(0), b.col(c));
+    Panel xc;
+    const IterationStats one =
+        panel_pcg(op, kIdentityMap, bc, xc, 1e-9).front();
+    EXPECT_EQ(one.iterations, st[c].iterations);
+    EXPECT_EQ(one.relative_residual, st[c].relative_residual);
+    for (std::size_t i = 0; i < 144; ++i) ASSERT_EQ(xc.at(i, 0), x.at(i, c));
+  }
 }
 
 }  // namespace

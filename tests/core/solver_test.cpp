@@ -141,17 +141,16 @@ TEST(Solver, LeverageSplitsFewerEdgesOnDenseGraphs) {
 }
 
 TEST(Solver, AdaptiveRebuildRecoversFromWeakSplit) {
-  // Deliberately cripple the preconditioner, cap Richardson, and require
-  // the adaptive path to refactor.
-  // With delta = 1 the Richardson step size is alpha ~ 0.648, so even an
-  // exact preconditioner contracts the residual by only 0.35 per
-  // iteration: 1e-6 needs >= 14 iterations. A 16-iteration cap therefore
-  // fails for the crippled 1-copy factorization but passes once the
-  // rebuilds double the copies enough.
+  // Deliberately cripple the preconditioner, cap the outer loop, and
+  // require the adaptive path to refactor.
+  // On the 1-copy chain PCG needs about 100 iterations to reach 1e-6
+  // (residual about 0.1 after 16), and the first rebuild (2 copies)
+  // still misses within 16. Each rebuild doubles the copies and tightens
+  // W; the second (4 copies) converges in 6.
   const Multigraph g = make_barbell(60, 20);
   SolverOptions opts;
   opts.split_scale = 1e-9;  // 1 copy: weakest possible concentration
-  opts.richardson.max_iterations = 16;
+  opts.outer.max_iterations = 16;
   opts.adaptive = true;
   opts.max_rebuilds = 6;
   LaplacianSolver solver(g, opts);
@@ -166,7 +165,7 @@ TEST(Solver, NonAdaptiveReportsFailureHonestly) {
   const Multigraph g = make_barbell(60, 20);
   SolverOptions opts;
   opts.split_scale = 1e-9;
-  opts.richardson.max_iterations = 2;
+  opts.outer.max_iterations = 2;
   opts.adaptive = false;
   LaplacianSolver solver(g, opts);
   const Vector b = random_rhs(g.num_vertices(), 29);

@@ -107,15 +107,21 @@ TEST(Panel, GatherScatterRoundTrip) {
 }
 
 TEST(Panel, ProjectOutOnesMatchesScalar) {
-  Panel p = random_panel(777, 2, 6);
-  Vector ref0(p.col(0).begin(), p.col(0).end());
-  Vector ref1(p.col(1).begin(), p.col(1).end());
-  project_out_ones(ref0);
-  project_out_ones(ref1);
-  panel_project_out_ones(p);
-  for (std::size_t i = 0; i < 777; ++i) {
-    EXPECT_EQ(p.at(i, 0), ref0[i]);
-    EXPECT_EQ(p.at(i, 1), ref1[i]);
+  // 777 rows: one reduction chunk, one row block. 40000 rows: three
+  // reduction chunks folded in order and many row blocks.
+  for (const std::size_t rows : {std::size_t{777}, std::size_t{40000}}) {
+    Panel p = random_panel(rows, 3, 6);
+    std::vector<Vector> refs;
+    for (std::size_t c = 0; c < 3; ++c) {
+      refs.emplace_back(p.col(c).begin(), p.col(c).end());
+      project_out_ones(refs.back());
+    }
+    panel_project_out_ones(p);
+    for (std::size_t c = 0; c < 3; ++c) {
+      for (std::size_t i = 0; i < rows; ++i) {
+        ASSERT_EQ(p.at(i, c), refs[c][i]) << "rows " << rows << " col " << c;
+      }
+    }
   }
 }
 

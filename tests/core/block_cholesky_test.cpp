@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -13,6 +15,7 @@
 
 #include "core/alpha_bound.hpp"
 #include "core/block_cholesky.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "linalg/dense.hpp"
 #include "support/rng.hpp"
@@ -75,6 +78,60 @@ TEST(BlockCholesky, ChainStructureInvariants) {
   // practical bound is ~20 ln(n/100). Assert a generous multiple.
   const double bound = 25.0 * std::log(static_cast<double>(g.num_vertices()));
   EXPECT_LE(chain.depth(), static_cast<int>(bound));
+}
+
+TEST(BlockCholesky, MatchesRecordedChains) {
+  // Pins whole chains, not properties: three unit-weight graphs deeper
+  // than one level, split as LaplacianSolver's first round splits them
+  // (default_split_copies(n, 0.1)) and built at a fixed seed. Depth,
+  // stored entries and the bits of one apply must equal the values
+  // recorded below, so a build change that alters any sampled level, any
+  // summed weight or any rounding shows here. Unit weights keep libm out
+  // of the pinned bits. Only a labelled hash rotation updates them.
+  struct Recorded {
+    const char* name;
+    Multigraph g;
+    int depth;
+    EdgeId stored_entries;
+    std::uint64_t hash_fp64;
+    std::uint64_t hash_fp32;
+  };
+  const Recorded cases[] = {
+      {"grid2d:24", make_grid2d(24, 24), 40, 8528, 0x4f6586a10a8ad1baull,
+       0x296b65d604046712ull},
+      {"path:600", make_path(600), 40, 2000, 0x28eb182ab3d89cfdull,
+       0x0a81b97fb3dd4166ull},
+      {"barbell:60", make_barbell(60, 30), 10, 4356, 0x22acd8513a88dddfull,
+       0xfae9ffbd7ffb58a4ull},
+  };
+  const auto hash = [](std::span<const double> x) {
+    std::uint64_t h = 0x736F6C75'74696F6Eull;
+    h = fingerprint_mix(h, static_cast<std::uint64_t>(x.size()));
+    for (const double v : x) {
+      h = fingerprint_mix(h, std::bit_cast<std::uint64_t>(v));
+    }
+    return h;
+  };
+  for (const Recorded& c : cases) {
+    const Vertex n = c.g.num_vertices();
+    const Multigraph split =
+        split_edges_uniform(c.g, default_split_copies(n, 0.1));
+    const Vector b = random_vector(static_cast<std::size_t>(n), 41);
+    for (const Precision p : {Precision::kFp64, Precision::kFp32}) {
+      BlockCholeskyOptions opts;
+      opts.precision = p;
+      const BlockCholeskyChain chain = BlockCholeskyChain::build(split, 2024, opts);
+      Vector y(b.size());
+      chain.apply(b, y);
+      const std::uint64_t want =
+          p == Precision::kFp64 ? c.hash_fp64 : c.hash_fp32;
+      EXPECT_EQ(chain.depth(), c.depth) << c.name;
+      EXPECT_EQ(chain.stored_entries(), c.stored_entries) << c.name;
+      EXPECT_EQ(hash(y), want)
+          << c.name << (p == Precision::kFp64 ? " fp64" : " fp32")
+          << " hash 0x" << std::hex << hash(y);
+    }
+  }
 }
 
 TEST(BlockCholesky, TinyGraphSkipsElimination) {

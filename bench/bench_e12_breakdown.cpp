@@ -52,10 +52,9 @@ BENCHMARK(BM_WeightedDegrees)->Unit(benchmark::kMillisecond);
 
 void BM_FiveDdSubset(benchmark::State& state) {
   const Multigraph& s = fixture_split();
-  const auto wdeg = s.weighted_degrees();
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(five_dd_subset(s, wdeg, seed++));
+    benchmark::DoNotOptimize(five_dd_subset(s, seed++));
   }
   state.SetItemsProcessed(state.iterations() * s.num_edges());
 }
@@ -69,7 +68,7 @@ struct Level0 {
 const Level0& fixture_level0() {
   static const Level0 lvl = [] {
     const Multigraph& s = fixture_split();
-    const FiveDdResult fdd = five_dd_subset(s, s.weighted_degrees(), 5);
+    const FiveDdResult fdd = five_dd_subset(s, 5);
     Level0 out;
     const Vertex n = s.num_vertices();
     out.f_index.assign(static_cast<std::size_t>(n), kInvalidVertex);

@@ -52,7 +52,8 @@ int main() {
                   "arena), E15 workload, " +
                   std::to_string(reps) + " reps");
   table.set_header({"graph", "n", "m_split", "cold_ms", "warm_ms", "speedup",
-                    "Medges_per_s", "steady_reallocs", "arena_MiB"},
+                    "Medges_per_s", "scanned", "walked", "steady_reallocs",
+                    "arena_MiB"},
                    4);
 
   for (const std::string& name : graphs) {
@@ -92,6 +93,8 @@ int main() {
                    cold_s.median * 1e3, warm_s.median * 1e3,
                    warm_s.median > 0.0 ? cold_s.median / warm_s.median : 0.0,
                    medges_per_s,
+                   static_cast<std::int64_t>(last.edges_scanned),
+                   static_cast<std::int64_t>(last.walked),
                    static_cast<std::int64_t>(last.arena_allocations),
                    arena_mib});
 
@@ -104,6 +107,8 @@ int main() {
                    {"steady_arena_reallocs",
                     static_cast<double>(last.arena_allocations)},
                    {"peak_arena_mib", arena_mib},
+                   {"edges_scanned", static_cast<double>(last.edges_scanned)},
+                   {"walked", static_cast<double>(last.walked)},
                    {"degrees_seconds", last.phases.degrees},
                    {"five_dd_seconds", last.phases.five_dd},
                    {"partition_seconds", last.phases.partition},

@@ -24,12 +24,11 @@ int main() {
                                                 {"barbell", 500}},
                                                2)) {
       const Multigraph g = make_family(family, size, 3);
-      const auto wdeg = g.weighted_degrees();
       OnlineStats frac;
       OnlineStats rounds;
       WallTimer timer;
       for (std::uint64_t seed = 0; seed < 20; ++seed) {
-        const FiveDdResult r = five_dd_subset(g, wdeg, seed);
+        const FiveDdResult r = five_dd_subset(g, seed);
         frac.add(static_cast<double>(r.f.size()) /
                  static_cast<double>(g.num_vertices()));
         rounds.add(r.rounds);

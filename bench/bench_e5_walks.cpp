@@ -14,8 +14,7 @@ using namespace parlap::bench;
 namespace {
 
 WalkStats first_level_stats(const Multigraph& g, std::uint64_t seed) {
-  const auto wdeg = g.weighted_degrees();
-  const FiveDdResult fdd = five_dd_subset(g, wdeg, seed);
+  const FiveDdResult fdd = five_dd_subset(g, seed);
   const Vertex n = g.num_vertices();
   std::vector<Vertex> f_index(static_cast<std::size_t>(n), kInvalidVertex);
   for (std::size_t i = 0; i < fdd.f.size(); ++i) {

@@ -23,11 +23,13 @@ constexpr std::size_t kMaxPrefetchBytes = std::size_t{64} * 1024;
 }  // namespace
 
 void ApplyChain::finalize(std::span<const EliminationLevel> staging,
-                          Vertex n0, DenseMatrix base_pinv, Vertex base_n,
+                          std::span<const Vertex> slots,
+                          DenseMatrix base_pinv, Vertex base_n,
                           int jacobi_terms, std::uint64_t build_id,
                           Precision storage) {
   PARLAP_CHECK(levels_.empty());  // finalize() runs once per chain
   PARLAP_CHECK(storage != Precision::kAuto);  // resolved before building
+  const auto n0 = static_cast<Vertex>(slots.size());
   n0_ = n0;
   storage_ = storage;
   const bool fp32 = storage == Precision::kFp32;
@@ -51,22 +53,15 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
   jacobi_terms_ = jacobi_terms;
   build_id_ = build_id;
 
-  const auto stored_rows = [](const EliminationLevel::SubCsr& blk) {
-    std::size_t rows = 0;
-    for (std::size_t j = 0; j + 1 < blk.off.size(); ++j) {
-      rows += blk.off[j + 1] > blk.off[j] ? 1 : 0;
-    }
-    return rows;
-  };
   std::size_t nf_total = 0;
   std::size_t cf_rows_total = 0;
   std::size_t off_total = 0;
   std::size_t data_total = 0;
   for (const EliminationLevel& lvl : staging) {
-    const std::size_t cf_rows = stored_rows(lvl.cf);
     nf_total += static_cast<std::size_t>(lvl.nf);
-    cf_rows_total += cf_rows;
-    off_total += 2 * (static_cast<std::size_t>(lvl.nf) + 1) + cf_rows + 1;
+    cf_rows_total += lvl.cf_rows.size();
+    off_total += 2 * (static_cast<std::size_t>(lvl.nf) + 1) +
+                 lvl.cf_rows.size() + 1;
     data_total += lvl.ff.nbr.size() + lvl.fc.nbr.size() + lvl.cf.nbr.size();
   }
   PARLAP_CHECK(nf_total + static_cast<std::size_t>(base_n) ==
@@ -90,25 +85,27 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
   }
 
   const auto narrow = [](double v) { return static_cast<float>(v); };
+  const auto slot_of = [slots](Vertex v) {
+    return slots[static_cast<std::size_t>(v)];
+  };
   std::size_t f_pos = 0;
   std::size_t cf_pos = 0;
   std::size_t off_pos = 0;
   std::size_t data_pos = 0;
-  // Packs blk's rows; with `tags`, only the rows that have an entry, each
-  // tagged with its row index (a next-level C index, which the slot pass
-  // below turns into a slot).
+  // Packs blk's `rows` rows; with `to_slots` its columns name input
+  // vertices (fc) and are stored as their slots.
   const auto pack_block = [&](const EliminationLevel::SubCsr& blk,
-                              std::size_t rows, Vertex* tags) {
+                              std::size_t rows, bool to_slots) {
     const std::size_t base = off_pos;
-    for (std::size_t i = 0; i < rows; ++i) {
-      if (tags != nullptr) {
-        if (blk.off[i + 1] == blk.off[i]) continue;
-        *tags++ = static_cast<Vertex>(i);
-      }
+    for (std::size_t i = 0; i <= rows; ++i) {
       off_[off_pos++] = blk.off[i] + static_cast<EdgeId>(data_pos);
     }
-    off_[off_pos++] = blk.off[rows] + static_cast<EdgeId>(data_pos);
-    std::copy(blk.nbr.begin(), blk.nbr.end(), nbr_.begin() + data_pos);
+    if (to_slots) {
+      std::transform(blk.nbr.begin(), blk.nbr.end(), nbr_.begin() + data_pos,
+                     slot_of);
+    } else {
+      std::copy(blk.nbr.begin(), blk.nbr.end(), nbr_.begin() + data_pos);
+    }
     if (fp32) {
       std::transform(blk.w.begin(), blk.w.end(), w_f_.begin() + data_pos,
                      narrow);
@@ -138,52 +135,22 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
     }
     f_pos += static_cast<std::size_t>(lvl.nf);
     const auto nf = static_cast<std::size_t>(lvl.nf);
-    meta.ff_off = pack_block(lvl.ff, nf, nullptr);
-    meta.fc_off = pack_block(lvl.fc, nf, nullptr);
-    meta.cf_off = pack_block(lvl.cf, static_cast<std::size_t>(lvl.nc),
-                             cf_slots_.data() + cf_pos);
-    meta.cf_rows = static_cast<Vertex>(off_pos - meta.cf_off - 1);
-    cf_pos += static_cast<std::size_t>(meta.cf_rows);
+    meta.ff_off = pack_block(lvl.ff, nf, false);
+    meta.fc_off = pack_block(lvl.fc, nf, true);
+    meta.cf_rows = static_cast<Vertex>(lvl.cf_rows.size());
+    meta.cf_off = pack_block(lvl.cf, lvl.cf_rows.size(), false);
+    std::transform(lvl.cf_rows.begin(), lvl.cf_rows.end(),
+                   cf_slots_.begin() + static_cast<std::ptrdiff_t>(cf_pos),
+                   slot_of);
+    cf_pos += lvl.cf_rows.size();
     levels_.push_back(meta);
   }
 
-  // Slots, walked from the base up: the base owns the last base_n slots,
-  // level k's F vertices own [f_base, f_base + nf), and a C vertex takes
-  // the slot of its next-level index. `below` holds level k+1's slots
-  // while level k's fc columns and cf row tags (next-level C indices)
-  // are rewritten to slots; `here` collects level k's. The two maps live
-  // in slots_ and slot_rows_, which the walk leaves holding level 0's.
   slots_.resize(static_cast<std::size_t>(n0));
   slot_rows_.resize(static_cast<std::size_t>(n0));
-  Vertex* below = slots_.data();
-  Vertex* here = slot_rows_.data();
-  for (Vertex j = 0; j < base_n; ++j) {
-    below[static_cast<std::size_t>(j)] = n0 - base_n + j;
-  }
-  for (std::size_t k = staging.size(); k-- > 0;) {
-    const EliminationLevel& lvl = staging[k];
-    const Level& meta = levels_[k];
-    const auto nf = static_cast<std::size_t>(lvl.nf);
-    for (auto p = static_cast<std::size_t>(off_[meta.fc_off]);
-         p < static_cast<std::size_t>(off_[meta.fc_off + nf]); ++p) {
-      nbr_[p] = below[static_cast<std::size_t>(nbr_[p])];
-    }
-    Vertex* tags = cf_slots_.data() + meta.cf_base;
-    for (Vertex r = 0; r < meta.cf_rows; ++r) {
-      tags[r] = below[static_cast<std::size_t>(tags[r])];
-    }
-    for (std::size_t i = 0; i < nf; ++i) {
-      here[static_cast<std::size_t>(lvl.f_list[i])] =
-          static_cast<Vertex>(meta.f_base + i);
-    }
-    for (std::size_t j = 0; j < lvl.c_list.size(); ++j) {
-      here[static_cast<std::size_t>(lvl.c_list[j])] = below[j];
-    }
-    std::swap(below, here);
-  }
-  if (below != slots_.data()) std::swap(slots_, slot_rows_);
+  std::copy(slots.begin(), slots.end(), slots_.data());
   for (Vertex v = 0; v < n0; ++v) {
-    slot_rows_[static_cast<std::size_t>(slots_[static_cast<std::size_t>(v)])] = v;
+    slot_rows_[static_cast<std::size_t>(slots[static_cast<std::size_t>(v)])] = v;
   }
 }
 

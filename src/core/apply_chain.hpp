@@ -62,21 +62,23 @@ struct EliminationLevel {
   Vertex nf = 0;  ///< |F_k|
   Vertex nc = 0;  ///< |C_k|
   std::vector<Vertex> f_list;  ///< level-local ids eliminated here
-  std::vector<Vertex> c_list;  ///< level-local ids kept (next level order)
   std::vector<double> inv_x;   ///< 1/X_ff; 0 for isolated vertices
   std::vector<double> y_diag;  ///< induced-F weighted degree (Y diagonal)
 
-  /// Row-compressed adjacency over local index spaces: one entry per
-  /// (row, column), weighted by the sum of that pair's multi-edges and
-  /// ordered by first occurrence in the walk-graph row.
+  /// Row-compressed adjacency: one entry per (row, column), weighted by
+  /// the sum of that pair's multi-edges and ordered by first occurrence in
+  /// the walk-graph row.
   struct SubCsr {
     std::vector<EdgeId> off;  ///< size rows+1
-    std::vector<Vertex> nbr;  ///< column indices (target space), distinct per row
+    std::vector<Vertex> nbr;  ///< column indices, distinct per row
     std::vector<Weight> w;
   };
   SubCsr ff;  ///< F-row -> F-col: Y's off-diagonal weights, both directions
-  SubCsr fc;  ///< F-row -> C-col (L_FC)
-  SubCsr cf;  ///< C-row -> F-col (L_CF), the stable transpose of fc
+  SubCsr fc;  ///< F-row -> C vertex (L_FC), columns in input (level-0) ids
+  /// C-row -> F-col (L_CF), the stable transpose of fc, holding only the
+  /// C vertices that have an F neighbour, in increasing vertex order.
+  SubCsr cf;
+  std::vector<Vertex> cf_rows;  ///< input id of each cf row
 };
 
 /// One storage type's apply scratch (interleaved panels; see
@@ -158,12 +160,14 @@ class ApplyChain {
 
   /// Packs `staging` (consumed by copy; buffers stay with the arena for
   /// recycling) plus the dense base solve into the immutable form.
-  /// `storage` selects the value-array precision (fp64 keeps the staged
-  /// doubles; fp32 narrows every value once, here; kAuto is a caller
-  /// bug — resolve before building).
-  void finalize(std::span<const EliminationLevel> staging, Vertex n0,
-                DenseMatrix base_pinv, Vertex base_n, int jacobi_terms,
-                std::uint64_t build_id,
+  /// `slots[v]` is input vertex v's elimination slot; the staged fc
+  /// columns and cf rows, which name input vertices, are rewritten
+  /// through it. `storage` selects the value-array precision (fp64 keeps
+  /// the staged doubles; fp32 narrows every value once, here; kAuto is a
+  /// caller bug — resolve before building).
+  void finalize(std::span<const EliminationLevel> staging,
+                std::span<const Vertex> slots, DenseMatrix base_pinv,
+                Vertex base_n, int jacobi_terms, std::uint64_t build_id,
                 Precision storage = Precision::kFp64);
 
   [[nodiscard]] Vertex dimension() const noexcept { return n0_; }

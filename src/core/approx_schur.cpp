@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "core/alpha_bound.hpp"
 #include "parallel/for_each.hpp"
@@ -56,44 +55,49 @@ ApproxSchurResult approx_schur(const Multigraph& g,
                  g.edge_weight(e));
   });
 
+  // One in-place level graph for all levels (core/level_graph.hpp).
+  LevelGraph lg;
+  lg.adopt(cur);
+  FiveDdScratch five_dd;
+  WalkGraph wg;
+  std::vector<Vertex> f_index;
   ApproxSchurResult result;
-  while (cur.num_vertices() > num_c) {
+  while (lg.num_vertices() > num_c) {
     PARLAP_CHECK_MSG(result.levels < opts.max_levels,
                      "ApproxSchur exceeded max_levels");
     const std::uint64_t lseed = schur_level_seed(seed, result.levels);
-    const Vertex nk = cur.num_vertices();
 
-    // U_k = non-terminals = [num_c, nk); find a 5-DD subset of G[U_k].
-    std::vector<Vertex> candidates(static_cast<std::size_t>(nk - num_c));
-    std::iota(candidates.begin(), candidates.end(), num_c);
-    const FiveDdResult fdd =
-        five_dd_subset(cur, candidates, lseed, opts.five_dd);
+    // U_k = non-terminals: the live vertices after the num_c terminals.
+    // Find a 5-DD subset of G[U_k].
+    const FiveDdResult fdd = five_dd_subset(
+        lg, lg.live().subspan(static_cast<std::size_t>(num_c)),
+        FiveDdDegree::kWithinCandidates, lseed, opts.five_dd, five_dd);
     PARLAP_CHECK(!fdd.f.empty());
 
-    // Keep set = everything except F_k; rank relabelling keeps terminals
-    // at [0, num_c) because F is disjoint from that prefix.
-    std::vector<Vertex> f_index(static_cast<std::size_t>(nk), kInvalidVertex);
+    // Eliminating F keeps the terminals first in the live list, because F
+    // is disjoint from them.
+    f_index.assign(static_cast<std::size_t>(lg.num_vertices()), kInvalidVertex);
     for (std::size_t i = 0; i < fdd.f.size(); ++i) {
-      f_index[static_cast<std::size_t>(fdd.f[i])] = static_cast<Vertex>(i);
+      f_index[static_cast<std::size_t>(lg.rank(fdd.f[i]))] =
+          static_cast<Vertex>(i);
     }
-    std::vector<Vertex> c_index(static_cast<std::size_t>(nk), kInvalidVertex);
-    Vertex kept = 0;
-    for (Vertex v = 0; v < nk; ++v) {
-      if (f_index[static_cast<std::size_t>(v)] == kInvalidVertex) {
-        c_index[static_cast<std::size_t>(v)] = kept++;
-      }
-    }
-
-    const WalkGraph wg = build_walk_graph(
-        cur, f_index, static_cast<Vertex>(fdd.f.size()));
-    WalkStats ws;
-    cur = terminal_walks(cur, wg, f_index, c_index, kept, seed,
-                         static_cast<std::uint64_t>(result.levels), &ws,
-                         opts.walks);
+    build_walk_graph(lg, fdd.f, wg);
+    const WalkStats ws = sample_schur_complement(
+        lg, wg, fdd.f, f_index, seed,
+        static_cast<std::uint64_t>(result.levels), opts.walks);
+    lg.eliminate(ws.edges_in - ws.edges_out);
     result.walk_stats.push_back(ws);
     ++result.levels;
   }
-  result.schur = std::move(cur);
+  // The survivors are the terminals, whose ranks are their ids [0, |C|).
+  (void)lg.renumbered();
+  lg.give_back(cur);
+  std::vector<Vertex> u;
+  std::vector<Vertex> v;
+  std::vector<Weight> w;
+  cur.swap_edge_arrays(u, v, w);
+  result.schur = Multigraph::adopt(num_c, std::move(u), std::move(v),
+                                   std::move(w));
   return result;
 }
 

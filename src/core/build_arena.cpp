@@ -10,30 +10,20 @@ void ChainBuildArena::for_each_capacity(Fn&& fn) const {
   const auto vec = [&fn](const auto& v) {
     fn(v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type));
   };
-  for (const EdgeBuffer& b : bufs_) {
-    vec(b.u);
-    vec(b.v);
-    vec(b.w);
-  }
-  vec(wdeg);
-  vec(degree_partial);
+  graph.for_each_capacity(fn);
+  vec(slots);
   vec(f_index);
-  vec(c_index);
+  vec(f_degree);
   vec(walk_graph.off);
   vec(walk_graph.nbr);
   vec(walk_graph.w);
   vec(walk_graph.prob);
   vec(walk_graph.alias);
-  vec(walk_build.hist);
-  vec(walk_build.base);
-  vec(walk_sample.out_u);
-  vec(walk_sample.out_v);
-  vec(walk_sample.out_w);
-  vec(walk_sample.keep);
-  vec(five_dd.pos);
+  vec(five_dd.staging);
   vec(five_dd.sample);
-  vec(five_dd.partial);
+  vec(five_dd.degree);
   vec(five_dd.induced);
+  vec(five_dd.candidate);
   vec(extract_hist);
   vec(extract_base);
   vec(extract_slot);
@@ -41,7 +31,7 @@ void ChainBuildArena::for_each_capacity(Fn&& fn) const {
   // beyond the begin_build() snapshot and are counted as growth.
   for (const EliminationLevel& lvl : level_staging) {
     vec(lvl.f_list);
-    vec(lvl.c_list);
+    vec(lvl.cf_rows);
     vec(lvl.inv_x);
     vec(lvl.y_diag);
     for (const EliminationLevel::SubCsr* blk : {&lvl.ff, &lvl.fc, &lvl.cf}) {
@@ -53,11 +43,6 @@ void ChainBuildArena::for_each_capacity(Fn&& fn) const {
 }
 
 void ChainBuildArena::begin_build() {
-  // Reset the double-buffer parity so a rebuild assigns level k to the
-  // same physical buffer as the previous build; otherwise an odd-depth
-  // chain would emit its (largest) level-0 output into the buffer that
-  // only ever held the smaller odd levels, forcing a regrow.
-  front_ = 0;
   capacity_snapshot_.clear();
   for_each_capacity(
       [this](std::size_t bytes) { capacity_snapshot_.push_back(bytes); });

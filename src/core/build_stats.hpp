@@ -22,12 +22,17 @@
 namespace parlap {
 
 /// Wall-clock seconds of one pass through Algorithm 1's per-level phases.
+/// Each level works on one in-place edge array (core/level_graph.hpp);
+/// only the 5-DD sweep reads all of it.
 struct BuildPhaseTimes {
-  double degrees = 0.0;     ///< weighted-degree recomputation of G^(k)
-  double five_dd = 0.0;     ///< 5DDSubset (Algorithm 3)
-  double partition = 0.0;   ///< F/C index + C-list construction
-  double walk_graph = 0.0;  ///< F-row adjacency + alias tables
-  double schur = 0.0;       ///< terminal-walk Schur sample (Algorithm 4)
+  double degrees = 0.0;     ///< S-row degree and induced-degree sums
+  double five_dd = 0.0;     ///< 5DDSubset (Algorithm 3): sampling, the
+                            ///< sweep per round, S rows, the 1/5 filter
+  double partition = 0.0;   ///< F bookkeeping: F index, slots, F degrees
+  double walk_graph = 0.0;  ///< F rows of the walk graph + alias tables
+  double schur = 0.0;       ///< terminal walks of the F-incident edges,
+                            ///< written in place (Algorithm 4), and the
+                            ///< live-list update (plus any compaction)
   double extract = 0.0;     ///< level sub-CSR extraction (Y, L_FC, L_CF)
 
   [[nodiscard]] double total() const noexcept {
@@ -49,6 +54,10 @@ struct BuildLevelTiming {
   Vertex n = 0;        ///< vertices of G^(k-1) entering the level
   EdgeId edges = 0;    ///< multi-edges entering the level
   Vertex f_size = 0;   ///< |F_k| eliminated
+  /// Edge-array slots the level's sweeps read, tombstones included: one
+  /// pass per 5-DD round.
+  EdgeId edges_scanned = 0;
+  EdgeId walked = 0;   ///< F-incident edges whose terminal walks ran
   BuildPhaseTimes phases;
 };
 
@@ -64,6 +73,9 @@ struct BuildStats {
   /// Arena scratch buffers that grew during this build; 0 in steady state
   /// (an arena warmed by a previous build of a same-shape problem).
   std::int64_t arena_allocations = 0;
+  /// Work counters summed over levels (see BuildLevelTiming).
+  EdgeId edges_scanned = 0;
+  EdgeId walked = 0;
   BuildPhaseTimes phases;  ///< summed over all levels
   /// Per-level breakdown of the largest single build seen (kept from the
   /// stats with the most levels when merging components/rounds).
@@ -82,6 +94,8 @@ struct BuildStats {
       peak_arena_bytes = o.peak_arena_bytes;
     }
     arena_allocations += o.arena_allocations;
+    edges_scanned += o.edges_scanned;
+    walked += o.walked;
     phases.accumulate(o.phases);
     if (o.levels > levels) {
       levels = o.levels;

@@ -2,28 +2,70 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include <omp.h>
 
 #include "parallel/for_each.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/timer.hpp"
 
 namespace parlap {
 
-void FiveDdScratch::prepare(Vertex n) {
-  const auto nz = static_cast<std::size_t>(n);
-  if (pos.size() < nz) pos.resize(nz, kInvalidVertex);
-}
-
 namespace {
 
+/// Ranks per chunk when m live edges are cut into `chunks` fixed chunks.
+EdgeId chunk_len(EdgeId m, std::int64_t chunks) {
+  return std::max<EdgeId>(1, (m + chunks - 1) / chunks);
+}
+
+/// Layout of a full weighted degree (weighted_degrees_into's): one chunk
+/// below 2^15 edges, else min(32, 2^24 / n) chunks.
+EdgeId degree_chunk_len(Vertex n, EdgeId m) {
+  if (m < (1 << 15)) return chunk_len(m, 1);
+  return chunk_len(m, std::max<std::int64_t>(
+                          1, std::min<std::int64_t>(
+                                 32, (std::int64_t{1} << 24) /
+                                         std::max<Vertex>(n, 1))));
+}
+
+/// Layout of a degree within a set of `size` vertices: min(32, 2^23 /
+/// size) chunks.
+EdgeId within_chunk_len(std::size_t size, EdgeId m) {
+  return chunk_len(m, std::max<std::int64_t>(
+                          1, std::min<std::int64_t>(
+                                 32, (std::int64_t{1} << 23) /
+                                         std::max<std::int64_t>(
+                                             static_cast<std::int64_t>(size), 1))));
+}
+
+/// Weight of the row's entries that pass `keep`: per chunk of `len`
+/// ranks a partial sum in rank order, the partials added in chunk order —
+/// the same floating-point sum as accumulating chunk-local partial arrays
+/// over the edge list and folding them, at any thread count.
+template <typename Keep>
+double chunked_row_sum(std::span<const RowEntry> row, EdgeId len,
+                       Keep&& keep) {
+  double total = 0.0;
+  double partial = 0.0;
+  EdgeId chunk = -1;
+  for (const RowEntry& e : row) {
+    if (!keep(e)) continue;
+    const EdgeId c = e.rank / len;
+    if (c != chunk) {
+      total += partial;
+      partial = 0.0;
+      chunk = c;
+    }
+    partial += e.w;
+  }
+  return total + partial;
+}
+
 /// Draws `count` distinct elements of `pool` by partial Fisher-Yates on a
-/// scratch copy; result is sorted for determinism downstream.
-std::vector<Vertex> sample_without_replacement(std::span<const Vertex> pool,
-                                               std::size_t count, Rng& rng,
-                                               std::vector<Vertex>& staging) {
+/// scratch copy into `out`, sorted for determinism downstream.
+void sample_without_replacement(std::span<const Vertex> pool,
+                                std::size_t count, Rng& rng,
+                                std::vector<Vertex>& staging,
+                                std::vector<Vertex>& out) {
   staging.assign(pool.begin(), pool.end());
   const std::size_t n = staging.size();
   PARLAP_CHECK(count <= n);
@@ -32,87 +74,50 @@ std::vector<Vertex> sample_without_replacement(std::span<const Vertex> pool,
         i + static_cast<std::size_t>(rng.next_below(static_cast<std::uint64_t>(n - i)));
     std::swap(staging[i], staging[j]);
   }
-  std::vector<Vertex> out(staging.begin(),
-                          staging.begin() + static_cast<std::ptrdiff_t>(count));
+  out.assign(staging.begin(),
+             staging.begin() + static_cast<std::ptrdiff_t>(count));
   std::sort(out.begin(), out.end());
-  return out;
 }
 
-/// Weighted degree within G[s] for every member of `s`, via one edge scan
-/// into chunk-local partials folded in fixed chunk order (deterministic
-/// under any thread count). `pos[v]` maps members of s to [0, |s|) and is
-/// expected to be kInvalidVertex elsewhere. The result lives in
-/// `scratch.induced` (first s_size entries).
-std::span<const double> induced_degrees(MultigraphView g,
-                                        std::span<const Vertex> pos,
-                                        std::size_t s_size,
-                                        FiveDdScratch& scratch) {
-  const EdgeId m = g.num_edges();
-  // Fixed chunk layout (independent of the thread count!): these are
-  // float accumulations that feed the 5-DD comparison, so their rounding
-  // must not vary with the machine.
-  const int chunks = std::max(
-      1, std::min<int>(32, static_cast<int>(
-                               (std::int64_t{1} << 23) /
-                               std::max<std::int64_t>(
-                                   static_cast<std::int64_t>(s_size), 1))));
-  const EdgeId chunk_len = (m + chunks - 1) / std::max(chunks, 1);
-  scratch.partial.assign(static_cast<std::size_t>(chunks) * s_size, 0.0);
-  double* partial = scratch.partial.data();
-#pragma omp parallel for schedule(static)
-  for (int c = 0; c < chunks; ++c) {
-    double* local = partial + static_cast<std::size_t>(c) * s_size;
-    const EdgeId lo = c * chunk_len;
-    const EdgeId hi = std::min(m, lo + chunk_len);
-    for (EdgeId e = lo; e < hi; ++e) {
-      const Vertex pu = pos[static_cast<std::size_t>(g.edge_u(e))];
-      const Vertex pv = pos[static_cast<std::size_t>(g.edge_v(e))];
-      if (pu == kInvalidVertex || pv == kInvalidVertex) continue;
-      const Weight w = g.edge_weight(e);
-      local[static_cast<std::size_t>(pu)] += w;
-      local[static_cast<std::size_t>(pv)] += w;
-    }
-  }
-  scratch.induced.assign(s_size, 0.0);
-  double* induced = scratch.induced.data();
-  parallel_for(std::size_t{0}, s_size, [&](std::size_t i) {
-    double acc = 0.0;
-    for (int c = 0; c < chunks; ++c)
-      acc += partial[static_cast<std::size_t>(c) * s_size + i];
-    induced[i] = acc;
-  });
-  return std::span<const double>(scratch.induced.data(), s_size);
-}
-
-/// filter(S) = { i in S : deg_{G[S]}(i) <= cand_deg(i) / 5 }. Any subset
-/// of a filtered set only loses induced degree, so the result is 5-DD.
-std::vector<Vertex> filter_five_dd(MultigraphView g,
-                                   std::span<const Vertex> s,
-                                   std::span<const double> cand_deg,
-                                   FiveDdScratch& scratch) {
-  std::vector<Vertex>& pos = scratch.pos;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    pos[static_cast<std::size_t>(s[i])] = static_cast<Vertex>(i);
-  }
-  const std::span<const double> induced =
-      induced_degrees(g, pos, s.size(), scratch);
+/// filter(S) = { i in S : deg_{G[S]}(i) <= degree(i) / 5 } after one sweep
+/// of g for S. Any subset of a filtered set only loses induced degree, so
+/// the result is 5-DD. `degree_len` is the test degree's chunk length.
+std::vector<Vertex> filter_five_dd(LevelGraph& g, std::span<const Vertex> s,
+                                   FiveDdDegree degree, EdgeId degree_len,
+                                   FiveDdScratch& scratch,
+                                   FiveDdResult& result) {
+  result.edges_scanned += g.scan(s);
+  const WallTimer timer;
+  const EdgeId induced_len = within_chunk_len(s.size(), g.num_edges());
+  scratch.degree.resize(s.size());
+  scratch.induced.resize(s.size());
+  const std::uint8_t* candidate = scratch.candidate.data();
+  parallel_for(std::size_t{0}, s.size(), [&](std::size_t i) {
+    const std::span<const RowEntry> row = g.row(i);
+    scratch.degree[i] =
+        degree == FiveDdDegree::kFull
+            ? chunked_row_sum(row, degree_len, [](const RowEntry&) { return true; })
+            : chunked_row_sum(row, degree_len, [&](const RowEntry& e) {
+                return candidate[e.other] != 0;
+              });
+    scratch.induced[i] = chunked_row_sum(
+        row, induced_len, [&](const RowEntry& e) { return g.in_sample(e.other); });
+  }, 512);
+  result.degree_seconds += timer.seconds();
   std::vector<Vertex> f;
   f.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (induced[i] <= cand_deg[static_cast<std::size_t>(s[i])] / 5.0) {
-      f.push_back(s[i]);
-    }
+    if (scratch.induced[i] <= scratch.degree[i] / 5.0) f.push_back(s[i]);
   }
-  for (const Vertex v : s) pos[static_cast<std::size_t>(v)] = kInvalidVertex;
   return f;
 }
 
-FiveDdResult five_dd_impl(MultigraphView g,
-                          std::span<const Vertex> candidates,
-                          std::span<const double> cand_deg,
-                          std::uint64_t seed, const FiveDdOptions& opts,
-                          FiveDdScratch& scratch) {
-  const Vertex n = g.num_vertices();
+}  // namespace
+
+FiveDdResult five_dd_subset(LevelGraph& g, std::span<const Vertex> candidates,
+                            FiveDdDegree degree, std::uint64_t seed,
+                            const FiveDdOptions& opts,
+                            FiveDdScratch& scratch) {
   const std::size_t nc = candidates.size();
   PARLAP_CHECK_MSG(nc >= 1, "5DDSubset needs a non-empty candidate set");
 
@@ -122,15 +127,27 @@ FiveDdResult five_dd_impl(MultigraphView g,
   const auto sample_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::floor(opts.sample_fraction *
                                              static_cast<double>(nc))));
+  const EdgeId degree_len =
+      degree == FiveDdDegree::kFull
+          ? degree_chunk_len(g.num_vertices(), g.num_edges())
+          : within_chunk_len(nc, g.num_edges());
+  if (degree == FiveDdDegree::kWithinCandidates) {
+    const auto n0 = static_cast<std::size_t>(g.id_bound());
+    if (scratch.candidate.size() < n0) scratch.candidate.resize(n0, 0);
+    for (const Vertex v : candidates) {
+      PARLAP_CHECK(v >= 0 && v < g.id_bound());
+      scratch.candidate[static_cast<std::size_t>(v)] = 1;
+    }
+  }
 
-  scratch.prepare(n);
   FiveDdResult result;
   for (int round = 0; round < opts.max_rounds; ++round) {
     result.rounds = round + 1;
     Rng rng(seed, RngTag::kFiveDd, static_cast<std::uint64_t>(round));
-    const std::vector<Vertex> fprime = sample_without_replacement(
-        candidates, sample_size, rng, scratch.sample);
-    result.f = filter_five_dd(g, fprime, cand_deg, scratch);
+    sample_without_replacement(candidates, sample_size, rng, scratch.staging,
+                               scratch.sample);
+    result.f = filter_five_dd(g, scratch.sample, degree, degree_len, scratch,
+                              result);
     if (result.f.size() >= target) break;
     PARLAP_CHECK_MSG(round + 1 < opts.max_rounds,
                      "5DDSubset failed to reach target size "
@@ -138,72 +155,53 @@ FiveDdResult five_dd_impl(MultigraphView g,
   }
 
   // Optional growth: refilter (F union fresh sample) as a whole; keep the
-  // larger of the two (filter output is always 5-DD).
+  // larger of the two (filter output is always 5-DD). Every refiltered set
+  // contains F, so the last sweep's rows always cover the result.
   for (int b = 0; b < opts.boost_rounds; ++b) {
     Rng rng(seed, RngTag::kFiveDd, 0xB0057000u + static_cast<std::uint64_t>(b));
+    g.select(result.f);
     std::vector<Vertex> pool;
     pool.reserve(nc - result.f.size());
-    {
-      std::vector<std::uint8_t> in_f(static_cast<std::size_t>(n), 0);
-      for (const Vertex v : result.f) in_f[static_cast<std::size_t>(v)] = 1;
-      for (const Vertex v : candidates) {
-        if (in_f[static_cast<std::size_t>(v)] == 0) pool.push_back(v);
-      }
+    for (const Vertex v : candidates) {
+      if (!g.selected(v)) pool.push_back(v);
     }
     if (pool.empty()) break;
     const std::size_t extra = std::min(pool.size(), sample_size);
-    std::vector<Vertex> s =
-        sample_without_replacement(pool, extra, rng, scratch.sample);
+    std::vector<Vertex> s;
+    sample_without_replacement(pool, extra, rng, scratch.staging, s);
     s.insert(s.end(), result.f.begin(), result.f.end());
     std::sort(s.begin(), s.end());
-    std::vector<Vertex> grown = filter_five_dd(g, s, cand_deg, scratch);
+    std::vector<Vertex> grown =
+        filter_five_dd(g, s, degree, degree_len, scratch, result);
     if (grown.size() > result.f.size()) result.f = std::move(grown);
   }
+
+  if (degree == FiveDdDegree::kWithinCandidates) {
+    for (const Vertex v : candidates) {
+      scratch.candidate[static_cast<std::size_t>(v)] = 0;
+    }
+  }
+  g.select(result.f);
   return result;
 }
 
-}  // namespace
-
-FiveDdResult five_dd_subset(MultigraphView g,
-                            std::span<const double> weighted_degree,
-                            std::uint64_t seed, const FiveDdOptions& opts) {
+FiveDdResult five_dd_subset(MultigraphView g, std::uint64_t seed,
+                            const FiveDdOptions& opts) {
+  LevelGraph lg;
+  lg.assign(g);
   FiveDdScratch scratch;
-  return five_dd_subset(g, weighted_degree, seed, opts, scratch);
-}
-
-FiveDdResult five_dd_subset(MultigraphView g,
-                            std::span<const double> weighted_degree,
-                            std::uint64_t seed, const FiveDdOptions& opts,
-                            FiveDdScratch& scratch) {
-  PARLAP_CHECK(weighted_degree.size() ==
-               static_cast<std::size_t>(g.num_vertices()));
-  std::vector<Vertex> all(static_cast<std::size_t>(g.num_vertices()));
-  std::iota(all.begin(), all.end(), Vertex{0});
-  return five_dd_impl(g, all, weighted_degree, seed, opts, scratch);
+  return five_dd_subset(lg, lg.live(), FiveDdDegree::kFull, seed, opts,
+                        scratch);
 }
 
 FiveDdResult five_dd_subset(MultigraphView g,
                             std::span<const Vertex> candidates,
                             std::uint64_t seed, const FiveDdOptions& opts) {
-  const Vertex n = g.num_vertices();
+  LevelGraph lg;
+  lg.assign(g);
   FiveDdScratch scratch;
-  scratch.prepare(n);
-  // Degrees within G[candidates].
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    PARLAP_DCHECK(candidates[i] >= 0 && candidates[i] < n);
-    scratch.pos[static_cast<std::size_t>(candidates[i])] =
-        static_cast<Vertex>(i);
-  }
-  const std::span<const double> within =
-      induced_degrees(g, scratch.pos, candidates.size(), scratch);
-  std::vector<double> cand_deg(static_cast<std::size_t>(n), 0.0);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    cand_deg[static_cast<std::size_t>(candidates[i])] = within[i];
-  }
-  for (const Vertex v : candidates) {
-    scratch.pos[static_cast<std::size_t>(v)] = kInvalidVertex;
-  }
-  return five_dd_impl(g, candidates, cand_deg, seed, opts, scratch);
+  return five_dd_subset(lg, candidates, FiveDdDegree::kWithinCandidates,
+                        seed, opts, scratch);
 }
 
 bool is_five_dd(MultigraphView g, std::span<const Vertex> f,

@@ -7,25 +7,28 @@
 // round succeeds (|F| >= |cands|/40) with probability >= 1/2, so the
 // expected work is O(m) and the expected round count O(1).
 //
-// Implementation detail: induced degrees are accumulated by a single scan
-// over the edge list into chunk-local partials folded in fixed order, so
-// no adjacency structure is required and results are independent of the
-// thread count.
+// Implementation: every round runs on a LevelGraph (level_graph.hpp).
+// One read-only sweep of its edge array sorts the edges incident to the
+// sample S into S rows, and each S row sums its own degree and its
+// induced degree in rank order, restarting at the chunk boundaries the
+// whole-edge-list scans used (a fixed layout that depends on the graph,
+// never on the thread count), so the test sees the same floating-point
+// sums at any thread count. The accepted F is a subset of the last S, so
+// its rows stay in the level graph for the walk graph and the walks.
 //
 // The `candidates` overload implements the induced-subgraph call of
 // ApproxSchur (Algorithm 6): degrees are measured inside G[candidates],
 // which only strengthens the 5-DD property w.r.t. the full graph.
 //
-// Hot-path reuse: the chain build calls 5DDSubset once per elimination
-// level; the FiveDdScratch overload recycles the position map, sampling
-// buffer, and induced-degree partials across those calls (ChainBuildArena
-// owns one scratch per build).
+// The MultigraphView overloads wrap the level-graph one: they copy the
+// graph into a fresh LevelGraph and run the same rounds.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/level_graph.hpp"
 #include "graph/multigraph.hpp"
 
 namespace parlap {
@@ -47,32 +50,44 @@ struct FiveDdOptions {
 struct FiveDdResult {
   std::vector<Vertex> f;  ///< the 5-DD subset, ascending vertex ids
   int rounds = 0;         ///< sampling rounds used (excluding boosts)
+  /// Edge-array slots the rounds' sweeps read (tombstones included).
+  EdgeId edges_scanned = 0;
+  /// Wall time of the S-row degree sums (the build's `degrees` phase).
+  double degree_seconds = 0.0;
+};
+
+/// Which degree the 1/5 test divides by.
+enum class FiveDdDegree {
+  kFull,             ///< weighted degree in G (the chain build)
+  kWithinCandidates  ///< weighted degree within G[candidates] (ApproxSchur)
 };
 
 /// Reusable scratch for repeated five_dd_subset calls (one elimination
 /// level each). All buffers grow to their high-water mark and are never
-/// shrunk; `pos` entries are kInvalidVertex between calls (the filter
-/// resets exactly the entries it stamped).
+/// shrunk; `candidate` entries are 0 between calls.
 struct FiveDdScratch {
-  std::vector<Vertex> pos;       ///< vertex -> sample position map
-  std::vector<Vertex> sample;    ///< Fisher-Yates staging copy
-  std::vector<double> partial;   ///< chunk-local induced-degree partials
-  std::vector<double> induced;   ///< folded induced degrees
-
-  /// Ensures `pos` covers `n` vertices, all kInvalidVertex.
-  void prepare(Vertex n);
+  std::vector<Vertex> staging;   ///< Fisher-Yates copy of the candidates
+  std::vector<Vertex> sample;    ///< the round's S, ascending
+  std::vector<double> degree;    ///< per S row: the 1/5 test's degree
+  std::vector<double> induced;   ///< per S row: degree within G[S]
+  std::vector<std::uint8_t> candidate;  ///< kWithinCandidates membership
 };
 
-/// Finds a 5-DD subset among all vertices of `g`; `weighted_degree` must
-/// be g's weighted degree array (callers typically already have it).
-[[nodiscard]] FiveDdResult five_dd_subset(
-    MultigraphView g, std::span<const double> weighted_degree,
-    std::uint64_t seed, const FiveDdOptions& opts = {});
+/// 5DDSubset on a level graph: samples among `candidates` (live ids,
+/// e.g. g.live()). On return g holds the rows of the last sampled S,
+/// which contains the result, with the result select()ed, and
+/// scratch.degree[g.sample_position(v)] is v's test degree.
+[[nodiscard]] FiveDdResult five_dd_subset(LevelGraph& g,
+                                          std::span<const Vertex> candidates,
+                                          FiveDdDegree degree,
+                                          std::uint64_t seed,
+                                          const FiveDdOptions& opts,
+                                          FiveDdScratch& scratch);
 
-/// Scratch-reusing variant of the above (the chain-build hot path).
-[[nodiscard]] FiveDdResult five_dd_subset(
-    MultigraphView g, std::span<const double> weighted_degree,
-    std::uint64_t seed, const FiveDdOptions& opts, FiveDdScratch& scratch);
+/// Finds a 5-DD subset among all vertices of `g`.
+[[nodiscard]] FiveDdResult five_dd_subset(MultigraphView g,
+                                          std::uint64_t seed,
+                                          const FiveDdOptions& opts = {});
 
 /// Finds a 5-DD subset of the induced subgraph G[candidates]; degrees in
 /// the 1/5 test are taken within G[candidates].

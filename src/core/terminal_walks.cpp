@@ -14,149 +14,62 @@
 
 namespace parlap {
 
-void build_walk_graph_into(MultigraphView g, std::span<const Vertex> f_index,
-                           Vertex nf, WalkGraph& wg,
-                           WalkBuildScratch& scratch) {
-  const EdgeId m = g.num_edges();
-  wg.off.assign(static_cast<std::size_t>(nf) + 1, 0);
-  if (nf == 0) {
-    wg.nbr.clear();
-    wg.w.clear();
-    wg.prob.clear();
-    wg.alias.clear();
-    return;
-  }
-
-  // Stable parallel counting sort of F-incident edge endpoints, chunked so
-  // placement is deterministic (same pattern as CsrGraph).
-  const int chunks = std::max(
-      1, std::min<int>(thread_count(),
-                       static_cast<int>((std::int64_t{1} << 24) /
-                                        std::max<Vertex>(nf, 1))));
-  const EdgeId chunk_len = (m + chunks - 1) / chunks;
-  const auto nfz = static_cast<std::size_t>(nf);
-  scratch.hist.assign(static_cast<std::size_t>(chunks) * nfz, 0);
-  EdgeId* hist = scratch.hist.data();
-
-#pragma omp parallel for schedule(static) num_threads(chunks)
-  for (int c = 0; c < chunks; ++c) {
-    EdgeId* local = hist + static_cast<std::size_t>(c) * nfz;
-    const EdgeId lo = c * chunk_len;
-    const EdgeId hi = std::min(m, lo + chunk_len);
-    for (EdgeId e = lo; e < hi; ++e) {
-      const Vertex fu = f_index[static_cast<std::size_t>(g.edge_u(e))];
-      const Vertex fv = f_index[static_cast<std::size_t>(g.edge_v(e))];
-      if (fu != kInvalidVertex) ++local[static_cast<std::size_t>(fu)];
-      if (fv != kInvalidVertex) ++local[static_cast<std::size_t>(fv)];
-    }
-  }
-
-  parallel_for(Vertex{0}, nf, [&](Vertex i) {
-    EdgeId total = 0;
-    for (int c = 0; c < chunks; ++c)
-      total += hist[static_cast<std::size_t>(c) * nfz + static_cast<std::size_t>(i)];
-    wg.off[static_cast<std::size_t>(i)] = total;
+void build_walk_graph(const LevelGraph& g, std::span<const Vertex> f,
+                      WalkGraph& wg) {
+  const std::size_t nf = f.size();
+  wg.off.resize(nf + 1);
+  parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
+    wg.off[i] = static_cast<EdgeId>(g.row(static_cast<std::size_t>(
+                                             g.sample_position(f[i])))
+                                        .size());
   });
-  wg.off[nfz] = 0;
-  exclusive_scan(std::span<EdgeId>(wg.off));
-  const EdgeId vol = wg.off[nfz];
+  wg.off[nf] = 0;
+  const EdgeId vol = exclusive_scan(std::span<EdgeId>(wg.off));
   wg.nbr.resize(static_cast<std::size_t>(vol));
   wg.w.resize(static_cast<std::size_t>(vol));
-
-  scratch.base.resize(static_cast<std::size_t>(chunks) * nfz);
-  EdgeId* base = scratch.base.data();
-  parallel_for(Vertex{0}, nf, [&](Vertex i) {
-    EdgeId run = wg.off[static_cast<std::size_t>(i)];
-    for (int c = 0; c < chunks; ++c) {
-      base[static_cast<std::size_t>(c) * nfz + static_cast<std::size_t>(i)] = run;
-      run += hist[static_cast<std::size_t>(c) * nfz + static_cast<std::size_t>(i)];
-    }
-  });
-
-#pragma omp parallel for schedule(static) num_threads(chunks)
-  for (int c = 0; c < chunks; ++c) {
-    EdgeId* local = base + static_cast<std::size_t>(c) * nfz;
-    const EdgeId lo = c * chunk_len;
-    const EdgeId hi = std::min(m, lo + chunk_len);
-    for (EdgeId e = lo; e < hi; ++e) {
-      const Vertex u = g.edge_u(e);
-      const Vertex v = g.edge_v(e);
-      const Weight w = g.edge_weight(e);
-      const Vertex fu = f_index[static_cast<std::size_t>(u)];
-      const Vertex fv = f_index[static_cast<std::size_t>(v)];
-      if (fu != kInvalidVertex) {
-        const auto p = static_cast<std::size_t>(local[static_cast<std::size_t>(fu)]++);
-        wg.nbr[p] = v;
-        wg.w[p] = w;
-      }
-      if (fv != kInvalidVertex) {
-        const auto p = static_cast<std::size_t>(local[static_cast<std::size_t>(fv)]++);
-        wg.nbr[p] = u;
-        wg.w[p] = w;
-      }
-    }
-  }
-
-  // Alias tables per F row (Lemma 2.6: O(deg) build, O(1) query).
   wg.prob.resize(static_cast<std::size_t>(vol));
   wg.alias.resize(static_cast<std::size_t>(vol));
-  parallel_for(Vertex{0}, nf, [&](Vertex i) {
-    const auto lo = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i)]);
-    const auto deg = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i) + 1]) - lo;
-    if (deg == 0) return;  // isolated F vertex: never visited by any walk
-    build_alias(std::span<const double>(wg.w.data() + lo, deg),
-                std::span<double>(wg.prob.data() + lo, deg),
-                std::span<std::int32_t>(wg.alias.data() + lo, deg));
+
+  // Rows in rank order, then an alias table per row (Lemma 2.6: O(deg)
+  // build, O(1) query).
+  parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
+    const std::span<const RowEntry> row =
+        g.row(static_cast<std::size_t>(g.sample_position(f[i])));
+    const auto lo = static_cast<std::size_t>(wg.off[i]);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      wg.nbr[lo + k] = g.rank(row[k].other);
+      wg.w[lo + k] = row[k].w;
+    }
+    if (row.empty()) return;  // isolated F vertex: never visited by any walk
+    build_alias(std::span<const double>(wg.w.data() + lo, row.size()),
+                std::span<double>(wg.prob.data() + lo, row.size()),
+                std::span<std::int32_t>(wg.alias.data() + lo, row.size()));
   });
 }
 
-WalkGraph build_walk_graph(MultigraphView g,
-                           std::span<const Vertex> f_index, Vertex nf) {
-  WalkGraph wg;
-  WalkBuildScratch scratch;
-  build_walk_graph_into(g, f_index, nf, wg, scratch);
-  return wg;
-}
-
-void sample_schur_complement(MultigraphView g, const WalkGraph& walk_graph,
-                             std::span<const Vertex> f_index,
-                             std::span<const Vertex> c_index, Vertex num_c,
-                             std::uint64_t seed, std::uint64_t level,
-                             WalkStats* stats, const WalkOptions& opts,
-                             TerminalWalkScratch& scratch,
-                             std::vector<Vertex>& out_u,
-                             std::vector<Vertex>& out_v,
-                             std::vector<Weight>& out_w) {
-  const Vertex n = g.num_vertices();
+WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
+                                  std::span<const Vertex> f,
+                                  std::span<const Vertex> f_index,
+                                  std::uint64_t seed, std::uint64_t level,
+                                  const WalkOptions& opts) {
   const EdgeId m = g.num_edges();
-  PARLAP_CHECK(f_index.size() == static_cast<std::size_t>(n));
-  PARLAP_CHECK(c_index.size() == static_cast<std::size_t>(n));
-  PARLAP_CHECK(num_c >= 1);
-  PARLAP_CHECK(walk_graph.off.size() >= 1);
+  PARLAP_CHECK(walk_graph.rows() == static_cast<Vertex>(f.size()));
+  PARLAP_CHECK(f_index.size() == static_cast<std::size_t>(g.num_vertices()));
 
   const int cap = opts.max_walk_steps > 0
                       ? opts.max_walk_steps
                       : 32 + 16 * static_cast<int>(std::ceil(std::log2(
                                       static_cast<double>(m) + 2.0)));
+  const std::span<const Vertex> live = g.live();
 
-  // Per-edge outputs, compacted afterwards in input order (deterministic).
-  scratch.out_u.resize(static_cast<std::size_t>(m));
-  scratch.out_v.resize(static_cast<std::size_t>(m));
-  scratch.out_w.resize(static_cast<std::size_t>(m));
-  scratch.keep.assign(static_cast<std::size_t>(m) + 1, 0);
-  std::span<Vertex> walk_u(scratch.out_u.data(), static_cast<std::size_t>(m));
-  std::span<Vertex> walk_v(scratch.out_v.data(), static_cast<std::size_t>(m));
-  std::span<Weight> walk_w(scratch.out_w.data(), static_cast<std::size_t>(m));
-  std::span<EdgeId> keep(scratch.keep.data(), static_cast<std::size_t>(m) + 1);
-
-  const int num_threads = thread_count();
+  const int num_threads = parallelism_allowed() ? thread_count() : 1;
   std::vector<WalkStats> local_stats(static_cast<std::size_t>(num_threads));
   // Exceptions must not cross the OpenMP region boundary; failures set
   // this flag and the check fires after the region joins.
   std::atomic<bool> retries_exhausted{false};
 
   struct WalkOutcome {
-    Vertex terminal = kInvalidVertex;
+    Vertex terminal = kInvalidVertex;  ///< level-local id
     double inv_weight_sum = 0.0;
     int length = 0;
   };
@@ -200,45 +113,41 @@ void sample_schur_complement(MultigraphView g, const WalkGraph& walk_graph,
           ++out.length;
         }
         if (!capped) {
-          out.terminal = c_index[static_cast<std::size_t>(x)];
+          out.terminal = x;
           return out;
         }
         ++ls.retries;
       }
     };
 
-#pragma omp for schedule(dynamic, 512)
-    for (EdgeId e = 0; e < m; ++e) {
-      if (retries_exhausted.load(std::memory_order_relaxed)) continue;
-      const Vertex u = g.edge_u(e);
-      const Vertex v = g.edge_v(e);
-      const Vertex cu = c_index[static_cast<std::size_t>(u)];
-      const Vertex cv = c_index[static_cast<std::size_t>(v)];
-      // Fast path: both endpoints terminal — the walk is the edge itself.
-      if (cu != kInvalidVertex && cv != kInvalidVertex) {
-        walk_u[static_cast<std::size_t>(e)] = cu;
-        walk_v[static_cast<std::size_t>(e)] = cv;
-        walk_w[static_cast<std::size_t>(e)] = g.edge_weight(e);
-        keep[static_cast<std::size_t>(e)] = 1;
-        continue;
+#pragma omp for schedule(dynamic, 16)
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      const Vertex fi = f[i];
+      for (const RowEntry& e :
+           g.row(static_cast<std::size_t>(g.sample_position(fi)))) {
+        if (retries_exhausted.load(std::memory_order_relaxed)) break;
+        // An F-F edge is in two F rows; it walks from its u endpoint's.
+        if (e.from_u == 0 && g.selected(e.other)) continue;
+        Rng rng(seed, RngTag::kTerminalWalk,
+                (level << 40) ^ static_cast<std::uint64_t>(e.rank));
+        const Vertex u = e.from_u != 0 ? fi : e.other;
+        const Vertex v = e.from_u != 0 ? e.other : fi;
+        const WalkOutcome w1 = run_walk(g.rank(u), rng);
+        const WalkOutcome w2 = run_walk(g.rank(v), rng);
+        if (retries_exhausted.load(std::memory_order_relaxed)) break;
+        ++ls.walked;
+        ls.total_steps += w1.length + w2.length;
+        ls.max_walk_len = std::max({ls.max_walk_len, w1.length, w2.length});
+        if (w1.terminal == w2.terminal) {
+          ++ls.dropped_loops;
+          g.drop_edge(e.slot);
+          continue;
+        }
+        const double inv_sum =
+            1.0 / e.w + w1.inv_weight_sum + w2.inv_weight_sum;
+        g.set_edge(e.slot, live[static_cast<std::size_t>(w1.terminal)],
+                   live[static_cast<std::size_t>(w2.terminal)], 1.0 / inv_sum);
       }
-      Rng rng(seed, RngTag::kTerminalWalk,
-              (level << 40) ^ static_cast<std::uint64_t>(e));
-      const WalkOutcome w1 = run_walk(u, rng);
-      const WalkOutcome w2 = run_walk(v, rng);
-      if (retries_exhausted.load(std::memory_order_relaxed)) continue;
-      ls.total_steps += w1.length + w2.length;
-      ls.max_walk_len = std::max({ls.max_walk_len, w1.length, w2.length});
-      if (w1.terminal == w2.terminal) {
-        ++ls.dropped_loops;
-        continue;
-      }
-      const double inv_sum =
-          1.0 / g.edge_weight(e) + w1.inv_weight_sum + w2.inv_weight_sum;
-      walk_u[static_cast<std::size_t>(e)] = w1.terminal;
-      walk_v[static_cast<std::size_t>(e)] = w2.terminal;
-      walk_w[static_cast<std::size_t>(e)] = 1.0 / inv_sum;
-      keep[static_cast<std::size_t>(e)] = 1;
     }
     local_stats[static_cast<std::size_t>(omp_get_thread_num())] = ls;
   }
@@ -248,26 +157,44 @@ void sample_schur_complement(MultigraphView g, const WalkGraph& walk_graph,
                        << cap << " steps after " << opts.max_retries
                        << " retries; is V\\C 5-DD?");
 
-  // Compact kept edges by prefix scan over the keep flags.
-  const EdgeId m_out = exclusive_scan(keep);
-  out_u.resize(static_cast<std::size_t>(m_out));
-  out_v.resize(static_cast<std::size_t>(m_out));
-  out_w.resize(static_cast<std::size_t>(m_out));
-  parallel_for(EdgeId{0}, m, [&](EdgeId e) {
-    const auto i = static_cast<std::size_t>(e);
-    if (keep[i + 1] == keep[i]) return;
-    const auto slot = static_cast<std::size_t>(keep[i]);
-    out_u[slot] = walk_u[i];
-    out_v[slot] = walk_v[i];
-    out_w[slot] = walk_w[i];
-  });
+  WalkStats stats;
+  for (const WalkStats& ls : local_stats) stats.accumulate(ls);
+  stats.edges_in = m;
+  stats.edges_out = m - stats.dropped_loops;
+  return stats;
+}
 
-  if (stats != nullptr) {
-    *stats = WalkStats{};
-    for (const WalkStats& ls : local_stats) stats->accumulate(ls);
-    stats->edges_in = m;
-    stats->edges_out = m_out;
+namespace {
+
+/// The F list in F-position order of a whole-graph F index.
+std::vector<Vertex> f_list_of(std::span<const Vertex> f_index, Vertex nf) {
+  std::vector<Vertex> f(static_cast<std::size_t>(nf), kInvalidVertex);
+  for (std::size_t v = 0; v < f_index.size(); ++v) {
+    const Vertex i = f_index[v];
+    if (i == kInvalidVertex) continue;
+    PARLAP_CHECK_MSG(i >= 0 && i < nf &&
+                         f[static_cast<std::size_t>(i)] == kInvalidVertex,
+                     "F index " << i << " of vertex " << v
+                                << " is out of range or repeated");
+    f[static_cast<std::size_t>(i)] = static_cast<Vertex>(v);
   }
+  PARLAP_CHECK_MSG(std::find(f.begin(), f.end(), kInvalidVertex) == f.end(),
+                   "F index names fewer than " << nf << " vertices");
+  return f;
+}
+
+}  // namespace
+
+WalkGraph build_walk_graph(MultigraphView g, std::span<const Vertex> f_index,
+                           Vertex nf) {
+  PARLAP_CHECK(f_index.size() == static_cast<std::size_t>(g.num_vertices()));
+  LevelGraph lg;
+  lg.assign(g);
+  const std::vector<Vertex> f = f_list_of(f_index, nf);
+  (void)lg.scan(f);
+  WalkGraph wg;
+  build_walk_graph(lg, f, wg);
+  return wg;
 }
 
 Multigraph terminal_walks(MultigraphView g, const WalkGraph& walk_graph,
@@ -275,14 +202,36 @@ Multigraph terminal_walks(MultigraphView g, const WalkGraph& walk_graph,
                           std::span<const Vertex> c_index, Vertex num_c,
                           std::uint64_t seed, std::uint64_t level,
                           WalkStats* stats, const WalkOptions& opts) {
-  TerminalWalkScratch scratch;
-  std::vector<Vertex> out_u;
-  std::vector<Vertex> out_v;
-  std::vector<Weight> out_w;
-  sample_schur_complement(g, walk_graph, f_index, c_index, num_c, seed,
-                          level, stats, opts, scratch, out_u, out_v, out_w);
-  return Multigraph::adopt(num_c, std::move(out_u), std::move(out_v),
-                           std::move(out_w));
+  const Vertex n = g.num_vertices();
+  PARLAP_CHECK(f_index.size() == static_cast<std::size_t>(n));
+  PARLAP_CHECK(c_index.size() == static_cast<std::size_t>(n));
+  PARLAP_CHECK(num_c >= 1);
+  PARLAP_CHECK(walk_graph.off.size() >= 1);
+
+  LevelGraph lg;
+  lg.assign(g);
+  const std::vector<Vertex> f = f_list_of(f_index, walk_graph.rows());
+  (void)lg.scan(f);
+  lg.select(f);
+  const WalkStats ws = sample_schur_complement(lg, walk_graph, f, f_index,
+                                               seed, level, opts);
+  if (stats != nullptr) *stats = ws;
+
+  // The level graph now holds H in g's ids; renumbering ranks the kept
+  // vertices, and c_index names them in the caller's output space.
+  lg.eliminate(ws.edges_in - ws.edges_out);
+  const MultigraphView h = lg.renumbered();
+  const std::span<const Vertex> kept = lg.live();
+  const auto out_id = [&](Vertex r) {
+    return c_index[static_cast<std::size_t>(kept[static_cast<std::size_t>(r)])];
+  };
+  Multigraph out(num_c);
+  out.resize_edges(h.num_edges());
+  parallel_for(EdgeId{0}, h.num_edges(), [&](EdgeId e) {
+    out.set_edge(e, out_id(h.edge_u(e)), out_id(h.edge_v(e)),
+                 h.edge_weight(e));
+  });
+  return out;
 }
 
 }  // namespace parlap

@@ -15,23 +15,27 @@
 //
 // Walks only ever step while inside F, so the adjacency structure and the
 // per-vertex alias tables (Lemma 2.6 sampling) are built for F rows only —
-// O(vol(F)) space instead of O(m). Each edge owns a counter-based RNG
-// stream keyed by (seed, level, edge index) and the output is compacted by
-// prefix scan in input-edge order, so the result is identical under any
-// thread count.
+// O(vol(F)) space instead of O(m) — straight from the level graph's F
+// rows (level_graph.hpp), with steps in level-local ids.
 //
-// Allocation discipline: both stages come in two flavors. The returning
-// overloads allocate fresh containers (tests, one-shot callers); the
-// `*_into` overloads write into caller-provided storage — WalkGraph rows
-// and Schur-sample edge arrays are resized in place, so a caller that
-// keeps the buffers alive (ChainBuildArena) pays zero steady-state
-// allocations across levels and across builds.
+// Only F-incident edges walk: an edge with both endpoints in C is its own
+// walk and stays where it is. Each walked edge owns a counter-based RNG
+// stream keyed by (seed, level, rank among live edges) and writes its
+// sampled edge, or a tombstone, into its own slot of the level graph's
+// edge array, so the result is identical under any thread count and equal
+// to sampling every edge of a compacted copy of G^(k). An F-F edge sits in
+// two F rows and walks once, from the row of its u endpoint.
+//
+// The MultigraphView entry points (build_walk_graph, terminal_walks) wrap
+// the level-graph ones for whole-graph callers: they copy the graph into
+// a fresh LevelGraph, run the same code, and return owning results.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/level_graph.hpp"
 #include "graph/multigraph.hpp"
 
 namespace parlap {
@@ -49,6 +53,7 @@ struct WalkOptions {
 struct WalkStats {
   EdgeId edges_in = 0;
   EdgeId edges_out = 0;
+  EdgeId walked = 0;             ///< F-incident edges whose walks ran
   EdgeId dropped_loops = 0;      ///< walks that closed on one terminal
   std::int64_t total_steps = 0;  ///< sum of |W1| + |W2| over all edges
   int max_walk_len = 0;          ///< longest single walk (steps)
@@ -57,6 +62,7 @@ struct WalkStats {
   void accumulate(const WalkStats& other) {
     edges_in += other.edges_in;
     edges_out += other.edges_out;
+    walked += other.walked;
     dropped_loops += other.dropped_loops;
     total_steps += other.total_steps;
     max_walk_len = max_walk_len > other.max_walk_len ? max_walk_len
@@ -69,7 +75,7 @@ struct WalkStats {
 /// with a Walker alias table per row for O(1) weighted steps.
 struct WalkGraph {
   std::vector<EdgeId> off;          ///< size nf+1, rows by F-position
-  std::vector<Vertex> nbr;          ///< step targets (graph-local ids)
+  std::vector<Vertex> nbr;          ///< step targets (level-local ids)
   std::vector<Weight> w;            ///< step edge weights
   std::vector<double> prob;         ///< alias structure, aligned with nbr
   std::vector<std::int32_t> alias;
@@ -82,55 +88,35 @@ struct WalkGraph {
   }
 };
 
-/// Counting-sort scratch reused across build_walk_graph_into calls
-/// (chunk-local histograms and running bases).
-struct WalkBuildScratch {
-  std::vector<EdgeId> hist;
-  std::vector<EdgeId> base;
-};
+/// Builds the walk graph's rows from g's sample rows: row i holds the
+/// edges of f[i] (a select()ed sample member) in rank order, stepping to
+/// level-local ids, plus its alias table. Reuses `out`'s storage.
+/// O(vol(F)) work, deterministic.
+void build_walk_graph(const LevelGraph& g, std::span<const Vertex> f,
+                      WalkGraph& out);
 
-/// Per-edge staging reused across terminal_walks_into calls: walk
-/// endpoints/weights per input edge plus the keep flags the compaction
-/// scans.
-struct TerminalWalkScratch {
-  std::vector<Vertex> out_u;
-  std::vector<Vertex> out_v;
-  std::vector<Weight> out_w;
-  std::vector<EdgeId> keep;
-};
+/// Runs Algorithm 4 (the terminal-walk Schur sample) in place on g: every
+/// edge incident to f (select()ed) walks both ends into C and its slot
+/// receives the sampled edge (level-0 ids) or a tombstone. `f_index[x]`
+/// gives level-local vertex x's row in `walk_graph` or kInvalidVertex for
+/// terminals. Call g.eliminate(stats.edges_in - stats.edges_out) after.
+[[nodiscard]] WalkStats sample_schur_complement(
+    LevelGraph& g, const WalkGraph& walk_graph, std::span<const Vertex> f,
+    std::span<const Vertex> f_index, std::uint64_t seed, std::uint64_t level,
+    const WalkOptions& opts);
 
-/// Builds the F-row adjacency + alias tables into `out`, reusing its
-/// storage (and `scratch`) when capacities suffice. `f_index[v]` gives
-/// v's F-position or kInvalidVertex; `nf` counts F vertices. O(m) scan
-/// work, O(vol(F)) output, deterministic.
-void build_walk_graph_into(MultigraphView g, std::span<const Vertex> f_index,
-                           Vertex nf, WalkGraph& out,
-                           WalkBuildScratch& scratch);
-
-/// Allocating convenience over build_walk_graph_into.
+/// Whole-graph convenience: the F-row adjacency + alias tables of g for
+/// the F given by `f_index[v]` (v's F-position or kInvalidVertex; `nf`
+/// counts F vertices). Rows step to g's vertex ids.
 [[nodiscard]] WalkGraph build_walk_graph(MultigraphView g,
                                          std::span<const Vertex> f_index,
                                          Vertex nf);
 
-/// Runs Algorithm 4 (the terminal-walk Schur sample), emitting the
-/// compacted output edges into `out_u`/`out_v`/`out_w` (resized to the
-/// kept count, capacities reused). `c_index[v]` gives v's id in the
-/// output vertex space for terminals and kInvalidVertex inside F; exactly
-/// one of f_index/c_index must be valid per vertex. The sampled graph
-/// approximates SC(L, C) on vertex set [0, num_c).
-void sample_schur_complement(MultigraphView g, const WalkGraph& walk_graph,
-                             std::span<const Vertex> f_index,
-                             std::span<const Vertex> c_index, Vertex num_c,
-                             std::uint64_t seed, std::uint64_t level,
-                             WalkStats* stats, const WalkOptions& opts,
-                             TerminalWalkScratch& scratch,
-                             std::vector<Vertex>& out_u,
-                             std::vector<Vertex>& out_v,
-                             std::vector<Weight>& out_w);
-
-/// Allocating convenience over sample_schur_complement: returns the
-/// sampled approximation of SC(L, C) as an owning Multigraph (buffer
-/// adoption, no copy).
+/// Whole-graph convenience: the sampled approximation of SC(L, C) as an
+/// owning Multigraph on [0, num_c). `c_index[v]` gives v's output id for
+/// terminals and kInvalidVertex inside F; exactly one of f_index/c_index
+/// must be valid per vertex, and `walk_graph` must be build_walk_graph(g,
+/// f_index, nf).
 [[nodiscard]] Multigraph terminal_walks(MultigraphView g,
                                         const WalkGraph& walk_graph,
                                         std::span<const Vertex> f_index,

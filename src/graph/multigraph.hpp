@@ -96,6 +96,17 @@ class Multigraph {
     return static_cast<EdgeId>(u_.size());
   }
 
+  /// Exchanges the edge arrays with caller storage without copying (the
+  /// way back from adopt(): an in-place consumer such as the chain
+  /// build's LevelGraph borrows them and swaps them back when done).
+  /// Between the swaps the graph holds whatever the caller passed in.
+  void swap_edge_arrays(std::vector<Vertex>& u, std::vector<Vertex>& v,
+                        std::vector<Weight>& w) noexcept {
+    u_.swap(u);
+    v_.swap(v);
+    w_.swap(w);
+  }
+
   /// Appends one multi-edge. Self-loops are rejected: they contribute
   /// nothing to a Laplacian and the walk algorithms assume their absence.
   void add_edge(Vertex u, Vertex v, Weight w) {

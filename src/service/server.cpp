@@ -182,6 +182,13 @@ SolveServer::SolveServer(ServerOptions options)
                        << options_.workers);
   PARLAP_CHECK_MSG(!options_.socket_path.empty() || options_.tcp_port >= 0,
                    "SolveServer needs a unix socket path or a TCP port");
+  if (!options_.graph_root.empty()) {
+    std::error_code ec;
+    graph_root_ = std::filesystem::canonical(options_.graph_root, ec);
+    PARLAP_CHECK_MSG(!ec && std::filesystem::is_directory(graph_root_),
+                     "graph root '" << options_.graph_root
+                                    << "' is not a directory");
+  }
   EngineOptions eo;
   eo.workers = 1;  // the server owns the worker pool; run_one is per-thread
   eo.cache_budget_entries = options_.cache_budget_entries;
@@ -754,12 +761,38 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
     job = parse_job_object(doc, "request",
                            "req" + std::to_string(s.requests),
                            /*allow_type_field=*/true);
+    admit_graph_file(job);
   } catch (const std::exception& e) {
     // Correlate the schema error with the request when possible.
     respond_error(s, e.what(), doc.find("id"));
     return;
   }
   handle_solve(s, std::move(job), line.size(), rid);
+}
+
+void SolveServer::admit_graph_file(SolveJob& job) const {
+  constexpr std::string_view kFile = "file:";
+  if (job.graph.rfind(kFile, 0) != 0) return;
+  if (graph_root_.empty()) {
+    throw std::invalid_argument(
+        "graph '" + job.graph +
+        "' refused: this server reads no files (start it with --graph-root "
+        "DIR to serve files under DIR)");
+  }
+  // The requested path is resolved first and checked second, so "..",
+  // symlinks and absolute paths are judged by where they really lead.
+  std::error_code ec;
+  const std::filesystem::path resolved = std::filesystem::canonical(
+      graph_root_ / job.graph.substr(kFile.size()), ec);
+  const auto [root_end, unused] =
+      std::mismatch(graph_root_.begin(), graph_root_.end(), resolved.begin(),
+                    resolved.end());
+  if (ec || root_end != graph_root_.end() ||
+      !std::filesystem::is_regular_file(resolved, ec)) {
+    throw std::invalid_argument("graph '" + job.graph +
+                                "' refused: not a file under the graph root");
+  }
+  job.graph = std::string(kFile) + resolved.string();
 }
 
 void SolveServer::handle_solve(Session& s, SolveJob job,

@@ -56,6 +56,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -114,6 +115,12 @@ struct ServerOptions {
   /// "" = fp64) for requests without their own "precision" field —
   /// forwarded to the engine and echoed in stats.config.
   std::string precision{};
+  /// Directory "file:" graph specs may name ("" = refuse every file
+  /// spec). A request's path, taken relative to this directory unless
+  /// absolute, must resolve (symlinks and ".." expanded) to a regular
+  /// file under it; the engine then opens the resolved path. Refusals
+  /// never quote file contents.
+  std::string graph_root{};
 };
 
 class SolveServer {
@@ -159,6 +166,10 @@ class SolveServer {
   void handle_line(Session& s, const std::string& line);
   void handle_solve(Session& s, SolveJob job, std::size_t line_bytes,
                     std::uint64_t request_id);
+  /// Applies ServerOptions::graph_root to a "file:" graph spec: throws
+  /// std::invalid_argument to refuse it, else rewrites it to the
+  /// resolved path.
+  void admit_graph_file(SolveJob& job) const;
   void respond_http(Session& s);
   [[nodiscard]] std::string stats_response();
   void respond(Session& s, std::string line);
@@ -180,6 +191,7 @@ class SolveServer {
   void wake() noexcept;
 
   ServerOptions options_;
+  std::filesystem::path graph_root_;  ///< resolved graph_root ("" = none)
   std::unique_ptr<SolveEngine> engine_;
   ServeMetrics* metrics_ = nullptr;  ///< registry-owned instruments
 

@@ -131,6 +131,11 @@ def run_checks(cli, data, fixture, tmp):
         check(build.get("arena_allocations", -1) >= 0 and
               build.get("peak_arena_bytes", -1) >= 0,
               "build-stats: arena counters present")
+        detail = build.get("levels_detail", [])
+        for key in ("edges_scanned", "walked"):
+            check(build.get(key, -1) >= 0 and
+                  build.get(key) == sum(lvl.get(key, 0) for lvl in detail),
+                  f"build-stats: {key} present and summed over levels")
         phases = build.get("phases", {})
         for key in ("degrees_seconds", "five_dd_seconds", "partition_seconds",
                     "walk_graph_seconds", "schur_seconds", "extract_seconds"):

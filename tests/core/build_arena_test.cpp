@@ -163,10 +163,45 @@ TEST(ChainBuildArena, BuildStatsAreCoherent) {
   EXPECT_EQ(bs.level_timings.front().n, g.num_vertices());
   EXPECT_EQ(bs.level_timings.front().edges, g.num_edges());
   double level_sum = 0.0;
+  EdgeId scanned = 0;
+  EdgeId walked = 0;
   for (const BuildLevelTiming& lt : bs.level_timings) {
     level_sum += lt.phases.total();
+    scanned += lt.edges_scanned;
+    walked += lt.walked;
   }
   EXPECT_NEAR(level_sum, bs.phases.total(), 1e-9);
+
+  // The work counters are exact: per level, every 5-DD round sweeps at
+  // least the level's live edges and at most one walk runs per edge;
+  // the totals are the per-level sums, and they repeat at any thread
+  // count.
+  EXPECT_EQ(bs.edges_scanned, scanned);
+  EXPECT_EQ(bs.walked, walked);
+  for (std::size_t k = 0; k < bs.level_timings.size(); ++k) {
+    const BuildLevelTiming& lt = bs.level_timings[k];
+    const LevelStats& ls = chain.level_stats()[k];
+    EXPECT_GE(lt.edges_scanned, lt.edges) << "level " << k;
+    EXPECT_EQ(lt.walked, ls.walks.walked) << "level " << k;
+    EXPECT_LE(ls.walks.walked, ls.walks.edges_in) << "level " << k;
+  }
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    const BlockCholeskyChain again = BlockCholeskyChain::build(g, 9);
+    const BuildStats& other = again.build_stats();
+    EXPECT_EQ(other.edges_scanned, bs.edges_scanned) << threads << " threads";
+    EXPECT_EQ(other.walked, bs.walked) << threads << " threads";
+    ASSERT_EQ(other.level_timings.size(), bs.level_timings.size());
+    for (std::size_t k = 0; k < bs.level_timings.size(); ++k) {
+      EXPECT_EQ(other.level_timings[k].edges_scanned,
+                bs.level_timings[k].edges_scanned)
+          << "level " << k << ", " << threads << " threads";
+      EXPECT_EQ(other.level_timings[k].walked, bs.level_timings[k].walked)
+          << "level " << k << ", " << threads << " threads";
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ namespace {
 
 FiveDdResult run(const Multigraph& g, std::uint64_t seed,
                  const FiveDdOptions& opts = {}) {
-  return five_dd_subset(g, g.weighted_degrees(), seed, opts);
+  return five_dd_subset(g, seed, opts);
 }
 
 class FiveDdFamilyTest : public ::testing::TestWithParam<int> {

@@ -82,7 +82,7 @@ TEST(TerminalWalks, NeverMoreEdges) {
     Multigraph g = make_erdos_renyi(200, 900, seed);
     const Multigraph split = split_edges_uniform(g, 3);
     const FiveDdResult fdd =
-        five_dd_subset(split, split.weighted_degrees(), seed);
+        five_dd_subset(split, seed);
     const Partition p = make_partition(split, fdd.f);
     WalkStats stats;
     const Multigraph h = run_walks(split, p, seed, &stats);
@@ -93,7 +93,7 @@ TEST(TerminalWalks, NeverMoreEdges) {
 
 TEST(TerminalWalks, Deterministic) {
   const Multigraph g = make_grid2d(12, 12);
-  const FiveDdResult fdd = five_dd_subset(g, g.weighted_degrees(), 5);
+  const FiveDdResult fdd = five_dd_subset(g, 5);
   const Partition p = make_partition(g, fdd.f);
   const Multigraph a = run_walks(g, p, 11);
   const Multigraph b = run_walks(g, p, 11);
@@ -138,7 +138,7 @@ TEST(TerminalWalks, OutputEdgesAreAlphaBounded) {
   const Multigraph split = split_edges_uniform(g, copies);
   const double alpha = 1.0 / static_cast<double>(copies);
 
-  const FiveDdResult fdd = five_dd_subset(split, split.weighted_degrees(), 9);
+  const FiveDdResult fdd = five_dd_subset(split, 9);
   const Partition p = make_partition(split, fdd.f);
   const Multigraph h = run_walks(split, p, 13);
 
@@ -173,7 +173,7 @@ TEST(TerminalWalks, WalkLengthsShortOnFiveDdSets) {
   // Lemma 5.4: escape probability >= 4/5 per step => mean length <= 1/4
   // per walk endpoint... empirically small; max O(log m).
   const Multigraph g = make_grid2d(40, 40);
-  const FiveDdResult fdd = five_dd_subset(g, g.weighted_degrees(), 21);
+  const FiveDdResult fdd = five_dd_subset(g, 21);
   const Partition p = make_partition(g, fdd.f);
   WalkStats stats;
   (void)run_walks(g, p, 23, &stats);

@@ -57,7 +57,7 @@ TEST(FailureInjection, TinyWalkCapRecoversViaRetries) {
   // edges (on grids F is an independent set and every walk has length
   // <= 1, so a cap of 1 never triggers).
   const Multigraph g = make_complete(100);
-  const FiveDdResult fdd = five_dd_subset(g, g.weighted_degrees(), 3);
+  const FiveDdResult fdd = five_dd_subset(g, 3);
   const Partition p = partition_from(g, fdd.f);
   const WalkGraph wg = build_walk_graph(g, p.f_index, p.nf);
   WalkOptions opts;
@@ -80,7 +80,7 @@ TEST(FailureInjection, FiveDdImpossibleTargetExhaustsRounds) {
   opts.sample_fraction = 1.0;
   opts.accept_fraction = 1.0;
   opts.max_rounds = 5;
-  EXPECT_THROW((void)five_dd_subset(g, g.weighted_degrees(), 1, opts),
+  EXPECT_THROW((void)five_dd_subset(g, 1, opts),
                std::runtime_error);
 }
 

@@ -10,7 +10,9 @@ window stats reconciling with client-observed counts, and a Prometheus
 /metrics scrape validated by scripts/check_exposition.py), and the
 determinism acceptance property — the same job set run through
 `parlap_cli batch` and through concurrent serve clients (shuffled
-arrival order, several workers) yields bit-identical solution hashes.
+arrival order, several workers) yields bit-identical solution hashes —
+and the file policy: "file:" graphs are refused unless the daemon runs
+with --graph-root, and then confined to that directory.
 """
 
 import json
@@ -357,6 +359,62 @@ def test_determinism_vs_batch(c, serve_bin, cli_bin):
             % (serve_results, batch_results))
 
 
+def test_file_graphs(c, binary, data_dir):
+    """"file:" graph specs: refused without --graph-root, confined to it
+    with one, and a refusal never quotes the file."""
+    secret = "/etc/passwd"
+    secret_text = ""
+    if os.path.isfile(secret):
+        with open(secret, errors="replace") as f:
+            secret_text = f.read()
+    secret_lines = [ln for ln in secret_text.splitlines() if ln.strip()]
+
+    def refused(r, what):
+        c.check(r.get("status") == "error", what + ": refused (%r)" % r)
+        reply = json.dumps(r)
+        c.check(not any(ln in reply for ln in secret_lines),
+                what + ": the reply quotes none of the file")
+
+    def job(job_id, graph):
+        return {"type": "solve", "id": job_id, "graph": graph,
+                "method": "parlap", "eps": 1e-6}
+
+    with ServeDaemon(binary, workers=1) as d:
+        with d.connect() as cl:
+            refused(cl.request(job("etc", "file:" + secret)),
+                    "no graph root, /etc/passwd")
+
+    with tempfile.TemporaryDirectory(prefix="plr_") as root:
+        fixture = os.path.join(data_dir, "grid5x5.mtx")
+        with open(fixture) as src, \
+                open(os.path.join(root, "grid.mtx"), "w") as dst:
+            dst.write(src.read())
+        os.symlink(secret, os.path.join(root, "escape.mtx"))
+        os.mkdir(os.path.join(root, "sub"))
+        with ServeDaemon(binary, workers=1,
+                         extra_args=("--graph-root", root)) as d:
+            with d.connect() as cl:
+                for job_id, graph in (("abs", os.path.join(root, "grid.mtx")),
+                                      ("rel", "grid.mtx"),
+                                      ("inner", "sub/../grid.mtx")):
+                    r = cl.request(job(job_id, "file:" + graph))
+                    c.check(r.get("status") == "ok" and
+                            r.get("converged") is True,
+                            "graph root, %s path solves: %r" % (job_id, r))
+                refused(cl.request(job("etc", "file:" + secret)),
+                        "graph root, /etc/passwd")
+                refused(cl.request(job("dotdot",
+                                       "file:../../../../../../etc/passwd")),
+                        "graph root, ../ escape")
+                refused(cl.request(job("link", "file:escape.mtx")),
+                        "graph root, symlink out of the root")
+                refused(cl.request(job("dir", "file:sub")),
+                        "graph root, a directory")
+                r = cl.request(fast_job("gen"))
+                c.check(r.get("status") == "ok",
+                        "graph root, generated graphs still solve")
+
+
 def main():
     serve_bin, cli_bin, scripts_dir = sys.argv[1], sys.argv[2], sys.argv[3]
     c = Checker()
@@ -367,6 +425,9 @@ def main():
     test_request_ids_and_window(c, serve_bin)
     test_metrics_exposition(c, serve_bin, scripts_dir)
     test_determinism_vs_batch(c, serve_bin, cli_bin)
+    test_file_graphs(c, serve_bin,
+                     os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                  os.pardir, "data"))
     c.finish("serve_protocol_test")
 
 

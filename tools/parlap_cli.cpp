@@ -259,9 +259,9 @@ void print_build_stats(const std::string& method, const BuildStats& bs) {
                       static_cast<double>(bs.peak_arena_bytes) / (1 << 20)) +
                   " MiB, " + std::to_string(bs.arena_allocations) +
                   " arena realloc(s)");
-  table.set_header({"level", "n", "m", "|F|", "degrees_ms", "five_dd_ms",
-                    "partition_ms", "walk_graph_ms", "schur_ms",
-                    "extract_ms"},
+  table.set_header({"level", "n", "m", "|F|", "scanned", "walked",
+                    "degrees_ms", "five_dd_ms", "partition_ms",
+                    "walk_graph_ms", "schur_ms", "extract_ms"},
                    4);
   for (std::size_t k = 0; k < bs.level_timings.size(); ++k) {
     const BuildLevelTiming& lt = bs.level_timings[k];
@@ -269,12 +269,15 @@ void print_build_stats(const std::string& method, const BuildStats& bs) {
                    static_cast<std::int64_t>(lt.n),
                    static_cast<std::int64_t>(lt.edges),
                    static_cast<std::int64_t>(lt.f_size),
+                   static_cast<std::int64_t>(lt.edges_scanned),
+                   static_cast<std::int64_t>(lt.walked),
                    lt.phases.degrees * 1e3, lt.phases.five_dd * 1e3,
                    lt.phases.partition * 1e3, lt.phases.walk_graph * 1e3,
                    lt.phases.schur * 1e3, lt.phases.extract * 1e3});
   }
   table.add_row({std::string("total"), std::string(""), std::string(""),
-                 std::string(""), bs.phases.degrees * 1e3,
+                 std::string(""), static_cast<std::int64_t>(bs.edges_scanned),
+                 static_cast<std::int64_t>(bs.walked), bs.phases.degrees * 1e3,
                  bs.phases.five_dd * 1e3, bs.phases.partition * 1e3,
                  bs.phases.walk_graph * 1e3, bs.phases.schur * 1e3,
                  bs.phases.extract * 1e3});
@@ -292,6 +295,8 @@ void write_build_stats_json(JsonWriter& w, const BuildStats& bs) {
   w.member("levels", bs.levels);
   w.member("peak_arena_bytes", bs.peak_arena_bytes);
   w.member("arena_allocations", bs.arena_allocations);
+  w.member("edges_scanned", bs.edges_scanned);
+  w.member("walked", bs.walked);
   w.key("phases");
   w.begin_object();
   w.member("degrees_seconds", bs.phases.degrees);
@@ -308,6 +313,8 @@ void write_build_stats_json(JsonWriter& w, const BuildStats& bs) {
     w.member("n", lt.n);
     w.member("edges", lt.edges);
     w.member("f_size", lt.f_size);
+    w.member("edges_scanned", lt.edges_scanned);
+    w.member("walked", lt.walked);
     w.member("degrees_seconds", lt.phases.degrees);
     w.member("five_dd_seconds", lt.phases.five_dd);
     w.member("partition_seconds", lt.phases.partition);

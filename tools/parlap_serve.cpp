@@ -51,6 +51,12 @@ Capacity:
   --cache-budget E       factorization cache budget in edge entries (0 = off)
   --graph-cache N        loaded-graph LRU bound (default 32)
 
+Files:
+  --graph-root DIR       serve "file:" graph specs, but only files that
+                         resolve (symlinks and ".." expanded; relative
+                         paths from DIR) to a regular file under DIR.
+                         Without it every "file:" spec is refused.
+
 Hardware:
   --simd LEVEL           apply-kernel dispatch: scalar|avx2|avx512|auto
                          (default $PARLAP_SIMD, else auto; results are
@@ -179,6 +185,7 @@ int run(int argc, char** argv) {
   opt.simd = parse_string_flag(args, "--simd");
   opt.numa = parse_string_flag(args, "--numa");
   opt.precision = parse_string_flag(args, "--precision");
+  opt.graph_root = parse_string_flag(args, "--graph-root");
   const std::string trace_path = parse_string_flag(args, "--trace-out");
   const std::string metrics_out = parse_string_flag(args, "--metrics-out");
   const bool metrics = parse_bool_flag(args, "--metrics");

@@ -24,15 +24,18 @@
 // place on one slot-ordered vector, and one traversal can serve a whole
 // Panel of right-hand sides.
 //
-// Construction runs against a ChainBuildArena (build_arena.hpp): level
-// graphs live in the arena's double-buffered edge arrays (level 0 is read
-// from the caller's graph through a MultigraphView — never copied), every
-// per-level scratch structure is recycled, and the per-level
-// EliminationLevel staging the packer consumes is itself arena-owned, so
-// a build against a warmed arena performs zero scratch reallocations.
-// Callers that build repeatedly (FactorizationCache misses, escalation
-// rounds, benches) can pass their own arena; the default overloads draw
-// one from the shared ChainBuildArena::pool(). Per-phase wall times and
+// Construction runs against a ChainBuildArena (build_arena.hpp). Every
+// level graph lives in the arena's one LevelGraph (level_graph.hpp): a
+// single edge array in input vertex ids — copied from the caller's graph,
+// or, for the consuming overload, the graph's own arrays — that each
+// level rewrites in place only where F_k touches it. One sweep per 5-DD
+// round is the only pass over all of it. Every per-level scratch
+// structure is recycled, and the per-level EliminationLevel staging the
+// packer consumes is itself arena-owned, so a build against a warmed
+// arena performs zero scratch reallocations. Callers that build
+// repeatedly (FactorizationCache misses, escalation rounds, benches) can
+// pass their own arena; the default overloads draw one from the shared
+// ChainBuildArena::pool(). Per-phase wall times, the work counters and
 // the arena counters are recorded in build_stats().
 #pragma once
 
@@ -88,12 +91,11 @@ class BlockCholeskyChain {
   static BlockCholeskyChain build(MultigraphView g, std::uint64_t seed,
                                   const BlockCholeskyOptions& opts = {});
 
-  /// Consuming overload: takes ownership of `g` and releases its edge
-  /// arrays as soon as the first elimination level has been absorbed into
-  /// the arena, so the (largest, level-0) split graph never coexists with
-  /// the later levels. Use from factor-and-discard paths such as
-  /// LaplacianSolver's escalation rounds and the factorization cache's
-  /// single-flight builder.
+  /// Consuming overload: takes ownership of `g` and builds in its own
+  /// edge arrays (no copy), freeing them once the base case is formed.
+  /// Use from factor-and-discard paths such as LaplacianSolver's
+  /// escalation rounds and the factorization cache's single-flight
+  /// builder.
   static BlockCholeskyChain build(Multigraph&& g, std::uint64_t seed,
                                   const BlockCholeskyOptions& opts = {});
 

@@ -17,7 +17,7 @@ EdgeId chunk_len(EdgeId m, std::int64_t chunks) {
   return std::max<EdgeId>(1, (m + chunks - 1) / chunks);
 }
 
-/// Layout of a full weighted degree (weighted_degrees_into's): one chunk
+/// Layout of a full weighted degree (weighted_degrees()'s): one chunk
 /// below 2^15 edges, else min(32, 2^24 / n) chunks.
 EdgeId degree_chunk_len(Vertex n, EdgeId m) {
   if (m < (1 << 15)) return chunk_len(m, 1);

@@ -9,12 +9,14 @@
 //
 // Implementation: every round runs on a LevelGraph (level_graph.hpp).
 // One read-only sweep of its edge array sorts the edges incident to the
-// sample S into S rows, and each S row sums its own degree and its
-// induced degree in rank order, restarting at the chunk boundaries the
-// whole-edge-list scans used (a fixed layout that depends on the graph,
-// never on the thread count), so the test sees the same floating-point
-// sums at any thread count. The accepted F is a subset of the last S, so
-// its rows stay in the level graph for the walk graph and the walks.
+// sample S into S rows, and each S row sums its degree and its induced
+// degree itself: in rank order, as one partial sum per fixed chunk of
+// the live-edge range, the partials added in chunk order. The chunk
+// layout depends only on n, m and |S|, never on the thread count, so the
+// test sees the same floating-point sums on every machine, and they are
+// the sums a chunked scan over the whole edge list computes. The accepted
+// F is a subset of the last S, so its rows stay in the level graph for
+// the walk graph and the walks.
 //
 // The `candidates` overload implements the induced-subgraph call of
 // ApproxSchur (Algorithm 6): degrees are measured inside G[candidates],

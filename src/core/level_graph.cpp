@@ -59,7 +59,6 @@ void LevelGraph::reset_ids(Vertex n0) {
   flag_.assign(nz + 1, 0);
   pos_.resize(nz);
   sample_.clear();
-  selected_.clear();
   live_edges_ = static_cast<EdgeId>(u_.size());
   tombstones_ = 0;
 }
@@ -160,18 +159,15 @@ EdgeId LevelGraph::scan(std::span<const Vertex> s) {
 }
 
 void LevelGraph::select(std::span<const Vertex> f) {
-  selected_.assign(f.begin(), f.end());
   for (const Vertex v : f) {
-    PARLAP_DCHECK(in_sample(v));
+    PARLAP_CHECK(in_sample(v));
     flag_[static_cast<std::size_t>(v)] |= kSelected;
   }
 }
 
 void LevelGraph::clear_marks() noexcept {
   for (const Vertex v : sample_) flag_[static_cast<std::size_t>(v)] = 0;
-  for (const Vertex v : selected_) flag_[static_cast<std::size_t>(v)] = 0;
   sample_.clear();
-  selected_.clear();
 }
 
 void LevelGraph::eliminate(EdgeId dropped) {

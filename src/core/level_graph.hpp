@@ -84,13 +84,10 @@ class LevelGraph {
   /// order. One read-only sweep of the edge array; returns the slots it
   /// read, tombstones included.
   EdgeId scan(std::span<const Vertex> s);
-  [[nodiscard]] std::span<const Vertex> sample() const noexcept {
-    return sample_;
-  }
   [[nodiscard]] bool in_sample(Vertex v) const noexcept {
     return flag_[static_cast<std::size_t>(v)] != 0;
   }
-  /// Index of a sample member in sample() (and of its row).
+  /// A sample member's index in the scanned list (and of its row).
   [[nodiscard]] Vertex sample_position(Vertex v) const noexcept {
     return pos_[static_cast<std::size_t>(v)];
   }
@@ -99,7 +96,7 @@ class LevelGraph {
             static_cast<std::size_t>(row_off_[i + 1] - row_off_[i])};
   }
 
-  /// Marks the eliminated set F (members of the sample).
+  /// Marks the eliminated set F, a subset of the sample.
   void select(std::span<const Vertex> f);
   [[nodiscard]] bool selected(Vertex v) const noexcept {
     return (flag_[static_cast<std::size_t>(v)] & kSelected) != 0;
@@ -141,7 +138,6 @@ class LevelGraph {
     vec(flag_);
     vec(pos_);
     vec(sample_);
-    vec(selected_);
     vec(blocks_);
     std::size_t records = 0;
     for (const Block& b : blocks_) {
@@ -191,7 +187,6 @@ class LevelGraph {
   std::vector<std::uint8_t> flag_;   ///< n0 + 1 entries; the sentinel's stays 0
   std::vector<Vertex> pos_;          ///< level-0 id -> sample position
   std::vector<Vertex> sample_;
-  std::vector<Vertex> selected_;
   std::vector<Block> blocks_;
   std::vector<EdgeId> row_off_;
   std::vector<RowEntry> rows_;

@@ -8,18 +8,16 @@
 
 namespace parlap {
 
-void weighted_degrees_into(MultigraphView g, std::span<Weight> out,
-                           std::vector<Weight>& partial_scratch) {
+std::vector<Weight> weighted_degrees(MultigraphView g) {
   const Vertex n = g.num_vertices();
-  PARLAP_CHECK(out.size() == static_cast<std::size_t>(n));
+  std::vector<Weight> out(static_cast<std::size_t>(n), 0.0);
   const EdgeId m = g.num_edges();
   if (m < (1 << 15)) {
-    std::fill(out.begin(), out.end(), 0.0);
     for (EdgeId e = 0; e < m; ++e) {
       out[static_cast<std::size_t>(g.edge_u(e))] += g.edge_weight(e);
       out[static_cast<std::size_t>(g.edge_v(e))] += g.edge_weight(e);
     }
-    return;
+    return out;
   }
   // Chunk-major partial arrays reduced per vertex in fixed chunk order:
   // bit-exact for every thread count (the chunk count depends only on the
@@ -28,7 +26,7 @@ void weighted_degrees_into(MultigraphView g, std::span<Weight> out,
       1, std::min<int>(32, static_cast<int>((std::int64_t{1} << 24) /
                                             std::max<Vertex>(n, 1))));
   const EdgeId chunk_len = (m + chunks - 1) / chunks;
-  partial_scratch.assign(
+  std::vector<Weight> partial_scratch(
       static_cast<std::size_t>(chunks) * static_cast<std::size_t>(n), 0.0);
   Weight* partial = partial_scratch.data();
 #pragma omp parallel for schedule(static)
@@ -50,17 +48,7 @@ void weighted_degrees_into(MultigraphView g, std::span<Weight> out,
     }
     out[static_cast<std::size_t>(v)] = sum;
   });
-}
-
-void weighted_degrees_into(MultigraphView g, std::span<Weight> out) {
-  std::vector<Weight> partial_scratch;
-  weighted_degrees_into(g, out, partial_scratch);
-}
-
-std::vector<Weight> weighted_degrees(MultigraphView g) {
-  std::vector<Weight> degree(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  weighted_degrees_into(g, degree);
-  return degree;
+  return out;
 }
 
 std::vector<Weight> Multigraph::weighted_degrees() const {

@@ -6,12 +6,9 @@
 // edge arrays up front and write disjoint slots.
 //
 // MultigraphView is the non-owning companion: the same read surface over
-// edge arrays owned by someone else (a Multigraph, or a ChainBuildArena
-// level buffer). The chain-construction pipeline is written against views,
-// so intermediate levels never have to be materialized as fresh owning
-// graphs. Multigraph::adopt() closes the loop in the other direction:
-// buffers produced into caller-owned vectors become an owning graph by
-// move, never by copy.
+// edge arrays owned by someone else (a Multigraph, or the chain build's
+// in-place level graph). Multigraph::adopt() and swap_edge_arrays() move
+// edge arrays in and out of an owning graph, never by copy.
 #pragma once
 
 #include <span>
@@ -179,19 +176,8 @@ class Multigraph {
 inline MultigraphView::MultigraphView(const Multigraph& g)
     : MultigraphView(g.num_vertices(), g.us(), g.vs(), g.ws()) {}
 
-/// Weighted degrees of a view, written into caller storage (`out` must
-/// have size num_vertices). Bit-identical for every thread count; the
-/// zero-allocation core the arena-backed chain build runs per level.
-/// `partial_scratch` holds the chunk-local accumulation array (grown to
-/// its high-water mark, recycled across calls).
-void weighted_degrees_into(MultigraphView g, std::span<Weight> out,
-                           std::vector<Weight>& partial_scratch);
-
-/// Convenience overload with call-local chunk scratch (allocates for
-/// graphs above the serial cutoff).
-void weighted_degrees_into(MultigraphView g, std::span<Weight> out);
-
-/// Allocating convenience over weighted_degrees_into.
+/// Weighted degrees of a view (parallel, bit-identical for every thread
+/// count).
 [[nodiscard]] std::vector<Weight> weighted_degrees(MultigraphView g);
 
 }  // namespace parlap

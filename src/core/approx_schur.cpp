@@ -67,15 +67,14 @@ ApproxSchurResult approx_schur(const Multigraph& g,
                      "ApproxSchur exceeded max_levels");
     const std::uint64_t lseed = schur_level_seed(seed, result.levels);
 
-    // U_k = non-terminals: the live vertices after the num_c terminals.
-    // Find a 5-DD subset of G[U_k].
+    // U_k = non-terminals: the live vertices after the num_c terminals
+    // (F never holds a terminal, so they stay first). Find a 5-DD subset
+    // of G[U_k].
     const FiveDdResult fdd = five_dd_subset(
         lg, lg.live().subspan(static_cast<std::size_t>(num_c)),
         FiveDdDegree::kWithinCandidates, lseed, opts.five_dd, five_dd);
     PARLAP_CHECK(!fdd.f.empty());
 
-    // Eliminating F keeps the terminals first in the live list, because F
-    // is disjoint from them.
     f_index.assign(static_cast<std::size_t>(lg.num_vertices()), kInvalidVertex);
     for (std::size_t i = 0; i < fdd.f.size(); ++i) {
       f_index[static_cast<std::size_t>(lg.rank(fdd.f[i]))] =

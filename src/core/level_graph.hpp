@@ -7,7 +7,7 @@
 // array in level-0 vertex ids, and a level rewrites only the slots of the
 // edges it walks: each receives its sampled edge, or a tombstone (both
 // endpoints n0, an id no vertex has) when its walk closed on one terminal.
-// Nothing is renumbered or copied between levels.
+// Nothing is renumbered, and edges move only when the array is compacted.
 //
 // Order is what keeps this bit for bit equal to building each G^(k) as a
 // fresh, compacted, renumbered graph. Live edges never change their
@@ -24,9 +24,10 @@
 // graph's F rows and the walks themselves all derive from those
 // O(vol S) rows. The sweep reads two ids and one flag byte per endpoint;
 // the sentinel's flag is never set, so tombstones cost no branch. When
-// tombstones outnumber live edges the array is compacted, in order.
-// Per-level work outside the sweep is O(n_k + vol S_k): only the flag,
-// position and rank entries a level set are touched again.
+// tombstones outnumber live edges the array is compacted, in order, so
+// compaction costs O(1) amortized per dropped edge. Other per-level work
+// is O(n_k + vol S_k): only the flag, position and rank entries a level
+// set are touched again.
 //
 // Buffers are plain vectors, resized (never shrunk) per call; a
 // LevelGraph kept alive across builds (ChainBuildArena owns one) reaches

@@ -15,7 +15,8 @@
 // Reported per graph: median cold/warm build seconds, warm speedup,
 // build throughput (split multi-edges per second, warm), the steady-state
 // arena reallocation count (must be 0 — the zero-realloc property), peak
-// arena bytes, and the per-phase breakdown of a warm build.
+// arena bytes, the base factorization's share of a warm build (base_ms),
+// and the per-phase breakdown of a warm build.
 #include <string>
 #include <vector>
 
@@ -51,9 +52,9 @@ int main() {
   TextTable table("E16 chain build — cold (fresh arena) vs warm (reused "
                   "arena), E15 workload, " +
                   std::to_string(reps) + " reps");
-  table.set_header({"graph", "n", "m_split", "cold_ms", "warm_ms", "speedup",
-                    "Medges_per_s", "scanned", "walked", "steady_reallocs",
-                    "arena_MiB"},
+  table.set_header({"graph", "n", "m_split", "cold_ms", "warm_ms", "base_ms",
+                    "speedup", "Medges_per_s", "scanned", "walked",
+                    "steady_reallocs", "arena_MiB"},
                    4);
 
   for (const std::string& name : graphs) {
@@ -91,6 +92,7 @@ int main() {
     table.add_row({name, static_cast<std::int64_t>(g.num_vertices()),
                    static_cast<std::int64_t>(split.num_edges()),
                    cold_s.median * 1e3, warm_s.median * 1e3,
+                   last.base_seconds * 1e3,
                    warm_s.median > 0.0 ? cold_s.median / warm_s.median : 0.0,
                    medges_per_s,
                    static_cast<std::int64_t>(last.edges_scanned),

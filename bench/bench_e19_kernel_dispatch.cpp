@@ -82,9 +82,6 @@ int main() {
   for (std::size_t i = 0; i < rows; ++i) {
     perm[i] = static_cast<Vertex>((i * 7919) % rows);  // 7919 coprime to rows
   }
-  const std::size_t dense_n = 96;  // base blocks are small; inner-loop it
-  const std::size_t dense_iters = smoke() ? 200 : 2000;
-  const std::vector<double> dense_a = random_doubles(dense_n * dense_n, 15);
 
   TextTable table("E19 kernel dispatch — ns/row, " + std::to_string(rows) +
                   " rows, serial kernels");
@@ -121,7 +118,7 @@ int main() {
   for (const std::size_t k : widths) {
     // Per-width scalar reference ns/row, filled at the kScalar iteration.
     double axpy_ns = 0, dots_ns = 0, gather_ns = 0, scatter_ns = 0;
-    double jac_ns = 0, fwd_ns = 0, bwd_ns = 0, dense_ns = 0;
+    double jac_ns = 0, fwd_ns = 0, bwd_ns = 0;
     for (const SimdLevel lvl : levels) {
       const KernelTable& kt = kernels::table_for(lvl);
       const double r = bench_one("axpy_cols", lvl, k, axpy_ns, rows, [&] {
@@ -159,16 +156,6 @@ int main() {
                    b.data(), out.data());
       });
       if (lvl == SimdLevel::kScalar) bwd_ns = r7;
-      const double r8 = bench_one("dense_rows", lvl, k, dense_ns,
-                                  dense_n * dense_iters, [&] {
-                                    for (std::size_t it = 0; it < dense_iters;
-                                         ++it) {
-                                      kt.dense_rows(0, dense_n, k, dense_n,
-                                                    dense_a.data(), a.data(),
-                                                    out.data());
-                                    }
-                                  });
-      if (lvl == SimdLevel::kScalar) dense_ns = r8;
     }
   }
 

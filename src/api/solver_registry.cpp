@@ -330,7 +330,7 @@ class DenseAdapter final : public ColumnSolverBase {
  public:
   [[nodiscard]] EdgeId stored_entries() const noexcept override {
     const auto n = static_cast<EdgeId>(dimension());
-    return std::max<EdgeId>(1, n * n);  // dense pseudo-inverse
+    return std::max<EdgeId>(1, n * (n + 1) / 2);  // packed grounded factor
   }
 
  private:
@@ -387,7 +387,8 @@ void register_builtins(SolverRegistry& r) {
       });
   r.register_method(
       "dense",
-      "exact dense pseudo-inverse; ground truth for small instances",
+      "exact dense solve by grounded GTH factorization; ground truth for "
+      "small instances",
       [](const Multigraph& g, const SolverConfig& c) {
         return timed_make<DenseAdapter>("dense", g, c);
       });

@@ -1,32 +1,34 @@
-// Exact dense pseudo-inverse solver — the ground-truth comparator for
-// small instances (tests and the accuracy columns of benches E3/E7).
+// Exact dense solver — the ground-truth comparator for small instances
+// (tests and the accuracy columns of benches E3/E7).
 #pragma once
 
 #include <algorithm>
 #include <span>
+#include <vector>
 
 #include "graph/multigraph.hpp"
 #include "linalg/dense.hpp"
 
 namespace parlap {
 
-/// Exact L^+ via a dense eigensolve; O(n^3) setup, O(n^2) per solve.
+/// Exact L^+ via the grounded GTH factorization (linalg/dense.hpp);
+/// O(n^3) setup, O(n^2) per solve.
 class DenseDirectSolver {
  public:
-  /// Forms and pseudo-inverts the dense Laplacian of `g` immediately.
+  /// Factors the dense Laplacian of `g` immediately.
   explicit DenseDirectSolver(const Multigraph& g)
-      : pinv_(pseudo_inverse(laplacian_dense(g))) {}
+      : factor_(grounded_factor(g)) {}
 
-  /// x = L^+ b (exact up to the eigensolve tolerance).
+  /// x = L^+ b.
   void solve(std::span<const double> b, std::span<double> x) const {
-    const Vector r = pinv_.apply(b);
-    std::copy(r.begin(), r.end(), x.begin());
+    std::copy(b.begin(), b.end(), x.begin());
+    std::vector<double> sums(static_cast<std::size_t>(factor_.components));
+    grounded_solve(factor_.n, factor_.components, factor_.values.data(),
+                   factor_.component.data(), 1, x.data(), sums.data());
   }
 
-  [[nodiscard]] const DenseMatrix& pinv() const noexcept { return pinv_; }
-
  private:
-  DenseMatrix pinv_;
+  GroundedFactor factor_;
 };
 
 }  // namespace parlap

@@ -24,32 +24,32 @@ constexpr std::size_t kMaxPrefetchBytes = std::size_t{64} * 1024;
 
 void ApplyChain::finalize(std::span<const EliminationLevel> staging,
                           std::span<const Vertex> slots,
-                          DenseMatrix base_pinv, Vertex base_n,
-                          int jacobi_terms, std::uint64_t build_id,
-                          Precision storage) {
+                          const GroundedFactor& base, int jacobi_terms,
+                          std::uint64_t build_id, Precision storage) {
   PARLAP_CHECK(levels_.empty());  // finalize() runs once per chain
   PARLAP_CHECK(storage != Precision::kAuto);  // resolved before building
   const auto n0 = static_cast<Vertex>(slots.size());
   n0_ = n0;
   storage_ = storage;
   const bool fp32 = storage == Precision::kFp32;
-  // The dense base solve is the last persistent apply-path array: copy it
-  // out of the (unaligned) DenseMatrix so it shares the packed arrays'
-  // alignment and first-touch placement (narrowing to float here when the
-  // chain stores fp32).
-  const std::size_t base_elems =
-      static_cast<std::size_t>(base_n) * static_cast<std::size_t>(base_n);
+  const auto narrow = [](double v) { return static_cast<float>(v); };
+  // The base factor is copied out of its plain vectors so it shares the
+  // packed arrays' alignment and first-touch placement (narrowing to
+  // float here when the chain stores fp32).
   if (fp32) {
-    base_pinv_f_.resize(base_elems);
-    std::transform(base_pinv.data(), base_pinv.data() + base_elems,
-                   base_pinv_f_.data(),
-                   [](double v) { return static_cast<float>(v); });
+    base_f_.resize(base.values.size());
+    std::transform(base.values.begin(), base.values.end(), base_f_.data(),
+                   narrow);
   } else {
-    base_pinv_.resize(base_elems);
-    std::copy(base_pinv.data(), base_pinv.data() + base_elems,
-              base_pinv_.data());
+    base_.resize(base.values.size());
+    std::copy(base.values.begin(), base.values.end(), base_.data());
   }
+  base_component_.resize(base.component.size());
+  std::copy(base.component.begin(), base.component.end(),
+            base_component_.data());
+  const Vertex base_n = base.n;
   base_n_ = base_n;
+  base_components_ = base.components;
   jacobi_terms_ = jacobi_terms;
   build_id_ = build_id;
 
@@ -84,7 +84,6 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
     w_.resize(data_total);
   }
 
-  const auto narrow = [](double v) { return static_cast<float>(v); };
   const auto slot_of = [slots](Vertex v) {
     return slots[static_cast<std::size_t>(v)];
   };
@@ -173,8 +172,8 @@ void ApplyChain::prepare_workspace(ApplyWorkspace& ws,
   buf.jac_b.resize(max_nf * cols);
   buf.jac_cur.resize(max_nf * cols);
   buf.jac_tmp.resize(max_nf * cols);
-  buf.scratch_f.resize(max_nf * cols);
-  buf.base_out.resize(static_cast<std::size_t>(base_n_) * cols);
+  buf.scratch_f.resize(
+      std::max(max_nf, static_cast<std::size_t>(base_components_)) * cols);
   ws.prepared_for = build_id_;
   ws.prepared_cols = cols;
 }
@@ -316,18 +315,13 @@ void ApplyChain::apply_cols_t(const double* b, double* y, std::size_t cols,
         });
   }
 
-  // Base solve x^(d) = L_{G^(d)}^+ b^(d) (Algorithm 2, line 6) on the
-  // trailing slots: row-dot products per column, identical order to
-  // DenseMatrix::apply.
-  {
-    const auto bn = static_cast<std::size_t>(base_n_);
-    T* xb = x + (n0 - bn) * cols;
-    T* out = buf.base_out.data();
-    kernels::for_row_blocks(bn, [&](std::size_t lo, std::size_t hi) {
-      kt.dense_rows(lo, hi, cols, bn, base_pinv_data<T>(), xb, out);
-    });
-    std::memcpy(xb, out, bn * cols * sizeof(T));
-  }
+  // Base solve x^(d) = L_{G^(d)}^+ b^(d) (Algorithm 2, line 6), in place
+  // on the trailing slots: the grounded factor's sweeps, the same code at
+  // every dispatch level.
+  grounded_solve(base_n_, base_components_, base_data<T>(),
+                 base_component_.data(), cols,
+                 x + (n0 - static_cast<std::size_t>(base_n_)) * cols,
+                 buf.scratch_f.data());
 
   // Backward substitution (lines 7-8): x_F = y_F - Z^(k) (L_FC x_C). The
   // fc columns are slots, so x_C is read where the deeper levels left it.

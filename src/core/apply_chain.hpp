@@ -24,9 +24,13 @@
 // that one vector: level k reads and writes its contiguous F slice plus
 // the slots its blocks name, and no kept row is copied between levels.
 //
+// Base solve: the base graph's Laplacian is stored as its grounded GTH
+// factor (linalg/dense.hpp), applied exactly as L^+ by triangular sweeps
+// in place on the base's trailing slots.
+//
 // Storage precision: a chain is packed EITHER fp64 (the default — value
 // arrays double, solves bit-identical to the pre-precision code) OR fp32
-// (value arrays and dense base float; index arrays unchanged). The fp32
+// (value arrays and base factor float; index arrays unchanged). The fp32
 // traversal computes in NATIVE float — half the bytes per value and
 // twice the SIMD lanes per register — so an fp32 chain is the same
 // operator evaluated in float, a constant-quality preconditioner the
@@ -91,10 +95,9 @@ struct ApplyBuffers {
   kernels::AlignedBuffer<T> vec;
   /// Jacobi scratch, max_nf x cols each.
   kernels::AlignedBuffer<T> jac_b, jac_cur, jac_tmp;
-  /// Back-substitution's L_FC x_C, max_nf x cols.
+  /// Back-substitution's L_FC x_C, max_nf x cols; the base solve's
+  /// per-component sums.
   kernels::AlignedBuffer<T> scratch_f;
-  /// base_n x cols.
-  kernels::AlignedBuffer<T> base_out;
 };
 
 /// Scratch reused across apply() calls; one per calling thread
@@ -159,15 +162,16 @@ class ApplyChain {
   };
 
   /// Packs `staging` (consumed by copy; buffers stay with the arena for
-  /// recycling) plus the dense base solve into the immutable form.
+  /// recycling) plus the base graph's grounded factor into the immutable
+  /// form.
   /// `slots[v]` is input vertex v's elimination slot; the staged fc
   /// columns and cf rows, which name input vertices, are rewritten
   /// through it. `storage` selects the value-array precision (fp64 keeps
-  /// the staged doubles; fp32 narrows every value once, here; kAuto is a
-  /// caller bug — resolve before building).
+  /// the staged doubles and the fp64 factor; fp32 narrows every value
+  /// once, here; kAuto is a caller bug — resolve before building).
   void finalize(std::span<const EliminationLevel> staging,
-                std::span<const Vertex> slots, DenseMatrix base_pinv,
-                Vertex base_n, int jacobi_terms, std::uint64_t build_id,
+                std::span<const Vertex> slots, const GroundedFactor& base,
+                int jacobi_terms, std::uint64_t build_id,
                 Precision storage = Precision::kFp64);
 
   [[nodiscard]] Vertex dimension() const noexcept { return n0_; }
@@ -184,14 +188,14 @@ class ApplyChain {
     return static_cast<EdgeId>(nbr_.size());
   }
   /// Value bytes actually held by the packed arrays (weights + Jacobi
-  /// diagonals + dense base): the bytes-aware cache cost proxy — an fp32
+  /// diagonals + base factor): the bytes-aware cache cost proxy — an fp32
   /// chain reports half an fp64 chain's bytes for the same structure.
   [[nodiscard]] std::size_t stored_value_bytes() const noexcept {
     const std::size_t values = (storage_ == Precision::kFp32)
                                    ? w_f_.size() + inv_x_f_.size() +
-                                         y_diag_f_.size() + base_pinv_f_.size()
+                                         y_diag_f_.size() + base_f_.size()
                                    : w_.size() + inv_x_.size() +
-                                         y_diag_.size() + base_pinv_.size();
+                                         y_diag_.size() + base_.size();
     return values * (storage_ == Precision::kFp32 ? sizeof(float)
                                                   : sizeof(double));
   }
@@ -229,10 +233,6 @@ class ApplyChain {
   [[nodiscard]] std::span<const Weight> weights() const noexcept {
     return {w_.data(), w_.size()};
   }
-  /// Row-major base_size() x base_size() dense pseudo-inverse.
-  [[nodiscard]] std::span<const double> base_pinv() const noexcept {
-    return {base_pinv_.data(), base_pinv_.size()};
-  }
   [[nodiscard]] std::span<const float> inv_x_f32() const noexcept {
     return {inv_x_f_.data(), inv_x_f_.size()};
   }
@@ -241,9 +241,6 @@ class ApplyChain {
   }
   [[nodiscard]] std::span<const float> weights_f32() const noexcept {
     return {w_f_.data(), w_f_.size()};
-  }
-  [[nodiscard]] std::span<const float> base_pinv_f32() const noexcept {
-    return {base_pinv_f_.data(), base_pinv_f_.size()};
   }
 
   /// y = W b (Algorithm 2) for one right-hand side. Inputs and outputs
@@ -290,7 +287,7 @@ class ApplyChain {
   template <typename T>
   [[nodiscard]] const T* w_data() const noexcept;
   template <typename T>
-  [[nodiscard]] const T* base_pinv_data() const noexcept;
+  [[nodiscard]] const T* base_data() const noexcept;
 
   Vertex n0_ = 0;
   std::vector<Level> levels_;
@@ -307,12 +304,14 @@ class ApplyChain {
   kernels::AlignedBuffer<EdgeId> off_;  ///< absolute into nbr_ / w_
   kernels::AlignedBuffer<Vertex> nbr_;
   kernels::AlignedBuffer<Weight> w_;
-  kernels::AlignedBuffer<double> base_pinv_;  ///< row-major base_n x base_n
+  kernels::AlignedBuffer<double> base_;  ///< GroundedFactor::values
   kernels::AlignedBuffer<float> inv_x_f_;
   kernels::AlignedBuffer<float> y_diag_f_;
   kernels::AlignedBuffer<float> w_f_;
-  kernels::AlignedBuffer<float> base_pinv_f_;
+  kernels::AlignedBuffer<float> base_f_;
+  kernels::AlignedBuffer<Vertex> base_component_;  ///< per base vertex
   Vertex base_n_ = 0;
+  Vertex base_components_ = 0;
   int jacobi_terms_ = 1;
   std::uint64_t build_id_ = 0;
   Precision storage_ = Precision::kFp64;
@@ -348,14 +347,14 @@ template <>
   return w_f_.data();
 }
 template <>
-[[nodiscard]] inline const double* ApplyChain::base_pinv_data<double>()
+[[nodiscard]] inline const double* ApplyChain::base_data<double>()
     const noexcept {
-  return base_pinv_.data();
+  return base_.data();
 }
 template <>
-[[nodiscard]] inline const float* ApplyChain::base_pinv_data<float>()
+[[nodiscard]] inline const float* ApplyChain::base_data<float>()
     const noexcept {
-  return base_pinv_f_.data();
+  return base_f_.data();
 }
 
 }  // namespace parlap

@@ -368,9 +368,10 @@ BlockCholeskyChain BlockCholeskyChain::build_impl(
   }
   chain.build_stats_.levels = level;
 
-  // Dense base-case pseudo-inverse (Thm 3.9-(3): O(1)-size system). The
-  // base vertices take the last base_n slots, in increasing order.
-  DenseMatrix base_pinv;
+  // Exact base-case factor (Thm 3.9-(3): O(1)-size system), grounded GTH
+  // elimination in level-local order. The base vertices take the last
+  // base_n slots, in increasing order.
+  GroundedFactor base;
   const Vertex base_n = lg.num_vertices();
   for (Vertex j = 0; j < base_n; ++j) {
     arena.slots[static_cast<std::size_t>(lg.live()[static_cast<std::size_t>(j)])] =
@@ -379,7 +380,7 @@ BlockCholeskyChain BlockCholeskyChain::build_impl(
   {
     const WallTimer base_timer;
     PARLAP_TRACE_SPAN("build.base", "build");
-    base_pinv = pseudo_inverse(laplacian_dense(lg.renumbered()));
+    base = grounded_factor(lg.renumbered());
     chain.build_stats_.base_seconds = base_timer.seconds();
   }
   if (consumed != nullptr) {
@@ -406,8 +407,7 @@ BlockCholeskyChain BlockCholeskyChain::build_impl(
     chain.chain_.finalize(
         std::span<const EliminationLevel>(arena.level_staging.data(),
                                           static_cast<std::size_t>(level)),
-        arena.slots, std::move(base_pinv), base_n, jacobi_terms, build_id,
-        opts.precision);
+        arena.slots, base, jacobi_terms, build_id, opts.precision);
     chain.build_stats_.pack_seconds = pack_timer.seconds();
   }
 

@@ -4,12 +4,13 @@
 // BlockCholesky::build repeatedly (a) finds a 5-DD subset F_k (Algorithm
 // 3), (b) replaces the Schur complement onto C_k by the TerminalWalks
 // sample (Algorithm 4), until the remaining graph has at most
-// `base_size` vertices (Thm 3.9-(3)); the base system is inverted densely.
+// `base_size` vertices (Thm 3.9-(3)); the base system is solved exactly by
+// its grounded GTH factorization (linalg/dense.hpp).
 //
 // apply() realizes ApplyCholesky (Algorithm 2): forward substitution down
 // the chain with the F-blocks solved approximately by the truncated Jacobi
 // series Z = sum_i X^-1 (-Y X^-1)^i (Lemma 3.5, l = O(log d) terms for
-// eps = 1/2d), the dense base solve, and backward substitution up. The
+// eps = 1/2d), the exact base solve, and backward substitution up. The
 // resulting operator W is symmetric PSD and satisfies W^+ ~1 L_G w.h.p.
 // (Thm 3.10), making it a constant-quality preconditioner.
 //

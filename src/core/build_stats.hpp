@@ -64,7 +64,7 @@ struct BuildLevelTiming {
 /// What one (or, after accumulate(), several) chain build(s) cost.
 struct BuildStats {
   double total_seconds = 0.0;  ///< whole build() call, levels + base
-  double base_seconds = 0.0;   ///< dense base-case pseudo-inverse
+  double base_seconds = 0.0;   ///< grounded GTH factor of the base case
   /// Packing the staged levels into the immutable CSR ApplyChain.
   double pack_seconds = 0.0;
   int levels = 0;              ///< elimination levels built (max on merge)

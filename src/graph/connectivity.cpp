@@ -19,7 +19,7 @@ Vertex find_root(std::vector<Vertex>& parent, Vertex x) {
 
 }  // namespace
 
-Components connected_components(const Multigraph& g) {
+Components connected_components(MultigraphView g) {
   const Vertex n = g.num_vertices();
   std::vector<Vertex> parent(static_cast<std::size_t>(n));
   std::iota(parent.begin(), parent.end(), Vertex{0});

@@ -22,7 +22,7 @@ struct Components {
 };
 
 /// Union-find with path halving; O(m alpha(n)).
-[[nodiscard]] Components connected_components(const Multigraph& g);
+[[nodiscard]] Components connected_components(MultigraphView g);
 
 [[nodiscard]] bool is_connected(const Multigraph& g);
 

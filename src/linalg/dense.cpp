@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <type_traits>
 
+#include "graph/connectivity.hpp"
 #include "support/check.hpp"
 
 namespace parlap {
@@ -162,6 +164,206 @@ DenseMatrix pseudo_inverse(const DenseMatrix& a, double rel_tol) {
   }
   return out;
 }
+
+namespace {
+
+/// Entries of the packed strictly-lower triangle of an n x n matrix.
+std::size_t packed_size(std::size_t n) { return n > 0 ? n * (n - 1) / 2 : 0; }
+
+/// Offset of column k (rows k+1..n-1) in the packed triangle.
+std::size_t packed_column(std::size_t n, std::size_t k) {
+  return k * (n - 1) - k * (k - 1) / 2;
+}
+
+/// Partial sums per row of the backward sweep: its dot products add in
+/// kLanes independent chains instead of one.
+constexpr std::size_t kLanes = 4;
+
+/// x(i, :) -= mean of x over i's component, for the W columns at x (row
+/// i's at x + i*ld); `sums` holds components*W values.
+template <std::size_t W, typename T, typename Ld>
+void subtract_component_means(std::size_t n, std::size_t components,
+                              const Vertex* component, const T* inv_size,
+                              Ld ld, T* x, T* sums) {
+  std::fill(sums, sums + components * W, T{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    T* s = sums + static_cast<std::size_t>(component[i]) * W;
+    const T* xi = x + i * ld;
+    for (std::size_t c = 0; c < W; ++c) s[c] = static_cast<T>(s[c] + xi[c]);
+  }
+  for (std::size_t p = 0; p < components; ++p) {
+    for (std::size_t c = 0; c < W; ++c) {
+      sums[p * W + c] = static_cast<T>(sums[p * W + c] * inv_size[p]);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const T* s = sums + static_cast<std::size_t>(component[i]) * W;
+    T* xi = x + i * ld;
+    for (std::size_t c = 0; c < W; ++c) xi[c] = static_cast<T>(xi[c] - s[c]);
+  }
+}
+
+/// grounded_solve on the W columns at x (row i's at x + i*ld). Each
+/// column's arithmetic is independent of W and ld. The column loops are
+/// marked simd so the vectorizer packs columns (elementwise, so any
+/// packing gives the same bits) instead of rows; a lone column (ld a
+/// compile-time 1) vectorizes along its contiguous rows instead.
+template <std::size_t W, typename T, typename Ld>
+void grounded_block(std::size_t n, std::size_t components, const T* values,
+                    const Vertex* component, Ld ld, T* x, T* sums) {
+  const T* inv_pivot = values + packed_size(n);
+  const T* inv_size = inv_pivot + n;
+  subtract_component_means<W>(n, components, component, inv_size, ld, x,
+                              sums);
+  // Forward sweep, U z = x: column k adds m_ik z_k to every later row.
+  // z_k is copied out so the stores to later rows need not reload it.
+  for (std::size_t k = 0; k < n; ++k) {
+    T xk[W];
+    std::copy(x + k * ld, x + k * ld + W, xk);
+    const T* mk = values + packed_column(n, k);
+    for (std::size_t i = k + 1; i < n; ++i) {
+      T* xi = x + i * ld;
+      const T mik = mk[i - k - 1];
+#pragma omp simd
+      for (std::size_t c = 0; c < W; ++c) {
+        xi[c] = static_cast<T>(xi[c] + mik * xk[c]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    T* xi = x + i * ld;
+    for (std::size_t c = 0; c < W; ++c) {
+      xi[c] = static_cast<T>(xi[c] * inv_pivot[i]);
+    }
+  }
+  // Backward sweep, U' y = z: y_k = z_k + sum_{i>k} m_ik y_i over column
+  // k's contiguous multipliers, term j = i-k-1 added into partial sum
+  // j % kLanes; the partial sums are added in lane order.
+  for (std::size_t k = n; k-- > 0;) {
+    const T* mk = values + packed_column(n, k);
+    const std::size_t len = n - k - 1;
+    T acc[kLanes][W] = {};
+    std::size_t j = 0;
+    for (; j + kLanes <= len; j += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const T m = mk[j + l];
+        const T* xi = x + (k + 1 + j + l) * ld;
+#pragma omp simd
+        for (std::size_t c = 0; c < W; ++c) {
+          acc[l][c] = static_cast<T>(acc[l][c] + m * xi[c]);
+        }
+      }
+    }
+    for (std::size_t l = 0; j < len; ++j, ++l) {
+      const T* xi = x + (k + 1 + j) * ld;
+#pragma omp simd
+      for (std::size_t c = 0; c < W; ++c) {
+        acc[l][c] = static_cast<T>(acc[l][c] + mk[j] * xi[c]);
+      }
+    }
+    T* xk = x + k * ld;
+    for (std::size_t c = 0; c < W; ++c) {
+      T sum = acc[0][c];
+      for (std::size_t l = 1; l < kLanes; ++l) {
+        sum = static_cast<T>(sum + acc[l][c]);
+      }
+      xk[c] = static_cast<T>(xk[c] + sum);
+    }
+  }
+  subtract_component_means<W>(n, components, component, inv_size, ld, x,
+                              sums);
+}
+
+}  // namespace
+
+GroundedFactor grounded_factor(MultigraphView g) {
+  const Vertex n = g.num_vertices();
+  const auto nz = static_cast<std::size_t>(n);
+  // Edge weights, upper triangle only: w(i, j) for i < j is the current
+  // weight between i and j, summed over parallel edges in edge order.
+  DenseMatrix w(n, n);
+  const EdgeId m = g.num_edges();
+  for (EdgeId e = 0; e < m; ++e) {
+    const Vertex u = g.edge_u(e);
+    const Vertex v = g.edge_v(e);
+    if (u == v) continue;  // a self-loop is not part of L
+    w(std::min(u, v), std::max(u, v)) += g.edge_weight(e);
+  }
+
+  // Components by union-find over the summed edges, one per vertex pair,
+  // rather than over every parallel multi-edge of g.
+  std::vector<Vertex> us;
+  std::vector<Vertex> vs;
+  for (Vertex i = 0; i < n; ++i) {
+    for (Vertex j = i + 1; j < n; ++j) {
+      if (w(i, j) > 0.0) {
+        us.push_back(i);
+        vs.push_back(j);
+      }
+    }
+  }
+  const std::vector<Weight> ws(us.size(), 1.0);
+  Components comps = connected_components(MultigraphView(n, us, vs, ws));
+  GroundedFactor f;
+  f.n = n;
+  f.components = comps.count;
+  f.component = std::move(comps.label);
+  const std::size_t n_mult = packed_size(nz);
+  f.values.assign(n_mult + nz + static_cast<std::size_t>(f.components), 0.0);
+  double* inv_pivot = f.values.data() + n_mult;
+  for (Vertex k = 0; k < n; ++k) {
+    // The pivot is the sum of k's remaining weights, not the updated
+    // diagonal: the GTH step that keeps every operation a sum.
+    double d = 0.0;
+    for (Vertex j = k + 1; j < n; ++j) d += w(k, j);
+    if (d == 0.0) continue;  // k grounds its component: 1/d and U's column stay 0
+    inv_pivot[k] = 1.0 / d;
+    double* mk = f.values.data() + packed_column(nz, static_cast<std::size_t>(k));
+    for (Vertex i = k + 1; i < n; ++i) mk[i - k - 1] = w(k, i) / d;
+    // Schur complement onto k+1..n-1: w(i, j) += w(k, i) w(k, j) / d.
+    for (Vertex i = k + 1; i < n; ++i) {
+      const double mi = mk[i - k - 1];
+      if (mi == 0.0) continue;
+      for (Vertex j = i + 1; j < n; ++j) w(i, j) += mi * w(k, j);
+    }
+  }
+  double* inv_size = inv_pivot + nz;
+  for (const Vertex c : f.component) inv_size[c] += 1.0;
+  for (Vertex c = 0; c < f.components; ++c) inv_size[c] = 1.0 / inv_size[c];
+  return f;
+}
+
+template <typename T>
+void grounded_solve(Vertex n, Vertex components, const T* values,
+                    const Vertex* component, std::size_t cols, T* x,
+                    T* sums) {
+  const auto nz = static_cast<std::size_t>(n);
+  const auto nc = static_cast<std::size_t>(components);
+  // Columns go in blocks of compile-time width; the blocking changes no
+  // column's arithmetic.
+  if (cols == 1) {
+    grounded_block<1>(nz, nc, values, component,
+                      std::integral_constant<std::size_t, 1>{}, x, sums);
+    return;
+  }
+  std::size_t c0 = 0;
+  for (; c0 + 8 <= cols; c0 += 8) {
+    grounded_block<8>(nz, nc, values, component, cols, x + c0, sums);
+  }
+  for (; c0 + 4 <= cols; c0 += 4) {
+    grounded_block<4>(nz, nc, values, component, cols, x + c0, sums);
+  }
+  for (; c0 < cols; ++c0) {
+    grounded_block<1>(nz, nc, values, component, cols, x + c0, sums);
+  }
+}
+
+template void grounded_solve<double>(Vertex, Vertex, const double*,
+                                     const Vertex*, std::size_t, double*,
+                                     double*);
+template void grounded_solve<float>(Vertex, Vertex, const float*,
+                                    const Vertex*, std::size_t, float*,
+                                    float*);
 
 DenseMatrix cholesky_factor(const DenseMatrix& a) {
   const int n = a.rows();

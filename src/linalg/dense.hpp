@@ -1,12 +1,14 @@
 // Dense symmetric linear algebra.
 //
 // Two roles: (a) the O(1)-size base-case solve of BlockCholesky (the chain
-// stops at <= 100 vertices, Thm 3.9-(3)); (b) the test oracle — exact
-// pseudo-inverses, Schur complements, effective resistances, and Loewner-
-// order certificates against which the randomized algorithms are verified
-// on small instances.
+// stops at <= 100 vertices, Thm 3.9-(3)), a grounded GTH factorization
+// applied as triangular sweeps, also behind the `dense` baseline; (b) the
+// test oracle — exact pseudo-inverses, Schur complements, effective
+// resistances, and Loewner-order certificates against which the
+// randomized algorithms are verified on small instances.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -75,6 +77,41 @@ struct EigenDecomposition {
 /// |lambda| <= rel_tol * max|lambda| are treated as kernel.
 [[nodiscard]] DenseMatrix pseudo_inverse(const DenseMatrix& a,
                                          double rel_tol = 1e-10);
+
+/// Grounded Grassmann-Taksar-Heyman (1985) factorization of a graph
+/// Laplacian, eliminating vertices in natural order: L = U D U' with U
+/// unit lower triangular, U(i, k) = -w_ik / d_k. Each pivot d_k is the
+/// sum of vertex k's remaining edge weights and each Schur update adds a
+/// nonnegative weight, so no step subtracts. A zero pivot marks its
+/// component's ground vertex (the component's last vertex), so the rank
+/// comes from connectivity, not from a threshold.
+struct GroundedFactor {
+  Vertex n = 0;
+  Vertex components = 0;
+  /// Every value the solve reads, in one array so a caller can narrow it
+  /// in one pass: the n(n-1)/2 multipliers w_ik / d_k packed by column
+  /// (column k's rows k+1..n-1 consecutive), then the n reciprocal pivots
+  /// (0 at ground vertices), then each component's 1/size.
+  std::vector<double> values;
+  std::vector<Vertex> component;  ///< connected_components() label per vertex
+};
+
+/// Factors the Laplacian of `g`, always in fp64. Components come from a
+/// union-find over g's edges.
+[[nodiscard]] GroundedFactor grounded_factor(MultigraphView g);
+
+/// x <- L^+ x for `cols` interleaved columns (element (i, c) at
+/// i*cols + c), in place: subtract each component's mean, forward sweep,
+/// scale by 1/d, backward sweep, subtract the means again. That is
+/// P G P with G = U'^-1 D^+ U^-1 a generalized inverse of L and P the
+/// projection off ker L, which equals L^+ exactly. `values` is
+/// GroundedFactor::values in storage type T; `sums` is scratch for
+/// components*cols values. Each column's arithmetic is the same at
+/// every width.
+template <typename T>
+void grounded_solve(Vertex n, Vertex components, const T* values,
+                    const Vertex* component, std::size_t cols, T* x,
+                    T* sums);
 
 /// Cholesky factor (lower triangular) of a symmetric PD matrix. Throws on a
 /// non-positive pivot.

@@ -4,7 +4,7 @@
 // column-major Panel kernels (axpy, per-column reductions, indexed
 // gather/scatter) and the interleaved sub-CSR sweeps of
 // ApplyChain::apply_cols (Jacobi iterations, the L_CF / L_FC block
-// applies, the dense base solve). This layer packages each of those as a
+// applies). This layer packages each of those as a
 // function pointer in a KernelTable, with three implementations —
 // scalar, AVX2, AVX-512 — selected ONCE per process by CPUID (or forced
 // via the PARLAP_SIMD env var / the --simd flag on parlap_cli and
@@ -13,7 +13,7 @@
 // Bit-identity contract ("lane = column"): SIMD variants vectorize ONLY
 // across independent columns (or across independent output rows, for
 // pure copies). A lane always carries one column's arithmetic in exactly
-// the scalar order, every kernel translation unit is compiled with
+// the scalar order, every translation unit is compiled with
 // -ffp-contract=off, and no FMA intrinsics are used — so every dispatch
 // level produces bit-identical outputs to the scalar reference, and the
 // k=1 / PR-5 panel bit-identity contract survives dispatch unchanged.
@@ -130,11 +130,6 @@ struct KernelTableT {
   void (*csr_bwd)(std::size_t lo, std::size_t hi, std::size_t k,
                   const EdgeId* off, const Vertex* nbr, const T* w,
                   const T* src, T* out);
-  /// Dense base solve rows [lo, hi) of an n x n row-major matrix:
-  /// out(i, :) = sum_j a[i*n + j] * in(j, :).
-  void (*dense_rows)(std::size_t lo, std::size_t hi, std::size_t k,
-                     std::size_t n, const T* a, const T* in,
-                     T* out);
 };
 
 /// The fp64 table (Weight == double) every pre-existing caller uses.

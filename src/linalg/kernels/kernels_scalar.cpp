@@ -215,38 +215,6 @@ void csr_bwd(std::size_t lo, std::size_t hi, std::size_t k, const EdgeId* off,
 }
 
 template <typename T>
-void dense_rows(std::size_t lo, std::size_t hi, std::size_t k, std::size_t n,
-                const T* a, const T* in, T* out) {
-  if (k == 1) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const T* row = a + i * n;
-      T acc{};
-      for (std::size_t j = 0; j < n; ++j) {
-        acc = static_cast<T>(acc + row[j] * in[j]);
-      }
-      out[i] = acc;
-    }
-    return;
-  }
-  for (std::size_t i = lo; i < hi; ++i) {
-    const T* row = a + i * n;
-    for (std::size_t c0 = 0; c0 < k; c0 += kColChunk) {
-      const std::size_t cw = std::min(kColChunk, k - c0);
-      T acc[kColChunk] = {};
-      for (std::size_t j = 0; j < n; ++j) {
-        const T aj = row[j];
-        for (std::size_t cc = 0; cc < cw; ++cc) {
-          acc[cc] = static_cast<T>(acc[cc] + aj * in[j * k + c0 + cc]);
-        }
-      }
-      for (std::size_t cc = 0; cc < cw; ++cc) {
-        out[i * k + c0 + cc] = acc[cc];
-      }
-    }
-  }
-}
-
-template <typename T>
 constexpr KernelTableT<T> make_scalar_table() {
   return KernelTableT<T>{
       SimdLevel::kScalar,
@@ -258,7 +226,6 @@ constexpr KernelTableT<T> make_scalar_table() {
       &csr_jacobi<T>,
       &csr_fwd<T>,
       &csr_bwd<T>,
-      &dense_rows<T>,
   };
 }
 

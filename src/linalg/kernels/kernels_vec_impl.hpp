@@ -21,7 +21,7 @@
 // accumulators to the double* output on the final store (exact).
 //
 // The bit-identity discipline, concretely:
-//   * Interleaved kernels (csr_*, dense_rows) put one COLUMN per vector
+//   * Interleaved kernels (csr_*) put one COLUMN per vector
 //     lane: a lane performs its column's adds/subs/muls in exactly the
 //     scalar order, and mul/add/sub intrinsics are never fused (no FMA
 //     intrinsics; contraction disabled), so lane results equal the
@@ -37,9 +37,9 @@
 //   * Remainder columns (k % W) and rows fall back to the scalar
 //     pattern (elem accumulator, same native arithmetic), which is the
 //     same operation sequence by construction.
-//   * Kernels that put one column per LANE (chunk_dots, csr_*,
-//     dense_rows) delegate k < W to the NEXT LOWER tier (V::lower():
-//     avx512 -> avx2 -> scalar): a panel that fills no lanes here may
+//   * Kernels that put one column per LANE (chunk_dots, csr_*) delegate
+//     k < W to the NEXT LOWER tier (V::lower(): avx512 -> avx2 ->
+//     scalar): a panel that fills no lanes here may
 //     exactly fill the half-width register one tier down — the fp32
 //     avx512 tier holds 16 float lanes, so the common width-8 panel
 //     lands on the avx2 tier's single __m256 pass instead of a
@@ -251,34 +251,6 @@ struct VecKernels {
       }
     }
   }
-
-  static void dense_rows(std::size_t lo, std::size_t hi, std::size_t k,
-                         std::size_t n, const elem* a, const elem* in,
-                         elem* out) {
-    if (k < W) {
-      V::lower().dense_rows(lo, hi, k, n, a, in, out);
-      return;
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      const elem* row = a + i * n;
-      std::size_t c0 = 0;
-      for (; c0 + W <= k; c0 += W) {
-        reg acc = V::zero();
-        for (std::size_t j = 0; j < n; ++j) {
-          acc = V::add(acc, V::mul(V::set1(static_cast<double>(row[j])),
-                                   V::loadu(in + j * k + c0)));
-        }
-        V::storeu(out + i * k + c0, acc);
-      }
-      for (; c0 < k; ++c0) {
-        elem acc{};
-        for (std::size_t j = 0; j < n; ++j) {
-          acc = static_cast<elem>(acc + row[j] * in[j * k + c0]);
-        }
-        out[i * k + c0] = acc;
-      }
-    }
-  }
 };
 
 /// Builds a tier's kernel table (fp64 or fp32 storage, per the trait's
@@ -296,7 +268,6 @@ constexpr KernelTableT<typename V::elem> make_table(SimdLevel level,
       &VecKernels<V>::csr_jacobi,
       &VecKernels<V>::csr_fwd,
       &VecKernels<V>::csr_bwd,
-      &VecKernels<V>::dense_rows,
   };
 }
 

@@ -204,6 +204,21 @@ def run_checks(cli, data, fixture, tmp):
             check((p.returncode == 0) == (r.get("converged") is True),
                   f"{what}: exit code matches converged")
 
+    # --- exact base: residual bounds at a 1e+-6 weight spread -----------
+    # path:80 is its own base (depth 0), so `parlap` and the `dense` ground
+    # truth both rest on the grounded factor. An eigensolve base with a
+    # magnitude cutoff stopped both at residual 0.46-0.47 here.
+    for method, bound in (("dense", 1e-3), ("parlap", 1e-4)):
+        what = f"base path:80 1e+-6 {method}"
+        p = run(cli, "solve", "--gen", "path:80", "--weights",
+                "powerlaw:1e-6,1e6,1", "--seed", "1", "--rhs-random", "1",
+                "--method", method, "--json", str(out_json))
+        check(p.returncode in (0, 1), f"{what}: exit 0 or 1 (got {p.returncode})")
+        if p.returncode not in (0, 1):
+            continue
+        res = json.loads(out_json.read_text())["runs"][0].get("relative_residual", 2.0)
+        check(res <= bound, f"{what}: residual {res} <= {bound}")
+
     # --- documented failure modes ---------------------------------------
     p = run(cli, "solve", "--input", str(data / "malformed.mtx"))
     check(p.returncode == 3, f"malformed mtx: exit 3 (got {p.returncode})")

@@ -1,9 +1,13 @@
-// Dense oracle tests: the eigensolver, pseudo-inverse, Cholesky, exact
-// Schur complements, leverage scores, and the Loewner certificates every
+// Dense oracle tests: the eigensolver, pseudo-inverse, Cholesky, the
+// grounded GTH factor behind the chain's base solve, exact Schur
+// complements, leverage scores, and the Loewner certificates every
 // randomized-component test depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "graph/generators.hpp"
 #include "linalg/dense.hpp"
@@ -82,6 +86,141 @@ TEST(PseudoInverse, SatisfiesPenroseOnLaplacian) {
   EXPECT_LT(p.max_abs_diff(p.transpose()), 1e-10);
   const Vector ones(16, 1.0);
   for (const double v : p.apply(ones)) EXPECT_NEAR(v, 0.0, 1e-9);
+}
+
+Vector random_rhs(std::size_t n, std::uint64_t seed) {
+  Vector b(n);
+  Rng rng(seed, RngTag::kTest, 0);
+  for (auto& v : b) v = rng.next_in(-1.0, 1.0);
+  return b;
+}
+
+/// x = L^+ b through the grounded factor, one column.
+Vector grounded_apply(const GroundedFactor& f, const Vector& b) {
+  Vector x = b;
+  Vector sums(static_cast<std::size_t>(f.components));
+  grounded_solve(f.n, f.components, f.values.data(), f.component.data(), 1,
+                 x.data(), sums.data());
+  return x;
+}
+
+/// max_i |x_i - y_i| / max_i |y_i|.
+double max_rel_diff(const Vector& x, const Vector& y) {
+  double diff = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    diff = std::max(diff, std::abs(x[i] - y[i]));
+    scale = std::max(scale, std::abs(y[i]));
+  }
+  return diff / scale;
+}
+
+TEST(GroundedFactor, MatchesPseudoInverse) {
+  const std::pair<const char*, Multigraph> graphs[] = {
+      {"path", make_path(40)},
+      {"grid", make_grid2d(8, 9)},
+      {"complete", make_complete(30)},
+      {"barbell", make_barbell(12, 10)},
+  };
+  for (const auto& [name, g] : graphs) {
+    const GroundedFactor f = grounded_factor(g);
+    EXPECT_EQ(f.components, 1) << name;
+    const DenseMatrix pinv = pseudo_inverse(laplacian_dense(g));
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Vector b = random_rhs(static_cast<std::size_t>(g.num_vertices()), seed);
+      EXPECT_LT(max_rel_diff(grounded_apply(f, b), pinv.apply(b)), 1e-12)
+          << name << " seed " << seed;
+    }
+  }
+}
+
+TEST(GroundedFactor, GroundsOnceAndStaysMeanFreePerComponent) {
+  // Two components (a weighted cycle on the even ids, a path on the odd
+  // ones) plus an isolated vertex, 10.
+  Multigraph g(11);
+  for (Vertex i = 0; i < 5; ++i) {
+    g.add_edge(2 * i, 2 * ((i + 1) % 5), 1.0 + i);
+  }
+  for (Vertex i = 0; i < 4; ++i) g.add_edge(2 * i + 1, 2 * i + 3, 0.5);
+  const GroundedFactor f = grounded_factor(g);
+  ASSERT_EQ(f.components, 3);
+  const auto n = static_cast<std::size_t>(f.n);
+  const double* inv_pivot = f.values.data() + n * (n - 1) / 2;
+  std::vector<int> grounds(3, 0);
+  std::vector<Vertex> last(3, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto c = static_cast<std::size_t>(f.component[v]);
+    last[c] = static_cast<Vertex>(v);
+    if (inv_pivot[v] == 0.0) ++grounds[c];
+  }
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(grounds[c], 1) << "component " << c;
+    EXPECT_EQ(inv_pivot[last[c]], 0.0) << "component " << c;
+  }
+
+  const DenseMatrix pinv = pseudo_inverse(laplacian_dense(g));
+  const Vector b = random_rhs(n, 9);
+  const Vector x = grounded_apply(f, b);
+  std::vector<double> sums(3, 0.0);
+  for (std::size_t v = 0; v < n; ++v) sums[static_cast<std::size_t>(f.component[v])] += x[v];
+  for (const double s : sums) EXPECT_NEAR(s, 0.0, 1e-13);
+  EXPECT_LT(max_rel_diff(x, pinv.apply(b)), 1e-12);
+}
+
+TEST(GroundedFactor, SolvesWideWeightSpreadPath) {
+  // path:80 with powerlaw:1e-6,1e6,1 weights: the spectrum spans far more
+  // than the eigensolve cutoff, which drops real eigenvalues as kernel.
+  Multigraph g = make_path(80);
+  apply_weights(g, WeightModel::power_law(1e-6, 1e6, 1.0), 2);
+  Vector b = random_rhs(80, 1);
+  double mean = 0.0;
+  for (const double v : b) mean += v / 80.0;
+  for (double& v : b) v -= mean;
+  const DenseMatrix l = laplacian_dense(g);
+  const Vector lx = l.apply(grounded_apply(grounded_factor(g), b));
+  double r = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) r += (lx[i] - b[i]) * (lx[i] - b[i]);
+  EXPECT_LE(std::sqrt(r) / norm2(b), 1e-3);
+}
+
+template <typename T>
+std::uint64_t bits(T v) {
+  if constexpr (sizeof(T) == 8) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else {
+    return std::bit_cast<std::uint32_t>(v);
+  }
+}
+
+template <typename T>
+void expect_panel_matches_columns(const GroundedFactor& f, std::size_t cols) {
+  const auto n = static_cast<std::size_t>(f.n);
+  const std::vector<T> values(f.values.begin(), f.values.end());
+  const Vector b = random_rhs(n * cols, 17);
+  std::vector<T> panel(b.begin(), b.end());
+  std::vector<T> sums(static_cast<std::size_t>(f.components) * cols);
+  grounded_solve(f.n, f.components, values.data(), f.component.data(), cols,
+                 panel.data(), sums.data());
+  for (std::size_t c = 0; c < cols; ++c) {
+    std::vector<T> col(n);
+    for (std::size_t i = 0; i < n; ++i) col[i] = static_cast<T>(b[i * cols + c]);
+    grounded_solve(f.n, f.components, values.data(), f.component.data(), 1,
+                   col.data(), sums.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(bits(col[i]), bits(panel[i * cols + c]))
+          << "cols " << cols << " column " << c << " row " << i;
+    }
+  }
+}
+
+TEST(GroundedFactor, PanelColumnsMatchSingleColumnsBitwise) {
+  Multigraph g = make_erdos_renyi(37, 120, 4);
+  apply_weights(g, WeightModel::uniform(0.5, 2.0), 5);
+  const GroundedFactor f = grounded_factor(g);
+  for (const std::size_t cols : {2, 4, 8, 13, 16}) {
+    expect_panel_matches_columns<double>(f, cols);
+    expect_panel_matches_columns<float>(f, cols);
+  }
 }
 
 TEST(Cholesky, FactorAndSolve) {

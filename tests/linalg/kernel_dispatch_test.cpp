@@ -339,28 +339,6 @@ TEST(KernelDispatch, CsrBwdMatchesScalarBitwise) {
   }
 }
 
-TEST(KernelDispatch, DenseRowsMatchesScalarBitwise) {
-  const KernelTable& ref = table_for(SimdLevel::kScalar);
-  const std::size_t n = 53;  // dense base blocks are small; odd on purpose
-  const std::vector<double> a = random_doubles(n * n, 701);
-  const std::pair<std::size_t, std::size_t> ranges[] = {
-      {0, n}, {1, n - 1}, {n - 5, n}};
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTable& vec = table_for(lvl);
-    for (std::size_t k : kWidths) {
-      const Misaligned in(random_doubles(n * k, 702));
-      const std::vector<double> out0 = random_doubles(n * k, 703);
-      for (const auto& [lo, hi] : ranges) {
-        std::vector<double> want = out0;
-        std::vector<double> got = out0;
-        ref.dense_rows(lo, hi, k, n, a.data(), in.data(), want.data());
-        vec.dense_rows(lo, hi, k, n, a.data(), in.data(), got.data());
-        expect_bits_equal(got, want, "dense_rows", lvl, k, lo, hi);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // fp32 tier. The same "lane = column" contract holds per storage type:
 // the float tables accumulate in double registers and narrow once on
@@ -621,31 +599,6 @@ TEST(KernelDispatchF32, CsrBwdMatchesScalarBitwise) {
         vec.csr_bwd(lo, hi, k, csr.off.data(), csr.nbr.data(), w.data(),
                     src.data(), got.data());
         expect_bits_equal_f32(got, want, "csr_bwd", lvl, k, lo, hi);
-      }
-    }
-  }
-}
-
-TEST(KernelDispatchF32, DenseRowsMatchesScalarBitwise) {
-  const KernelTableF32& ref = table_for_f32(SimdLevel::kScalar);
-  const std::size_t n = 53;
-  std::vector<float> a = random_floats(n * n, 711);
-  inject_specials(a);
-  const std::pair<std::size_t, std::size_t> ranges[] = {
-      {0, n}, {1, n - 1}, {n - 5, n}};
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableF32& vec = table_for_f32(lvl);
-    for (std::size_t k : kWidths) {
-      std::vector<float> inv = random_floats(n * k, 712);
-      inject_specials(inv);
-      const MisalignedF in(std::move(inv));
-      const std::vector<float> out0 = random_floats(n * k, 713);
-      for (const auto& [lo, hi] : ranges) {
-        std::vector<float> want = out0;
-        std::vector<float> got = out0;
-        ref.dense_rows(lo, hi, k, n, a.data(), in.data(), want.data());
-        vec.dense_rows(lo, hi, k, n, a.data(), in.data(), got.data());
-        expect_bits_equal_f32(got, want, "dense_rows", lvl, k, lo, hi);
       }
     }
   }

@@ -47,8 +47,7 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
   base_component_.resize(base.component.size());
   std::copy(base.component.begin(), base.component.end(),
             base_component_.data());
-  const Vertex base_n = base.n;
-  base_n_ = base_n;
+  base_n_ = base.n;
   base_components_ = base.components;
   jacobi_terms_ = jacobi_terms;
   build_id_ = build_id;
@@ -64,7 +63,7 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
                  lvl.cf_rows.size() + 1;
     data_total += lvl.ff.nbr.size() + lvl.fc.nbr.size() + lvl.cf.nbr.size();
   }
-  PARLAP_CHECK(nf_total + static_cast<std::size_t>(base_n) ==
+  PARLAP_CHECK(nf_total + static_cast<std::size_t>(base_n_) ==
                static_cast<std::size_t>(n0));
   levels_.reserve(staging.size());
   // AlignedBuffer growth first-touches the pages under the active

@@ -81,7 +81,7 @@ TEST(BlockCholesky, ChainStructureInvariants) {
 }
 
 TEST(BlockCholesky, MatchesRecordedChains) {
-  // Pins whole chains, not properties: three unit-weight graphs deeper
+  // Pins whole chains, not properties: four unit-weight graphs deeper
   // than one level, split as LaplacianSolver's first round splits them
   // (default_split_copies(n, 0.1)) and built at a fixed seed. Depth,
   // stored entries and the bits of one apply must equal the values
@@ -103,6 +103,10 @@ TEST(BlockCholesky, MatchesRecordedChains) {
        0xdf284d04152e2608ull},
       {"barbell:60", make_barbell(60, 30), 10, 4356, 0x7f59682380bb6f2full,
        0xf5b33934061083d6ull},
+      // Deep levels with at most 16 F rows but 20K-44K walks each: the
+      // build's passes fork on these by volume, not by row count.
+      {"barbell:200", make_barbell(200, 100), 34, 77336,
+       0x9931ce93a3732ea8ull, 0x688d04f1492c5e72ull},
   };
   const auto hash = [](std::span<const double> x) {
     std::uint64_t h = 0x736F6C75'74696F6Eull;

@@ -47,29 +47,27 @@ void extract_level(const WalkGraph& wg, std::span<const double> f_degree,
   lvl.inv_x.resize(nfz);
   lvl.y_diag.resize(nfz);
 
-  // Rows are split in contiguous chunks, like parallel_for's static
-  // schedule (one chunk below its grain). Chunk c owns slot[c*n, (c+1)*n):
-  // slot[t] is where target t's entry of the row being split sits. A slot
-  // is trusted only if it lies in the current row's range and that entry
-  // names t, so stale slots from other rows, levels or builds never need
-  // clearing.
-  const int row_chunks =
-      lvl.nf >= 2048 && parallelism_allowed()
-          ? static_cast<int>(std::clamp<std::int64_t>(
-                (std::int64_t{1} << 24) / std::max<std::int64_t>(lvl.n, 1), 1,
-                thread_count()))
-          : 1;
+  // Rows are split in contiguous chunks of equal walk-graph volume (one
+  // below the fork cutoff). Chunk c owns slot[c*n, (c+1)*n): slot[t] is
+  // where target t's entry of the row being split sits. A slot is trusted
+  // only if it lies in the current row's range and that entry names t, so
+  // stale slots from other rows, levels or builds never need clearing.
+  // A forked pass takes one chunk per thread, with at most 2^24 slots
+  // of scratch in all.
+  const auto chunks_for = [&](EdgeId volume) {
+    return fork_pays(volume)
+               ? static_cast<int>(std::clamp<std::int64_t>(
+                     (std::int64_t{1} << 24) / std::max<std::int64_t>(lvl.n, 1),
+                     1, thread_count()))
+               : 1;
+  };
+  const std::span<const EdgeId> wg_off(wg.off);
+  const int row_chunks = chunks_for(wg.volume());
   arena.extract_slot.resize(static_cast<std::size_t>(row_chunks) * nz);
   const auto for_each_row = [&](auto&& row) {
-#pragma omp parallel for schedule(static) num_threads(row_chunks) if (row_chunks > 1)
-    for (int c = 0; c < row_chunks; ++c) {
-      const auto cz = static_cast<std::size_t>(c);
-      const auto chunks = static_cast<std::size_t>(row_chunks);
-      EdgeId* slot = arena.extract_slot.data() + cz * nz;
-      for (std::size_t i = nfz * cz / chunks; i < nfz * (cz + 1) / chunks; ++i) {
-        row(i, slot);
-      }
-    }
+    for_each_row_chunk(wg_off, row_chunks, [&](std::size_t i, int c) {
+      row(i, arena.extract_slot.data() + static_cast<std::size_t>(c) * nz);
+    });
   };
 
   // Count each row's distinct F and C targets; counts are written straight
@@ -142,16 +140,14 @@ void extract_level(const WalkGraph& wg, std::span<const double> f_degree,
   });
 
   // L_CF = transpose of fc: stable chunked counting sort by C column,
-  // keeping only the C rows that have an entry.
+  // keeping only the C rows that have an entry; the scatter also turns
+  // fc's columns into input ids.
   const auto entries = static_cast<EdgeId>(lvl.fc.nbr.size());
-  const int chunks = std::max(
-      1, std::min<int>(thread_count(),
-                       static_cast<int>((std::int64_t{1} << 24) /
-                                        std::max<std::int64_t>(lvl.n, 1))));
+  const int chunks = chunks_for(entries);
   const EdgeId chunk_len = (entries + chunks - 1) / chunks;
   arena.extract_hist.assign(static_cast<std::size_t>(chunks) * nz, 0);
   EdgeId* hist = arena.extract_hist.data();
-#pragma omp parallel for schedule(static) num_threads(chunks)
+#pragma omp parallel for schedule(static) num_threads(chunks) if (chunks > 1)
   for (int c = 0; c < chunks; ++c) {
     EdgeId* local = hist + static_cast<std::size_t>(c) * nz;
     const EdgeId lo = c * chunk_len;
@@ -180,7 +176,7 @@ void extract_level(const WalkGraph& wg, std::span<const double> f_degree,
   lvl.cf.w.resize(static_cast<std::size_t>(run));
   // Row index of each fc entry: recover via upper_bound on fc.off; to
   // stay O(1) per entry we walk rows per chunk instead.
-#pragma omp parallel for schedule(static) num_threads(chunks)
+#pragma omp parallel for schedule(static) num_threads(chunks) if (chunks > 1)
   for (int c = 0; c < chunks; ++c) {
     EdgeId* local = base + static_cast<std::size_t>(c) * nz;
     const EdgeId lo = c * chunk_len;
@@ -196,12 +192,9 @@ void extract_level(const WalkGraph& wg, std::span<const double> f_degree,
       const auto slot = static_cast<std::size_t>(local[j]++);
       lvl.cf.nbr[slot] = static_cast<Vertex>(row);
       lvl.cf.w[slot] = lvl.fc.w[pz];
+      lvl.fc.nbr[pz] = live[j];
     }
   }
-  parallel_for(std::size_t{0}, static_cast<std::size_t>(entries),
-               [&](std::size_t p) {
-                 lvl.fc.nbr[p] = live[static_cast<std::size_t>(lvl.fc.nbr[p])];
-               });
 }
 
 }  // namespace

@@ -92,7 +92,10 @@ std::vector<Vertex> filter_five_dd(LevelGraph& g, std::span<const Vertex> s,
   scratch.degree.resize(s.size());
   scratch.induced.resize(s.size());
   const std::uint8_t* candidate = scratch.candidate.data();
-  parallel_for(std::size_t{0}, s.size(), [&](std::size_t i) {
+  // Rows in chunks of equal volume; each row's sums are its own.
+  const std::span<const EdgeId> off = g.row_offsets();
+  const int chunks = fork_pays(off.back()) ? thread_count() : 1;
+  for_each_row_chunk(off, chunks, [&](std::size_t i, int) {
     const std::span<const RowEntry> row = g.row(i);
     scratch.degree[i] =
         degree == FiveDdDegree::kFull
@@ -102,7 +105,7 @@ std::vector<Vertex> filter_five_dd(LevelGraph& g, std::span<const Vertex> s,
               });
     scratch.induced[i] = chunked_row_sum(
         row, induced_len, [&](const RowEntry& e) { return g.in_sample(e.other); });
-  }, 512);
+  });
   result.degree_seconds += timer.seconds();
   std::vector<Vertex> f;
   f.reserve(s.size());

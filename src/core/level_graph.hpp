@@ -96,6 +96,10 @@ class LevelGraph {
     return {rows_.data() + row_off_[i],
             static_cast<std::size_t>(row_off_[i + 1] - row_off_[i])};
   }
+  /// The rows' offsets (|S| + 1 entries; the last is the rows' volume).
+  [[nodiscard]] std::span<const EdgeId> row_offsets() const noexcept {
+    return row_off_;
+  }
 
   /// Marks the eliminated set F, a subset of the sample.
   void select(std::span<const Vertex> f);

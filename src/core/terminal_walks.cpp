@@ -14,27 +14,40 @@
 
 namespace parlap {
 
+namespace {
+
+/// F-row entries a walk block holds: walks are handed out in blocks of
+/// this many entries, so a row of any length spreads over the team.
+constexpr EdgeId kWalkBlock = 512;
+
+}  // namespace
+
+#pragma omp declare reduction(merge : WalkStats : omp_out.accumulate(omp_in)) \
+    initializer(omp_priv = WalkStats{})
+
 void build_walk_graph(const LevelGraph& g, std::span<const Vertex> f,
                       WalkGraph& wg) {
   const std::size_t nf = f.size();
+  const auto f_row = [&](std::size_t i) {
+    return g.row(static_cast<std::size_t>(g.sample_position(f[i])));
+  };
   wg.off.resize(nf + 1);
-  parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
-    wg.off[i] = static_cast<EdgeId>(g.row(static_cast<std::size_t>(
-                                             g.sample_position(f[i])))
-                                        .size());
-  });
-  wg.off[nf] = 0;
-  const EdgeId vol = exclusive_scan(std::span<EdgeId>(wg.off));
+  wg.off[0] = 0;
+  for (std::size_t i = 0; i < nf; ++i) {
+    wg.off[i + 1] = wg.off[i] + static_cast<EdgeId>(f_row(i).size());
+  }
+  const EdgeId vol = wg.off[nf];
   wg.nbr.resize(static_cast<std::size_t>(vol));
   wg.w.resize(static_cast<std::size_t>(vol));
   wg.prob.resize(static_cast<std::size_t>(vol));
   wg.alias.resize(static_cast<std::size_t>(vol));
 
   // Rows in rank order, then an alias table per row (Lemma 2.6: O(deg)
-  // build, O(1) query).
-  parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
-    const std::span<const RowEntry> row =
-        g.row(static_cast<std::size_t>(g.sample_position(f[i])));
+  // build, O(1) query), in chunks of equal volume.
+  const int chunks = fork_pays(vol) ? thread_count() : 1;
+  for_each_row_chunk(std::span<const EdgeId>(wg.off), chunks,
+                     [&](std::size_t i, int) {
+    const std::span<const RowEntry> row = f_row(i);
     const auto lo = static_cast<std::size_t>(wg.off[i]);
     for (std::size_t k = 0; k < row.size(); ++k) {
       wg.nbr[lo + k] = g.rank(row[k].other);
@@ -61,9 +74,9 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
                       : 32 + 16 * static_cast<int>(std::ceil(std::log2(
                                       static_cast<double>(m) + 2.0)));
   const std::span<const Vertex> live = g.live();
-
-  const int num_threads = parallelism_allowed() ? thread_count() : 1;
-  std::vector<WalkStats> local_stats(static_cast<std::size_t>(num_threads));
+  const std::span<const EdgeId> off(walk_graph.off);
+  const EdgeId volume = walk_graph.volume();
+  const EdgeId blocks = (volume + kWalkBlock - 1) / kWalkBlock;
   // Exceptions must not cross the OpenMP region boundary; failures set
   // this flag and the check fires after the region joins.
   std::atomic<bool> retries_exhausted{false};
@@ -74,13 +87,11 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
     int length = 0;
   };
 
-#pragma omp parallel num_threads(num_threads)
+  // Each thread counts into its private copy of `stats`; the copies merge
+  // when the region joins (integer sums and one max: any order).
+  WalkStats stats;
+#pragma omp parallel if (fork_pays(volume)) reduction(merge : stats)
   {
-    // Counted in a thread-private local and stored once at the end: the
-    // per-thread slots of local_stats are adjacent, so bumping them per
-    // edge would share cache lines between threads.
-    WalkStats ls;
-
     auto run_walk = [&](Vertex start, Rng& rng) {
       for (int attempt = 0;; ++attempt) {
         if (attempt >= opts.max_retries ||
@@ -116,40 +127,56 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
           out.terminal = x;
           return out;
         }
-        ++ls.retries;
+        ++stats.retries;
       }
     };
 
-#pragma omp for schedule(dynamic, 16)
-    for (std::size_t i = 0; i < f.size(); ++i) {
-      const Vertex fi = f[i];
-      for (const RowEntry& e :
-           g.row(static_cast<std::size_t>(g.sample_position(fi)))) {
-        if (retries_exhausted.load(std::memory_order_relaxed)) break;
-        // An F-F edge is in two F rows; it walks from its u endpoint's.
-        if (e.from_u == 0 && g.selected(e.other)) continue;
-        Rng rng(seed, RngTag::kTerminalWalk,
-                (level << 40) ^ static_cast<std::uint64_t>(e.rank));
-        const Vertex u = e.from_u != 0 ? fi : e.other;
-        const Vertex v = e.from_u != 0 ? e.other : fi;
-        const WalkOutcome w1 = run_walk(g.rank(u), rng);
-        const WalkOutcome w2 = run_walk(g.rank(v), rng);
-        if (retries_exhausted.load(std::memory_order_relaxed)) break;
-        ++ls.walked;
-        ls.total_steps += w1.length + w2.length;
-        ls.max_walk_len = std::max({ls.max_walk_len, w1.length, w2.length});
-        if (w1.terminal == w2.terminal) {
-          ++ls.dropped_loops;
-          g.drop_edge(e.slot);
-          continue;
+    // Blocks of F-row entries, in walk-graph order: entry p of the level
+    // is entry p - off[i] of F row i.
+#pragma omp for schedule(dynamic, 1)
+    for (EdgeId b = 0; b < blocks; ++b) {
+      const EdgeId lo = b * kWalkBlock;
+      const EdgeId hi = std::min(volume, lo + kWalkBlock);
+      // The rows that meet [lo, hi), from the last one starting at or
+      // before lo; each walks its entries inside the block.
+      auto i = static_cast<std::size_t>(
+          std::upper_bound(off.begin(), off.end(), lo) - off.begin() - 1);
+      for (; off[i] < hi; ++i) {
+        const Vertex fi = f[i];
+        const EdgeId first = std::max(lo, off[i]);
+        const EdgeId last = std::min(hi, off[i + 1]);
+        const std::span<const RowEntry> row =
+            g.row(static_cast<std::size_t>(g.sample_position(fi)))
+                .subspan(static_cast<std::size_t>(first - off[i]),
+                         static_cast<std::size_t>(last - first));
+        for (const RowEntry& e : row) {
+          if (retries_exhausted.load(std::memory_order_relaxed)) break;
+          // An F-F edge is in two F rows; it walks from its u endpoint's.
+          if (e.from_u == 0 && g.selected(e.other)) continue;
+          Rng rng(seed, RngTag::kTerminalWalk,
+                  (level << 40) ^ static_cast<std::uint64_t>(e.rank));
+          const Vertex u = e.from_u != 0 ? fi : e.other;
+          const Vertex v = e.from_u != 0 ? e.other : fi;
+          const WalkOutcome w1 = run_walk(g.rank(u), rng);
+          const WalkOutcome w2 = run_walk(g.rank(v), rng);
+          if (retries_exhausted.load(std::memory_order_relaxed)) break;
+          ++stats.walked;
+          stats.total_steps += w1.length + w2.length;
+          stats.max_walk_len =
+              std::max({stats.max_walk_len, w1.length, w2.length});
+          if (w1.terminal == w2.terminal) {
+            ++stats.dropped_loops;
+            g.drop_edge(e.slot);
+            continue;
+          }
+          const double inv_sum =
+              1.0 / e.w + w1.inv_weight_sum + w2.inv_weight_sum;
+          g.set_edge(e.slot, live[static_cast<std::size_t>(w1.terminal)],
+                     live[static_cast<std::size_t>(w2.terminal)],
+                     1.0 / inv_sum);
         }
-        const double inv_sum =
-            1.0 / e.w + w1.inv_weight_sum + w2.inv_weight_sum;
-        g.set_edge(e.slot, live[static_cast<std::size_t>(w1.terminal)],
-                   live[static_cast<std::size_t>(w2.terminal)], 1.0 / inv_sum);
       }
     }
-    local_stats[static_cast<std::size_t>(omp_get_thread_num())] = ls;
   }
 
   PARLAP_CHECK_MSG(!retries_exhausted.load(),
@@ -157,8 +184,6 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
                        << cap << " steps after " << opts.max_retries
                        << " retries; is V\\C 5-DD?");
 
-  WalkStats stats;
-  for (const WalkStats& ls : local_stats) stats.accumulate(ls);
   stats.edges_in = m;
   stats.edges_out = m - stats.dropped_loops;
   return stats;

@@ -19,41 +19,44 @@ double build_alias(std::span<const double> weights, std::span<double> prob,
   PARLAP_CHECK_MSG(total > 0.0, "alias table requires positive total weight");
 
   // Vose's method: scale to mean 1, split into under-/over-full buckets,
-  // pair each under-full bucket with an over-full donor.
-  std::vector<double> scaled(static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i)
-    scaled[static_cast<std::size_t>(i)] =
-        weights[static_cast<std::size_t>(i)] * static_cast<double>(n) / total;
-
-  std::vector<std::int32_t> small;
-  std::vector<std::int32_t> large;
-  small.reserve(static_cast<std::size_t>(n));
-  large.reserve(static_cast<std::size_t>(n));
+  // pair each under-full bucket with an over-full donor. It runs in the
+  // output arrays alone: prob holds the scaled weights until a bucket is
+  // settled, and the two bucket stacks are lists linked through the alias
+  // entries of their members, which are written only when a bucket
+  // leaves its stack for good.
+  constexpr std::int32_t kEnd = -1;
+  std::int32_t small = kEnd;
+  std::int32_t large = kEnd;
+  const auto push = [&alias](std::int32_t& head, std::int32_t i) {
+    alias[static_cast<std::size_t>(i)] = head;
+    head = i;
+  };
+  const auto pop = [&alias](std::int32_t& head) {
+    const std::int32_t i = head;
+    head = alias[static_cast<std::size_t>(i)];
+    return i;
+  };
   for (std::int32_t i = 0; i < n; ++i) {
-    (scaled[static_cast<std::size_t>(i)] < 1.0 ? small : large).push_back(i);
+    const auto iz = static_cast<std::size_t>(i);
+    prob[iz] = weights[iz] * static_cast<double>(n) / total;
+    push(prob[iz] < 1.0 ? small : large, i);
   }
 
-  while (!small.empty() && !large.empty()) {
-    const std::int32_t s = small.back();
-    small.pop_back();
-    const std::int32_t l = large.back();
-    prob[static_cast<std::size_t>(s)] = scaled[static_cast<std::size_t>(s)];
-    alias[static_cast<std::size_t>(s)] = l;
-    scaled[static_cast<std::size_t>(l)] -=
-        1.0 - scaled[static_cast<std::size_t>(s)];
-    if (scaled[static_cast<std::size_t>(l)] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
+  while (small != kEnd && large != kEnd) {
+    const auto s = static_cast<std::size_t>(pop(small));
+    const std::int32_t l = large;
+    const auto lz = static_cast<std::size_t>(l);
+    alias[s] = l;
+    prob[lz] -= 1.0 - prob[s];
+    if (prob[lz] < 1.0) push(small, pop(large));
   }
   // Leftovers are exactly full up to rounding.
-  for (const std::int32_t l : large) {
-    prob[static_cast<std::size_t>(l)] = 1.0;
-    alias[static_cast<std::size_t>(l)] = l;
-  }
-  for (const std::int32_t s : small) {
-    prob[static_cast<std::size_t>(s)] = 1.0;
-    alias[static_cast<std::size_t>(s)] = s;
+  for (std::int32_t* head : {&large, &small}) {
+    while (*head != kEnd) {
+      const std::int32_t i = pop(*head);
+      prob[static_cast<std::size_t>(i)] = 1.0;
+      alias[static_cast<std::size_t>(i)] = i;
+    }
   }
   return total;
 }

@@ -17,7 +17,9 @@ namespace parlap {
 
 /// Builds the alias structure for `weights` into `prob`/`alias` (all spans
 /// must have equal length >= 1). Zero weights are allowed (never sampled);
-/// the total must be positive. Returns the total weight.
+/// the total must be positive. Returns the total weight. Works in `prob`
+/// and `alias` alone and allocates nothing, so parallel regions call it
+/// per row.
 double build_alias(std::span<const double> weights, std::span<double> prob,
                    std::span<std::int32_t> alias);
 

@@ -14,7 +14,10 @@
 // unaffected: every call site is deterministic across thread counts.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include <omp.h>
@@ -48,6 +51,35 @@ class SerialScope {
 
 /// Number of threads OpenMP will use for the next parallel region.
 [[nodiscard]] inline int thread_count() { return omp_get_max_threads(); }
+
+/// Entries a pass of the chain build must hold before it forks.
+inline constexpr std::int64_t kForkEntries = std::int64_t{1} << 13;
+
+/// The chain build's one fork rule: a pass forks when it holds at least
+/// kForkEntries entries (edges to walk, row entries to read), however
+/// few rows carry them, and parallelism_allowed().
+[[nodiscard]] inline bool fork_pays(std::int64_t entries) noexcept {
+  return entries >= kForkEntries && parallelism_allowed();
+}
+
+/// Runs `fn(i, c)` for every row i of a CSR with offsets `off` (rows + 1
+/// entries), cut into `chunks` contiguous chunks of about equal volume:
+/// chunk c starts at the first row whose offset reaches c / chunks of the
+/// total, and runs on thread c when chunks > 1. A row is never split.
+template <typename T, typename Fn>
+void for_each_row_chunk(std::span<const T> off, int chunks, Fn&& fn) {
+  const std::size_t rows = off.size() - 1;
+  const auto cut = [&](int c) {
+    if (c == chunks) return rows;
+    const T target = off[rows] * static_cast<T>(c) / static_cast<T>(chunks);
+    return static_cast<std::size_t>(
+        std::lower_bound(off.begin(), off.end(), target) - off.begin());
+  };
+#pragma omp parallel for schedule(static) num_threads(chunks) if (chunks > 1)
+  for (int c = 0; c < chunks; ++c) {
+    for (std::size_t i = cut(c); i < cut(c + 1); ++i) fn(i, c);
+  }
+}
 
 /// Runs `fn(i)` for i in [begin, end). Parallel when the range is at least
 /// `grain`; serial otherwise (avoids fork overhead on tiny inner loops)

@@ -3,16 +3,22 @@
 // debuggable: any run is reproducible serially.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include <omp.h>
 
+#include "core/alpha_bound.hpp"
 #include "core/approx_schur.hpp"
 #include "core/block_cholesky.hpp"
 #include "core/five_dd.hpp"
 #include "core/sparsify.hpp"
 #include "core/spanning_tree.hpp"
 #include "graph/generators.hpp"
+#include "parallel/for_each.hpp"
 
 namespace parlap {
 namespace {
@@ -63,6 +69,129 @@ TEST(ThreadDeterminism, BlockCholeskyApply) {
   }
 }
 
+/// Appends every value of `s` to `out` as its bit pattern.
+template <typename T>
+void append_bits(std::vector<std::uint64_t>& out, std::span<const T> s) {
+  out.push_back(s.size());
+  for (const T& v : s) {
+    if constexpr (sizeof(T) == 8) {
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+    } else {
+      out.push_back(std::bit_cast<std::uint32_t>(v));
+    }
+  }
+}
+
+/// Everything one chain build decides, apart from its timings.
+struct BuildRecord {
+  /// Every packed ApplyChain array and level record: the fp64 chain's,
+  /// then the fp32 chain's.
+  std::vector<std::uint64_t> chain;
+  /// levels, edges_scanned and walked; then per level f_size and walked.
+  std::vector<std::int64_t> counters;
+  /// Per level: walked, dropped_loops, total_steps, max_walk_len, retries.
+  std::vector<std::int64_t> walks;
+};
+
+void append_walk_stats(std::vector<std::int64_t>& out, const WalkStats& w) {
+  out.insert(out.end(), {w.walked, w.dropped_loops, w.total_steps,
+                         w.max_walk_len, w.retries});
+}
+
+BuildRecord record_builds(const Multigraph& g, std::uint64_t seed) {
+  BuildRecord r;
+  for (const Precision p : {Precision::kFp64, Precision::kFp32}) {
+    BlockCholeskyOptions opts;
+    opts.precision = p;
+    const BlockCholeskyChain chain = BlockCholeskyChain::build(g, seed, opts);
+    const ApplyChain& a = chain.apply_chain();
+    for (const ApplyChain::Level& l : a.levels()) {
+      r.chain.insert(r.chain.end(),
+                     {static_cast<std::uint64_t>(l.n),
+                      static_cast<std::uint64_t>(l.nf),
+                      static_cast<std::uint64_t>(l.nc),
+                      static_cast<std::uint64_t>(l.cf_rows), l.f_base,
+                      l.cf_base, l.ff_off, l.fc_off, l.cf_off});
+    }
+    append_bits(r.chain, a.f_lists());
+    append_bits(r.chain, a.slots());
+    append_bits(r.chain, a.cf_slots());
+    append_bits(r.chain, a.offsets());
+    append_bits(r.chain, a.columns());
+    if (p == Precision::kFp64) {
+      append_bits(r.chain, a.inv_x());
+      append_bits(r.chain, a.y_diag());
+      append_bits(r.chain, a.weights());
+    } else {
+      append_bits(r.chain, a.inv_x_f32());
+      append_bits(r.chain, a.y_diag_f32());
+      append_bits(r.chain, a.weights_f32());
+    }
+    if (p == Precision::kFp32) continue;  // fp32 changes only the packing
+    const BuildStats& bs = chain.build_stats();
+    r.counters = {bs.levels, bs.edges_scanned, bs.walked};
+    for (const BuildLevelTiming& lt : bs.level_timings) {
+      r.counters.insert(r.counters.end(), {lt.f_size, lt.walked});
+    }
+    for (const LevelStats& ls : chain.level_stats()) {
+      append_walk_stats(r.walks, ls.walks);
+    }
+  }
+  return r;
+}
+
+void expect_same_record(const BuildRecord& want, const BuildRecord& got,
+                        const std::string& label) {
+  EXPECT_TRUE(got.chain == want.chain) << label << ": packed chain differs";
+  EXPECT_EQ(got.counters, want.counters) << label;
+  EXPECT_EQ(got.walks, want.walks) << label;
+}
+
+TEST(ThreadDeterminism, ChainBuildSplitByVolume) {
+  // barbell:200 split as LaplacianSolver's first round splits it: its deep
+  // levels eliminate at most 16 F vertices yet walk tens of thousands of
+  // edges, so every per-level pass forks on volume. The build must decide
+  // the same chain, counters and walk statistics at every thread count
+  // and under a SerialScope.
+  const Multigraph base = make_barbell(200, 100);
+  const Multigraph g = split_edges_uniform(
+      base, default_split_copies(base.num_vertices(), 0.1));
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const BuildRecord serial = record_builds(g, 2024);
+  for (const int t : {2, 3, 4}) {
+    omp_set_num_threads(t);
+    expect_same_record(serial, record_builds(g, 2024),
+                       std::to_string(t) + " threads");
+  }
+  omp_set_num_threads(saved);
+  {
+    const SerialScope scope;
+    expect_same_record(serial, record_builds(g, 2024), "SerialScope");
+  }
+
+  // Each F-incident edge walks exactly once: the serial build's work
+  // counts equal the ones recorded with the chain in
+  // BlockCholesky.MatchesRecordedChains. (A walk run twice rewrites its
+  // slot with the same edge, so only these counts can show it.)
+  std::int64_t total_steps = 0;
+  for (std::size_t i = 0; i < serial.walks.size(); i += 5) {
+    total_steps += serial.walks[i + 2];
+  }
+  EXPECT_EQ(serial.counters[2], 1156909);  // walked
+  EXPECT_EQ(total_steps, 1233207);
+
+  // The forks are really reached: some level has at most 16 F rows, so
+  // few that handing out rows 16 at a time would walk them on one thread,
+  // yet walks more edges than the fork cutoff.
+  bool deep_fork = false;
+  for (std::size_t i = 3; i + 1 < serial.counters.size(); i += 2) {
+    deep_fork |=
+        serial.counters[i] <= 16 && serial.counters[i + 1] >= kForkEntries;
+  }
+  EXPECT_TRUE(deep_fork);
+}
+
 TEST(ThreadDeterminism, ApproxSchur) {
   const Multigraph g = make_erdos_renyi(600, 3000, 5);
   std::vector<Vertex> c(40);
@@ -84,6 +213,33 @@ TEST(ThreadDeterminism, Sparsifier) {
   const auto [serial, parallel] = with_thread_counts(
       [&] { return spectral_sparsify(g, 0.5, 15).graph; });
   expect_same_graph(serial, parallel);
+}
+
+TEST(ThreadDeterminism, ApproxSchurSplitByVolume) {
+  // A split barbell reduced onto half of one clique: levels of a few F
+  // vertices walk thousands of edges each, past the fork cutoff.
+  const Multigraph g = split_edges_uniform(make_barbell(60, 30), 16);
+  std::vector<Vertex> c(30);
+  std::iota(c.begin(), c.end(), Vertex{0});
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const ApproxSchurResult serial = approx_schur(g, c, 11);
+  omp_set_num_threads(4);
+  const ApproxSchurResult parallel = approx_schur(g, c, 11);
+  omp_set_num_threads(saved);
+  expect_same_graph(serial.schur, parallel.schur);
+  ASSERT_EQ(serial.levels, parallel.levels);
+  std::vector<std::int64_t> serial_walks;
+  std::vector<std::int64_t> parallel_walks;
+  bool forks = false;
+  for (int k = 0; k < serial.levels; ++k) {
+    const auto kz = static_cast<std::size_t>(k);
+    append_walk_stats(serial_walks, serial.walk_stats[kz]);
+    append_walk_stats(parallel_walks, parallel.walk_stats[kz]);
+    forks |= serial.walk_stats[kz].walked >= kForkEntries;
+  }
+  EXPECT_EQ(serial_walks, parallel_walks);
+  EXPECT_TRUE(forks);
 }
 
 }  // namespace

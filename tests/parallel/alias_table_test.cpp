@@ -3,7 +3,9 @@
 // rests on this sampler.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "parallel/alias_table.hpp"
@@ -111,6 +113,85 @@ TEST(BuildAlias, FlatBuildMatchesOwningWrapper) {
   Rng b(7, RngTag::kTest, 0);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(sample_alias(prob, alias, a), t.sample(b));
+  }
+}
+
+/// Vose's method as written with a scaled copy of the weights and two
+/// bucket vectors: the reference build_alias, which works in its output
+/// arrays alone, must reproduce bit for bit.
+void reference_vose(const std::vector<double>& w, std::vector<double>& prob,
+                    std::vector<std::int32_t>& alias) {
+  const auto n = static_cast<std::int32_t>(w.size());
+  double total = 0.0;
+  for (const double x : w) total += x;
+  std::vector<double> scaled(w.size());
+  std::vector<std::int32_t> small;
+  std::vector<std::int32_t> large;
+  for (std::int32_t i = 0; i < n; ++i) {
+    const auto iz = static_cast<std::size_t>(i);
+    scaled[iz] = w[iz] * static_cast<double>(n) / total;
+    (scaled[iz] < 1.0 ? small : large).push_back(i);
+  }
+  prob.assign(w.size(), 0.0);
+  alias.assign(w.size(), 0);
+  while (!small.empty() && !large.empty()) {
+    const std::int32_t s = small.back();
+    small.pop_back();
+    const std::int32_t l = large.back();
+    const auto sz = static_cast<std::size_t>(s);
+    const auto lz = static_cast<std::size_t>(l);
+    prob[sz] = scaled[sz];
+    alias[sz] = l;
+    scaled[lz] -= 1.0 - scaled[sz];
+    if (scaled[lz] < 1.0) {
+      large.pop_back();
+      small.push_back(l);
+    }
+  }
+  for (const std::int32_t i : large) {
+    prob[static_cast<std::size_t>(i)] = 1.0;
+    alias[static_cast<std::size_t>(i)] = i;
+  }
+  for (const std::int32_t i : small) {
+    prob[static_cast<std::size_t>(i)] = 1.0;
+    alias[static_cast<std::size_t>(i)] = i;
+  }
+}
+
+TEST(BuildAlias, InPlaceBuildMatchesBucketVectors) {
+  std::vector<std::vector<double>> cases = {
+      {2.5}, std::vector<double>(16, 0.7), std::vector<double>(1000, 1.0)};
+  Rng rng(8, RngTag::kTest, 0);
+  for (const std::size_t n : {2, 3, 31, 257, 4096}) {
+    std::vector<double> w(n);
+    for (double& x : w) {
+      x = rng.next_double() < 0.25 ? 0.0 : rng.next_in(1e-3, 5.0);
+    }
+    w[n / 2] = 1.0;  // a positive total
+    cases.push_back(std::move(w));
+  }
+  for (const std::vector<double>& w : cases) {
+    std::vector<double> want_prob;
+    std::vector<std::int32_t> want_alias;
+    reference_vose(w, want_prob, want_alias);
+    // Stale contents of the output arrays must not leak into the table.
+    std::vector<double> prob(w.size(),
+                             std::numeric_limits<double>::quiet_NaN());
+    std::vector<std::int32_t> alias(w.size(), -7);
+    (void)build_alias(w, prob, alias);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(prob[i]),
+                std::bit_cast<std::uint64_t>(want_prob[i]))
+          << "n " << w.size() << " entry " << i;
+      EXPECT_EQ(alias[i], want_alias[i]) << "n " << w.size() << " entry " << i;
+    }
+    // The owning wrapper draws from the same table.
+    const AliasTable t(w);
+    Rng a(9, RngTag::kTest, w.size());
+    Rng b(9, RngTag::kTest, w.size());
+    for (int d = 0; d < 200; ++d) {
+      EXPECT_EQ(sample_alias(prob, alias, a), t.sample(b));
+    }
   }
 }
 

@@ -52,8 +52,11 @@ class SerialScope {
 /// Number of threads OpenMP will use for the next parallel region.
 [[nodiscard]] inline int thread_count() { return omp_get_max_threads(); }
 
-/// Entries a pass of the chain build must hold before it forks.
-inline constexpr std::int64_t kForkEntries = std::int64_t{1} << 13;
+/// Entries a pass of the chain build must hold before it forks: a few
+/// microseconds of the lightest pass's work (a degree sum reads an entry
+/// in a few nanoseconds), about what a fork costs a warm team, and two
+/// blocks of walks (about 100 ns an entry), which already win.
+inline constexpr std::int64_t kForkEntries = 1024;
 
 /// The chain build's one fork rule: a pass forks when it holds at least
 /// kForkEntries entries (edges to walk, row entries to read), however

@@ -16,9 +16,15 @@
 // build throughput (split multi-edges per second, warm), the steady-state
 // arena reallocation count (must be 0 — the zero-realloc property), peak
 // arena bytes, the base factorization's share of a warm build (base_ms),
-// and the per-phase breakdown of a warm build.
+// the thread scaling of a warm build (its median at 1 thread over its
+// median at the default thread count), and the per-phase breakdown of a
+// warm build. The barbell family's deep levels eliminate a handful of
+// vertices that carry tens of thousands of multi-edges between them, so
+// its scaling shows whether those levels' passes fork.
 #include <string>
 #include <vector>
+
+#include <omp.h>
 
 #include "common.hpp"
 #include "core/alpha_bound.hpp"
@@ -34,6 +40,7 @@ Multigraph make_workload(const std::string& spec, Vertex scale,
                          std::uint64_t seed) {
   if (spec == "ws") return make_watts_strogatz(scale * 8, 6, 0.1, seed);
   if (spec == "grid2d") return make_grid2d(scale, scale);
+  if (spec == "barbell") return make_barbell(scale * 3, scale * 3 / 2);
   return make_erdos_renyi(scale * 4, static_cast<EdgeId>(scale) * 16, seed);
 }
 
@@ -46,15 +53,15 @@ int main() {
   // vertices) so at least one elimination level is actually built.
   const Vertex scale = smoke() ? Vertex{32} : Vertex{64};
   const std::uint64_t seed = 17;
-  const std::vector<std::string> graphs = {"ws", "grid2d", "gnm"};
+  const std::vector<std::string> graphs = {"ws", "grid2d", "gnm", "barbell"};
 
   bool zero_realloc_violated = false;
   TextTable table("E16 chain build — cold (fresh arena) vs warm (reused "
                   "arena), E15 workload, " +
                   std::to_string(reps) + " reps");
   table.set_header({"graph", "n", "m_split", "cold_ms", "warm_ms", "base_ms",
-                    "speedup", "Medges_per_s", "scanned", "walked",
-                    "steady_reallocs", "arena_MiB"},
+                    "speedup", "t1_over_tN", "Medges_per_s", "scanned",
+                    "walked", "steady_reallocs", "arena_MiB"},
                    4);
 
   for (const std::string& name : graphs) {
@@ -81,8 +88,19 @@ int main() {
       last = chain.build_stats();
     });
 
+    // The same warm builds on one thread: their median over the default
+    // thread count's is the build's thread scaling.
+    const int threads = omp_get_max_threads();
+    omp_set_num_threads(1);
+    const std::vector<double> warm_t1 = measure(reps, /*warmup=*/1, [&] {
+      (void)BlockCholeskyChain::build(split, seed, opts, arena);
+    });
+    omp_set_num_threads(threads);
+
     const TimingSummary cold_s = summarize(cold);
     const TimingSummary warm_s = summarize(warm);
+    const double scaling =
+        warm_s.median > 0.0 ? summarize(warm_t1).median / warm_s.median : 0.0;
     const double medges_per_s =
         warm_s.median > 0.0
             ? static_cast<double>(split.num_edges()) / warm_s.median / 1e6
@@ -94,7 +112,7 @@ int main() {
                    cold_s.median * 1e3, warm_s.median * 1e3,
                    last.base_seconds * 1e3,
                    warm_s.median > 0.0 ? cold_s.median / warm_s.median : 0.0,
-                   medges_per_s,
+                   scaling, medges_per_s,
                    static_cast<std::int64_t>(last.edges_scanned),
                    static_cast<std::int64_t>(last.walked),
                    static_cast<std::int64_t>(last.arena_allocations),
@@ -106,6 +124,7 @@ int main() {
                    {"m_split", static_cast<double>(split.num_edges())},
                    {"levels", static_cast<double>(last.levels)},
                    {"split_medges_per_s", medges_per_s},
+                   {"warm_t1_over_default", scaling},
                    {"steady_arena_reallocs",
                     static_cast<double>(last.arena_allocations)},
                    {"peak_arena_mib", arena_mib},

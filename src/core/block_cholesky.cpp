@@ -5,8 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include <omp.h>
-
 #include "parallel/for_each.hpp"
 #include "parallel/scan.hpp"
 #include "obs/metrics.hpp"

@@ -30,10 +30,14 @@
 // single edge array in input vertex ids — copied from the caller's graph,
 // or, for the consuming overload, the graph's own arrays — that each
 // level rewrites in place only where F_k touches it. One sweep per 5-DD
-// round is the only pass over all of it. Every per-level scratch
-// structure is recycled, and the per-level EliminationLevel staging the
-// packer consumes is itself arena-owned, so a build against a warmed
-// arena performs zero scratch reallocations. Callers that build
+// round is the only pass over all of it. The other per-level passes
+// (S-row degree sums, walk graph, walks, extraction) split their work by
+// edge volume and fork by one rule, fork_pays() in parallel/for_each.hpp,
+// however few rows a deep level has; each output is a function of its
+// own edge or row, so the chain is the same at any thread count. Every
+// per-level scratch structure is recycled, and the per-level
+// EliminationLevel staging the packer consumes is itself arena-owned, so
+// a build against a warmed arena performs zero scratch reallocations. Callers that build
 // repeatedly (FactorizationCache misses, escalation rounds, benches) can
 // pass their own arena; the default overloads draw one from the shared
 // ChainBuildArena::pool(). Per-phase wall times, the work counters and

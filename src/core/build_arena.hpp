@@ -15,6 +15,10 @@
 //     vertices' slots, the F degrees, level extraction's per-chunk target
 //     slots and transpose histograms, and the 5-DD sampling buffers all
 //     live here and are resized (never reallocated, once warm) per level.
+//     Every such buffer is sized on the calling thread before a pass
+//     forks, and the alias tables are built inside their own rows
+//     (build_alias needs no scratch), so a warm build's parallel regions
+//     never allocate.
 //
 // The per-level sub-CSRs and F lists are staged in arena-recycled
 // EliminationLevel buffers too; only the chain's own outputs — the

@@ -10,8 +10,9 @@
 // Implementation: every round runs on a LevelGraph (level_graph.hpp).
 // One read-only sweep of its edge array sorts the edges incident to the
 // sample S into S rows, and each S row sums its degree and its induced
-// degree itself: in rank order, as one partial sum per fixed chunk of
-// the live-edge range, the partials added in chunk order. The chunk
+// degree itself (the rows in chunks of equal volume): in rank order, as
+// one partial sum per fixed chunk of the live-edge range, the partials
+// added in chunk order. The chunk
 // layout depends only on n, m and |S|, never on the thread count, so the
 // test sees the same floating-point sums on every machine, and they are
 // the sums a chunked scan over the whole edge list computes. The accepted

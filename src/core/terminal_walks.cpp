@@ -4,11 +4,8 @@
 #include <atomic>
 #include <cmath>
 
-#include <omp.h>
-
 #include "parallel/alias_table.hpp"
 #include "parallel/for_each.hpp"
-#include "parallel/scan.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -22,6 +19,8 @@ constexpr EdgeId kWalkBlock = 512;
 
 }  // namespace
 
+// A walk region's threads count into private WalkStats merged by
+// accumulate(): integer sums and a max, equal in any merge order.
 #pragma omp declare reduction(merge : WalkStats : omp_out.accumulate(omp_in)) \
     initializer(omp_priv = WalkStats{})
 

@@ -26,6 +26,11 @@
 // to sampling every edge of a compacted copy of G^(k). An F-F edge sits in
 // two F rows and walks once, from the row of its u endpoint.
 //
+// Both passes split by volume, not by F row (parallel/for_each.hpp's
+// fork rule): the walks go out in fixed blocks of F-row entries, so a
+// level whose few F vertices carry thousands of edges spreads over the
+// team, and the walk graph's rows run in chunks of equal volume.
+//
 // The MultigraphView entry points (build_walk_graph, terminal_walks) wrap
 // the level-graph ones for whole-graph callers: they copy the graph into
 // a fresh LevelGraph, run the same code, and return owning results.

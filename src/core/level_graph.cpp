@@ -25,22 +25,20 @@ int scan_blocks(EdgeId slots) {
 void LevelGraph::sweep_block(const Vertex* us, const Vertex* vs,
                              const Weight* ws, const std::uint8_t* flag,
                              Vertex tomb, EdgeId lo, EdgeId hi, Block& blk) {
-  // The buffer's size is its capacity; `used` counts the records. Local
-  // pointers keep the hot loop in registers.
+  // The buffer's size is its capacity; `used` counts the records, and
+  // past the capacity only counts them (the caller grows the buffer and
+  // sweeps the block again). Local pointers keep the hot loop in
+  // registers.
   Record* out = blk.rec.data();
-  std::size_t cap = blk.rec.size();
+  const std::size_t cap = blk.rec.size();
   std::size_t used = 0;
   EdgeId live = 0;
   for (EdgeId e = lo; e < hi; ++e) {
     const Vertex a = us[e];
     const Vertex c = vs[e];
     if ((flag[a] | flag[c]) != 0) {
-      if (used == cap) {
-        blk.rec.resize(std::max<std::size_t>(2 * cap, 1024));
-        out = blk.rec.data();
-        cap = blk.rec.size();
-      }
-      out[used++] = {e, live, a, c, ws[e]};
+      if (used < cap) out[used] = {e, live, a, c, ws[e]};
+      ++used;
     }
     live += a != tomb ? 1 : 0;
   }
@@ -102,6 +100,16 @@ EdgeId LevelGraph::scan(std::span<const Vertex> s) {
   for (int b = 0; b < nb; ++b) {
     sweep_block(us, vs, ws, flag, tomb, slots * b / nb, slots * (b + 1) / nb,
                 blocks_[static_cast<std::size_t>(b)]);
+  }
+  // A block that outgrew its buffer grows here, on the calling thread, and
+  // is swept again, so the region never allocates (a team thread that
+  // mallocs takes a heap arena of its own). Warm builds never get here.
+  for (int b = 0; b < nb; ++b) {
+    Block& blk = blocks_[static_cast<std::size_t>(b)];
+    if (blk.used <= blk.rec.size()) continue;
+    blk.rec.resize(std::max(blk.used, 2 * blk.rec.size()));
+    sweep_block(us, vs, ws, flag, tomb, slots * b / nb, slots * (b + 1) / nb,
+                blk);
   }
   EdgeId rank_base = 0;
   for (int b = 0; b < nb; ++b) {

@@ -167,7 +167,7 @@ class LevelGraph {
   };
   struct Block {
     std::vector<Record> rec;  ///< size = capacity; the first `used` are valid
-    std::size_t used = 0;
+    std::size_t used = 0;     ///< records found (beyond rec.size(): overflow)
     EdgeId live = 0;        ///< live edges in the block
     EdgeId first_rank = 0;  ///< rank of its first live edge
   };

@@ -84,96 +84,95 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
     Vertex terminal = kInvalidVertex;  ///< level-local id
     double inv_weight_sum = 0.0;
     int length = 0;
+    int retries = 0;  ///< capped attempts before this one
+  };
+  const auto run_walk = [&](Vertex start, Rng& rng) {
+    for (int attempt = 0;; ++attempt) {
+      if (attempt >= opts.max_retries ||
+          retries_exhausted.load(std::memory_order_relaxed)) {
+        retries_exhausted.store(true, std::memory_order_relaxed);
+        return WalkOutcome{};
+      }
+      WalkOutcome out;
+      out.retries = attempt;
+      Vertex x = start;
+      bool capped = false;
+      while (true) {
+        const Vertex fx = f_index[static_cast<std::size_t>(x)];
+        if (fx == kInvalidVertex) break;  // reached a terminal
+        if (out.length >= cap) {
+          capped = true;
+          break;
+        }
+        const auto lo = static_cast<std::size_t>(
+            walk_graph.off[static_cast<std::size_t>(fx)]);
+        const auto deg = static_cast<std::size_t>(
+                             walk_graph.off[static_cast<std::size_t>(fx) + 1]) -
+                         lo;
+        PARLAP_DCHECK(deg > 0);
+        const std::int32_t k = sample_alias(
+            std::span<const double>(walk_graph.prob.data() + lo, deg),
+            std::span<const std::int32_t>(walk_graph.alias.data() + lo, deg),
+            rng);
+        out.inv_weight_sum += 1.0 / walk_graph.w[lo + static_cast<std::size_t>(k)];
+        x = walk_graph.nbr[lo + static_cast<std::size_t>(k)];
+        ++out.length;
+      }
+      if (!capped) {
+        out.terminal = x;
+        return out;
+      }
+    }
   };
 
-  // Each thread counts into its private copy of `stats`; the copies merge
-  // when the region joins (integer sums and one max: any order).
+  // Blocks of F-row entries, in walk-graph order: entry p of the level is
+  // entry p - off[i] of F row i. Each thread counts into its private copy
+  // of `stats`; the copies merge when the region joins. One combined
+  // construct: its loop is set up before the team starts, so no team
+  // thread allocates.
   WalkStats stats;
-#pragma omp parallel if (fork_pays(volume)) reduction(merge : stats)
-  {
-    auto run_walk = [&](Vertex start, Rng& rng) {
-      for (int attempt = 0;; ++attempt) {
-        if (attempt >= opts.max_retries ||
-            retries_exhausted.load(std::memory_order_relaxed)) {
-          retries_exhausted.store(true, std::memory_order_relaxed);
-          return WalkOutcome{};
+#pragma omp parallel for schedule(dynamic, 1) reduction(merge : stats) \
+    if (fork_pays(volume))
+  for (EdgeId b = 0; b < blocks; ++b) {
+    const EdgeId lo = b * kWalkBlock;
+    const EdgeId hi = std::min(volume, lo + kWalkBlock);
+    // The rows that meet [lo, hi), from the last one starting at or
+    // before lo; each walks its entries inside the block.
+    auto i = static_cast<std::size_t>(
+        std::upper_bound(off.begin(), off.end(), lo) - off.begin() - 1);
+    for (; off[i] < hi; ++i) {
+      const Vertex fi = f[i];
+      const EdgeId first = std::max(lo, off[i]);
+      const EdgeId last = std::min(hi, off[i + 1]);
+      const std::span<const RowEntry> row =
+          g.row(static_cast<std::size_t>(g.sample_position(fi)))
+              .subspan(static_cast<std::size_t>(first - off[i]),
+                       static_cast<std::size_t>(last - first));
+      for (const RowEntry& e : row) {
+        if (retries_exhausted.load(std::memory_order_relaxed)) break;
+        // An F-F edge is in two F rows; it walks from its u endpoint's.
+        if (e.from_u == 0 && g.selected(e.other)) continue;
+        Rng rng(seed, RngTag::kTerminalWalk,
+                (level << 40) ^ static_cast<std::uint64_t>(e.rank));
+        const Vertex u = e.from_u != 0 ? fi : e.other;
+        const Vertex v = e.from_u != 0 ? e.other : fi;
+        const WalkOutcome w1 = run_walk(g.rank(u), rng);
+        const WalkOutcome w2 = run_walk(g.rank(v), rng);
+        if (retries_exhausted.load(std::memory_order_relaxed)) break;
+        ++stats.walked;
+        stats.retries += w1.retries + w2.retries;
+        stats.total_steps += w1.length + w2.length;
+        stats.max_walk_len =
+            std::max({stats.max_walk_len, w1.length, w2.length});
+        if (w1.terminal == w2.terminal) {
+          ++stats.dropped_loops;
+          g.drop_edge(e.slot);
+          continue;
         }
-        WalkOutcome out;
-        Vertex x = start;
-        bool capped = false;
-        while (true) {
-          const Vertex fx = f_index[static_cast<std::size_t>(x)];
-          if (fx == kInvalidVertex) break;  // reached a terminal
-          if (out.length >= cap) {
-            capped = true;
-            break;
-          }
-          const auto lo = static_cast<std::size_t>(
-              walk_graph.off[static_cast<std::size_t>(fx)]);
-          const auto deg = static_cast<std::size_t>(
-                               walk_graph.off[static_cast<std::size_t>(fx) + 1]) -
-                           lo;
-          PARLAP_DCHECK(deg > 0);
-          const std::int32_t k = sample_alias(
-              std::span<const double>(walk_graph.prob.data() + lo, deg),
-              std::span<const std::int32_t>(walk_graph.alias.data() + lo, deg),
-              rng);
-          out.inv_weight_sum += 1.0 / walk_graph.w[lo + static_cast<std::size_t>(k)];
-          x = walk_graph.nbr[lo + static_cast<std::size_t>(k)];
-          ++out.length;
-        }
-        if (!capped) {
-          out.terminal = x;
-          return out;
-        }
-        ++stats.retries;
-      }
-    };
-
-    // Blocks of F-row entries, in walk-graph order: entry p of the level
-    // is entry p - off[i] of F row i.
-#pragma omp for schedule(dynamic, 1)
-    for (EdgeId b = 0; b < blocks; ++b) {
-      const EdgeId lo = b * kWalkBlock;
-      const EdgeId hi = std::min(volume, lo + kWalkBlock);
-      // The rows that meet [lo, hi), from the last one starting at or
-      // before lo; each walks its entries inside the block.
-      auto i = static_cast<std::size_t>(
-          std::upper_bound(off.begin(), off.end(), lo) - off.begin() - 1);
-      for (; off[i] < hi; ++i) {
-        const Vertex fi = f[i];
-        const EdgeId first = std::max(lo, off[i]);
-        const EdgeId last = std::min(hi, off[i + 1]);
-        const std::span<const RowEntry> row =
-            g.row(static_cast<std::size_t>(g.sample_position(fi)))
-                .subspan(static_cast<std::size_t>(first - off[i]),
-                         static_cast<std::size_t>(last - first));
-        for (const RowEntry& e : row) {
-          if (retries_exhausted.load(std::memory_order_relaxed)) break;
-          // An F-F edge is in two F rows; it walks from its u endpoint's.
-          if (e.from_u == 0 && g.selected(e.other)) continue;
-          Rng rng(seed, RngTag::kTerminalWalk,
-                  (level << 40) ^ static_cast<std::uint64_t>(e.rank));
-          const Vertex u = e.from_u != 0 ? fi : e.other;
-          const Vertex v = e.from_u != 0 ? e.other : fi;
-          const WalkOutcome w1 = run_walk(g.rank(u), rng);
-          const WalkOutcome w2 = run_walk(g.rank(v), rng);
-          if (retries_exhausted.load(std::memory_order_relaxed)) break;
-          ++stats.walked;
-          stats.total_steps += w1.length + w2.length;
-          stats.max_walk_len =
-              std::max({stats.max_walk_len, w1.length, w2.length});
-          if (w1.terminal == w2.terminal) {
-            ++stats.dropped_loops;
-            g.drop_edge(e.slot);
-            continue;
-          }
-          const double inv_sum =
-              1.0 / e.w + w1.inv_weight_sum + w2.inv_weight_sum;
-          g.set_edge(e.slot, live[static_cast<std::size_t>(w1.terminal)],
-                     live[static_cast<std::size_t>(w2.terminal)],
-                     1.0 / inv_sum);
-        }
+        const double inv_sum =
+            1.0 / e.w + w1.inv_weight_sum + w2.inv_weight_sum;
+        g.set_edge(e.slot, live[static_cast<std::size_t>(w1.terminal)],
+                   live[static_cast<std::size_t>(w2.terminal)], 1.0 / inv_sum);
       }
     }
   }

@@ -136,8 +136,11 @@ def test_fairness(c, binary):
     with ServeDaemon(binary, workers=1) as d:
         flood = d.connect()
         n_flood = 10
+        # Each flood job must outlast the 50 ms poll below by a margin, or
+        # the backlog drains before the poll sees it: grid2d:96 builds
+        # take about 0.1 s where grid2d:48's take about 0.02 s.
         for i in range(n_flood):
-            flood.send(slow_job("flood%d" % i, seed=i))
+            flood.send(slow_job("flood%d" % i, seed=i, n=96))
         # Wait until the backlog is real.
         import time
         deadline = time.monotonic() + 60.0

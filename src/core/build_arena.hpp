@@ -17,8 +17,8 @@
 //     live here and are resized (never reallocated, once warm) per level.
 //     Every such buffer is sized on the calling thread before a pass
 //     forks, and the alias tables are built inside their own rows
-//     (build_alias needs no scratch), so a warm build's parallel regions
-//     never allocate.
+//     (build_alias needs no scratch), so no parallel region of a build
+//     allocates.
 //
 // The per-level sub-CSRs and F lists are staged in arena-recycled
 // EliminationLevel buffers too; only the chain's own outputs — the

@@ -1,6 +1,7 @@
 #include "core/level_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "parallel/for_each.hpp"
@@ -107,7 +108,7 @@ EdgeId LevelGraph::scan(std::span<const Vertex> s) {
   for (int b = 0; b < nb; ++b) {
     Block& blk = blocks_[static_cast<std::size_t>(b)];
     if (blk.used <= blk.rec.size()) continue;
-    blk.rec.resize(std::max(blk.used, 2 * blk.rec.size()));
+    blk.rec.resize(std::max<std::size_t>(std::bit_ceil(blk.used), 1024));
     sweep_block(us, vs, ws, flag, tomb, slots * b / nb, slots * (b + 1) / nb,
                 blk);
   }

@@ -52,10 +52,10 @@ class SerialScope {
 /// Number of threads OpenMP will use for the next parallel region.
 [[nodiscard]] inline int thread_count() { return omp_get_max_threads(); }
 
-/// Entries a pass of the chain build must hold before it forks: a few
-/// microseconds of the lightest pass's work (a degree sum reads an entry
-/// in a few nanoseconds), about what a fork costs a warm team, and two
-/// blocks of walks (about 100 ns an entry), which already win.
+/// Entries a pass of the chain build must hold before it forks. At 1024
+/// entries the lightest pass (a degree sum, a few ns an entry) holds
+/// about the microseconds of work a fork costs a warm team, and the walks
+/// (about 100 ns an entry) fill two blocks and already gain.
 inline constexpr std::int64_t kForkEntries = 1024;
 
 /// The chain build's one fork rule: a pass forks when it holds at least

@@ -37,11 +37,11 @@
 // own edge or row, so the chain is the same at any thread count. Every
 // per-level scratch structure is recycled, and the per-level
 // EliminationLevel staging the packer consumes is itself arena-owned, so
-// a build against a warmed arena performs zero scratch reallocations. Callers that build
-// repeatedly (FactorizationCache misses, escalation rounds, benches) can
-// pass their own arena; the default overloads draw one from the shared
-// ChainBuildArena::pool(). Per-phase wall times, the work counters and
-// the arena counters are recorded in build_stats().
+// a build against a warmed arena performs zero scratch reallocations.
+// Callers that build repeatedly (FactorizationCache misses, escalation
+// rounds, benches) can pass their own arena; the default overloads draw
+// one from the shared ChainBuildArena::pool(). Per-phase wall times, the
+// work counters and the arena counters are recorded in build_stats().
 #pragma once
 
 #include <cstdint>

@@ -114,8 +114,9 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
             std::span<const double>(walk_graph.prob.data() + lo, deg),
             std::span<const std::int32_t>(walk_graph.alias.data() + lo, deg),
             rng);
-        out.inv_weight_sum += 1.0 / walk_graph.w[lo + static_cast<std::size_t>(k)];
-        x = walk_graph.nbr[lo + static_cast<std::size_t>(k)];
+        const std::size_t step = lo + static_cast<std::size_t>(k);
+        out.inv_weight_sum += 1.0 / walk_graph.w[step];
+        x = walk_graph.nbr[step];
         ++out.length;
       }
       if (!capped) {

@@ -171,9 +171,10 @@ TEST(ThreadDeterminism, ChainBuildSplitByVolume) {
   }
 
   // Each F-incident edge walks exactly once: the serial build's work
-  // counts equal the ones recorded with the chain in
-  // BlockCholesky.MatchesRecordedChains. (A walk run twice rewrites its
-  // slot with the same edge, so only these counts can show it.)
+  // counts equal those of the build pinned in
+  // BlockCholesky.MatchesRecordedChains (same graph, split and seed),
+  // taken when it was recorded. A walk run twice rewrites its slot with
+  // the same edge; its doubled counts are what shows it.
   std::int64_t total_steps = 0;
   for (std::size_t i = 0; i < serial.walks.size(); i += 5) {
     total_steps += serial.walks[i + 2];

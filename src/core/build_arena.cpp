@@ -66,12 +66,6 @@ void ChainBuildArena::end_build(BuildStats& stats) {
   stats.peak_arena_bytes = total;
 }
 
-std::size_t ChainBuildArena::capacity_bytes() const {
-  std::size_t total = 0;
-  for_each_capacity([&total](std::size_t bytes) { total += bytes; });
-  return total;
-}
-
 WorkspacePool<ChainBuildArena>& ChainBuildArena::pool() {
   static WorkspacePool<ChainBuildArena>* pool =
       new WorkspacePool<ChainBuildArena>;

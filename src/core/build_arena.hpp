@@ -81,9 +81,6 @@ class ChainBuildArena {
   /// `peak_arena_bytes` (total capacity now) into `stats`.
   void end_build(BuildStats& stats);
 
-  /// Total bytes of capacity currently owned by the arena.
-  [[nodiscard]] std::size_t capacity_bytes() const;
-
   /// The process-wide arena pool chain builds draw from when the caller
   /// does not pass an arena explicitly.
   static WorkspacePool<ChainBuildArena>& pool();

@@ -168,19 +168,6 @@ template <>
   return active_f32();
 }
 
-template <typename T>
-[[nodiscard]] const KernelTableT<T>& table_for_type(SimdLevel level) noexcept;
-template <>
-[[nodiscard]] inline const KernelTableT<double>& table_for_type<double>(
-    SimdLevel level) noexcept {
-  return table_for(level);
-}
-template <>
-[[nodiscard]] inline const KernelTableT<float>& table_for_type<float>(
-    SimdLevel level) noexcept {
-  return table_for_f32(level);
-}
-
 /// Reduction chunk length shared with vector_ops' deterministic dot:
 /// per-column chunk partials are accumulated serially and folded in
 /// chunk order, so panel reductions equal norm2/dot bit-for-bit.

@@ -16,17 +16,4 @@ const KernelTableF32* avx2_table_f32() noexcept;
 const KernelTable* avx512_table() noexcept;
 const KernelTableF32* avx512_table_f32() noexcept;
 
-/// Storage-type-generic scalar reference (the k == 1 delegation target
-/// of the vector kernels).
-template <typename T>
-const KernelTableT<T>& scalar_table_for() noexcept;
-template <>
-inline const KernelTableT<double>& scalar_table_for<double>() noexcept {
-  return scalar_table();
-}
-template <>
-inline const KernelTableT<float>& scalar_table_for<float>() noexcept {
-  return scalar_table_f32();
-}
-
 }  // namespace parlap::kernels

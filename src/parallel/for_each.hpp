@@ -8,9 +8,10 @@
 //
 // Nested parallelism: a wrapper invoked from inside an OpenMP parallel
 // region (omp_in_parallel()) or under a SerialScope runs its loop
-// serially instead of forking a nested team. Service-layer worker pools
-// (src/service/solve_engine.hpp) rely on this so N concurrent solves use
-// N threads total instead of N * omp_get_max_threads(). Results are
+// serially instead of forking a nested team. The solve engine's worker
+// pool (src/service/solve_engine.hpp) relies on this: with several
+// workers each pool thread holds a SerialScope, so N concurrent solves
+// use N threads total instead of N * omp_get_max_threads(). Results are
 // unaffected: every call site is deterministic across thread counts.
 #pragma once
 
@@ -29,8 +30,8 @@ namespace detail {
 inline thread_local int serial_scope_depth = 0;
 }  // namespace detail
 
-/// RAII guard that forces the parallel_for / parallel_for_dynamic /
-/// parallel_reduce primitives on the *current thread* to run serially for
+/// RAII guard that forces the parallel_for / parallel_reduce /
+/// exclusive_scan primitives on the *current thread* to run serially for
 /// its lifetime. Used by worker pools whose threads each execute an
 /// already-parallel workload side by side.
 class SerialScope {
@@ -97,21 +98,6 @@ void parallel_for(Index begin, Index end, Fn&& fn,
     return;
   }
 #pragma omp parallel for schedule(static)
-  for (std::int64_t i = lo; i < hi; ++i) fn(static_cast<Index>(i));
-}
-
-/// Like parallel_for but with dynamic scheduling, for irregular work such
-/// as random walks whose length varies per iteration.
-template <typename Index, typename Fn>
-void parallel_for_dynamic(Index begin, Index end, Fn&& fn,
-                          std::int64_t grain = 256) {
-  const auto lo = static_cast<std::int64_t>(begin);
-  const auto hi = static_cast<std::int64_t>(end);
-  if (hi - lo < grain || !parallelism_allowed()) {
-    for (std::int64_t i = lo; i < hi; ++i) fn(static_cast<Index>(i));
-    return;
-  }
-#pragma omp parallel for schedule(dynamic, 64)
   for (std::int64_t i = lo; i < hi; ++i) fn(static_cast<Index>(i));
 }
 

@@ -12,13 +12,17 @@
 
 #include <omp.h>
 
+#include "parallel/for_each.hpp"
+
 namespace parlap {
 
-/// In-place exclusive prefix sum; returns the grand total.
+/// In-place exclusive prefix sum; returns the grand total. Serial below
+/// 2^14 entries and wherever parallelism_allowed() is false (inside a
+/// parallel region or under a SerialScope).
 template <typename T>
 T exclusive_scan(std::span<T> values, T init = T{}) {
   const std::int64_t n = static_cast<std::int64_t>(values.size());
-  if (n < (1 << 14)) {
+  if (n < (1 << 14) || !parallelism_allowed()) {
     T running = init;
     for (std::int64_t i = 0; i < n; ++i) {
       const T v = values[static_cast<std::size_t>(i)];
@@ -28,10 +32,14 @@ T exclusive_scan(std::span<T> values, T init = T{}) {
     return running;
   }
 
-  const int threads = omp_get_max_threads();
-  std::vector<T> block_sum(static_cast<std::size_t>(threads) + 1, T{});
-#pragma omp parallel num_threads(threads)
+  // omp_get_max_threads() bounds the team; the blocks follow the team
+  // actually granted, which may be smaller.
+  std::vector<T> block_sum(static_cast<std::size_t>(omp_get_max_threads()) + 1,
+                           T{});
+  int blocks = 1;
+#pragma omp parallel
   {
+    const int threads = omp_get_num_threads();
     const int t = omp_get_thread_num();
     const std::int64_t chunk = (n + threads - 1) / threads;
     const std::int64_t lo = t * chunk;
@@ -42,6 +50,7 @@ T exclusive_scan(std::span<T> values, T init = T{}) {
 #pragma omp barrier
 #pragma omp single
     {
+      blocks = threads;
       block_sum[0] = init;
       for (int b = 1; b <= threads; ++b) block_sum[static_cast<std::size_t>(b)] += block_sum[static_cast<std::size_t>(b) - 1];
     }
@@ -52,18 +61,7 @@ T exclusive_scan(std::span<T> values, T init = T{}) {
       running += v;
     }
   }
-  return block_sum[static_cast<std::size_t>(threads)];
-}
-
-/// Builds CSR-style offsets (size counts.size()+1) from per-bucket counts.
-template <typename T>
-std::vector<T> offsets_from_counts(std::span<const T> counts) {
-  std::vector<T> offsets(counts.size() + 1);
-  std::copy(counts.begin(), counts.end(), offsets.begin());
-  offsets.back() = T{};
-  const T total = exclusive_scan(std::span<T>(offsets.data(), counts.size()), T{});
-  offsets.back() = total;
-  return offsets;
+  return block_sum[static_cast<std::size_t>(blocks)];
 }
 
 }  // namespace parlap

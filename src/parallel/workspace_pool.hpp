@@ -67,19 +67,13 @@ class WorkspacePool {
     return Lease(this, std::make_unique<T>());
   }
 
-  /// Workspaces currently checked in (for tests / introspection).
-  [[nodiscard]] std::size_t idle_count() const {
-    const std::scoped_lock lock(mutex_);
-    return free_.size();
-  }
-
  private:
   void release(std::unique_ptr<T> obj) {
     const std::scoped_lock lock(mutex_);
     free_.push_back(std::move(obj));
   }
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<std::unique_ptr<T>> free_;
 };
 

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <omp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -12,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -22,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
-#include "parallel/for_each.hpp"
 #include "service/json.hpp"
 #include "support/check.hpp"
 #include "support/json_writer.hpp"
@@ -87,8 +84,9 @@ void set_nonblocking_cloexec(int fd) {
 // Internal structs
 // ---------------------------------------------------------------------------
 
-/// Per-connection state. Owned and touched by the I/O thread only;
-/// workers refer to sessions by id.
+/// Per-connection state. Owned and touched by the I/O thread only; pool
+/// tasks refer to sessions by id, which is also the session's id in the
+/// engine's pool.
 struct SolveServer::Session {
   int fd = -1;
   std::uint64_t id = 0;
@@ -108,14 +106,6 @@ struct SolveServer::Session {
   std::uint64_t last_activity_ns = 0;
   std::uint64_t requests = 0;  ///< request lines parsed (default ids)
   std::size_t pending = 0;     ///< jobs admitted, result not yet queued to wbuf
-};
-
-struct SolveServer::PendingJob {
-  std::uint64_t session_id = 0;
-  std::uint64_t request_id = 0;
-  SolveJob job;
-  std::size_t bytes = 0;  ///< request line size, held until completion
-  std::uint64_t enqueue_ns = 0;
 };
 
 struct SolveServer::CompletedJob {
@@ -177,9 +167,6 @@ SolveServer::SolveServer(ServerOptions options)
     : options_(std::move(options)),
       metrics_(&ServeMetrics::get()),
       event_log_(options_.event_log_path) {
-  PARLAP_CHECK_MSG(options_.workers >= 1,
-                   "SolveServer needs at least one worker, got "
-                       << options_.workers);
   PARLAP_CHECK_MSG(!options_.socket_path.empty() || options_.tcp_port >= 0,
                    "SolveServer needs a unix socket path or a TCP port");
   if (!options_.graph_root.empty()) {
@@ -189,14 +176,10 @@ SolveServer::SolveServer(ServerOptions options)
                      "graph root '" << options_.graph_root
                                     << "' is not a directory");
   }
-  EngineOptions eo;
-  eo.workers = 1;  // the server owns the worker pool; run_one is per-thread
-  eo.cache_budget_entries = options_.cache_budget_entries;
-  eo.graph_cache_limit = options_.graph_cache_limit;
-  eo.simd = options_.simd;
-  eo.numa = options_.numa;
-  eo.precision = options_.precision;
-  engine_ = std::make_unique<SolveEngine>(eo);
+  // The pool wakes the I/O loop after every task, once the task has left
+  // the queue counts that drain_complete() reads. No task runs before
+  // start(), so the pipe below is open before the first wake.
+  engine_ = std::make_unique<SolveEngine>(options_.engine, [this] { wake(); });
   // The wake pipe exists for the object's whole life so request_drain()
   // is safe to call from a signal handler at any time.
   int fds[2];
@@ -206,15 +189,9 @@ SolveServer::SolveServer(ServerOptions options)
 }
 
 SolveServer::~SolveServer() {
-  // Abort path (serve() never ran or threw): stop workers, drop state.
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    stop_workers_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  // Join the pool first (finishing running tasks, dropping queued ones on
+  // the abort path): its tasks write completed_ and the wake pipe.
+  engine_.reset();
   for (auto& [id, s] : sessions_) {
     if (s->fd >= 0) ::close(s->fd);
   }
@@ -294,14 +271,10 @@ void SolveServer::start() {
   start_ns_ = steady_now_ns();
   started_ = true;
   event_log_.append("server_start", [&](JsonWriter& w) {
-    w.member("workers", options_.workers);
+    w.member("workers", options_.engine.workers);
     w.member("socket", options_.socket_path);
     w.member("tcp_port", tcp_port_);
   });
-  workers_.reserve(static_cast<std::size_t>(options_.workers));
-  for (int w = 0; w < options_.workers; ++w) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
 }
 
 void SolveServer::request_drain() noexcept {
@@ -316,123 +289,86 @@ void SolveServer::wake() noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool
+// Pool tasks
 // ---------------------------------------------------------------------------
 
-void SolveServer::worker_main() {
-  // Throughput mode, mirroring SolveEngine's batch pool: with several
-  // workers each solve runs single-threaded so N workers use N threads.
-  std::optional<SerialScope> serial;
-  if (options_.workers > 1) {
-    omp_set_num_threads(1);
-    serial.emplace();
+void SolveServer::run_request(std::uint64_t session_id,
+                              std::uint64_t request_id, const SolveJob& job,
+                              std::uint64_t enqueue_ns) {
+  const double queue_seconds =
+      static_cast<double>(steady_now_ns() - enqueue_ns) * 1e-9;
+  metrics_->queue_wait_seconds.record_seconds(queue_seconds);
+  metrics_->queue_wait_window.record_seconds(queue_seconds);
+  JobResult result;
+  {
+    // Every span this request touches — serve.solve here plus the
+    // engine/cache/solver spans under run_one — picks the request id
+    // up from the scope as a "request_id" arg.
+    const obs::RequestIdScope rid_scope(request_id);
+    PARLAP_TRACE_SPAN_N(span, "serve.solve", "serve");
+    span.arg("queue_ms", queue_seconds * 1e3);
+    result = engine_->run_one(job);
+    span.arg("ok", result.ok ? 1.0 : 0.0);
   }
-  while (true) {
-    PendingJob pj;
-    {
-      std::unique_lock lock(queue_mutex_);
-      queue_cv_.wait(lock,
-                     [&] { return stop_workers_ || !rr_order_.empty(); });
-      if (stop_workers_) return;
-      // Round-robin fairness: take ONE job from the head session, then
-      // rotate it to the back if it still has work.
-      const std::uint64_t sid = rr_order_.front();
-      rr_order_.pop_front();
-      std::deque<PendingJob>& dq = session_queues_[sid];
-      pj = std::move(dq.front());
-      dq.pop_front();
-      if (dq.empty()) {
-        session_queues_.erase(sid);
-      } else {
-        rr_order_.push_back(sid);
-      }
-      --queued_jobs_;
-      ++in_flight_;
-      metrics_->queue_depth.set(static_cast<std::int64_t>(queued_jobs_));
-    }
+  metrics_->solve_seconds.record_seconds(result.wall_seconds);
+  metrics_->solve_window.record_seconds(result.wall_seconds);
+  metrics_->completed.add();
+  metrics_->completed_window.add();
 
-    const double queue_seconds =
-        static_cast<double>(steady_now_ns() - pj.enqueue_ns) * 1e-9;
-    metrics_->queue_wait_seconds.record_seconds(queue_seconds);
-    metrics_->queue_wait_window.record_seconds(queue_seconds);
-    JobResult result;
-    {
-      // Every span this request touches — serve.solve here plus the
-      // engine/cache/solver spans under run_one — picks the request id
-      // up from the scope as a "request_id" arg.
-      const obs::RequestIdScope rid_scope(pj.request_id);
-      PARLAP_TRACE_SPAN_N(span, "serve.solve", "serve");
-      span.arg("queue_ms", queue_seconds * 1e3);
-      result = engine_->run_one(pj.job);
-      span.arg("ok", result.ok ? 1.0 : 0.0);
-    }
-    metrics_->solve_seconds.record_seconds(result.wall_seconds);
-    metrics_->solve_window.record_seconds(result.wall_seconds);
-    metrics_->completed.add();
-    metrics_->completed_window.add();
-
-    std::string line;
-    JsonWriter w(line);
-    begin_result(w, result.id, pj.request_id, result.ok ? "ok" : "error");
-    if (result.ok) {
-      w.member("cache_hit", result.cache_hit);
-      w.member("converged", result.report.converged);
-      w.member("iterations", result.report.iterations);
-      w.member("precision", precision_name(result.report.precision));
-      w.member("relative_residual", result.report.relative_residual);
-      w.member("solve_seconds", result.report.solve_seconds);
-      w.member("wall_seconds", result.wall_seconds);
-      w.member("queue_seconds", queue_seconds);
-      w.key("timings");
-      w.begin_object();
-      w.member("queue_wait_ms", queue_seconds * 1e3);
-      w.member("cache", result.cache_hit ? "hit" : "miss");
-      w.member("build_ms", result.build_seconds * 1e3);
-      w.member("solve_ms", result.report.solve_seconds * 1e3);
-      // Refinement breakdown: outer fp64 refinement iterations and the
-      // escalation rounds (fp32 -> fp64 rebuilds) this solve needed.
-      w.member("refinement_iterations", result.report.iterations);
-      w.member("escalations", result.report.escalations);
-      w.end_object();
-      w.member("solution_hash", result.solution_hash_hex());
-    } else {
-      w.member("error", result.error);
-    }
+  std::string line;
+  JsonWriter w(line);
+  begin_result(w, result.id, request_id, result.ok ? "ok" : "error");
+  if (result.ok) {
+    w.member("cache_hit", result.cache_hit);
+    w.member("converged", result.report.converged);
+    w.member("iterations", result.report.iterations);
+    w.member("precision", precision_name(result.report.precision));
+    w.member("relative_residual", result.report.relative_residual);
+    w.member("solve_seconds", result.report.solve_seconds);
+    w.member("wall_seconds", result.wall_seconds);
+    w.member("queue_seconds", queue_seconds);
+    w.key("timings");
+    w.begin_object();
+    w.member("queue_wait_ms", queue_seconds * 1e3);
+    w.member("cache", result.cache_hit ? "hit" : "miss");
+    w.member("build_ms", result.build_seconds * 1e3);
+    w.member("solve_ms", result.report.solve_seconds * 1e3);
+    // Refinement breakdown: outer fp64 refinement iterations and the
+    // escalation rounds (fp32 -> fp64 rebuilds) this solve needed.
+    w.member("refinement_iterations", result.report.iterations);
+    w.member("escalations", result.report.escalations);
     w.end_object();
-
-    // Slow-request journal: every completed solve at or past the
-    // --slow-ms wall threshold (0 = all) gets one JSONL event.
-    if (result.wall_seconds * 1e3 >= options_.slow_ms) {
-      event_log_.append("request", [&](JsonWriter& e) {
-        e.member("request_id", pj.request_id);
-        e.member("id", result.id);
-        e.member("session", pj.session_id);
-        e.member("status", result.ok ? "ok" : "error");
-        e.member("cache", result.cache_hit ? "hit" : "miss");
-        e.member("queue_wait_ms", queue_seconds * 1e3);
-        e.member("build_ms", result.build_seconds * 1e3);
-        e.member("solve_ms", result.report.solve_seconds * 1e3);
-        e.member("wall_ms", result.wall_seconds * 1e3);
-        if (!result.ok) e.member("error", result.error);
-      });
-    }
-
-    // Publish the result BEFORE releasing the in-flight slot: once
-    // in_flight_ reads zero, every response is already visible to the
-    // delivery pass, so a drain can never race past the last line.
-    {
-      const std::scoped_lock lock(results_mutex_);
-      completed_.push_back(CompletedJob{pj.session_id, std::move(line)});
-    }
-    {
-      const std::scoped_lock lock(queue_mutex_);
-      --in_flight_;
-      queued_bytes_ -= pj.bytes;
-      metrics_->queued_bytes.set(static_cast<std::int64_t>(queued_bytes_));
-    }
-    completed_count_.fetch_add(1, std::memory_order_relaxed);
-    wake();
+    w.member("solution_hash", result.solution_hash_hex());
+  } else {
+    w.member("error", result.error);
   }
+  w.end_object();
+
+  // Slow-request journal: every completed solve at or past the
+  // --slow-ms wall threshold (0 = all) gets one JSONL event.
+  if (result.wall_seconds * 1e3 >= options_.slow_ms) {
+    event_log_.append("request", [&](JsonWriter& e) {
+      e.member("request_id", request_id);
+      e.member("id", result.id);
+      e.member("session", session_id);
+      e.member("status", result.ok ? "ok" : "error");
+      e.member("cache", result.cache_hit ? "hit" : "miss");
+      e.member("queue_wait_ms", queue_seconds * 1e3);
+      e.member("build_ms", result.build_seconds * 1e3);
+      e.member("solve_ms", result.report.solve_seconds * 1e3);
+      e.member("wall_ms", result.wall_seconds * 1e3);
+      if (!result.ok) e.member("error", result.error);
+    });
+  }
+
+  // The pool counts this task in flight until it returns, so once
+  // drain_complete() reads zero in flight the line is already visible to
+  // the delivery pass and a drain can never race past it.
+  {
+    const std::scoped_lock lock(results_mutex_);
+    completed_.push_back(CompletedJob{session_id, std::move(line)});
+  }
+  completed_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -523,14 +459,8 @@ void SolveServer::serve() {
       if (s->fd >= 0) ::close(s->fd);
     }
     sessions_.clear();
-    {
-      const std::scoped_lock lock(queue_mutex_);
-      stop_workers_ = true;
-    }
-    queue_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-    workers_.clear();
   }
+  sample_queue_gauges();
   if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
   event_log_.append("drain_complete", [&](JsonWriter& w) {
     w.member("completed", completed_count_.load(std::memory_order_relaxed));
@@ -540,9 +470,9 @@ void SolveServer::serve() {
 void SolveServer::begin_drain() {
   draining_ = true;
   event_log_.append("drain_begin", [&](JsonWriter& w) {
-    const std::scoped_lock lock(queue_mutex_);
-    w.member("queued", queued_jobs_);
-    w.member("in_flight", in_flight_);
+    const SolveEngine::QueueStats q = engine_->queue_stats();
+    w.member("queued", q.queued);
+    w.member("in_flight", q.in_flight);
   });
   if (unix_fd_ >= 0) {
     ::close(unix_fd_);
@@ -555,10 +485,8 @@ void SolveServer::begin_drain() {
 }
 
 bool SolveServer::drain_complete() {
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    if (queued_jobs_ != 0 || in_flight_ != 0) return false;
-  }
+  const SolveEngine::QueueStats q = engine_->queue_stats();
+  if (q.queued != 0 || q.in_flight != 0) return false;
   {
     const std::scoped_lock lock(results_mutex_);
     if (!completed_.empty()) return false;
@@ -581,7 +509,7 @@ void SolveServer::accept_ready(int listen_fd) {
     set_nonblocking_cloexec(fd);
     auto s = std::make_unique<Session>();
     s->fd = fd;
-    s->id = next_session_id_++;
+    s->id = engine_->open_session();
     s->last_activity_ns = steady_now_ns();
     metrics_->sessions.add();
     sessions_.emplace(s->id, std::move(s));
@@ -655,21 +583,9 @@ void SolveServer::read_ready(Session& s) {
     // Disconnect: free the client's queue slots immediately (an
     // in-flight job finishes and its result is dropped at delivery).
     s.broken = true;
-    const std::scoped_lock lock(queue_mutex_);
-    const auto it = session_queues_.find(s.id);
-    if (it != session_queues_.end()) {
-      for (const PendingJob& pj : it->second) {
-        queued_bytes_ -= pj.bytes;
-        --queued_jobs_;
-        PARLAP_CHECK(s.pending > 0);
-        --s.pending;
-      }
-      session_queues_.erase(it);
-      rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), s.id),
-                      rr_order_.end());
-      metrics_->queue_depth.set(static_cast<std::int64_t>(queued_jobs_));
-      metrics_->queued_bytes.set(static_cast<std::int64_t>(queued_bytes_));
-    }
+    const std::size_t dropped = engine_->cancel(s.id);
+    PARLAP_CHECK(s.pending >= dropped);
+    s.pending -= dropped;
   }
 }
 
@@ -733,6 +649,7 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
     // bytes to a GET /metrics scrape, for clients already connected.
     PARLAP_TRACE_SPAN("serve.scrape", "serve");
     metrics_->scrapes.add();
+    sample_queue_gauges();
     std::string out;
     JsonWriter w(out);
     w.begin_object();
@@ -808,34 +725,21 @@ void SolveServer::handle_solve(Session& s, SolveJob job,
     respond(s, std::move(out));
     return;
   }
-  std::size_t depth_seen = 0;
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    const bool over_depth = queued_jobs_ >= options_.max_queue_depth;
-    const bool over_bytes =
-        queued_bytes_ + line_bytes > options_.max_queued_bytes;
-    if (over_depth || over_bytes) {
-      depth_seen = queued_jobs_;
-    } else {
-      PendingJob pj;
-      pj.session_id = s.id;
-      pj.request_id = request_id;
-      pj.bytes = line_bytes;
-      pj.enqueue_ns = steady_now_ns();
-      const std::string id = job.id;
-      pj.job = std::move(job);
-      std::deque<PendingJob>& dq = session_queues_[s.id];
-      if (dq.empty()) rr_order_.push_back(s.id);
-      dq.push_back(std::move(pj));
-      ++queued_jobs_;
-      queued_bytes_ += line_bytes;
-      ++s.pending;
-      metrics_->admitted.add();
-      metrics_->queue_depth.set(static_cast<std::int64_t>(queued_jobs_));
-      metrics_->queued_bytes.set(static_cast<std::int64_t>(queued_bytes_));
-      queue_cv_.notify_one();
-      return;
-    }
+  // Only this thread queues tasks, so the counts can only fall between
+  // this check and the submit below: admission never overshoots.
+  const SolveEngine::QueueStats q = engine_->queue_stats();
+  if (q.queued < options_.max_queue_depth &&
+      q.cost + line_bytes <= options_.max_queued_bytes) {
+    engine_->submit(
+        s.id,
+        [this, session_id = s.id, request_id, job = std::move(job),
+         enqueue_ns = steady_now_ns()] {
+          run_request(session_id, request_id, job, enqueue_ns);
+        },
+        line_bytes);
+    ++s.pending;
+    metrics_->admitted.add();
+    return;
   }
   // Shed load: answer immediately with a retry hint instead of letting
   // the backlog (and the client's tail latency) grow without bound.
@@ -844,16 +748,22 @@ void SolveServer::handle_solve(Session& s, SolveJob job,
   event_log_.append("shed", [&](JsonWriter& w) {
     w.member("request_id", request_id);
     w.member("id", job.id);
-    w.member("queue_depth", depth_seen);
+    w.member("queue_depth", q.queued);
   });
   std::string out;
   JsonWriter w(out);
   begin_result(w, job.id, request_id, "overloaded");
   w.member("error", "admission queue full");
   w.member("retry_after_ms", options_.retry_after_ms);
-  w.member("queue_depth", depth_seen);
+  w.member("queue_depth", q.queued);
   w.end_object();
   respond(s, std::move(out));
+}
+
+void SolveServer::sample_queue_gauges() {
+  const SolveEngine::QueueStats q = engine_->queue_stats();
+  metrics_->queue_depth.set(static_cast<std::int64_t>(q.queued));
+  metrics_->queued_bytes.set(static_cast<std::int64_t>(q.cost));
 }
 
 void SolveServer::respond_http(Session& s) {
@@ -873,6 +783,7 @@ void SolveServer::respond_http(Session& s) {
   const bool is_metrics =
       target == "/metrics" || target.compare(0, 9, "/metrics?") == 0;
   if (is_metrics) {
+    sample_queue_gauges();
     body = obs::render_prometheus(obs::MetricsRegistry::global().snapshot());
   } else if (target == "/stats" || target.compare(0, 7, "/stats?") == 0) {
     body = stats_response();
@@ -916,27 +827,25 @@ std::string SolveServer::stats_response() {
   w.member("uptime_seconds",
            static_cast<double>(steady_now_ns() - start_ns_) * 1e-9);
   w.member("draining", draining_);
-  w.member("workers", options_.workers);
+  w.member("workers", options_.engine.workers);
   w.member("queue_limit", options_.max_queue_depth);
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    w.member("queue_depth", queued_jobs_);
-    w.member("queued_bytes", queued_bytes_);
-    w.member("in_flight", in_flight_);
-  }
+  const SolveEngine::QueueStats q = engine_->queue_stats();
+  w.member("queue_depth", q.queued);
+  w.member("queued_bytes", q.cost);
+  w.member("in_flight", q.in_flight);
   w.member("sessions", sessions_.size());
   // Config echo: black-box suites read the launch configuration from
   // here instead of hard-coding the daemon's flags.
   w.key("config");
   w.begin_object();
-  w.member("workers", options_.workers);
+  w.member("workers", options_.engine.workers);
   w.member("queue_limit", options_.max_queue_depth);
   w.member("max_queued_bytes", options_.max_queued_bytes);
   w.member("max_line_bytes", options_.max_line_bytes);
   w.member("idle_timeout_ms", options_.idle_timeout_ms);
   w.member("retry_after_ms", options_.retry_after_ms);
-  w.member("cache_budget_entries", options_.cache_budget_entries);
-  w.member("graph_cache_limit", options_.graph_cache_limit);
+  w.member("cache_budget_entries", options_.engine.cache_budget_entries);
+  w.member("graph_cache_limit", options_.engine.graph_cache_limit);
   w.member("tcp_port", tcp_port_);
   w.member("socket", options_.socket_path);
   w.member("slow_ms", options_.slow_ms);
@@ -951,8 +860,8 @@ std::string SolveServer::stats_response() {
   w.member("numa_nodes", kernels::numa_node_count());
   // Default precision mode for requests without their own field ("auto"
   // is echoed as spelled — it resolves per graph at solve time).
-  w.member("precision",
-           options_.precision.empty() ? "fp64" : options_.precision);
+  const std::string& precision = options_.engine.precision;
+  w.member("precision", precision.empty() ? "fp64" : precision);
   w.end_object();
   // Rolling last-60s view next to the lifetime digests below, so a
   // dashboard can tell "slow now" from "slow once, long ago".

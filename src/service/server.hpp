@@ -16,10 +16,11 @@
 //      shed immediately with {"status":"overloaded","retry_after_ms":N}
 //      — the client hears "back off" in microseconds instead of
 //      watching its socket stall while the queue grows without bound.
-//   2. Per-client fairness. Each session owns a FIFO of its admitted
-//      jobs; workers pick sessions round-robin and take ONE job per
-//      turn, so a client that pipelines 500 requests shares the workers
-//      with the client that sends one.
+//   2. Per-client fairness. Each client is a session of the engine's
+//      worker pool, which keeps a FIFO of its admitted jobs; workers
+//      pick sessions round-robin and take ONE job per turn, so a client
+//      that pipelines 500 requests shares the workers with the client
+//      that sends one.
 //   3. Graceful drain. SIGTERM (via request_drain(), which is
 //      async-signal-safe) or a {"type":"shutdown"} request stops the
 //      listeners, rejects NEW solve requests with {"status":"rejected"},
@@ -46,23 +47,20 @@
 // stamped on its slow-request event-log line (`--event-log`/`--slow-ms`).
 //
 // Threading: one I/O thread (the serve() caller) owns all sockets and
-// session state; `workers` solver threads share only the admission
-// queue and the completed-results list, both mutex-protected, and wake
-// the I/O thread through a self-pipe. Workers run jobs through
-// SolveEngine::run_one, so factorizations share the engine's
-// single-flight LRU cache across clients.
+// session state. Each admitted request is a task of its client's session
+// in the engine's worker pool that calls SolveEngine::run_one, so
+// factorizations share the engine's single-flight LRU cache across
+// clients. Tasks hand result lines over in a mutex-protected list, and
+// the pool wakes the I/O thread through a self-pipe after each task.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -79,11 +77,12 @@ struct ServerOptions {
   /// Loopback TCP listener port; -1 disables, 0 picks a free port
   /// (read it back via bound_tcp_port()).
   int tcp_port = -1;
-  /// Solver worker threads. With workers > 1 each worker pins OpenMP to
-  /// one thread (throughput mode), mirroring SolveEngine's batch pool.
-  int workers = 1;
-  EdgeId cache_budget_entries = 0;   ///< FactorizationCache budget; 0 = off
-  std::size_t graph_cache_limit = 32;  ///< engine graph LRU bound
+  /// The engine the requests run on: pool size (`workers`), cache
+  /// budgets, SIMD level, NUMA placement and the default precision for
+  /// requests without their own "precision" field. Its settings are
+  /// echoed in stats.config. block_width does not apply: every request
+  /// is a width-1 panel.
+  EngineOptions engine{};
   /// Admission limits: a solve request is shed when the queued-job
   /// count has reached max_queue_depth, or when admitting its line
   /// would push the bytes queued-or-executing past max_queued_bytes.
@@ -104,17 +103,6 @@ struct ServerOptions {
   /// documents the schema.
   std::string event_log_path;
   double slow_ms = 0.0;
-  /// SIMD dispatch level ("scalar"|"avx2"|"avx512"|"auto"; "" inherits
-  /// $PARLAP_SIMD, else auto) — forwarded to the engine and echoed in
-  /// stats.config as simd_active next to simd_detected.
-  std::string simd{};
-  /// NUMA placement ("local"|"interleave"; "" inherits $PARLAP_NUMA,
-  /// else local) — forwarded to the engine and echoed in stats.config.
-  std::string numa{};
-  /// Default factorization storage precision ("fp64"|"fp32"|"auto";
-  /// "" = fp64) for requests without their own "precision" field —
-  /// forwarded to the engine and echoed in stats.config.
-  std::string precision{};
   /// Directory "file:" graph specs may name ("" = refuse every file
   /// spec). A request's path, taken relative to this directory unless
   /// absolute, must resolve (symlinks and ".." expanded) to a regular
@@ -131,13 +119,13 @@ class SolveServer {
   SolveServer(const SolveServer&) = delete;
   SolveServer& operator=(const SolveServer&) = delete;
 
-  /// Binds the listeners and starts the worker pool. Throws
-  /// std::runtime_error when a socket cannot be bound.
+  /// Binds the listeners (the engine's pool started with the server).
+  /// Throws std::runtime_error when a socket cannot be bound.
   void start();
 
   /// Runs the I/O loop on the calling thread until a drain completes
-  /// (SIGTERM -> request_drain(), or a shutdown request). All sessions
-  /// are closed and workers joined before it returns.
+  /// (SIGTERM -> request_drain(), or a shutdown request). Every admitted
+  /// job has been answered and all sessions are closed before it returns.
   void serve();
 
   /// Initiates graceful drain. Async-signal-safe (atomic store plus a
@@ -146,9 +134,6 @@ class SolveServer {
 
   /// The TCP port actually bound (after start(); -1 when TCP is off).
   [[nodiscard]] int bound_tcp_port() const noexcept { return tcp_port_; }
-  [[nodiscard]] const ServerOptions& options() const noexcept {
-    return options_;
-  }
   /// Jobs completed since start (tests poll this across drains).
   [[nodiscard]] std::uint64_t completed_jobs() const noexcept {
     return completed_count_.load(std::memory_order_relaxed);
@@ -156,7 +141,6 @@ class SolveServer {
 
  private:
   struct Session;
-  struct PendingJob;
   struct CompletedJob;
   struct ServeMetrics;
 
@@ -166,6 +150,9 @@ class SolveServer {
   void handle_line(Session& s, const std::string& line);
   void handle_solve(Session& s, SolveJob job, std::size_t line_bytes,
                     std::uint64_t request_id);
+  /// Samples the pool's queue counts into the queue gauges, which are
+  /// read only through the registry.
+  void sample_queue_gauges();
   /// Applies ServerOptions::graph_root to a "file:" graph spec: throws
   /// std::invalid_argument to refuse it, else rewrites it to the
   /// resolved path.
@@ -185,13 +172,17 @@ class SolveServer {
   void begin_drain();
   [[nodiscard]] bool drain_complete();
 
-  // --- worker threads ------------------------------------------------------
-  void worker_main();
+  // --- pool tasks ----------------------------------------------------------
+  /// Solves one admitted request and queues its result line.
+  void run_request(std::uint64_t session_id, std::uint64_t request_id,
+                   const SolveJob& job, std::uint64_t enqueue_ns);
 
   void wake() noexcept;
 
   ServerOptions options_;
   std::filesystem::path graph_root_;  ///< resolved graph_root ("" = none)
+  /// Its pool's tasks write completed_ and the wake pipe, so the
+  /// destructor resets it (joining the pool) before anything else.
   std::unique_ptr<SolveEngine> engine_;
   ServeMetrics* metrics_ = nullptr;  ///< registry-owned instruments
 
@@ -204,28 +195,15 @@ class SolveServer {
   bool draining_ = false;  ///< I/O thread only
   std::uint64_t start_ns_ = 0;
 
-  std::uint64_t next_session_id_ = 1;  ///< I/O thread only
   /// Request ids are minted at admission on the I/O thread and ride
   /// every span (obs::RequestIdScope) and response of that request.
   std::uint64_t next_request_id_ = 1;  ///< I/O thread only
   obs::EventLog event_log_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
 
-  /// Admission queue (queue_mutex_): per-session FIFOs plus the
-  /// round-robin order workers serve them in.
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::unordered_map<std::uint64_t, std::deque<PendingJob>> session_queues_;
-  std::deque<std::uint64_t> rr_order_;
-  std::size_t queued_jobs_ = 0;
-  std::size_t queued_bytes_ = 0;  ///< bytes queued or executing
-  std::size_t in_flight_ = 0;
-  bool stop_workers_ = false;
-
   std::mutex results_mutex_;
   std::vector<CompletedJob> completed_;
 
-  std::vector<std::thread> workers_;
   std::atomic<bool> drain_requested_{false};
   std::atomic<std::uint64_t> completed_count_{0};
 };

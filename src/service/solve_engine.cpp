@@ -3,13 +3,11 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "api/graph_source.hpp"
 #include "api/rhs.hpp"
@@ -174,8 +172,11 @@ std::string JobResult::solution_hash_hex() const {
   return buf;
 }
 
-SolveEngine::SolveEngine(EngineOptions options)
-    : options_(options), cache_(options.cache_budget_entries) {
+SolveEngine::SolveEngine(EngineOptions options,
+                         std::function<void()> on_task_done)
+    : options_(options),
+      cache_(options.cache_budget_entries),
+      on_task_done_(std::move(on_task_done)) {
   PARLAP_CHECK_MSG(options_.workers >= 1,
                    "SolveEngine needs at least one worker, got "
                        << options_.workers);
@@ -204,9 +205,110 @@ SolveEngine::SolveEngine(EngineOptions options)
                                            << "' (want fp64|fp32|auto)");
     default_precision_ = *mode;
   }
+  workers_.reserve(static_cast<std::size_t>(options_.workers));
+  for (int w = 0; w < options_.workers; ++w) {
+    workers_.emplace_back([this](std::stop_token stop) { worker_main(stop); });
+  }
 }
 
-SolveEngine::~SolveEngine() = default;
+SolveEngine::~SolveEngine() {
+  // Stop them all before workers_ joins them one by one, so no worker
+  // starts a queued task while another is being joined.
+  for (std::jthread& t : workers_) t.request_stop();
+}
+
+void SolveEngine::worker_main(const std::stop_token& stop) {
+  // Throughput mode: each worker runs its solves single-threaded so N
+  // workers use N threads total (see header). SerialScope covers the
+  // parallel_for wrappers; the OpenMP ICV covers raw pragmas, and both
+  // die with this thread.
+  std::optional<SerialScope> serial;
+  if (options_.workers > 1) {
+    omp_set_num_threads(1);
+    serial.emplace();
+  }
+  while (true) {
+    Task task;
+    std::uint64_t id = 0;
+    {
+      std::unique_lock lock(pool_mutex_);
+      work_cv_.wait(lock, stop, [&] { return !turns_.empty(); });
+      if (stop.stop_requested()) return;
+      // Round-robin: take ONE task from the session whose turn it is,
+      // then send the session to the back if it still has tasks queued.
+      id = turns_.front();
+      turns_.pop_front();
+      Session& session = sessions_.at(id);
+      task = std::move(session.queue.front());
+      session.queue.pop_front();
+      if (!session.queue.empty()) turns_.push_back(id);
+      ++session.running;
+      --counts_.queued;
+      ++counts_.in_flight;
+    }
+    task.run();
+    {
+      const std::scoped_lock lock(pool_mutex_);
+      --counts_.in_flight;
+      counts_.cost -= task.cost;
+      // A session with a task running is never erased by anyone else.
+      const auto it = sessions_.find(id);
+      if (--it->second.running == 0 && it->second.queue.empty()) {
+        sessions_.erase(it);
+      }
+    }
+    done_cv_.notify_all();
+    if (on_task_done_) on_task_done_();
+  }
+}
+
+std::uint64_t SolveEngine::open_session() {
+  const std::scoped_lock lock(pool_mutex_);
+  return ++last_session_;
+}
+
+void SolveEngine::submit(std::uint64_t session, std::function<void()> task,
+                         std::size_t cost) {
+  {
+    const std::scoped_lock lock(pool_mutex_);
+    Session& s = sessions_[session];
+    if (s.queue.empty()) turns_.push_back(session);
+    s.queue.push_back(Task{std::move(task), cost});
+    ++counts_.queued;
+    counts_.cost += cost;
+  }
+  work_cv_.notify_one();
+}
+
+std::size_t SolveEngine::cancel(std::uint64_t session) {
+  std::size_t dropped = 0;
+  {
+    const std::scoped_lock lock(pool_mutex_);
+    const auto it = sessions_.find(session);
+    if (it == sessions_.end()) return 0;
+    dropped = it->second.queue.size();
+    for (const Task& t : it->second.queue) counts_.cost -= t.cost;
+    counts_.queued -= dropped;
+    std::erase(turns_, session);
+    if (it->second.running == 0) {
+      sessions_.erase(it);
+    } else {
+      it->second.queue.clear();
+    }
+  }
+  done_cv_.notify_all();
+  return dropped;
+}
+
+void SolveEngine::wait(std::uint64_t session) {
+  std::unique_lock lock(pool_mutex_);
+  done_cv_.wait(lock, [&] { return !sessions_.contains(session); });
+}
+
+SolveEngine::QueueStats SolveEngine::queue_stats() const {
+  const std::scoped_lock lock(pool_mutex_);
+  return counts_;
+}
 
 std::shared_ptr<const SolveEngine::LoadedGraph> SolveEngine::graph_for(
     const SolveJob& job) {
@@ -416,43 +518,33 @@ BatchResult SolveEngine::run(std::span<const SolveJob> jobs) {
   }
   batch.panels.resize(tasks.size());
 
-  const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(options_.workers),
-      std::max<std::size_t>(1, tasks.size())));
-  std::atomic<std::size_t> next{0};
-  const auto worker_main = [&] {
-    // Throughput mode: each worker runs its solves single-threaded so N
-    // workers use N threads total (see header). SerialScope covers the
-    // parallel_for wrappers; the OpenMP ICV covers raw pragmas, and both
-    // die with this thread.
-    std::optional<SerialScope> serial;
-    if (workers > 1) {
-      omp_set_num_threads(1);
-      serial.emplace();
+  const std::uint64_t session = open_session();
+  try {
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      submit(session, [&, t] {
+        const std::vector<std::size_t>& members = tasks[t];
+        // Queue wait: batch submission -> this pickup. Recorded per task
+        // so the percentiles below see the whole backlog distribution.
+        const double queue_seconds =
+            static_cast<double>(steady_now_ns() - batch_start_ns) * 1e-9;
+        PARLAP_TRACE_SPAN_N(task_span, "engine.task", "queue");
+        task_span.arg("task", static_cast<double>(t));
+        task_span.arg("width", static_cast<double>(members.size()));
+        task_span.arg("queue_ms", queue_seconds * 1e3);
+        const WallTimer task_timer;
+        batch.panels[t] = run_panel_task(jobs, members, batch.jobs);
+        batch.panels[t].queue_seconds = queue_seconds;
+        batch.panels[t].exec_seconds = task_timer.seconds();
+      });
     }
-    while (true) {
-      const std::size_t t = next.fetch_add(1);
-      if (t >= tasks.size()) break;
-      const std::vector<std::size_t>& members = tasks[t];
-      // Queue wait: batch submission -> this pickup. Recorded per task
-      // so the percentiles below see the whole backlog distribution.
-      const double queue_seconds =
-          static_cast<double>(steady_now_ns() - batch_start_ns) * 1e-9;
-      PARLAP_TRACE_SPAN_N(task_span, "engine.task", "queue");
-      task_span.arg("task", static_cast<double>(t));
-      task_span.arg("width", static_cast<double>(members.size()));
-      task_span.arg("queue_ms", queue_seconds * 1e3);
-      const WallTimer task_timer;
-      batch.panels[t] = run_panel_task(jobs, members, batch.jobs);
-      batch.panels[t].queue_seconds = queue_seconds;
-      batch.panels[t].exec_seconds = task_timer.seconds();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker_main);
-  for (std::thread& t : pool) t.join();
+  } catch (...) {
+    // The queued tasks point into this frame: drop them, and let the
+    // running ones finish, before unwinding it.
+    cancel(session);
+    wait(session);
+    throw;
+  }
+  wait(session);
 
   EngineStats& stats = batch.stats;
   stats.jobs = static_cast<std::int64_t>(jobs.size());
@@ -514,7 +606,7 @@ BatchResult SolveEngine::run(std::span<const SolveJob> jobs) {
   }
   batch_span.arg("jobs", static_cast<double>(stats.jobs));
   batch_span.arg("panels", static_cast<double>(stats.panels));
-  batch_span.arg("workers", static_cast<double>(workers));
+  batch_span.arg("workers", static_cast<double>(options_.workers));
   return batch;
 }
 

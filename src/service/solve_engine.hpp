@@ -1,10 +1,13 @@
 // SolveEngine — concurrent multi-RHS solve throughput service.
 //
 // The execution layer the ROADMAP's "heavy traffic" north star asks for:
-// a batch of SolveJobs (job_file.hpp) runs on a pool of worker threads
-// that share one FactorizationCache, so repeated graphs factor once and
-// then serve many solves concurrently through the const, thread-safe
-// AnySolver::solve_panel surface.
+// the engine owns the one pool of worker threads, which share one
+// FactorizationCache, so repeated graphs factor once and then serve many
+// solves concurrently through the const, thread-safe
+// AnySolver::solve_panel surface. Callers are sessions of the pool: a
+// batch of SolveJobs (job_file.hpp) is one, and each parlap_serve client
+// is one. Workers take sessions round-robin, ONE task per turn, so a
+// session that queues 500 tasks shares them with one that queues one.
 //
 // Every job runs as a panel task (run_panel_task): one graph load, one
 // cache lookup, and one AnySolver::solve_panel call. A run_one() request
@@ -28,23 +31,27 @@
 // keyed by (seed, job id) rather than any shared counter. Tests compare
 // --workers 1 against --workers N for bit-identical results.
 //
-// Oversubscription: with workers > 1 each worker pins its OpenMP thread
-// count to 1 and enters a SerialScope, so a machine runs `workers`
-// single-threaded solves side by side instead of workers * max_threads
-// oversubscribed ones. With workers == 1 the solves keep their inner
-// OpenMP parallelism (latency mode vs throughput mode), but run() still
-// starts that one worker on a fresh std::thread, and libgomp gives a new
-// thread the process default (OMP_NUM_THREADS, else one per core), not
-// the count the caller set with omp_set_num_threads(). A caller that
-// lowered its own thread count therefore gets batch solves at the
-// default count.
+// Oversubscription: with workers > 1 each pool thread pins its OpenMP
+// thread count to 1 and enters a SerialScope when it starts, so a machine
+// runs `workers` single-threaded solves side by side instead of
+// workers * max_threads oversubscribed ones, even for a batch of fewer
+// tasks. With workers == 1 the one pool thread keeps inner OpenMP
+// parallelism (latency mode vs throughput mode). libgomp gives each pool
+// thread the process default thread count (OMP_NUM_THREADS, else one per
+// core), not the count the engine's creator set with
+// omp_set_num_threads().
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -84,7 +91,7 @@ struct JobResult {
 };
 
 struct EngineOptions {
-  int workers = 1;                 ///< worker threads (>= 1)
+  int workers = 1;                 ///< pool threads (>= 1)
   EdgeId cache_budget_entries = 0; ///< FactorizationCache budget; 0 = off
   bool keep_solutions = false;     ///< retain JobResult::solution
   /// Loaded graphs retained for reuse (LRU beyond this; 0 = unlimited).
@@ -173,37 +180,76 @@ struct BatchResult {
 
 class SolveEngine {
  public:
-  explicit SolveEngine(EngineOptions options = {});
+  /// Starts the pool's EngineOptions::workers threads. `on_task_done`,
+  /// if set, runs on the pool thread after each task has finished and
+  /// left the queue counts (parlap_serve wakes its I/O loop with it).
+  explicit SolveEngine(EngineOptions options = {},
+                       std::function<void()> on_task_done = {});
+  /// Finishes the tasks that are running, drops the queued ones, and
+  /// joins the pool.
   ~SolveEngine();
 
   SolveEngine(const SolveEngine&) = delete;
   SolveEngine& operator=(const SolveEngine&) = delete;
 
-  /// Runs the batch to completion (blocking). May be called repeatedly;
-  /// the factorization cache persists across batches.
+  /// Runs the batch to completion (blocking) as one session of the pool:
+  /// its panel tasks are queued in input order and run() waits for them.
+  /// May be called repeatedly, and from several threads at once; the
+  /// factorization cache persists across batches. Never call it from a
+  /// pool task.
   [[nodiscard]] BatchResult run(std::span<const SolveJob> jobs);
 
   /// Runs ONE job synchronously on the calling thread as a width-1 panel
-  /// task — the per-request path of the parlap_serve daemon, whose own
-  /// worker pool replaces the batch pool above. Safe from any number of
-  /// threads concurrently: graph loads and factorizations share the
-  /// engine's caches (with single-flight builds), and the result is the
-  /// same pure function of the job as in a batch run (the same code
-  /// path), so serve and batch traffic for the same job yield
-  /// bit-identical results. Never throws: failures
-  /// come back as JobResult::ok == false. EngineOptions::workers does
-  /// not limit run_one callers; inner OpenMP parallelism is whatever
-  /// the calling thread has configured.
+  /// task — the body of each parlap_serve request task. Safe from any
+  /// number of threads concurrently: graph loads and factorizations
+  /// share the engine's caches (with single-flight builds), and the
+  /// result is the same pure function of the job as in a batch run (the
+  /// same code path), so serve and batch traffic for the same job yield
+  /// bit-identical results. Never throws: failures come back as
+  /// JobResult::ok == false. Inner OpenMP parallelism is whatever the
+  /// calling thread has configured.
   [[nodiscard]] JobResult run_one(const SolveJob& job);
 
-  [[nodiscard]] const EngineOptions& options() const noexcept {
-    return options_;
-  }
+  // --- the worker pool -----------------------------------------------------
+
+  /// Pool counts. `cost` sums the cost of queued and running tasks.
+  struct QueueStats {
+    std::size_t queued = 0;
+    std::size_t in_flight = 0;
+    std::size_t cost = 0;
+  };
+
+  /// A session id no other caller of this engine has been given.
+  [[nodiscard]] std::uint64_t open_session();
+  /// Appends `task` to `session`'s FIFO; a pool thread runs it. `cost`
+  /// counts in QueueStats::cost until the task has finished. Tasks must
+  /// not throw: an exception escaping one ends the program.
+  void submit(std::uint64_t session, std::function<void()> task,
+              std::size_t cost = 0);
+  /// Drops `session`'s queued tasks without running them and returns how
+  /// many there were; a task of it that is already running finishes.
+  std::size_t cancel(std::uint64_t session);
+  /// Blocks until `session` has no task queued or running.
+  void wait(std::uint64_t session);
+  [[nodiscard]] QueueStats queue_stats() const;
+
   [[nodiscard]] FactorizationCache::Stats cache_stats() const {
     return cache_.stats();
   }
 
  private:
+  struct Task {
+    std::function<void()> run;
+    std::size_t cost = 0;
+  };
+  /// A session with tasks queued or running (absent otherwise).
+  struct Session {
+    std::deque<Task> queue;
+    std::size_t running = 0;
+  };
+
+  void worker_main(const std::stop_token& stop);
+
   struct LoadedGraph {
     std::shared_ptr<const Multigraph> graph;
     std::uint64_t fingerprint = 0;
@@ -239,6 +285,20 @@ class SolveEngine {
   /// EngineOptions::graph_cache_limit; evicted graphs stay alive for
   /// jobs still holding the shared_ptr.
   std::unordered_map<std::string, std::shared_ptr<LoadedGraph>> graphs_;
+
+  /// Pool state, under pool_mutex_: the sessions with work, and those
+  /// with tasks queued in the order of their next turn.
+  mutable std::mutex pool_mutex_;
+  std::condition_variable_any work_cv_;  ///< a task was queued
+  std::condition_variable done_cv_;  ///< a task finished or was dropped
+  std::unordered_map<std::uint64_t, Session> sessions_;
+  std::deque<std::uint64_t> turns_;
+  QueueStats counts_;
+  std::uint64_t last_session_ = 0;
+  std::function<void()> on_task_done_;
+  /// Declared last: destroying it joins the workers before the state
+  /// above goes away.
+  std::vector<std::jthread> workers_;
 };
 
 /// The per-job right-hand side (exposed for tests): "random[:k]" uses a

@@ -410,8 +410,6 @@ TEST(KernelDispatchF32, TableFollowsActiveLevel) {
   }
   EXPECT_EQ(&active_for<float>(), &active_f32());
   EXPECT_EQ(&active_for<double>(), &active());
-  EXPECT_EQ(&table_for_type<float>(SimdLevel::kScalar),
-            &table_for_f32(SimdLevel::kScalar));
 }
 
 TEST(KernelDispatchF32, AxpyColsMatchesScalarBitwise) {

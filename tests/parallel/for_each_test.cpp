@@ -31,14 +31,6 @@ TEST(ParallelFor, EmptyRange) {
   EXPECT_FALSE(ran);
 }
 
-TEST(ParallelForDynamic, CoversRange) {
-  constexpr std::int64_t kN = 100000;
-  std::atomic<std::int64_t> sum{0};
-  parallel_for_dynamic(std::int64_t{0}, kN,
-                       [&](std::int64_t i) { sum += i; });
-  EXPECT_EQ(sum.load(), kN * (kN - 1) / 2);
-}
-
 TEST(ParallelReduce, SumLarge) {
   constexpr std::int64_t kN = 1 << 20;
   const std::int64_t total = parallel_reduce(

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "parallel/for_each.hpp"
 #include "parallel/scan.hpp"
 
 namespace parlap {
@@ -55,18 +56,27 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ScanSizeTest,
                                            1 << 14, (1 << 14) + 1, 1 << 17,
                                            (1 << 20) + 13));
 
-TEST(OffsetsFromCounts, BuildsCsrOffsets) {
-  const std::vector<std::int64_t> counts{2, 0, 3, 1};
-  const std::vector<std::int64_t> offsets =
-      offsets_from_counts(std::span<const std::int64_t>(counts));
-  EXPECT_EQ(offsets, (std::vector<std::int64_t>{0, 2, 2, 5, 6}));
+// A scan large enough to fork, called where it must not: inside a
+// parallel region (nested regions get a team of one) and under a
+// SerialScope. Both must still scan every entry.
+TEST(Scan, InsideParallelRegionScansEverything) {
+  constexpr std::size_t kN = std::size_t{1} << 15;
+  std::vector<std::int64_t> v(kN, 1);
+  std::int64_t total = 0;
+#pragma omp parallel
+#pragma omp single
+  total = exclusive_scan(std::span<std::int64_t>(v));
+  EXPECT_EQ(total, static_cast<std::int64_t>(kN));
+  EXPECT_EQ(v.back(), static_cast<std::int64_t>(kN) - 1);
 }
 
-TEST(OffsetsFromCounts, LargeMatchesSum) {
-  std::vector<std::int64_t> counts(1 << 18, 3);
-  const auto offsets = offsets_from_counts(std::span<const std::int64_t>(counts));
-  EXPECT_EQ(offsets.front(), 0);
-  EXPECT_EQ(offsets.back(), 3ll << 18);
+TEST(Scan, UnderSerialScopeScansEverything) {
+  constexpr std::size_t kN = std::size_t{1} << 15;
+  std::vector<std::int64_t> v(kN, 1);
+  const SerialScope serial;
+  EXPECT_EQ(exclusive_scan(std::span<std::int64_t>(v)),
+            static_cast<std::int64_t>(kN));
+  EXPECT_EQ(v.back(), static_cast<std::int64_t>(kN) - 1);
 }
 
 }  // namespace

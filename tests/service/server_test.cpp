@@ -117,8 +117,8 @@ std::string extract_hash(const std::string& line) {
 ServerOptions base_options(const std::string& path) {
   ServerOptions opt;
   opt.socket_path = path;
-  opt.workers = 2;
-  opt.cache_budget_entries = 1 << 20;
+  opt.engine.workers = 2;
+  opt.engine.cache_budget_entries = 1 << 20;
   return opt;
 }
 
@@ -164,7 +164,7 @@ TEST(SolveServer, SolveStreamsResultWithHash) {
 TEST(SolveServer, ConcurrentClientsAgreeOnHashes) {
   const std::string path = test_socket_path();
   ServerOptions opt = base_options(path);
-  opt.workers = 4;
+  opt.engine.workers = 4;
   TestServer server(opt);
 
   constexpr int kClients = 4;
@@ -389,7 +389,7 @@ TEST(SolveServer, StatsEchoesConfigAndWindow) {
 TEST(SolveServer, DisconnectPurgesQueuedJobs) {
   const std::string path = test_socket_path();
   ServerOptions opt = base_options(path);
-  opt.workers = 1;
+  opt.engine.workers = 1;
   TestServer server(opt);
 
   {

@@ -1,15 +1,20 @@
 // SolveEngine integration tests: job-file parsing, batch determinism
 // across worker counts (the acceptance property of the subsystem),
-// cache sharing, and per-job failure isolation.
+// cache sharing, per-job failure isolation, and the worker pool's
+// round-robin scheduling and cancellation.
 #include "service/solve_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/job_file.hpp"
@@ -306,14 +311,14 @@ TEST(SolveEngine, ImbalancedRhsFailsUnlessProjected) {
 TEST(SolveEngine, CacheBudgetCausesEvictions) {
   // Many distinct graphs under a tiny budget: the cache must evict and
   // the batch must still complete correctly.
-  std::vector<SolveJob> jobs;
-  for (int i = 0; i < 6; ++i) {
-    SolveJob j;
-    j.id = "g" + std::to_string(i);
-    j.graph = "grid2d:";
-    j.graph += std::to_string(8 + i);
-    jobs.push_back(j);
-  }
+  const std::vector<SolveJob> jobs = parse_jobs_jsonl(std::string(R"(
+{"id": "g0", "graph": "grid2d:8"}
+{"id": "g1", "graph": "grid2d:9"}
+{"id": "g2", "graph": "grid2d:10"}
+{"id": "g3", "graph": "grid2d:11"}
+{"id": "g4", "graph": "grid2d:12"}
+{"id": "g5", "graph": "grid2d:13"}
+)"));
   EngineOptions opts;
   opts.workers = 1;
   opts.cache_budget_entries = 1;  // at most the MRU entry stays
@@ -325,6 +330,123 @@ TEST(SolveEngine, CacheBudgetCausesEvictions) {
   EXPECT_EQ(batch.stats.cache.misses, 6u);
   EXPECT_GE(batch.stats.cache.evictions, 5u);
   EXPECT_EQ(batch.stats.cache.resident_count, 1u);
+}
+
+/// Occupies one pool thread until released, so tests can queue work
+/// behind it and look at the queue before anything else runs.
+class BusyWorker {
+ public:
+  explicit BusyWorker(SolveEngine& engine, std::size_t cost = 0)
+      : engine_(engine), session_(engine.open_session()) {
+    std::future<void> started = started_.get_future();
+    engine_.submit(
+        session_,
+        [this, gate = release_.get_future().share()] {
+          started_.set_value();
+          gate.wait();
+        },
+        cost);
+    started.wait();
+  }
+  ~BusyWorker() { release(); }
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    release_.set_value();
+    engine_.wait(session_);
+  }
+
+ private:
+  SolveEngine& engine_;
+  std::uint64_t session_;
+  std::promise<void> started_;
+  std::promise<void> release_;
+  bool released_ = false;
+};
+
+TEST(SolveEnginePool, ServesSessionsRoundRobinOneTaskPerTurn) {
+  SolveEngine engine({.workers = 1});
+  BusyWorker busy(engine);
+  const std::uint64_t a = engine.open_session();
+  const std::uint64_t b = engine.open_session();
+  ASSERT_NE(a, b);
+  std::mutex mutex;
+  std::vector<std::string> order;
+  const auto record = [&](const char* name) {
+    return [&mutex, &order, name] {
+      const std::scoped_lock lock(mutex);
+      order.emplace_back(name);
+    };
+  };
+  engine.submit(a, record("A1"));
+  engine.submit(a, record("A2"));
+  engine.submit(a, record("A3"));
+  engine.submit(b, record("B1"));
+  const SolveEngine::QueueStats held = engine.queue_stats();
+  EXPECT_EQ(held.queued, 4u);
+  EXPECT_EQ(held.in_flight, 1u);
+
+  busy.release();
+  engine.wait(a);
+  engine.wait(b);
+  EXPECT_EQ(order, (std::vector<std::string>{"A1", "B1", "A2", "A3"}));
+}
+
+TEST(SolveEnginePool, CancelDropsQueuedTasksAndReleasesCounts) {
+  SolveEngine engine({.workers = 1});
+  BusyWorker busy(engine, /*cost=*/5);
+  const std::uint64_t s = engine.open_session();
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 3; ++i) engine.submit(s, [&ran] { ++ran; }, 10);
+  SolveEngine::QueueStats q = engine.queue_stats();
+  EXPECT_EQ(q.queued, 3u);
+  EXPECT_EQ(q.in_flight, 1u);
+  EXPECT_EQ(q.cost, 35u);
+
+  EXPECT_EQ(engine.cancel(s), 3u);
+  q = engine.queue_stats();
+  EXPECT_EQ(q.queued, 0u);
+  EXPECT_EQ(q.cost, 5u);  // the running task keeps its cost until done
+  engine.wait(s);         // nothing of s is queued or running
+
+  busy.release();
+  q = engine.queue_stats();
+  EXPECT_EQ(q.queued, 0u);
+  EXPECT_EQ(q.in_flight, 0u);
+  EXPECT_EQ(q.cost, 0u);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(engine.cancel(s), 0u);
+}
+
+TEST(SolveEngine, ConcurrentRunsOnOneEngineMatchSoloRuns) {
+  // Two batches share one 2-worker pool as two sessions; each job's
+  // answer is still the pure function of the job a solo run gives.
+  const std::vector<SolveJob> jobs = mixed_jobs();
+  const std::vector<SolveJob> reversed(jobs.rbegin(), jobs.rend());
+  SolveEngine solo_engine({.workers = 1});
+  const BatchResult solo = solo_engine.run(jobs);
+
+  SolveEngine shared({.workers = 2});
+  BatchResult forward;
+  BatchResult backward;
+  std::thread first([&] { forward = shared.run(jobs); });
+  std::thread second([&] { backward = shared.run(reversed); });
+  first.join();
+  second.join();
+
+  ASSERT_EQ(forward.jobs.size(), solo.jobs.size());
+  ASSERT_EQ(backward.jobs.size(), solo.jobs.size());
+  for (std::size_t i = 0; i < solo.jobs.size(); ++i) {
+    const JobResult& want = solo.jobs[i];
+    const JobResult& back = backward.jobs[solo.jobs.size() - 1 - i];
+    ASSERT_TRUE(want.ok) << want.id << ": " << want.error;
+    EXPECT_EQ(forward.jobs[i].solution_hash, want.solution_hash) << want.id;
+    ASSERT_EQ(back.id, want.id);
+    EXPECT_EQ(back.solution_hash, want.solution_hash) << want.id;
+  }
+  const SolveEngine::QueueStats q = shared.queue_stats();
+  EXPECT_EQ(q.queued + q.in_flight + q.cost, 0u);
 }
 
 }  // namespace

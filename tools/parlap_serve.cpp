@@ -161,9 +161,10 @@ int run(int argc, char** argv) {
   }
 
   service::ServerOptions opt;
+  service::EngineOptions& engine = opt.engine;
   opt.socket_path = parse_string_flag(args, "--socket");
   opt.tcp_port = static_cast<int>(parse_int_flag(args, "--tcp", -1));
-  opt.workers = static_cast<int>(parse_int_flag(args, "--workers", 1));
+  engine.workers = static_cast<int>(parse_int_flag(args, "--workers", 1));
   opt.max_queue_depth = static_cast<std::size_t>(
       parse_int_flag(args, "--queue-limit", 256));
   opt.max_queued_bytes = static_cast<std::size_t>(parse_int_flag(
@@ -176,15 +177,15 @@ int run(int argc, char** argv) {
       static_cast<int>(parse_int_flag(args, "--idle-timeout-ms", 0));
   opt.retry_after_ms =
       static_cast<int>(parse_int_flag(args, "--retry-after-ms", 100));
-  opt.cache_budget_entries =
+  engine.cache_budget_entries =
       static_cast<EdgeId>(parse_int_flag(args, "--cache-budget", 0));
-  opt.graph_cache_limit =
+  engine.graph_cache_limit =
       static_cast<std::size_t>(parse_int_flag(args, "--graph-cache", 32));
   opt.event_log_path = parse_string_flag(args, "--event-log");
   opt.slow_ms = parse_double_flag(args, "--slow-ms", 0.0);
-  opt.simd = parse_string_flag(args, "--simd");
-  opt.numa = parse_string_flag(args, "--numa");
-  opt.precision = parse_string_flag(args, "--precision");
+  engine.simd = parse_string_flag(args, "--simd");
+  engine.numa = parse_string_flag(args, "--numa");
+  engine.precision = parse_string_flag(args, "--precision");
   opt.graph_root = parse_string_flag(args, "--graph-root");
   const std::string trace_path = parse_string_flag(args, "--trace-out");
   const std::string metrics_out = parse_string_flag(args, "--metrics-out");
@@ -195,7 +196,7 @@ int run(int argc, char** argv) {
   if (opt.socket_path.empty() && opt.tcp_port < 0) {
     throw std::invalid_argument("--socket PATH or --tcp PORT is required");
   }
-  if (opt.workers < 1) {
+  if (engine.workers < 1) {
     throw std::invalid_argument("--workers must be >= 1");
   }
   if (opt.tcp_port > 65535) {
@@ -207,17 +208,17 @@ int run(int argc, char** argv) {
   if (opt.slow_ms < 0) {
     throw std::invalid_argument("--slow-ms must be non-negative");
   }
-  if (!opt.simd.empty() && !kernels::parse_simd_level(opt.simd)) {
+  if (!engine.simd.empty() && !kernels::parse_simd_level(engine.simd)) {
     throw std::invalid_argument("--simd wants scalar|avx2|avx512|auto, got '" +
-                                opt.simd + "'");
+                                engine.simd + "'");
   }
-  if (!opt.numa.empty() && !kernels::parse_numa_policy(opt.numa)) {
+  if (!engine.numa.empty() && !kernels::parse_numa_policy(engine.numa)) {
     throw std::invalid_argument("--numa wants local|interleave, got '" +
-                                opt.numa + "'");
+                                engine.numa + "'");
   }
-  if (!opt.precision.empty() && !parse_precision(opt.precision)) {
+  if (!engine.precision.empty() && !parse_precision(engine.precision)) {
     throw std::invalid_argument("--precision wants fp64|fp32|auto, got '" +
-                                opt.precision + "'");
+                                engine.precision + "'");
   }
 
   if (!trace_path.empty()) {
@@ -246,9 +247,9 @@ int run(int argc, char** argv) {
     std::cerr << (opt.socket_path.empty() ? " on" : " and")
               << " tcp port " << server.bound_tcp_port();
   }
-  std::cerr << ", " << opt.workers << " worker(s), queue limit "
+  std::cerr << ", " << engine.workers << " worker(s), queue limit "
             << opt.max_queue_depth << ", precision "
-            << (opt.precision.empty() ? "fp64" : opt.precision) << "\n"
+            << (engine.precision.empty() ? "fp64" : engine.precision) << "\n"
             << std::flush;
 
   server.serve();
@@ -268,7 +269,7 @@ int run(int argc, char** argv) {
               << " trace event(s) to " << trace_path << "\n";
   }
   if (!metrics_out.empty()) {
-    // Final snapshot AFTER the drain: every worker is joined, so the
+    // Final snapshot AFTER the drain: every task has finished, so the
     // registry is quiescent and the counts are exact.
     std::ofstream os(metrics_out);
     if (!os.good()) {

@@ -233,7 +233,7 @@ void SolveEngine::worker_main(const std::stop_token& stop) {
     {
       std::unique_lock lock(pool_mutex_);
       work_cv_.wait(lock, stop, [&] { return !turns_.empty(); });
-      if (stop.stop_requested()) return;
+      if (stop.stop_requested()) break;
       // Round-robin: take ONE task from the session whose turn it is,
       // then send the session to the back if it still has tasks queued.
       id = turns_.front();
@@ -260,6 +260,15 @@ void SolveEngine::worker_main(const std::stop_token& stop) {
     done_cv_.notify_all();
     if (on_task_done_) on_task_done_();
   }
+#if defined(__GNUC__) && !defined(__clang__)
+  // libgomp gives each thread that opens a parallel region team threads
+  // of its own, which would exit on their own after this thread; glibc
+  // gives a new thread the heap arena of the thread that exited last.
+  // Joining the team here makes that arena this worker's, so the next
+  // engine's worker reuses the memory its chains freed instead of, by
+  // timing, taking a team thread's small arena and leaving that resident.
+  omp_pause_resource_all(omp_pause_hard);
+#endif
 }
 
 std::uint64_t SolveEngine::open_session() {

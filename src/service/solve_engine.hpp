@@ -186,7 +186,7 @@ class SolveEngine {
   explicit SolveEngine(EngineOptions options = {},
                        std::function<void()> on_task_done = {});
   /// Finishes the tasks that are running, drops the queued ones, and
-  /// joins the pool.
+  /// joins the pool; each pool thread joins its OpenMP team threads first.
   ~SolveEngine();
 
   SolveEngine(const SolveEngine&) = delete;

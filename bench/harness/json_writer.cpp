@@ -13,7 +13,6 @@
 #include <ostream>
 
 #include "linalg/kernels/kernels.hpp"
-#include "linalg/kernels/numa.hpp"
 #include "support/json_writer.hpp"
 
 #ifndef PARLAP_GIT_COMMIT
@@ -104,8 +103,6 @@ RunMetadata collect_metadata() {
   const char* nodes_env = std::getenv("PARLAP_BENCH_NUMA_NODES");
   if (nodes_env != nullptr && *nodes_env != '\0') {
     md.numa_nodes = std::max(1, std::atoi(nodes_env));
-  } else {
-    md.numa_nodes = kernels::numa_node_count();
   }
   md.simd_detected = kernels::simd_level_name(kernels::detected_simd_level());
   md.simd_active = kernels::simd_level_name(kernels::active_simd_level());

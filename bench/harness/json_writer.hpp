@@ -70,8 +70,8 @@ struct RunMetadata {
   bool smoke = false;
   // Host facts for the meta.host block: CPU model/flags come from
   // $PARLAP_BENCH_CPU_MODEL / $PARLAP_BENCH_CPU_FLAGS (run_benches.sh
-  // reads /proc/cpuinfo), node count from $PARLAP_BENCH_NUMA_NODES or
-  // sysfs; simd_detected/simd_active come straight from the dispatcher,
+  // reads /proc/cpuinfo), node count from $PARLAP_BENCH_NUMA_NODES
+  // (else 1); simd_detected/simd_active come straight from the dispatcher,
   // so a report shows which ISA produced its numbers.
   std::string cpu_model;
   std::string cpu_flags;

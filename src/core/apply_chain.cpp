@@ -20,6 +20,39 @@ namespace {
 /// flood the prefetch queue.
 constexpr std::size_t kMaxPrefetchBytes = std::size_t{64} * 1024;
 
+/// Writes `src` at dst[pos...] in storage type T (an fp32 chain narrows
+/// each value here, once) and returns the position past it.
+template <typename T>
+std::size_t put_values(const std::vector<double>& src,
+                       kernels::AlignedBuffer<T>& dst, std::size_t pos) {
+  std::transform(src.begin(), src.end(), dst.data() + pos,
+                 [](double v) { return static_cast<T>(v); });
+  return pos + src.size();
+}
+
+/// Fills `v` from the staged levels and the base factor, in the order
+/// finalize packs the index arrays: per level, inv_x and y_diag at its
+/// f_base, then the ff, fc and cf weights.
+template <typename T>
+void pack_values(ChainValues<T>& v, std::span<const EliminationLevel> staging,
+                 const GroundedFactor& base, std::size_t nf_total,
+                 std::size_t data_total) {
+  v.base.resize(base.values.size());
+  put_values(base.values, v.base, 0);
+  v.inv_x.resize(nf_total);
+  v.y_diag.resize(nf_total);
+  v.w.resize(data_total);
+  std::size_t f_pos = 0;
+  std::size_t data_pos = 0;
+  for (const EliminationLevel& lvl : staging) {
+    put_values(lvl.inv_x, v.inv_x, f_pos);
+    f_pos = put_values(lvl.y_diag, v.y_diag, f_pos);
+    for (const auto* blk : {&lvl.ff, &lvl.fc, &lvl.cf}) {
+      data_pos = put_values(blk->w, v.w, data_pos);
+    }
+  }
+}
+
 }  // namespace
 
 void ApplyChain::finalize(std::span<const EliminationLevel> staging,
@@ -30,20 +63,6 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
   PARLAP_CHECK(storage != Precision::kAuto);  // resolved before building
   const auto n0 = static_cast<Vertex>(slots.size());
   n0_ = n0;
-  storage_ = storage;
-  const bool fp32 = storage == Precision::kFp32;
-  const auto narrow = [](double v) { return static_cast<float>(v); };
-  // The base factor is copied out of its plain vectors so it shares the
-  // packed arrays' alignment and first-touch placement (narrowing to
-  // float here when the chain stores fp32).
-  if (fp32) {
-    base_f_.resize(base.values.size());
-    std::transform(base.values.begin(), base.values.end(), base_f_.data(),
-                   narrow);
-  } else {
-    base_.resize(base.values.size());
-    std::copy(base.values.begin(), base.values.end(), base_.data());
-  }
   base_component_.resize(base.component.size());
   std::copy(base.component.begin(), base.component.end(),
             base_component_.data());
@@ -66,22 +85,12 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
   PARLAP_CHECK(nf_total + static_cast<std::size_t>(base_n_) ==
                static_cast<std::size_t>(n0));
   levels_.reserve(staging.size());
-  // AlignedBuffer growth first-touches the pages under the active
-  // NumaPolicy: finalize runs on the engine worker that will traverse
-  // the chain, so "local" placement lands the arrays on its node.
+  // AlignedBuffer growth first-touches the pages: finalize runs on the
+  // engine worker that will traverse the chain, so they land on its node.
   f_lists_.resize(nf_total);
   cf_slots_.resize(cf_rows_total);
   off_.resize(off_total);
   nbr_.resize(data_total);
-  if (fp32) {
-    inv_x_f_.resize(nf_total);
-    y_diag_f_.resize(nf_total);
-    w_f_.resize(data_total);
-  } else {
-    inv_x_.resize(nf_total);
-    y_diag_.resize(nf_total);
-    w_.resize(data_total);
-  }
 
   const auto slot_of = [slots](Vertex v) {
     return slots[static_cast<std::size_t>(v)];
@@ -104,12 +113,6 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
     } else {
       std::copy(blk.nbr.begin(), blk.nbr.end(), nbr_.begin() + data_pos);
     }
-    if (fp32) {
-      std::transform(blk.w.begin(), blk.w.end(), w_f_.begin() + data_pos,
-                     narrow);
-    } else {
-      std::copy(blk.w.begin(), blk.w.end(), w_.begin() + data_pos);
-    }
     data_pos += blk.nbr.size();
     return base;
   };
@@ -122,15 +125,6 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
     meta.f_base = f_pos;
     meta.cf_base = cf_pos;
     std::copy(lvl.f_list.begin(), lvl.f_list.end(), f_lists_.begin() + f_pos);
-    if (fp32) {
-      std::transform(lvl.inv_x.begin(), lvl.inv_x.end(),
-                     inv_x_f_.begin() + f_pos, narrow);
-      std::transform(lvl.y_diag.begin(), lvl.y_diag.end(),
-                     y_diag_f_.begin() + f_pos, narrow);
-    } else {
-      std::copy(lvl.inv_x.begin(), lvl.inv_x.end(), inv_x_.begin() + f_pos);
-      std::copy(lvl.y_diag.begin(), lvl.y_diag.end(), y_diag_.begin() + f_pos);
-    }
     f_pos += static_cast<std::size_t>(lvl.nf);
     const auto nf = static_cast<std::size_t>(lvl.nf);
     meta.ff_off = pack_block(lvl.ff, nf, false);
@@ -150,19 +144,27 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
   for (Vertex v = 0; v < n0; ++v) {
     slot_rows_[static_cast<std::size_t>(slots[static_cast<std::size_t>(v)])] = v;
   }
+
+  if (storage == Precision::kFp32) {
+    pack_values(values_.emplace<ChainValues<float>>(), staging, base,
+                nf_total, data_total);
+  } else {
+    pack_values(values_.emplace<ChainValues<double>>(), staging, base,
+                nf_total, data_total);
+  }
 }
 
 template <typename T>
-void ApplyChain::prepare_workspace(ApplyWorkspace& ws,
-                                   std::size_t cols) const {
+ApplyBuffers<T>& ApplyChain::prepare_workspace(ApplyWorkspace& ws,
+                                               std::size_t cols) const {
   // Identity check, not a shape check: two chains can agree on depth and
   // n0 yet differ at inner levels (e.g. escalation rounds of the same
   // component), so sizes alone cannot prove the workspace fits — and the
   // block width is part of the identity, so k=1 scratch is never reused
-  // unsized for a wider panel. A chain's storage precision is fixed, so
-  // the id also pins which of the two buffer sets was sized.
-  if (ws.prepared_for == build_id_ && ws.prepared_cols == cols) return;
-  ApplyBuffers<T>& buf = ws.buffers<T>();
+  // unsized for a wider panel. A chain's storage type is fixed, so the id
+  // also pins which buffer set was sized.
+  auto& buf = std::get<ApplyBuffers<T>>(ws.buffers);
+  if (ws.prepared_for == build_id_ && ws.prepared_cols == cols) return buf;
   std::size_t max_nf = 1;
   for (const Level& lvl : levels_) {
     max_nf = std::max(max_nf, static_cast<std::size_t>(lvl.nf));
@@ -175,26 +177,26 @@ void ApplyChain::prepare_workspace(ApplyWorkspace& ws,
       std::max(max_nf, static_cast<std::size_t>(base_components_)) * cols);
   ws.prepared_for = build_id_;
   ws.prepared_cols = cols;
+  return buf;
 }
 
 template <typename T>
-const T* ApplyChain::jacobi_solve(const Level& lvl, const T* b_f,
-                                  std::size_t cols,
-                                  ApplyWorkspace& ws) const {
+const T* ApplyChain::jacobi_solve(const Level& lvl, const ChainValues<T>& v,
+                                  const kernels::KernelTableT<T>& kt,
+                                  const T* b_f, std::size_t cols,
+                                  ApplyBuffers<T>& buf) const {
   // Z b = sum_{i=0}^{l} X^-1 (-Y X^-1)^i b via the recurrence
   // x^(i) = X^-1 b - X^-1 Y x^(i-1)   (Algorithm 2, Jacobi procedure),
   // run on all `cols` columns per CSR sweep. Buffers are interleaved
   // (row i's columns contiguous); the sweep itself is the dispatched
   // csr_jacobi kernel.
   const auto nf = static_cast<std::size_t>(lvl.nf);
-  const T* inv_x = inv_x_data<T>() + lvl.f_base;
-  const T* y_diag = y_diag_data<T>() + lvl.f_base;
+  const T* inv_x = v.inv_x.data() + lvl.f_base;
+  const T* y_diag = v.y_diag.data() + lvl.f_base;
   const EdgeId* off = off_.data() + lvl.ff_off;
-  ApplyBuffers<T>& buf = ws.buffers<T>();
   T* xb = buf.jac_b.data();
   T* cur = buf.jac_cur.data();
   T* tmp = buf.jac_tmp.data();
-  const kernels::KernelTableT<T>& kt = kernels::active_for<T>();
 
   parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
     // Native-T product: for float this equals the widen-multiply-narrow
@@ -209,7 +211,7 @@ const T* ApplyChain::jacobi_solve(const Level& lvl, const T* b_f,
     // column's arithmetic order is the scalar kernel's at every dispatch
     // level (lane = column, no FMA).
     kernels::for_row_blocks(nf, [&](std::size_t lo, std::size_t hi) {
-      kt.csr_jacobi(lo, hi, cols, off, nbr_.data(), w_data<T>(), inv_x,
+      kt.csr_jacobi(lo, hi, cols, off, nbr_.data(), v.w.data(), inv_x,
                     y_diag, xb, cur, tmp);
     });
     std::swap(cur, tmp);
@@ -232,7 +234,7 @@ void ApplyChain::apply(const Panel& b, Panel& y, ApplyWorkspace& ws) const {
 }
 
 template <typename T>
-void ApplyChain::prefetch_level(std::size_t k) const {
+void ApplyChain::prefetch_level(std::size_t k, const ChainValues<T>& v) const {
   const Level& lvl = levels_[k];
   const auto nf = static_cast<std::size_t>(lvl.nf);
   const auto cf_rows = static_cast<std::size_t>(lvl.cf_rows);
@@ -241,40 +243,37 @@ void ApplyChain::prefetch_level(std::size_t k) const {
   };
   kernels::prefetch_bytes(cf_slots_.data() + lvl.cf_base,
                           cap(cf_rows * sizeof(Vertex)));
-  kernels::prefetch_bytes(inv_x_data<T>() + lvl.f_base, cap(nf * sizeof(T)));
-  kernels::prefetch_bytes(y_diag_data<T>() + lvl.f_base, cap(nf * sizeof(T)));
+  kernels::prefetch_bytes(v.inv_x.data() + lvl.f_base, cap(nf * sizeof(T)));
+  kernels::prefetch_bytes(v.y_diag.data() + lvl.f_base, cap(nf * sizeof(T)));
   // The three offset rows are packed consecutively (ff, fc, cf), as is
-  // the level's nbr_/w_ data range they delimit.
+  // the level's column/weight range they delimit.
   const std::size_t off_len = 2 * (nf + 1) + cf_rows + 1;
   kernels::prefetch_bytes(off_.data() + lvl.ff_off, cap(off_len * sizeof(EdgeId)));
   const auto data_lo = static_cast<std::size_t>(off_[lvl.ff_off]);
   const auto data_hi = static_cast<std::size_t>(off_[lvl.cf_off + cf_rows]);
   const std::size_t data_len = data_hi - data_lo;
   kernels::prefetch_bytes(nbr_.data() + data_lo, cap(data_len * sizeof(Vertex)));
-  kernels::prefetch_bytes(w_data<T>() + data_lo, cap(data_len * sizeof(T)));
+  kernels::prefetch_bytes(v.w.data() + data_lo, cap(data_len * sizeof(T)));
 }
 
 void ApplyChain::apply_cols(const double* b, double* y, std::size_t cols,
                             std::size_t ld, ApplyWorkspace& ws) const {
-  if (storage_ == Precision::kFp32) {
-    apply_cols_t<float>(b, y, cols, ld, ws);
-  } else {
-    apply_cols_t<double>(b, y, cols, ld, ws);
-  }
+  std::visit([&](const auto& v) { apply_values(v, b, y, cols, ld, ws); },
+             values_);
 }
 
 template <typename T>
-void ApplyChain::apply_cols_t(const double* b, double* y, std::size_t cols,
-                              std::size_t ld, ApplyWorkspace& ws) const {
+void ApplyChain::apply_values(const ChainValues<T>& v, const double* b,
+                              double* y, std::size_t cols, std::size_t ld,
+                              ApplyWorkspace& ws) const {
   PARLAP_TRACE_SPAN_N(apply_span, "chain.apply", "apply");
   apply_span.arg("cols", static_cast<double>(cols));
   apply_span.arg("levels", static_cast<double>(levels_.size()));
   const WallTimer apply_timer;
-  prepare_workspace<T>(ws, cols);
-  ApplyBuffers<T>& buf = ws.buffers<T>();
+  ApplyBuffers<T>& buf = prepare_workspace<T>(ws, cols);
   const std::size_t d = levels_.size();
   const auto n0 = static_cast<std::size_t>(n0_);
-  const kernels::KernelTableT<T>& kt = kernels::active_for<T>();
+  const kernels::KernelTableT<T>& kt = kernels::active<T>();
   T* x = buf.vec.data();
 
   // Panel (column-major, leading dimension ld) -> interleaved apply
@@ -299,25 +298,26 @@ void ApplyChain::apply_cols_t(const double* b, double* y, std::size_t cols,
 
     // Pull the NEXT level's packed slices toward the cache while this
     // level's sweeps run out of the current one.
-    if (k + 1 < d) prefetch_level<T>(k + 1);
+    if (k + 1 < d) prefetch_level(k + 1, v);
 
     // y_F = Z^(k) b_F, in place on the level's F slice (backward
     // substitution reads y_F back from there).
-    std::memcpy(xf, jacobi_solve<T>(lvl, xf, cols, ws), nf * cols * sizeof(T));
+    std::memcpy(xf, jacobi_solve(lvl, v, kt, xf, cols, buf),
+                nf * cols * sizeof(T));
 
     // b^(k+1) = y_C = b_C - L_CF y_F = b_C + sum_{c~f} w * y_F[f], added
     // in place into the slots of the C rows that have an F neighbour.
     kernels::for_row_blocks(
         static_cast<std::size_t>(lvl.cf_rows), [&](std::size_t lo, std::size_t hi) {
           kt.csr_fwd(lo, hi, cols, off_.data() + lvl.cf_off, nbr_.data(),
-                     w_data<T>(), cf_slots_.data() + lvl.cf_base, xf, x);
+                     v.w.data(), cf_slots_.data() + lvl.cf_base, xf, x);
         });
   }
 
   // Base solve x^(d) = L_{G^(d)}^+ b^(d) (Algorithm 2, line 6), in place
   // on the trailing slots: the grounded factor's sweeps, the same code at
   // every dispatch level.
-  grounded_solve(base_n_, base_components_, base_data<T>(),
+  grounded_solve(base_n_, base_components_, v.base.data(),
                  base_component_.data(), cols,
                  x + (n0 - static_cast<std::size_t>(base_n_)) * cols,
                  buf.scratch_f.data());
@@ -333,14 +333,14 @@ void ApplyChain::apply_cols_t(const double* b, double* y, std::size_t cols,
     T* xf = x + lvl.f_base * cols;
 
     // Walking back up the chain: the PREVIOUS level's slices are next.
-    if (k > 0) prefetch_level<T>(k - 1);
+    if (k > 0) prefetch_level(k - 1, v);
 
     T* tf = buf.scratch_f.data();
     kernels::for_row_blocks(nf, [&](std::size_t lo, std::size_t hi) {
       kt.csr_bwd(lo, hi, cols, off_.data() + lvl.fc_off, nbr_.data(),
-                 w_data<T>(), x, tf);
+                 v.w.data(), x, tf);
     });
-    const T* zf = jacobi_solve<T>(lvl, tf, cols, ws);
+    const T* zf = jacobi_solve(lvl, v, kt, tf, cols, buf);
 
     parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
       // Native-T difference: bit-equal to widen-subtract-narrow.
@@ -370,12 +370,5 @@ void ApplyChain::apply_cols_t(const double* b, double* y, std::size_t cols,
   apply_hist.record_seconds(apply_timer.seconds());
   applies.add();
 }
-
-template void ApplyChain::apply_cols_t<double>(const double*, double*,
-                                               std::size_t, std::size_t,
-                                               ApplyWorkspace&) const;
-template void ApplyChain::apply_cols_t<float>(const double*, double*,
-                                              std::size_t, std::size_t,
-                                              ApplyWorkspace&) const;
 
 }  // namespace parlap

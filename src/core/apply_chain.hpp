@@ -28,15 +28,16 @@
 // factor (linalg/dense.hpp), applied exactly as L^+ by triangular sweeps
 // in place on the base's trailing slots.
 //
-// Storage precision: a chain is packed EITHER fp64 (the default — value
-// arrays double, solves bit-identical to the pre-precision code) OR fp32
-// (value arrays and base factor float; index arrays unchanged). The fp32
-// traversal computes in NATIVE float — half the bytes per value and
-// twice the SIMD lanes per register — so an fp32 chain is the same
-// operator evaluated in float, a constant-quality preconditioner the
-// solver's fp64 outer PCG loop refines to any requested eps.
-// Build staging is always fp64; the narrowing happens once, inside
-// finalize().
+// Storage precision: a chain holds exactly one ChainValues<T> — its
+// Jacobi diagonals, block weights and base factor — with T = double
+// (fp64, the default) or float (fp32); the index arrays are the same
+// either way. apply() looks the value store up once and runs the one
+// T-typed traversal on it. The fp32 traversal computes in NATIVE float —
+// half the bytes per value and twice the SIMD lanes per register — so an
+// fp32 chain is the same operator evaluated in float, a constant-quality
+// preconditioner the solver's fp64 outer PCG loop refines to any
+// requested eps. Build staging is always fp64; the narrowing happens
+// once, inside finalize().
 //
 // apply() serves one vector; apply() on a Panel serves k right-hand
 // sides with ONE chain traversal: every slot list, offset row, and
@@ -48,6 +49,8 @@
 
 #include <cstdint>
 #include <span>
+#include <tuple>
+#include <variant>
 #include <vector>
 
 #include "linalg/dense.hpp"
@@ -57,6 +60,11 @@
 #include "support/types.hpp"
 
 namespace parlap {
+
+namespace kernels {
+template <typename T>
+struct KernelTableT;
+}  // namespace kernels
 
 /// Build-time staging of one elimination level (recycled per level via
 /// ChainBuildArena; finalize() packs it into the ApplyChain and the
@@ -85,10 +93,23 @@ struct EliminationLevel {
   std::vector<Vertex> cf_rows;  ///< input id of each cf row
 };
 
+/// The values one chain stores, all in storage type T (double: fp64,
+/// float: fp32), at the positions ApplyChain's index arrays give them.
+template <typename T>
+struct ChainValues {
+  kernels::AlignedBuffer<T> inv_x;   ///< 1/X_ff, per level at Level::f_base
+  kernels::AlignedBuffer<T> y_diag;  ///< Y's diagonal, at Level::f_base
+  kernels::AlignedBuffer<T> w;       ///< block weights, parallel to columns()
+  kernels::AlignedBuffer<T> base;    ///< the base's GroundedFactor::values
+
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return (inv_x.size() + y_diag.size() + w.size() + base.size()) *
+           sizeof(T);
+  }
+};
+
 /// One storage type's apply scratch (interleaved panels; see
-/// ApplyWorkspace). fp64 chains use the double set, fp32 chains the
-/// float set; a workspace bouncing between chains of both precisions
-/// keeps each set's capacity warm.
+/// ApplyWorkspace).
 template <typename T>
 struct ApplyBuffers {
   /// The apply vector: n0 x cols, rows in elimination-slot order.
@@ -108,8 +129,8 @@ struct ApplyBuffers {
 /// panel width, so scratch prepared for k=1 is never reused unsized for
 /// a k=8 panel. (The id is an id, not an address: a chain reallocated at
 /// a dead chain's address can never match stale scratch. A chain's
-/// storage precision is fixed at finalize, so the build id also pins
-/// which of the two buffer sets the chain sized.)
+/// storage type is fixed at finalize, so the build id also pins which
+/// buffer set the chain sized.)
 ///
 /// Buffers hold k-column panels INTERLEAVED — element (i, c) lives at
 /// i*cols + c, so one row's column values are contiguous and the SIMD
@@ -117,26 +138,15 @@ struct ApplyBuffers {
 /// cols == 1 the layout is the plain vector layout. The apply vector's
 /// rows are elimination slots, not input rows: pack-in and pack-out
 /// permute between the two. Storage is 64-byte-aligned AlignedBuffer,
-/// first-touched under the active NumaPolicy on the preparing (worker)
-/// thread.
-class ApplyWorkspace {
- public:
-  ApplyBuffers<double> f64;
-  ApplyBuffers<float> f32;
-  template <typename T>
-  [[nodiscard]] ApplyBuffers<T>& buffers() noexcept;
+/// first touched by the preparing (worker) thread.
+struct ApplyWorkspace {
+  /// One set per storage type, picked with std::get<ApplyBuffers<T>>: a
+  /// workspace shared by chains of both precisions keeps each set's
+  /// capacity warm.
+  std::tuple<ApplyBuffers<double>, ApplyBuffers<float>> buffers;
   std::uint64_t prepared_for = 0;  ///< build id the sizes above match
   std::size_t prepared_cols = 0;   ///< block width the sizes above match
 };
-
-template <>
-[[nodiscard]] inline ApplyBuffers<double>& ApplyWorkspace::buffers<double>() noexcept {
-  return f64;
-}
-template <>
-[[nodiscard]] inline ApplyBuffers<float>& ApplyWorkspace::buffers<float>() noexcept {
-  return f32;
-}
 
 /// The packed chain. Default-constructed = empty (dimension 0); filled
 /// exactly once by finalize().
@@ -152,8 +162,8 @@ class ApplyChain {
     Vertex nf = 0;
     Vertex nc = 0;
     Vertex cf_rows = 0;       ///< stored cf rows (C vertices with an F neighbour)
-    /// f_lists() / inv_x() / y_diag(), nf entries; also the level's first
-    /// slot (its F vertices own slots [f_base, f_base + nf)).
+    /// f_lists() and the values' inv_x / y_diag, nf entries; also the
+    /// level's first slot (its F vertices own slots [f_base, f_base + nf)).
     std::size_t f_base = 0;
     std::size_t cf_base = 0;  ///< cf_slots(), cf_rows entries
     std::size_t ff_off = 0;   ///< offsets(), nf+1 entries
@@ -166,9 +176,9 @@ class ApplyChain {
   /// form.
   /// `slots[v]` is input vertex v's elimination slot; the staged fc
   /// columns and cf rows, which name input vertices, are rewritten
-  /// through it. `storage` selects the value-array precision (fp64 keeps
-  /// the staged doubles and the fp64 factor; fp32 narrows every value
-  /// once, here; kAuto is a caller bug — resolve before building).
+  /// through it. `storage` selects the value store's type (fp64 keeps
+  /// the staged doubles; fp32 narrows every value once, here; kAuto is a
+  /// caller bug — resolve before building).
   void finalize(std::span<const EliminationLevel> staging,
                 std::span<const Vertex> slots, const GroundedFactor& base,
                 int jacobi_terms, std::uint64_t build_id,
@@ -181,8 +191,12 @@ class ApplyChain {
   [[nodiscard]] Vertex base_size() const noexcept { return base_n_; }
   [[nodiscard]] int jacobi_terms() const noexcept { return jacobi_terms_; }
   [[nodiscard]] std::uint64_t build_id() const noexcept { return build_id_; }
-  /// Storage precision of the packed value arrays (kFp64 or kFp32).
-  [[nodiscard]] Precision storage() const noexcept { return storage_; }
+  /// Storage precision of the value store (kFp64 or kFp32).
+  [[nodiscard]] Precision storage() const noexcept {
+    return std::holds_alternative<ChainValues<float>>(values_)
+               ? Precision::kFp32
+               : Precision::kFp64;
+  }
   /// Total packed sub-CSR entries (memory proxy for E12).
   [[nodiscard]] EdgeId stored_entries() const noexcept {
     return static_cast<EdgeId>(nbr_.size());
@@ -191,18 +205,10 @@ class ApplyChain {
   /// diagonals + base factor): the bytes-aware cache cost proxy — an fp32
   /// chain reports half an fp64 chain's bytes for the same structure.
   [[nodiscard]] std::size_t stored_value_bytes() const noexcept {
-    const std::size_t values = (storage_ == Precision::kFp32)
-                                   ? w_f_.size() + inv_x_f_.size() +
-                                         y_diag_f_.size() + base_f_.size()
-                                   : w_.size() + inv_x_.size() +
-                                         y_diag_.size() + base_.size();
-    return values * (storage_ == Precision::kFp32 ? sizeof(float)
-                                                  : sizeof(double));
+    return std::visit([](const auto& v) { return v.bytes(); }, values_);
   }
 
-  // Packed-array views (equivalence tests, diagnostics). The value-array
-  // views are per storage type: the fp64 views are empty on an fp32
-  // chain and vice versa; index views are storage-independent.
+  // Packed-array views (equivalence tests, diagnostics).
   [[nodiscard]] const std::vector<Level>& levels() const noexcept {
     return levels_;
   }
@@ -218,29 +224,17 @@ class ApplyChain {
   [[nodiscard]] std::span<const Vertex> cf_slots() const noexcept {
     return {cf_slots_.data(), cf_slots_.size()};
   }
-  [[nodiscard]] std::span<const double> inv_x() const noexcept {
-    return {inv_x_.data(), inv_x_.size()};
-  }
-  [[nodiscard]] std::span<const double> y_diag() const noexcept {
-    return {y_diag_.data(), y_diag_.size()};
-  }
   [[nodiscard]] std::span<const EdgeId> offsets() const noexcept {
     return {off_.data(), off_.size()};
   }
   [[nodiscard]] std::span<const Vertex> columns() const noexcept {
     return {nbr_.data(), nbr_.size()};
   }
-  [[nodiscard]] std::span<const Weight> weights() const noexcept {
-    return {w_.data(), w_.size()};
-  }
-  [[nodiscard]] std::span<const float> inv_x_f32() const noexcept {
-    return {inv_x_f_.data(), inv_x_f_.size()};
-  }
-  [[nodiscard]] std::span<const float> y_diag_f32() const noexcept {
-    return {y_diag_f_.data(), y_diag_f_.size()};
-  }
-  [[nodiscard]] std::span<const float> weights_f32() const noexcept {
-    return {w_f_.data(), w_f_.size()};
+  /// The value store; T must be the storage type (std::get throws
+  /// std::bad_variant_access otherwise).
+  template <typename T>
+  [[nodiscard]] const ChainValues<T>& values() const {
+    return std::get<ChainValues<T>>(values_);
   }
 
   /// y = W b (Algorithm 2) for one right-hand side. Inputs and outputs
@@ -254,107 +248,51 @@ class ApplyChain {
   void apply(const Panel& b, Panel& y, ApplyWorkspace& ws) const;
 
  private:
-  /// Shared k-column core: column c of b/y starts at b + c*ld.
-  /// Dispatches on storage() to the T-typed traversal.
+  /// Shared k-column core: column c of b/y starts at b + c*ld. Looks
+  /// the value store up and runs the traversal of its storage type.
   void apply_cols(const double* b, double* y, std::size_t cols,
                   std::size_t ld, ApplyWorkspace& ws) const;
 
   template <typename T>
-  void apply_cols_t(const double* b, double* y, std::size_t cols,
-                    std::size_t ld, ApplyWorkspace& ws) const;
+  void apply_values(const ChainValues<T>& v, const double* b, double* y,
+                    std::size_t cols, std::size_t ld,
+                    ApplyWorkspace& ws) const;
 
+  /// Sizes ws's buffer set of type T for this chain at width `cols`
+  /// (a no-op when it already is) and returns it.
   template <typename T>
-  void prepare_workspace(ApplyWorkspace& ws, std::size_t cols) const;
+  ApplyBuffers<T>& prepare_workspace(ApplyWorkspace& ws,
+                                     std::size_t cols) const;
 
   /// Truncated Jacobi series Z b over level `lvl` (nf x cols panels).
-  /// Returns the result, which lives in ws's Jacobi scratch until the
+  /// Returns the result, which lives in buf's Jacobi scratch until the
   /// next call.
   template <typename T>
-  const T* jacobi_solve(const Level& lvl, const T* b_f, std::size_t cols,
-                        ApplyWorkspace& ws) const;
+  const T* jacobi_solve(const Level& lvl, const ChainValues<T>& v,
+                        const kernels::KernelTableT<T>& kt, const T* b_f,
+                        std::size_t cols, ApplyBuffers<T>& buf) const;
 
   /// Prefetches level `k`'s packed slices so the next level's index and
   /// value data is in cache before its sweeps start.
   template <typename T>
-  void prefetch_level(std::size_t k) const;
-
-  // Storage-typed views of the value arrays (the fp32 set mirrors the
-  // fp64 one; exactly one set is populated per chain).
-  template <typename T>
-  [[nodiscard]] const T* inv_x_data() const noexcept;
-  template <typename T>
-  [[nodiscard]] const T* y_diag_data() const noexcept;
-  template <typename T>
-  [[nodiscard]] const T* w_data() const noexcept;
-  template <typename T>
-  [[nodiscard]] const T* base_data() const noexcept;
+  void prefetch_level(std::size_t k, const ChainValues<T>& v) const;
 
   Vertex n0_ = 0;
   std::vector<Level> levels_;
-  // Packed arrays: 64-byte-aligned, first-touched under the active
-  // NumaPolicy by the finalizing (worker) thread. Index arrays are
-  // shared by both storage modes; value arrays exist in exactly one of
-  // the double / float variants, per storage_.
+  // Packed arrays: 64-byte-aligned, first touched by the finalizing
+  // (worker) thread. The index arrays serve either storage type.
   kernels::AlignedBuffer<Vertex> f_lists_;
   kernels::AlignedBuffer<Vertex> cf_slots_;
   kernels::AlignedBuffer<Vertex> slots_;      ///< input row -> slot
   kernels::AlignedBuffer<Vertex> slot_rows_;  ///< slot -> input row
-  kernels::AlignedBuffer<double> inv_x_;
-  kernels::AlignedBuffer<double> y_diag_;
-  kernels::AlignedBuffer<EdgeId> off_;  ///< absolute into nbr_ / w_
+  kernels::AlignedBuffer<EdgeId> off_;  ///< absolute into nbr_ and the weights
   kernels::AlignedBuffer<Vertex> nbr_;
-  kernels::AlignedBuffer<Weight> w_;
-  kernels::AlignedBuffer<double> base_;  ///< GroundedFactor::values
-  kernels::AlignedBuffer<float> inv_x_f_;
-  kernels::AlignedBuffer<float> y_diag_f_;
-  kernels::AlignedBuffer<float> w_f_;
-  kernels::AlignedBuffer<float> base_f_;
   kernels::AlignedBuffer<Vertex> base_component_;  ///< per base vertex
+  std::variant<ChainValues<double>, ChainValues<float>> values_;
   Vertex base_n_ = 0;
   Vertex base_components_ = 0;
   int jacobi_terms_ = 1;
   std::uint64_t build_id_ = 0;
-  Precision storage_ = Precision::kFp64;
 };
-
-template <>
-[[nodiscard]] inline const double* ApplyChain::inv_x_data<double>()
-    const noexcept {
-  return inv_x_.data();
-}
-template <>
-[[nodiscard]] inline const float* ApplyChain::inv_x_data<float>()
-    const noexcept {
-  return inv_x_f_.data();
-}
-template <>
-[[nodiscard]] inline const double* ApplyChain::y_diag_data<double>()
-    const noexcept {
-  return y_diag_.data();
-}
-template <>
-[[nodiscard]] inline const float* ApplyChain::y_diag_data<float>()
-    const noexcept {
-  return y_diag_f_.data();
-}
-template <>
-[[nodiscard]] inline const double* ApplyChain::w_data<double>()
-    const noexcept {
-  return w_.data();
-}
-template <>
-[[nodiscard]] inline const float* ApplyChain::w_data<float>() const noexcept {
-  return w_f_.data();
-}
-template <>
-[[nodiscard]] inline const double* ApplyChain::base_data<double>()
-    const noexcept {
-  return base_.data();
-}
-template <>
-[[nodiscard]] inline const float* ApplyChain::base_data<float>()
-    const noexcept {
-  return base_f_.data();
-}
 
 }  // namespace parlap

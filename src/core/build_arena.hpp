@@ -25,9 +25,9 @@
 // packed ApplyChain arrays and the dense base pseudo-inverse — are
 // allocated to persist. Those finalized arrays leave the arena through
 // ApplyChain::finalize into 64-byte-aligned kernels::AlignedBuffer
-// storage whose pages are first-touched under the active NUMA policy by
-// the finalizing worker thread — the arena itself stays plain-vector
-// scratch on whatever node grew it (see docs/PERFORMANCE.md).
+// storage whose pages the finalizing worker thread first-touches — the
+// arena itself stays plain-vector scratch on whatever node grew it (see
+// docs/PERFORMANCE.md).
 //
 // Telemetry: begin_build()/end_build() bracket one build and report how
 // many arena buffers had to grow (`BuildStats::arena_allocations` — zero

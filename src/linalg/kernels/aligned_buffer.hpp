@@ -1,12 +1,11 @@
-// 64-byte-aligned growable buffer with policy-controlled first touch.
+// 64-byte-aligned growable buffer for the apply hot arrays.
 //
-// std::vector is the wrong tool for the apply hot arrays twice over: its
-// default allocator gives no alignment guarantee past alignof(max_align_t),
-// and value-initialization touches every page on the allocating thread —
-// defeating any first-touch NUMA placement decided later. AlignedBuffer
-// allocates 64-byte-aligned storage (full cache line, the widest vector
-// register) and pages it in via kernels::first_touch, so placement
-// follows the active NumaPolicy at the moment of growth.
+// std::vector's default allocator gives no alignment guarantee past
+// alignof(max_align_t). AlignedBuffer allocates 64-byte-aligned storage
+// (full cache line, the widest vector register) and zero-fills it on the
+// thread that grows it, so first touch puts the pages on that thread's
+// NUMA node: ApplyChain::finalize and the workspace sizing run on the
+// engine worker that traverses the arrays.
 //
 // Contents are NOT preserved across resize: every user overwrites the
 // buffer before reading it (the buffers are per-apply scratch or packed
@@ -14,11 +13,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "linalg/kernels/numa.hpp"
 
 namespace parlap::kernels {
 
@@ -51,17 +49,16 @@ class AlignedBuffer {
   }
 
   /// Grows (or shrinks the logical size) to `n` elements. On growth the
-  /// old allocation is dropped, a fresh aligned one is made, and every
-  /// page is first-touched per the active NumaPolicy (zero-filling it).
-  /// Shrinking only adjusts size(); previous contents are never carried
-  /// over either way.
+  /// old allocation is dropped, a fresh aligned one is made, and this
+  /// thread zero-fills it. Shrinking only adjusts size(); previous
+  /// contents are never carried over either way.
   void resize(std::size_t n) {
     if (n > capacity_) {
       deallocate();
       data_ = static_cast<T*>(
           ::operator new(n * sizeof(T), std::align_val_t{kBufferAlign}));
       capacity_ = n;
-      first_touch(data_, n * sizeof(T));
+      std::memset(data_, 0, n * sizeof(T));
     }
     size_ = n;
   }

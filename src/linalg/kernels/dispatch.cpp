@@ -1,6 +1,6 @@
 // Runtime ISA dispatch: detect once via CPUID, honor $PARLAP_SIMD /
-// set_simd_level() overrides, and hand out the active KernelTable with a
-// single relaxed atomic load. Requests above the hardware's capability
+// set_simd_level() overrides, and hand out the active level's table for
+// either storage type. Requests above the hardware's capability
 // clamp to the detected level with a one-line stderr note — a forced
 // "avx512" on an AVX2 host degrades gracefully instead of SIGILL-ing.
 #include "linalg/kernels/kernels.hpp"
@@ -58,8 +58,8 @@ SimdLevel initial_level() noexcept {
   return detected_simd_level();
 }
 
-std::atomic<const KernelTable*>& active_slot() noexcept {
-  static std::atomic<const KernelTable*> slot{&table_for(initial_level())};
+std::atomic<SimdLevel>& active_slot() noexcept {
+  static std::atomic<SimdLevel> slot{initial_level()};
   return slot;
 }
 
@@ -91,57 +91,43 @@ SimdLevel detected_simd_level() noexcept {
 }
 
 SimdLevel active_simd_level() noexcept {
-  return active_slot().load(std::memory_order_relaxed)->level;
+  return active_slot().load(std::memory_order_relaxed);
 }
 
 SimdLevel set_simd_level(SimdLevel level) noexcept {
   const SimdLevel eff = clamp_to_detected(level);
-  active_slot().store(&table_for(eff), std::memory_order_relaxed);
+  active_slot().store(eff, std::memory_order_relaxed);
   return eff;
 }
 
-const KernelTable& active() noexcept {
-  return *active_slot().load(std::memory_order_relaxed);
+template <typename T>
+const KernelTableT<T>& active() noexcept {
+  return table_for<T>(active_simd_level());
 }
 
-const KernelTableF32& active_f32() noexcept {
-  // The fp32 tier follows the fp64 table's level — one atomic slot
-  // selects both tiers, so they can never disagree on the ISA.
-  return table_for_f32(active_slot().load(std::memory_order_relaxed)->level);
-}
-
-const KernelTable& table_for(SimdLevel level) noexcept {
+template <typename T>
+const KernelTableT<T>& table_for(SimdLevel level) noexcept {
   // Never hand out a table the CPU cannot execute: an unsupported
   // request falls back to scalar (set_simd_level clamps before here, so
   // this only fires for explicit table_for probes).
-  if (!simd_level_available(level)) return scalar_table();
+  if (!simd_level_available(level)) return scalar_table<T>();
   switch (level) {
     case SimdLevel::kAvx512:
-      if (const KernelTable* t = avx512_table()) return *t;
+      if (const KernelTableT<T>* t = avx512_table<T>()) return *t;
       break;
     case SimdLevel::kAvx2:
-      if (const KernelTable* t = avx2_table()) return *t;
+      if (const KernelTableT<T>* t = avx2_table<T>()) return *t;
       break;
     case SimdLevel::kScalar:
       break;
   }
-  return scalar_table();
+  return scalar_table<T>();
 }
 
-const KernelTableF32& table_for_f32(SimdLevel level) noexcept {
-  if (!simd_level_available(level)) return scalar_table_f32();
-  switch (level) {
-    case SimdLevel::kAvx512:
-      if (const KernelTableF32* t = avx512_table_f32()) return *t;
-      break;
-    case SimdLevel::kAvx2:
-      if (const KernelTableF32* t = avx2_table_f32()) return *t;
-      break;
-    case SimdLevel::kScalar:
-      break;
-  }
-  return scalar_table_f32();
-}
+template const KernelTableT<double>& active() noexcept;
+template const KernelTableT<float>& active() noexcept;
+template const KernelTableT<double>& table_for(SimdLevel) noexcept;
+template const KernelTableT<float>& table_for(SimdLevel) noexcept;
 
 bool simd_level_available(SimdLevel level) noexcept {
   return static_cast<int>(level) <= static_cast<int>(detected_simd_level());

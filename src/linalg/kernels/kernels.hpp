@@ -134,39 +134,22 @@ struct KernelTableT {
 
 /// The fp64 table (Weight == double) every pre-existing caller uses.
 using KernelTable = KernelTableT<double>;
-/// The fp32-storage tier (float arrays, native float arithmetic).
-using KernelTableF32 = KernelTableT<float>;
 
-/// The table for the active dispatch level (one relaxed atomic load).
-[[nodiscard]] const KernelTable& active() noexcept;
+/// Storage type T's table at the active dispatch level. One level slot
+/// selects the tables of both storage types, so they never disagree on
+/// the ISA.
+template <typename T = double>
+[[nodiscard]] const KernelTableT<T>& active() noexcept;
 
-/// The fp32-storage table at the active dispatch level (same SimdLevel
-/// selection as active(); the two tiers always dispatch together).
-[[nodiscard]] const KernelTableF32& active_f32() noexcept;
-
-/// The table for an explicit level (microbenchmarks / parity tests).
-/// Levels above detected_simd_level() fall back to the scalar table.
-[[nodiscard]] const KernelTable& table_for(SimdLevel level) noexcept;
-
-/// fp32 analogue of table_for().
-[[nodiscard]] const KernelTableF32& table_for_f32(SimdLevel level) noexcept;
+/// Storage type T's table for an explicit level (microbenchmarks /
+/// parity tests). Levels above detected_simd_level() fall back to the
+/// scalar table.
+template <typename T = double>
+[[nodiscard]] const KernelTableT<T>& table_for(SimdLevel level) noexcept;
 
 /// Whether `level`'s native table is compiled in AND supported by this
 /// CPU (table_for() returns the real table, not a fallback).
 [[nodiscard]] bool simd_level_available(SimdLevel level) noexcept;
-
-/// Value-type-generic accessors for code templated over the storage
-/// type (ApplyChain's apply path).
-template <typename T>
-[[nodiscard]] const KernelTableT<T>& active_for() noexcept;
-template <>
-[[nodiscard]] inline const KernelTableT<double>& active_for<double>() noexcept {
-  return active();
-}
-template <>
-[[nodiscard]] inline const KernelTableT<float>& active_for<float>() noexcept {
-  return active_f32();
-}
 
 /// Reduction chunk length shared with vector_ops' deterministic dot:
 /// per-column chunk partials are accumulated serially and folded in

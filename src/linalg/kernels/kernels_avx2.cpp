@@ -12,6 +12,8 @@
 
 #include <immintrin.h>
 
+#include <type_traits>
+
 #include "linalg/kernels/kernels_vec_impl.hpp"
 
 namespace parlap::kernels {
@@ -60,7 +62,7 @@ struct V8F {
   static constexpr std::size_t W = 8;
   /// Narrow-panel (k < W) delegation target: this is the lowest vector
   /// tier, so it bottoms out at the scalar reference.
-  static const KernelTableF32& lower() { return scalar_table_f32(); }
+  static const KernelTableT<float>& lower() { return scalar_table<float>(); }
   static reg zero() { return _mm256_setzero_ps(); }
   /// Broadcast coefficients arrive as double; one narrowing per call
   /// site, mirroring the scalar reference (widened weights round-trip
@@ -99,22 +101,31 @@ struct V8F {
   }
 };
 
-constexpr KernelTable kTable = make_table<V4>(SimdLevel::kAvx2, "avx2");
-constexpr KernelTableF32 kTableF32 =
-    make_table<V8F>(SimdLevel::kAvx2, "avx2");
+/// The lane traits of storage type T.
+template <typename T>
+using Lanes = std::conditional_t<std::is_same_v<T, double>, V4, V8F>;
 
 }  // namespace
 
-const KernelTable* avx2_table() noexcept { return &kTable; }
-const KernelTableF32* avx2_table_f32() noexcept { return &kTableF32; }
-
-}  // namespace parlap::kernels
-
-#else  // !defined(__AVX2__)
-
-namespace parlap::kernels {
-const KernelTable* avx2_table() noexcept { return nullptr; }
-const KernelTableF32* avx2_table_f32() noexcept { return nullptr; }
 }  // namespace parlap::kernels
 
 #endif
+
+namespace parlap::kernels {
+
+template <typename T>
+const KernelTableT<T>* avx2_table() noexcept {
+#if defined(__AVX2__)
+  static constexpr KernelTableT<T> table =
+      make_table<Lanes<T>>(SimdLevel::kAvx2, "avx2");
+  return &table;
+#else
+  return nullptr;
+#endif
+}
+
+template const KernelTableT<double>* avx2_table() noexcept;
+template const KernelTableT<float>* avx2_table() noexcept;
+
+}  // namespace parlap::kernels
+

@@ -13,6 +13,8 @@
 
 #include <immintrin.h>
 
+#include <type_traits>
+
 #include "linalg/kernels/kernels_vec_impl.hpp"
 
 namespace parlap::kernels {
@@ -65,9 +67,9 @@ struct V16F {
   static constexpr std::size_t W = 16;
   /// Narrow-panel (k < W) delegation target: the AVX2 tier's 8-float
   /// __m256 pass — the common width-8 panel lands exactly there.
-  static const KernelTableF32& lower() {
-    const KernelTableF32* t = avx2_table_f32();
-    return t != nullptr ? *t : scalar_table_f32();
+  static const KernelTableT<float>& lower() {
+    const KernelTableT<float>* t = avx2_table<float>();
+    return t != nullptr ? *t : scalar_table<float>();
   }
   static reg zero() { return _mm512_setzero_ps(); }
   /// Broadcast coefficients arrive as double; one narrowing per call
@@ -105,22 +107,31 @@ struct V16F {
   }
 };
 
-constexpr KernelTable kTable = make_table<V8>(SimdLevel::kAvx512, "avx512");
-constexpr KernelTableF32 kTableF32 =
-    make_table<V16F>(SimdLevel::kAvx512, "avx512");
+/// The lane traits of storage type T.
+template <typename T>
+using Lanes = std::conditional_t<std::is_same_v<T, double>, V8, V16F>;
 
 }  // namespace
 
-const KernelTable* avx512_table() noexcept { return &kTable; }
-const KernelTableF32* avx512_table_f32() noexcept { return &kTableF32; }
-
-}  // namespace parlap::kernels
-
-#else  // !defined(__AVX512F__)
-
-namespace parlap::kernels {
-const KernelTable* avx512_table() noexcept { return nullptr; }
-const KernelTableF32* avx512_table_f32() noexcept { return nullptr; }
 }  // namespace parlap::kernels
 
 #endif
+
+namespace parlap::kernels {
+
+template <typename T>
+const KernelTableT<T>* avx512_table() noexcept {
+#if defined(__AVX512F__)
+  static constexpr KernelTableT<T> table =
+      make_table<Lanes<T>>(SimdLevel::kAvx512, "avx512");
+  return &table;
+#else
+  return nullptr;
+#endif
+}
+
+template const KernelTableT<double>* avx512_table() noexcept;
+template const KernelTableT<float>* avx512_table() noexcept;
+
+}  // namespace parlap::kernels
+

@@ -22,7 +22,7 @@
 // surprises.
 #include <algorithm>
 
-#include "linalg/kernels/kernels.hpp"
+#include "linalg/kernels/kernels_tables.hpp"
 
 namespace parlap::kernels {
 
@@ -231,15 +231,13 @@ constexpr KernelTableT<T> make_scalar_table() {
 
 }  // namespace scalar_impl
 
-const KernelTable& scalar_table() noexcept {
-  static constexpr KernelTable table = scalar_impl::make_scalar_table<double>();
+template <typename T>
+const KernelTableT<T>& scalar_table() noexcept {
+  static constexpr KernelTableT<T> table = scalar_impl::make_scalar_table<T>();
   return table;
 }
 
-const KernelTableF32& scalar_table_f32() noexcept {
-  static constexpr KernelTableF32 table =
-      scalar_impl::make_scalar_table<float>();
-  return table;
-}
+template const KernelTableT<double>& scalar_table() noexcept;
+template const KernelTableT<float>& scalar_table() noexcept;
 
 }  // namespace parlap::kernels

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -59,64 +58,42 @@ FactorizationCache::FactorizationCache(EdgeId budget_entries)
 
 std::pair<std::shared_ptr<AnySolver>, bool> FactorizationCache::get_or_create(
     const FactorizationKey& key,
-    const std::function<std::unique_ptr<AnySolver>()>& factory) {
+    const std::function<std::unique_ptr<AnySolver>()>& factory,
+    Stats* lookup) {
   PARLAP_TRACE_SPAN_N(lookup_span, "cache.lookup", "cache");
   CacheMetrics& metrics = CacheMetrics::get();
-  std::uint64_t wait_began_ns = 0;  // 0: never blocked on a builder
+  Stats mine;
 
   std::unique_lock lock(mutex_);
-  while (true) {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) break;  // miss: become the builder
-    if (!it->second.building) {
-      {
-        const StatsUpdate update(stats_);
-        stats_.hits.fetch_add(1, std::memory_order_relaxed);
-        if (wait_began_ns != 0) {
-          stats_.single_flight_waits.fetch_add(1, std::memory_order_relaxed);
-          const double waited =
-              static_cast<double>(steady_now_ns() - wait_began_ns) * 1e-9;
-          // Writers are serialized by mutex_; load+store is enough.
-          stats_.single_flight_wait_seconds.store(
-              stats_.single_flight_wait_seconds.load(
-                  std::memory_order_relaxed) +
-                  waited,
-              std::memory_order_relaxed);
-          metrics.waits.add();
-          metrics.wait_seconds.record_seconds(waited);
-        }
-      }
-      metrics.hits.add();
-      lookup_span.arg("hit", 1.0);
-      it->second.last_use = ++tick_;
-      return {it->second.solver, true};
+  auto it = entries_.find(key);
+  if (it != entries_.end() && it->second.building) {
+    // Someone else is factorizing this key; wait for the publication, or
+    // for the build to fail, which erases the entry and makes this
+    // caller the builder.
+    const std::uint64_t wait_began_ns = steady_now_ns();
+    {
+      PARLAP_TRACE_SPAN("cache.wait", "cache");
+      cv_.wait(lock, [&] {
+        it = entries_.find(key);
+        return it == entries_.end() || !it->second.building;
+      });
     }
-    // Someone else is factorizing this key; wait for the publication
-    // (or for the build to fail, which erases the entry and we retry as
-    // the builder).
-    if (wait_began_ns == 0) wait_began_ns = steady_now_ns();
-    PARLAP_TRACE_SPAN("cache.wait", "cache");
-    cv_.wait(lock);
+    mine.single_flight_waits = 1;
+    mine.single_flight_wait_seconds =
+        static_cast<double>(steady_now_ns() - wait_began_ns) * 1e-9;
+    metrics.waits.add();
+    metrics.wait_seconds.record_seconds(mine.single_flight_wait_seconds);
   }
-
-  {
-    const StatsUpdate update(stats_);
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    if (wait_began_ns != 0) {
-      // Waited on a builder whose build failed, then took over.
-      stats_.single_flight_waits.fetch_add(1, std::memory_order_relaxed);
-      const double waited =
-          static_cast<double>(steady_now_ns() - wait_began_ns) * 1e-9;
-      stats_.single_flight_wait_seconds.store(
-          stats_.single_flight_wait_seconds.load(std::memory_order_relaxed) +
-              waited,
-          std::memory_order_relaxed);
-      metrics.waits.add();
-      metrics.wait_seconds.record_seconds(waited);
-    }
+  const bool hit = it != entries_.end();
+  (hit ? mine.hits : mine.misses) = 1;
+  (hit ? metrics.hits : metrics.misses).add();
+  lookup_span.arg("hit", hit ? 1.0 : 0.0);
+  stats_ += mine;
+  if (lookup != nullptr) *lookup = mine;
+  if (hit) {
+    it->second.last_use = ++tick_;
+    return {it->second.solver, true};
   }
-  metrics.misses.add();
-  lookup_span.arg("hit", 0.0);
   {
     Entry placeholder;
     placeholder.building = true;
@@ -147,15 +124,14 @@ std::pair<std::shared_ptr<AnySolver>, bool> FactorizationCache::get_or_create(
   e.cost = std::max<EdgeId>(
       1, static_cast<EdgeId>((solver->stored_bytes() + 7) / 8));
   e.last_use = ++tick_;
-  {
-    const StatsUpdate update(stats_);
-    stats_.build_seconds.store(
-        stats_.build_seconds.load(std::memory_order_relaxed) + build_seconds,
-        std::memory_order_relaxed);
-    stats_.resident_entries.fetch_add(static_cast<std::int64_t>(e.cost),
-                                      std::memory_order_relaxed);
-    stats_.resident_count.fetch_add(1, std::memory_order_relaxed);
-    evict_to_budget_locked();
+  const std::uint64_t evictions_before = stats_.evictions;
+  stats_.build_seconds += build_seconds;
+  stats_.resident_entries += e.cost;
+  ++stats_.resident_count;
+  evict_to_budget_locked();
+  if (lookup != nullptr) {
+    lookup->build_seconds = build_seconds;
+    lookup->evictions = stats_.evictions - evictions_before;
   }
   cv_.notify_all();
   return {std::move(solver), false};
@@ -163,8 +139,7 @@ std::pair<std::shared_ptr<AnySolver>, bool> FactorizationCache::get_or_create(
 
 void FactorizationCache::evict_to_budget_locked() {
   if (budget_ == 0) return;
-  while (stats_.resident_entries.load(std::memory_order_relaxed) >
-         static_cast<std::int64_t>(budget_)) {
+  while (stats_.resident_entries > budget_) {
     // Least-recently-used completed entry — but never the most recent
     // one, so a single over-budget factorization is still cached.
     auto victim = entries_.end();
@@ -178,71 +153,17 @@ void FactorizationCache::evict_to_budget_locked() {
       }
     }
     if (completed <= 1 || victim == entries_.end()) return;
-    stats_.resident_entries.fetch_sub(
-        static_cast<std::int64_t>(victim->second.cost),
-        std::memory_order_relaxed);
-    stats_.resident_count.fetch_sub(1, std::memory_order_relaxed);
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+    stats_.resident_entries -= victim->second.cost;
+    --stats_.resident_count;
+    ++stats_.evictions;
     CacheMetrics::get().evictions.add();
     entries_.erase(victim);
   }
 }
 
-// GCC spells TSan detection __SANITIZE_THREAD__; clang __has_feature.
-#if defined(__SANITIZE_THREAD__)
-#define PARLAP_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PARLAP_TSAN_BUILD 1
-#endif
-#endif
-
 FactorizationCache::Stats FactorizationCache::stats() const {
-#if defined(PARLAP_TSAN_BUILD)
-  // TSan forbids the acquire fence the seqlock read relies on
-  // (-Werror=tsan); under the sanitizer, take the writer mutex instead
-  // — same torn-free snapshot, just serialized against updates.
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Stats out;
-  out.hits = stats_.hits.load(std::memory_order_relaxed);
-  out.misses = stats_.misses.load(std::memory_order_relaxed);
-  out.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  out.resident_entries = static_cast<EdgeId>(
-      stats_.resident_entries.load(std::memory_order_relaxed));
-  out.resident_count = static_cast<std::size_t>(
-      stats_.resident_count.load(std::memory_order_relaxed));
-  out.build_seconds = stats_.build_seconds.load(std::memory_order_relaxed);
-  out.single_flight_waits =
-      stats_.single_flight_waits.load(std::memory_order_relaxed);
-  out.single_flight_wait_seconds =
-      stats_.single_flight_wait_seconds.load(std::memory_order_relaxed);
-  return out;
-#else
-  // Seqlock read: no mutex, so a reporting thread can sample stats
-  // while workers are mid-batch without serializing against builds.
-  // Retry until the generation is even (no writer) and unchanged
-  // across the field reads (no writer slipped in) — then every field
-  // belongs to one update and cross-field invariants hold.
-  while (true) {
-    const std::uint64_t g1 = stats_.gen.load(std::memory_order_acquire);
-    if ((g1 & 1) != 0) continue;
-    Stats out;
-    out.hits = stats_.hits.load(std::memory_order_relaxed);
-    out.misses = stats_.misses.load(std::memory_order_relaxed);
-    out.evictions = stats_.evictions.load(std::memory_order_relaxed);
-    out.resident_entries = static_cast<EdgeId>(
-        stats_.resident_entries.load(std::memory_order_relaxed));
-    out.resident_count = static_cast<std::size_t>(
-        stats_.resident_count.load(std::memory_order_relaxed));
-    out.build_seconds = stats_.build_seconds.load(std::memory_order_relaxed);
-    out.single_flight_waits =
-        stats_.single_flight_waits.load(std::memory_order_relaxed);
-    out.single_flight_wait_seconds =
-        stats_.single_flight_wait_seconds.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (stats_.gen.load(std::memory_order_relaxed) == g1) return out;
-  }
-#endif
+  const std::scoped_lock lock(mutex_);
+  return stats_;
 }
 
 }  // namespace parlap::service

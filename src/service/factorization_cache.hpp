@@ -24,7 +24,6 @@
 // one factorization, not workers-many.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -66,10 +65,10 @@ struct FactorizationKeyHash {
 class FactorizationCache {
  public:
   /// Counters since construction plus the current resident footprint.
-  /// Read via stats(), which snapshots every field under one atomic
-  /// generation: the invariants between fields (hits + misses ==
-  /// lookups, resident_count consistent with resident_entries) hold in
-  /// every snapshot a concurrent reader can observe — never torn.
+  /// stats() copies every field under the lock its writers hold, so the
+  /// invariants between fields (hits + misses == lookups, resident_count
+  /// consistent with resident_entries) hold in every snapshot. One
+  /// lookup's own counters come back in the same form (get_or_create).
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;      ///< factorizations performed
@@ -90,6 +89,18 @@ class FactorizationCache {
     [[nodiscard]] std::uint64_t lookups() const noexcept {
       return hits + misses;
     }
+
+    /// Adds `o`'s counters; resident_* are a footprint, not counts, and
+    /// stay as they are.
+    Stats& operator+=(const Stats& o) noexcept {
+      hits += o.hits;
+      misses += o.misses;
+      evictions += o.evictions;
+      build_seconds += o.build_seconds;
+      single_flight_waits += o.single_flight_waits;
+      single_flight_wait_seconds += o.single_flight_wait_seconds;
+      return *this;
+    }
   };
 
   /// `budget_entries` caps the resident total in fp64-equivalent
@@ -105,13 +116,18 @@ class FactorizationCache {
   /// whose factory threw and leaves the cache unchanged; waiters on
   /// that key then retry, the next one becoming the builder — so a
   /// transient failure costs one attempt per caller, never a poisoned
-  /// entry.
+  /// entry. `lookup`, if set, receives this call's own counters: its hit
+  /// or miss, its single-flight wait, and on a miss its build seconds
+  /// and the evictions its insert caused (resident_* stay 0). The hit or
+  /// miss and the wait are written before the factory runs, so a caller
+  /// whose factory throws still sees them.
   [[nodiscard]] std::pair<std::shared_ptr<AnySolver>, bool> get_or_create(
       const FactorizationKey& key,
-      const std::function<std::unique_ptr<AnySolver>()>& factory);
+      const std::function<std::unique_ptr<AnySolver>()>& factory,
+      Stats* lookup = nullptr);
 
-  /// Lock-free torn-proof snapshot (seqlock read: retries while a
-  /// writer is mid-update, so all fields come from one generation).
+  /// A copy of the counters, taken under the cache lock (builds run with
+  /// it released, so a reader never waits on one).
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] EdgeId budget_entries() const noexcept { return budget_; }
 
@@ -123,41 +139,6 @@ class FactorizationCache {
     bool building = false;
   };
 
-  /// Seqlock-published counters. Writers (always holding mutex_, so
-  /// serialized) bump gen to odd, mutate, bump back to even; stats()
-  /// readers retry until they observe one even generation on both
-  /// sides of the field reads. Fields are relaxed atomics so the
-  /// racing reads the retry loop discards are still well-defined.
-  struct SharedStats {
-    std::atomic<std::uint64_t> gen{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::int64_t> resident_entries{0};
-    std::atomic<std::uint64_t> resident_count{0};
-    std::atomic<double> build_seconds{0.0};
-    std::atomic<std::uint64_t> single_flight_waits{0};
-    std::atomic<double> single_flight_wait_seconds{0.0};
-  };
-
-  /// RAII odd/even generation bump around a writer's field updates.
-  class StatsUpdate {
-   public:
-    explicit StatsUpdate(SharedStats& s) noexcept : s_(s) {
-      s_.gen.store(s_.gen.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_release);
-    }
-    ~StatsUpdate() {
-      s_.gen.store(s_.gen.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_release);
-    }
-    StatsUpdate(const StatsUpdate&) = delete;
-    StatsUpdate& operator=(const StatsUpdate&) = delete;
-
-   private:
-    SharedStats& s_;
-  };
-
   void evict_to_budget_locked();
 
   const EdgeId budget_;
@@ -165,7 +146,7 @@ class FactorizationCache {
   std::condition_variable cv_;
   std::unordered_map<FactorizationKey, Entry, FactorizationKeyHash> entries_;
   std::uint64_t tick_ = 0;
-  SharedStats stats_;
+  Stats stats_;  ///< under mutex_
 };
 
 }  // namespace parlap::service

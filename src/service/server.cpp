@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "linalg/kernels/kernels.hpp"
-#include "linalg/kernels/numa.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -850,14 +849,12 @@ std::string SolveServer::stats_response() {
   w.member("socket", options_.socket_path);
   w.member("slow_ms", options_.slow_ms);
   w.member("event_log", options_.event_log_path);
-  // Kernel dispatch + NUMA placement actually in effect (post-CPUID
-  // clamp), so a dashboard can tell a scalar-forced daemon from an AVX2
-  // host at a glance.
+  // Kernel dispatch actually in effect (post-CPUID clamp), so a
+  // dashboard can tell a scalar-forced daemon from an AVX2 host at a
+  // glance.
   w.member("simd_detected",
            kernels::simd_level_name(kernels::detected_simd_level()));
   w.member("simd_active", kernels::simd_level_name(kernels::active_simd_level()));
-  w.member("numa", kernels::numa_policy_name(kernels::active_numa_policy()));
-  w.member("numa_nodes", kernels::numa_node_count());
   // Default precision mode for requests without their own field ("auto"
   // is echoed as spelled — it resolves per graph at solve time).
   const std::string& precision = options_.engine.precision;

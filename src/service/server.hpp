@@ -78,10 +78,9 @@ struct ServerOptions {
   /// (read it back via bound_tcp_port()).
   int tcp_port = -1;
   /// The engine the requests run on: pool size (`workers`), cache
-  /// budgets, SIMD level, NUMA placement and the default precision for
-  /// requests without their own "precision" field. Its settings are
-  /// echoed in stats.config. block_width does not apply: every request
-  /// is a width-1 panel.
+  /// budgets and the default precision for requests without their own
+  /// "precision" field. Its settings are echoed in stats.config.
+  /// block_width does not apply: every request is a width-1 panel.
   EngineOptions engine{};
   /// Admission limits: a solve request is shed when the queued-job
   /// count has reached max_queue_depth, or when admitting its line

@@ -12,8 +12,6 @@
 #include "api/graph_source.hpp"
 #include "api/rhs.hpp"
 #include "api/solver_registry.hpp"
-#include "linalg/kernels/kernels.hpp"
-#include "linalg/kernels/numa.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/for_each.hpp"
@@ -180,24 +178,6 @@ SolveEngine::SolveEngine(EngineOptions options,
   PARLAP_CHECK_MSG(options_.workers >= 1,
                    "SolveEngine needs at least one worker, got "
                        << options_.workers);
-  // Kernel dispatch and NUMA placement are process-wide (the kernel
-  // table is a global slot); empty strings leave the env-derived
-  // defaults untouched so PARLAP_SIMD/PARLAP_NUMA still work when no
-  // flag is given. Unsupported levels clamp with a stderr note.
-  if (!options_.simd.empty()) {
-    const auto level = kernels::parse_simd_level(options_.simd);
-    PARLAP_CHECK_MSG(level.has_value(),
-                     "unknown SIMD level '" << options_.simd
-                                            << "' (want scalar|avx2|avx512|auto)");
-    kernels::set_simd_level(*level);
-  }
-  if (!options_.numa.empty()) {
-    const auto policy = kernels::parse_numa_policy(options_.numa);
-    PARLAP_CHECK_MSG(policy.has_value(),
-                     "unknown NUMA policy '" << options_.numa
-                                             << "' (want local|interleave)");
-    kernels::set_numa_policy(*policy);
-  }
   if (!options_.precision.empty()) {
     const auto mode = parse_precision(options_.precision);
     PARLAP_CHECK_MSG(mode.has_value(),
@@ -451,11 +431,14 @@ PanelStats SolveEngine::run_panel_task(std::span<const SolveJob> jobs,
       config.precision = precision;
       const Multigraph& graph = *loaded->graph;
       const WallTimer factor_timer;
-      const auto [solver, hit] = cache_.get_or_create(key, [&] {
-        return SolverRegistry::instance().create(lead.method, graph, config);
-      });
+      const auto [solver, hit] = cache_.get_or_create(
+          key,
+          [&] {
+            return SolverRegistry::instance().create(lead.method, graph,
+                                                     config);
+          },
+          &panel.cache);
       const double factor_seconds = factor_timer.seconds();
-      panel.cache_hit = hit;
 
       std::vector<Vector> xs(survivors.size());
       const std::vector<RunReport> reports =
@@ -491,7 +474,6 @@ PanelStats SolveEngine::run_panel_task(std::span<const SolveJob> jobs,
 BatchResult SolveEngine::run(std::span<const SolveJob> jobs) {
   BatchResult batch;
   batch.jobs.resize(jobs.size());
-  const FactorizationCache::Stats cache_before = cache_.stats();
   PARLAP_TRACE_SPAN_N(batch_span, "engine.batch", "queue");
   const WallTimer batch_timer;
   const std::uint64_t batch_start_ns = steady_now_ns();
@@ -576,6 +558,7 @@ BatchResult SolveEngine::run(std::span<const SolveJob> jobs) {
     metrics.solve_seconds.record_seconds(r.report.solve_seconds);
   }
   for (const PanelStats& p : batch.panels) {
+    stats.cache += p.cache;
     queue_hist.record_seconds(p.queue_seconds);
     metrics.queue_seconds.record_seconds(p.queue_seconds);
     metrics.task_seconds.record_seconds(p.exec_seconds);
@@ -599,16 +582,11 @@ BatchResult SolveEngine::run(std::span<const SolveJob> jobs) {
         (static_cast<double>(batch.panels.size()) *
          static_cast<double>(std::max(1, options_.block_width)));
   }
-  // Counters are reported per batch (so a warmed engine's second run
-  // shows its true steady-state hit rate); resident_* stay absolute.
-  stats.cache = cache_.stats();
-  stats.cache.hits -= cache_before.hits;
-  stats.cache.misses -= cache_before.misses;
-  stats.cache.evictions -= cache_before.evictions;
-  stats.cache.build_seconds -= cache_before.build_seconds;
-  stats.cache.single_flight_waits -= cache_before.single_flight_waits;
-  stats.cache.single_flight_wait_seconds -=
-      cache_before.single_flight_wait_seconds;
+  // Counters are this batch's own lookups (so a warmed engine's second
+  // run shows its true steady-state hit rate); resident_* stay absolute.
+  const FactorizationCache::Stats now = cache_.stats();
+  stats.cache.resident_entries = now.resident_entries;
+  stats.cache.resident_count = now.resident_count;
   if (stats.cache.lookups() > 0) {
     stats.cache_hit_rate = static_cast<double>(stats.cache.hits) /
                            static_cast<double>(stats.cache.lookups());

@@ -105,16 +105,6 @@ struct EngineOptions {
   /// job individually. Per-job solutions are bit-identical at every
   /// width; cache hit/miss counters count panels, not jobs.
   int block_width = 1;
-  /// SIMD dispatch level for the apply kernels: "scalar", "avx2",
-  /// "avx512", or "auto" (CPUID). Empty = inherit the process default
-  /// ($PARLAP_SIMD, else auto). Applied process-wide at construction;
-  /// results are bit-identical at every level (docs/PERFORMANCE.md).
-  std::string simd{};
-  /// NUMA placement for chain arrays and workspaces: "local" (first
-  /// touch on the building worker's node) or "interleave" (page-striped
-  /// across nodes). Empty = inherit the process default ($PARLAP_NUMA,
-  /// else local). Applied process-wide at construction.
-  std::string numa{};
   /// Default factorization storage precision for jobs that do not set
   /// their own: "fp64", "fp32", or "auto" (empty = fp64). "auto" is
   /// resolved per graph (resolve_precision) before the factorization
@@ -130,7 +120,10 @@ struct EngineOptions {
 struct PanelStats {
   std::vector<std::string> job_ids;  ///< input order
   int width = 0;                     ///< jobs grouped into this panel
-  bool cache_hit = false;            ///< factorization came from cache
+  /// This panel's own cache lookup (hits 1 when the factorization came
+  /// from the cache; resident_* unset). A panel whose jobs all failed
+  /// before the lookup leaves it all zero.
+  FactorizationCache::Stats cache;
   double solve_seconds = 0.0;        ///< summed per-RHS solve seconds
   double apply_seconds = 0.0;        ///< summed per-RHS apply seconds
   /// Queue wait: batch start -> a worker picking this task up. With
@@ -165,10 +158,11 @@ struct EngineStats {
   /// Mean panel fill: jobs / (panels * block_width). 1.0 when every
   /// panel is full (always, at block_width 1).
   double panel_occupancy = 0.0;
-  /// Cache activity of THIS batch (hit/miss/eviction counters and the
-  /// miss-attributed build_seconds are per-run deltas; resident_* are
-  /// absolute at batch end), so a warmed engine's steady-state hit rate
-  /// and factorization cost read directly from one run.
+  /// Cache activity of THIS batch: the counters sum its own panels'
+  /// lookups, so batches running at once on one engine never count each
+  /// other's, and resident_* are absolute at batch end. A warmed
+  /// engine's steady-state hit rate and factorization cost read
+  /// directly from one run.
   FactorizationCache::Stats cache;
 };
 

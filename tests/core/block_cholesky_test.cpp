@@ -266,7 +266,7 @@ TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
     const ApplyChain& ac = chain.apply_chain();
     const auto off = ac.offsets();
     const auto col = ac.columns();
-    const auto w = ac.weights();
+    const auto& w = ac.values<double>().w;
     const auto cf_slots = ac.cf_slots();
     ASSERT_GE(ac.depth(), 1);
     for (std::size_t k = 0; k < ac.levels().size(); ++k) {
@@ -303,7 +303,7 @@ TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
         for (EdgeId p = off[lvl.ff_off + iz]; p < off[lvl.ff_off + iz + 1]; ++p) {
           sum += w[static_cast<std::size_t>(p)];
         }
-        const double diag = ac.y_diag()[lvl.f_base + iz];
+        const double diag = ac.values<double>().y_diag[lvl.f_base + iz];
         EXPECT_LE(std::abs(sum - diag), 1e-12 * std::abs(diag))
             << "level " << k << " F row " << i;
       }

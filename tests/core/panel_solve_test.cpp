@@ -3,7 +3,7 @@
 // sequential loop of solve() across block widths {1, 3, 8} and OpenMP
 // thread counts 1 vs 4, chain-level panel applies equal scalar applies
 // column for column, and a pooled ApplyWorkspace re-prepared across
-// block widths never reuses k=1 scratch for a wider panel.
+// block widths and storage precisions never reuses stale scratch.
 // Labeled core+parallel+panel so the TSan preset runs it.
 #include <gtest/gtest.h>
 
@@ -88,6 +88,42 @@ TEST(PanelSolve, ChainPanelApplyMatchesScalarApplyPerColumn) {
   Vector y1(n);
   chain.apply(b.col(2), y1, ws);
   expect_bitwise(y1, want[2], "k=1 after panel");
+}
+
+TEST(PanelSolve, WorkspaceSharedAcrossPrecisionsMatchesFreshOnes) {
+  // One workspace alternates between an fp64 and an fp32 chain of the
+  // same graph, at widths 1 and 8: each storage type sizes its own
+  // buffer set, and every apply gives the bits of a fresh workspace.
+  const Multigraph split = split_edges_uniform(make_grid2d(20, 20), 4);
+  BlockCholeskyOptions fp32;
+  fp32.precision = Precision::kFp32;
+  const BlockCholeskyChain f64_chain = BlockCholeskyChain::build(split, 5);
+  const BlockCholeskyChain f32_chain =
+      BlockCholeskyChain::build(split, 5, fp32);
+  const auto n = static_cast<std::size_t>(f64_chain.dimension());
+
+  ApplyWorkspace shared;
+  for (int round = 0; round < 2; ++round) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{8}}) {
+      Panel b(n, k);
+      for (std::size_t c = 0; c < k; ++c) {
+        const Vector bc = random_rhs_vec(n, 200 + 10 * round + c);
+        std::copy(bc.begin(), bc.end(), b.col(c).begin());
+      }
+      for (const BlockCholeskyChain* chain : {&f64_chain, &f32_chain}) {
+        ApplyWorkspace fresh;
+        Panel want;
+        Panel got;
+        chain->apply(b, want, fresh);
+        chain->apply(b, got, shared);
+        for (std::size_t c = 0; c < k; ++c) {
+          expect_bitwise(Vector(got.col(c).begin(), got.col(c).end()),
+                         Vector(want.col(c).begin(), want.col(c).end()),
+                         "shared workspace column");
+        }
+      }
+    }
+  }
 }
 
 TEST(PanelSolve, SolveManyBitIdenticalToSequentialAcrossWidthsAndThreads) {

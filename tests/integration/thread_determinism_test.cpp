@@ -82,10 +82,18 @@ void append_bits(std::vector<std::uint64_t>& out, std::span<const T> s) {
   }
 }
 
+/// Appends the whole value store, base factor included.
+template <typename T>
+void append_values(std::vector<std::uint64_t>& out, const ChainValues<T>& v) {
+  for (const auto* arr : {&v.inv_x, &v.y_diag, &v.w, &v.base}) {
+    append_bits<T>(out, *arr);
+  }
+}
+
 /// Everything one chain build decides, apart from its timings.
 struct BuildRecord {
-  /// Every packed ApplyChain array and level record: the fp64 chain's,
-  /// then the fp32 chain's.
+  /// Every packed ApplyChain array (the value store whole) and level
+  /// record: the fp64 chain's, then the fp32 chain's.
   std::vector<std::uint64_t> chain;
   /// levels, edges_scanned and walked; then per level f_size and walked.
   std::vector<std::int64_t> counters;
@@ -119,13 +127,9 @@ BuildRecord record_builds(const Multigraph& g, std::uint64_t seed) {
     append_bits(r.chain, a.offsets());
     append_bits(r.chain, a.columns());
     if (p == Precision::kFp64) {
-      append_bits(r.chain, a.inv_x());
-      append_bits(r.chain, a.y_diag());
-      append_bits(r.chain, a.weights());
+      append_values(r.chain, a.values<double>());
     } else {
-      append_bits(r.chain, a.inv_x_f32());
-      append_bits(r.chain, a.y_diag_f32());
-      append_bits(r.chain, a.weights_f32());
+      append_values(r.chain, a.values<float>());
     }
     if (p == Precision::kFp32) continue;  // fp32 changes only the packing
     const BuildStats& bs = chain.build_stats();

@@ -401,21 +401,20 @@ void expect_bits_equal_f32(const std::vector<float>& got,
 TEST(KernelDispatchF32, TableFollowsActiveLevel) {
   // The fp32 table is dispatched off the SAME level slot as fp64: one
   // --simd / PARLAP_SIMD decision governs both storage types.
-  EXPECT_EQ(active_f32().level, active().level);
-  EXPECT_EQ(table_for_f32(active().level).level, active().level);
+  EXPECT_EQ(active<float>().level, active().level);
+  EXPECT_EQ(&active<float>(), &table_for<float>(active().level));
   for (SimdLevel lvl : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (!simd_level_available(lvl)) {
-      EXPECT_EQ(table_for_f32(lvl).level, SimdLevel::kScalar);
+      EXPECT_EQ(table_for<float>(lvl).level, SimdLevel::kScalar);
     }
   }
-  EXPECT_EQ(&active_for<float>(), &active_f32());
-  EXPECT_EQ(&active_for<double>(), &active());
+  EXPECT_EQ(&active<double>(), &active());
 }
 
 TEST(KernelDispatchF32, AxpyColsMatchesScalarBitwise) {
-  const KernelTableF32& ref = table_for_f32(SimdLevel::kScalar);
+  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
   for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableF32& vec = table_for_f32(lvl);
+    const KernelTableT<float>& vec = table_for<float>(lvl);
     for (std::size_t k : kWidths) {
       const std::size_t ld = kRows + 5;
       std::vector<float> xv = random_floats(ld * k, 111);
@@ -444,9 +443,9 @@ TEST(KernelDispatchF32, AxpyColsMatchesScalarBitwise) {
 TEST(KernelDispatchF32, ChunkDotsMatchesScalarBitwise) {
   // Dots reduce fp32 storage into DOUBLE outputs — the accumulator
   // never narrows, so the result vectors compare as doubles.
-  const KernelTableF32& ref = table_for_f32(SimdLevel::kScalar);
+  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
   for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableF32& vec = table_for_f32(lvl);
+    const KernelTableT<float>& vec = table_for<float>(lvl);
     for (std::size_t k : kWidths) {
       const std::size_t ld = kRows + 3;
       std::vector<float> av = random_floats(ld * k, 211);
@@ -467,14 +466,14 @@ TEST(KernelDispatchF32, ChunkDotsMatchesScalarBitwise) {
 }
 
 TEST(KernelDispatchF32, GatherScatterRowsMatchScalarBitwise) {
-  const KernelTableF32& ref = table_for_f32(SimdLevel::kScalar);
+  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
   std::vector<Vertex> rows;
   for (std::size_t i = 0; i < kRows; ++i) {
     rows.push_back(static_cast<Vertex>((i * 97 + 13) % kRows));
   }
   rows[5] = rows[4];  // duplicate source rows for gather
   for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableF32& vec = table_for_f32(lvl);
+    const KernelTableT<float>& vec = table_for<float>(lvl);
     for (std::size_t k : kWidths) {
       const std::size_t src_ld = kRows + 2;
       const std::size_t dst_ld = kRows + 9;
@@ -509,7 +508,7 @@ TEST(KernelDispatchF32, GatherScatterRowsMatchScalarBitwise) {
 }
 
 TEST(KernelDispatchF32, CsrJacobiMatchesScalarBitwise) {
-  const KernelTableF32& ref = table_for_f32(SimdLevel::kScalar);
+  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
   const CsrFixture csr(kRows, kRows, 411);
   const std::vector<float> w(csr.w.begin(), csr.w.end());
   std::vector<float> inv_x = random_floats(kRows, 412);
@@ -520,7 +519,7 @@ TEST(KernelDispatchF32, CsrJacobiMatchesScalarBitwise) {
   inv_x[17] = FLT_MIN;
   y_diag[9] = 3e38f;
   for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableF32& vec = table_for_f32(lvl);
+    const KernelTableT<float>& vec = table_for<float>(lvl);
     for (std::size_t k : kWidths) {
       std::vector<float> xbv = random_floats(kRows * k, 414);
       std::vector<float> curv = random_floats(kRows * k, 415);
@@ -545,7 +544,7 @@ TEST(KernelDispatchF32, CsrJacobiMatchesScalarBitwise) {
 }
 
 TEST(KernelDispatchF32, CsrFwdMatchesScalarBitwise) {
-  const KernelTableF32& ref = table_for_f32(SimdLevel::kScalar);
+  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
   const std::size_t n_src = 180;
   const std::size_t n_out = 300;
   const CsrFixture csr(kRows, n_src, 511);
@@ -567,9 +566,9 @@ TEST(KernelDispatchF32, CsrFwdMatchesScalarBitwise) {
                             SimdLevel::kScalar, k, lo, hi);
       for (SimdLevel lvl : available_vector_levels()) {
         MisalignedF got(out0);
-        table_for_f32(lvl).csr_fwd(lo, hi, k, csr.off.data(), csr.nbr.data(),
-                                   w.data(), idx.data(), src.data(),
-                                   got.data());
+        table_for<float>(lvl).csr_fwd(lo, hi, k, csr.off.data(),
+                                      csr.nbr.data(), w.data(), idx.data(),
+                                      src.data(), got.data());
         expect_bits_equal_f32(got.store, want.store, "csr_fwd", lvl, k, lo,
                               hi);
       }
@@ -578,12 +577,12 @@ TEST(KernelDispatchF32, CsrFwdMatchesScalarBitwise) {
 }
 
 TEST(KernelDispatchF32, CsrBwdMatchesScalarBitwise) {
-  const KernelTableF32& ref = table_for_f32(SimdLevel::kScalar);
+  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
   const std::size_t n_src = 140;
   const CsrFixture csr(kRows, n_src, 611);
   const std::vector<float> w(csr.w.begin(), csr.w.end());
   for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableF32& vec = table_for_f32(lvl);
+    const KernelTableT<float>& vec = table_for<float>(lvl);
     for (std::size_t k : kWidths) {
       std::vector<float> srcv = random_floats(n_src * k, 612);
       inject_specials(srcv);
@@ -607,7 +606,7 @@ TEST(KernelDispatchF32, AlignedBufferReuseAcrossWidths) {
   // across jobs of different widths (resize does NOT preserve or zero
   // contents on shrink). A kernel run into the reused, stale-contented
   // buffer must produce the same bits as a run into a fresh vector.
-  const KernelTableF32& tab = active_f32();
+  const KernelTableT<float>& tab = active<float>();
   const CsrFixture csr(kRows, kRows, 811);
   const std::vector<float> w(csr.w.begin(), csr.w.end());
   const std::vector<float> inv_x = random_floats(kRows, 812);

@@ -299,7 +299,8 @@ def deterministic_fields(r):
 
 def test_determinism_vs_batch(c, serve_bin, cli_bin):
     """Same jobs via batch CLI and via concurrent serve clients give
-    bit-identical results, any worker count / arrival order."""
+    bit-identical results, any worker count / arrival order, and on a
+    daemon whose --simd forces the scalar kernels."""
     jobs = []
     for i in range(3):
         jobs.append({"id": "g%d" % i, "graph": "grid2d:16,16",
@@ -332,21 +333,22 @@ def test_determinism_vs_batch(c, serve_bin, cli_bin):
                 for v in r.values()),
             "batch reports every compared field: %r" % batch_results)
 
-    serve_results = {}
-    lock = threading.Lock()
+    def serve_all(d):
+        """Solves the jobs on `d` from three concurrent clients."""
+        serve_results = {}
+        lock = threading.Lock()
 
-    def submit(my_jobs):
-        with d.connect() as cl:
-            for j in my_jobs:
-                req = dict(j)
-                req["type"] = "solve"
-                cl.send(req)
-            for _ in my_jobs:
-                r = cl.recv(timeout=300.0)
-                with lock:
-                    serve_results[r["id"]] = deterministic_fields(r)
+        def submit(my_jobs):
+            with d.connect() as cl:
+                for j in my_jobs:
+                    req = dict(j)
+                    req["type"] = "solve"
+                    cl.send(req)
+                for _ in my_jobs:
+                    r = cl.recv(timeout=300.0)
+                    with lock:
+                        serve_results[r["id"]] = deterministic_fields(r)
 
-    with ServeDaemon(serve_bin, workers=3) as d:
         shuffled = list(jobs)
         random.Random(0xC0FFEE).shuffle(shuffled)
         thirds = [shuffled[0::3], shuffled[1::3], shuffled[2::3]]
@@ -356,10 +358,24 @@ def test_determinism_vs_batch(c, serve_bin, cli_bin):
             t.start()
         for t in threads:
             t.join()
+        return serve_results
 
+    with ServeDaemon(serve_bin, workers=3) as d:
+        serve_results = serve_all(d)
     c.check(serve_results == batch_results,
             "serve results match batch results: %r vs %r"
             % (serve_results, batch_results))
+
+    with ServeDaemon(serve_bin, workers=3,
+                     extra_args=("--simd", "scalar")) as d:
+        with d.connect() as cl:
+            config = cl.request({"type": "stats"}).get("config", {})
+        c.check(config.get("simd_active") == "scalar",
+                "--simd scalar is applied at startup: %r" % config)
+        scalar_results = serve_all(d)
+    c.check(scalar_results == batch_results,
+            "--simd scalar serve results match batch results: %r vs %r"
+            % (scalar_results, batch_results))
 
 
 def test_file_graphs(c, binary, data_dir):

@@ -419,6 +419,51 @@ TEST(SolveEnginePool, CancelDropsQueuedTasksAndReleasesCounts) {
   EXPECT_EQ(engine.cancel(s), 0u);
 }
 
+TEST(SolveEngine, ConcurrentBatchesCountOnlyTheirLookups) {
+  // Two batches of six distinct graphs queue behind both held workers,
+  // then run interleaved on the one pool. Each batch's cache counters
+  // count its own six lookups, never the other batch's.
+  const std::vector<SolveJob> first = parse_jobs_jsonl(std::string(R"(
+{"id": "a0", "graph": "grid2d:8"}
+{"id": "a1", "graph": "grid2d:9"}
+{"id": "a2", "graph": "grid2d:10"}
+{"id": "a3", "graph": "grid2d:11"}
+{"id": "a4", "graph": "grid2d:12"}
+{"id": "a5", "graph": "grid2d:13"}
+)"));
+  const std::vector<SolveJob> second = parse_jobs_jsonl(std::string(R"(
+{"id": "b0", "graph": "grid2d:14"}
+{"id": "b1", "graph": "grid2d:15"}
+{"id": "b2", "graph": "grid2d:16"}
+{"id": "b3", "graph": "grid2d:17"}
+{"id": "b4", "graph": "grid2d:18"}
+{"id": "b5", "graph": "grid2d:19"}
+)"));
+  SolveEngine engine({.workers = 2});
+  BusyWorker hold_one(engine);
+  BusyWorker hold_two(engine);
+  BatchResult a;
+  BatchResult b;
+  std::thread run_a([&] { a = engine.run(first); });
+  std::thread run_b([&] { b = engine.run(second); });
+  while (engine.queue_stats().queued < first.size() + second.size()) {
+    std::this_thread::yield();
+  }
+  hold_one.release();
+  hold_two.release();
+  run_a.join();
+  run_b.join();
+
+  for (const BatchResult* batch : {&a, &b}) {
+    for (const JobResult& r : batch->jobs) {
+      EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
+    }
+    EXPECT_EQ(batch->stats.cache.hits + batch->stats.cache.misses, 6u);
+  }
+  EXPECT_EQ(a.stats.cache.misses + b.stats.cache.misses,
+            engine.cache_stats().misses);
+}
+
 TEST(SolveEngine, ConcurrentRunsOnOneEngineMatchSoloRuns) {
   // Two batches share one 2-worker pool as two sessions; each job's
   // answer is still the pure function of the job a solo run gives.

@@ -40,7 +40,6 @@
 #include "graph/io.hpp"
 #include "harness/json_writer.hpp"
 #include "linalg/kernels/kernels.hpp"
-#include "linalg/kernels/numa.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -722,7 +721,7 @@ int cmd_batch(Args& args) {
     for (const service::PanelStats& p : batch.panels) {
       w.begin_object();
       w.member("width", p.width);
-      w.member("cache_hit", p.cache_hit);
+      w.member("cache_hit", p.cache.hits != 0);
       w.member("solve_seconds", p.solve_seconds);
       w.member("apply_seconds", p.apply_seconds);
       w.member("queue_seconds", p.queue_seconds);
@@ -849,11 +848,6 @@ int cmd_info(Args& args) {
   table.add_row({std::string("simd_active"),
                  std::string(kernels::simd_level_name(
                      kernels::active_simd_level()))});
-  table.add_row({std::string("numa_policy"),
-                 std::string(kernels::numa_policy_name(
-                     kernels::active_numa_policy()))});
-  table.add_row({std::string("numa_nodes"),
-                 static_cast<std::int64_t>(kernels::numa_node_count())});
   table.print(std::cout);
 
   if (!json_path.empty()) {
@@ -877,9 +871,6 @@ int cmd_info(Args& args) {
              kernels::simd_level_name(kernels::detected_simd_level()));
     w.member("simd_active",
              kernels::simd_level_name(kernels::active_simd_level()));
-    w.member("numa_policy",
-             kernels::numa_policy_name(kernels::active_numa_policy()));
-    w.member("numa_nodes", kernels::numa_node_count());
     w.end_object();
     doc += '\n';
     open_output(json_path) << doc;
@@ -1011,7 +1002,6 @@ void print_usage(std::ostream& os) {
         "  help    this text\n"
         "\n"
         "global:                [--simd scalar|avx2|avx512|auto]\n"
-        "                       [--numa local|interleave]\n"
         "input (solve, info):   --input PATH | --gen SPEC  [--laplacian]\n"
         "                       [--weights unit|uniform:lo,hi|powerlaw:lo,hi,e]\n"
         "                       [--seed S] [--threads N]\n"
@@ -1047,10 +1037,9 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   Args args(argc, argv, 2);
   try {
-    // Global hardware knobs, honored by every command (kernel dispatch
-    // and NUMA placement are process-wide): --simd scalar|avx2|avx512|
-    // auto, --numa local|interleave. Defaults inherit $PARLAP_SIMD /
-    // $PARLAP_NUMA. Results are bit-identical at every SIMD level
+    // Global hardware knob, honored by every command (kernel dispatch is
+    // process-wide): --simd scalar|avx2|avx512|auto, default
+    // $PARLAP_SIMD. Results are bit-identical at every SIMD level
     // (docs/PERFORMANCE.md); unsupported requests clamp with a note.
     if (const auto simd = args.take_value("--simd")) {
       const auto level = kernels::parse_simd_level(*simd);
@@ -1059,14 +1048,6 @@ int main(int argc, char** argv) {
                          *simd + "'");
       }
       kernels::set_simd_level(*level);
-    }
-    if (const auto numa = args.take_value("--numa")) {
-      const auto policy = kernels::parse_numa_policy(*numa);
-      if (!policy) {
-        throw UsageError("--numa wants local|interleave, got '" + *numa +
-                         "'");
-      }
-      kernels::set_numa_policy(*policy);
     }
     if (command == "solve") return cmd_solve(args);
     if (command == "batch") return cmd_batch(args);

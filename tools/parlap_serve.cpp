@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "linalg/kernels/kernels.hpp"
-#include "linalg/kernels/numa.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -61,8 +60,6 @@ Hardware:
   --simd LEVEL           apply-kernel dispatch: scalar|avx2|avx512|auto
                          (default $PARLAP_SIMD, else auto; results are
                          bit-identical at every level)
-  --numa POLICY          chain/workspace placement: local|interleave
-                         (default $PARLAP_NUMA, else local)
   --precision MODE       default factorization storage: fp64|fp32|auto
                          (default fp64; requests may override per job.
                          fp32 halves chain bytes and meets each job's
@@ -183,8 +180,7 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(parse_int_flag(args, "--graph-cache", 32));
   opt.event_log_path = parse_string_flag(args, "--event-log");
   opt.slow_ms = parse_double_flag(args, "--slow-ms", 0.0);
-  engine.simd = parse_string_flag(args, "--simd");
-  engine.numa = parse_string_flag(args, "--numa");
+  const std::string simd = parse_string_flag(args, "--simd");
   engine.precision = parse_string_flag(args, "--precision");
   opt.graph_root = parse_string_flag(args, "--graph-root");
   const std::string trace_path = parse_string_flag(args, "--trace-out");
@@ -208,13 +204,13 @@ int run(int argc, char** argv) {
   if (opt.slow_ms < 0) {
     throw std::invalid_argument("--slow-ms must be non-negative");
   }
-  if (!engine.simd.empty() && !kernels::parse_simd_level(engine.simd)) {
-    throw std::invalid_argument("--simd wants scalar|avx2|avx512|auto, got '" +
-                                engine.simd + "'");
-  }
-  if (!engine.numa.empty() && !kernels::parse_numa_policy(engine.numa)) {
-    throw std::invalid_argument("--numa wants local|interleave, got '" +
-                                engine.numa + "'");
+  std::optional<kernels::SimdLevel> level;
+  if (!simd.empty()) {
+    level = kernels::parse_simd_level(simd);
+    if (!level) {
+      throw std::invalid_argument(
+          "--simd wants scalar|avx2|avx512|auto, got '" + simd + "'");
+    }
   }
   if (!engine.precision.empty() && !parse_precision(engine.precision)) {
     throw std::invalid_argument("--precision wants fp64|fp32|auto, got '" +
@@ -226,6 +222,9 @@ int run(int argc, char** argv) {
     obs::Tracer::instance().enable();
   }
   if (metrics) obs::MetricsRegistry::global().reset();
+  // Kernel dispatch is process-wide; without the flag $PARLAP_SIMD (else
+  // CPUID) decides. An unsupported level clamps with a stderr note.
+  if (level) kernels::set_simd_level(*level);
 
   service::SolveServer server(opt);
   server.start();

@@ -198,10 +198,9 @@ void render(const std::string& line, const TopOptions& opt) {
   std::printf("parlap_top  %s  up %.0fs%s\n", when, uptime,
               is_draining ? "  DRAINING" : "");
   const service::JsonValue* simd_active = child(config, "simd_active");
-  const service::JsonValue* numa_policy = child(config, "numa");
   const service::JsonValue* precision = child(config, "precision");
   std::printf(
-      "workers %d   simd %s   prec %s   numa %s   queue %.0f/%.0f "
+      "workers %d   simd %s   prec %s   queue %.0f/%.0f "
       "(%.0f bytes)   in-flight %.0f   sessions %.0f\n",
       static_cast<int>(num(child(config, "workers"), 1)),
       simd_active != nullptr && simd_active->is_string()
@@ -210,9 +209,6 @@ void render(const std::string& line, const TopOptions& opt) {
       precision != nullptr && precision->is_string()
           ? precision->as_string().c_str()
           : "fp64",  // pre-precision daemons have no field; fp64 is what they run
-      numa_policy != nullptr && numa_policy->is_string()
-          ? numa_policy->as_string().c_str()
-          : "?",
       num(doc.find("queue_depth")), num(doc.find("queue_limit")),
       num(doc.find("queued_bytes")), num(doc.find("in_flight")),
       num(doc.find("sessions")));

@@ -1,6 +1,6 @@
-// E19 — SIMD kernel dispatch microbenchmark: per-row cost of every
-// kernel in the dispatch table (linalg/kernels) at every ISA level the
-// host can run, across panel widths 1/4/8/16.
+// E19 — SIMD kernel dispatch microbenchmark: per-row cost of the chain
+// apply's three sweeps (the whole dispatch table, linalg/kernels) at
+// every ISA level the host can run, across panel widths 1/4/8/16.
 //
 // Each case times ONE serial kernel invocation over the full row range
 // (callers own parallelization; this measures the per-lane arithmetic
@@ -75,13 +75,8 @@ int main() {
   const std::vector<double> a = random_doubles(rows * kmax, 11);
   const std::vector<double> b = random_doubles(rows * kmax, 12);
   std::vector<double> out(rows * kmax, 0.0);
-  std::vector<double> dots(kmax, 0.0);
   const std::vector<double> inv_x = random_doubles(rows, 13);
   const std::vector<double> y_diag = random_doubles(rows, 14);
-  std::vector<Vertex> perm(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    perm[i] = static_cast<Vertex>((i * 7919) % rows);  // 7919 coprime to rows
-  }
 
   TextTable table("E19 kernel dispatch — ns/row, " + std::to_string(rows) +
                   " rows, serial kernels");
@@ -117,45 +112,25 @@ int main() {
 
   for (const std::size_t k : widths) {
     // Per-width scalar reference ns/row, filled at the kScalar iteration.
-    double axpy_ns = 0, dots_ns = 0, gather_ns = 0, scatter_ns = 0;
     double jac_ns = 0, fwd_ns = 0, bwd_ns = 0;
     for (const SimdLevel lvl : levels) {
       const KernelTable& kt = kernels::table_for(lvl);
-      const double r = bench_one("axpy_cols", lvl, k, axpy_ns, rows, [&] {
-        kt.axpy_cols(0.37, a.data(), out.data(), 0, rows, rows, k, nullptr);
-      });
-      if (lvl == SimdLevel::kScalar) axpy_ns = r;
-      const double r2 = bench_one("chunk_dots", lvl, k, dots_ns, rows, [&] {
-        kt.chunk_dots(a.data(), b.data(), 0, rows, rows, k, dots.data());
-      });
-      if (lvl == SimdLevel::kScalar) dots_ns = r2;
-      const double r3 = bench_one("gather_rows", lvl, k, gather_ns, rows, [&] {
-        kt.gather_rows(a.data(), rows, perm.data(), 0, rows, rows, k,
-                       out.data());
-      });
-      if (lvl == SimdLevel::kScalar) gather_ns = r3;
-      const double r4 =
-          bench_one("scatter_rows", lvl, k, scatter_ns, rows, [&] {
-            kt.scatter_rows(a.data(), rows, perm.data(), 0, rows, rows, k,
-                            out.data());
-          });
-      if (lvl == SimdLevel::kScalar) scatter_ns = r4;
-      const double r5 = bench_one("csr_jacobi", lvl, k, jac_ns, rows, [&] {
+      const double r1 = bench_one("csr_jacobi", lvl, k, jac_ns, rows, [&] {
         kt.csr_jacobi(0, rows, k, csr.off.data(), csr.nbr.data(),
                       csr.w.data(), inv_x.data(), y_diag.data(), a.data(),
                       b.data(), out.data());
       });
-      if (lvl == SimdLevel::kScalar) jac_ns = r5;
-      const double r6 = bench_one("csr_fwd", lvl, k, fwd_ns, rows, [&] {
+      if (lvl == SimdLevel::kScalar) jac_ns = r1;
+      const double r2 = bench_one("csr_fwd", lvl, k, fwd_ns, rows, [&] {
         kt.csr_fwd(0, rows, k, csr.off.data(), csr.nbr.data(), csr.w.data(),
                    csr.idx.data(), b.data(), out.data());
       });
-      if (lvl == SimdLevel::kScalar) fwd_ns = r6;
-      const double r7 = bench_one("csr_bwd", lvl, k, bwd_ns, rows, [&] {
+      if (lvl == SimdLevel::kScalar) fwd_ns = r2;
+      const double r3 = bench_one("csr_bwd", lvl, k, bwd_ns, rows, [&] {
         kt.csr_bwd(0, rows, k, csr.off.data(), csr.nbr.data(), csr.w.data(),
                    b.data(), out.data());
       });
-      if (lvl == SimdLevel::kScalar) bwd_ns = r7;
+      if (lvl == SimdLevel::kScalar) bwd_ns = r3;
     }
   }
 

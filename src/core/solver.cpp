@@ -217,12 +217,12 @@ void LaplacianSolver::apply_preconditioner_impl(const Panel& r, Panel& y,
     const ComponentSolver& cs = comps_[c];
     Panel& bl = scratch.pb_local;
     Panel& xl = scratch.px_local;
-    panel_gather_rows(r, cs.vertices, bl);
+    panel_gather(r, cs.vertices, bl);
     panel_project_out_ones(bl);
     cs.rounds.front()->chain.apply(bl, xl,
                                    scratch.component_ws(c, comps_.size()));
     panel_project_out_ones(xl);
-    panel_scatter_rows(xl, cs.vertices, y);
+    panel_scatter(xl, cs.vertices, y);
   }
 }
 
@@ -244,7 +244,7 @@ std::vector<SolveStats> LaplacianSolver::solve_panel_impl(
   for (std::size_t c = 0; c < comps_.size(); ++c) {
     const ComponentSolver& cs = comps_[c];
     Panel& bl = scratch.pb_local;
-    panel_gather_rows(b, cs.vertices, bl);
+    panel_gather(b, cs.vertices, bl);
     // Least-squares convention: drop the kernel component of b.
     panel_project_out_ones(bl);
     Panel& xl = scratch.px_local;
@@ -334,7 +334,7 @@ std::vector<SolveStats> LaplacianSolver::solve_panel_impl(
       active = std::move(still);
     }
     panel_project_out_ones(xl);
-    panel_scatter_rows(xl, cs.vertices, x);
+    panel_scatter(xl, cs.vertices, x);
   }
   for (SolveStats& s : total) {
     s.apply_seconds = apply_seconds / static_cast<double>(k);

@@ -56,21 +56,11 @@ std::vector<Weight> Multigraph::weighted_degrees() const {
 }
 
 Weight Multigraph::total_weight() const {
-  // Serial-order partial sums (see vector_ops deterministic_sum): chunked
-  // for parallelism but bit-identical at any thread count.
-  const EdgeId m = num_edges();
-  constexpr EdgeId kChunk = 1 << 14;
-  const EdgeId chunks = (m + kChunk - 1) / kChunk;
-  std::vector<Weight> partial(static_cast<std::size_t>(chunks), 0.0);
-  parallel_for(EdgeId{0}, chunks, [&](EdgeId c) {
-    const EdgeId lo = c * kChunk;
-    const EdgeId hi = std::min(m, lo + kChunk);
-    Weight s = 0.0;
-    for (EdgeId e = lo; e < hi; ++e) s += edge_weight(e);
-    partial[static_cast<std::size_t>(c)] = s;
-  });
   Weight total = 0.0;
-  for (const Weight p : partial) total += p;
+  deterministic_sums(static_cast<std::size_t>(num_edges()), {&total, 1},
+                     [&](std::size_t e, std::size_t) {
+                       return edge_weight(static_cast<EdgeId>(e));
+                     });
   return total;
 }
 

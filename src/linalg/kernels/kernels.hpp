@@ -1,24 +1,22 @@
-// Runtime-dispatched SIMD kernel layer for the apply hot loop.
+// Runtime-dispatched SIMD kernel layer for the chain apply's hot loop.
 //
-// Every serving solve funnels through a handful of flat loops: the
-// column-major Panel kernels (axpy, per-column reductions, indexed
-// gather/scatter) and the interleaved sub-CSR sweeps of
-// ApplyChain::apply_cols (Jacobi iterations, the L_CF / L_FC block
-// applies). This layer packages each of those as a
-// function pointer in a KernelTable, with three implementations —
+// Each solve iteration is dominated by ApplyCholesky: the interleaved
+// sub-CSR sweeps of ApplyChain::apply_cols (Jacobi iterations, the
+// L_CF / L_FC block applies). This layer packages those three sweeps as
+// function pointers in a KernelTable, with three implementations —
 // scalar, AVX2, AVX-512 — selected ONCE per process by CPUID (or forced
 // via the PARLAP_SIMD env var / the --simd flag on parlap_cli and
-// parlap_serve).
+// parlap_serve). The outer loop's O(n) vector work (Panel updates,
+// reductions, gathers) runs as plain loops in linalg/panel.cpp.
 //
 // Bit-identity contract ("lane = column"): SIMD variants vectorize ONLY
-// across independent columns (or across independent output rows, for
-// pure copies). A lane always carries one column's arithmetic in exactly
-// the scalar order, every translation unit is compiled with
-// -ffp-contract=off, and no FMA intrinsics are used — so every dispatch
-// level produces bit-identical outputs to the scalar reference, and the
-// k=1 / PR-5 panel bit-identity contract survives dispatch unchanged.
-// tests/linalg/kernel_dispatch_test.cpp enforces exact equality;
-// docs/PERFORMANCE.md documents the design rule.
+// across independent columns. A lane always carries one column's
+// arithmetic in exactly the scalar order, every translation unit is
+// compiled with -ffp-contract=off, and no FMA intrinsics are used — so
+// every dispatch level produces bit-identical outputs to the scalar
+// reference, and a panel column keeps the bits of a width-1 solve at
+// every level. tests/linalg/kernel_dispatch_test.cpp enforces exact
+// equality; docs/PERFORMANCE.md documents the design rule.
 //
 // Precision: the table is templated over the STORED value type T.
 // KernelTableT<double> is the default fp64 path; KernelTableT<float> is
@@ -33,9 +31,8 @@
 // never bit-compared against fp64 ones.
 //
 // Kernels are SERIAL over a row range [lo, hi): callers own the
-// parallelization (for_row_blocks below), so OpenMP structure — and with
-// it the deterministic chunking of reductions — is identical at every
-// dispatch level.
+// parallelization (for_row_blocks below), so OpenMP structure is
+// identical at every dispatch level.
 #pragma once
 
 #include <cstddef>
@@ -77,40 +74,14 @@ SimdLevel set_simd_level(SimdLevel level) noexcept;
 
 /// One ISA tier's kernel set, templated over the stored value type T
 /// (double = fp64 storage, float = fp32 storage with native float
-/// arithmetic). All row/column counts are element counts; layouts:
-/// "col-major" kernels address element (i, c) at c*ld + i (Panel
-/// layout), "interleaved" kernels at i*k + c (the apply-chain workspace
-/// layout, so a row's k column values are contiguous). Scalar
-/// coefficients (axpy's a) and reduction outputs (chunk_dots' out) stay
-/// double in every instantiation's SIGNATURE — the fp32 tier narrows
-/// the coefficient once on entry and widens its accumulators once on
-/// the final store.
+/// arithmetic). Row/column counts are element counts; every kernel is
+/// "interleaved": element (i, c) lives at i*k + c (the apply-chain
+/// workspace layout, so a row's k column values are contiguous).
 template <typename T>
 struct KernelTableT {
   SimdLevel level = SimdLevel::kScalar;
   const char* name = "scalar";
 
-  // --- column-major Panel kernels -----------------------------------------
-  /// Rows [lo, hi): y(i, c) += a * x(i, c) for every column with
-  /// mask[c] != 0 (mask == nullptr: all k columns).
-  void (*axpy_cols)(double a, const T* x, T* y, std::size_t lo,
-                    std::size_t hi, std::size_t ld, std::size_t k,
-                    const unsigned char* mask);
-  /// One reduction chunk: out[c] = sum_{i in [lo, hi)} a(i, c) * b(i, c),
-  /// accumulated in row order per column (the deterministic-dot order).
-  void (*chunk_dots)(const T* a, const T* b, std::size_t lo,
-                     std::size_t hi, std::size_t ld, std::size_t k,
-                     double* out);
-  /// Rows [lo, hi) of the index list: dst(i, c) = src(rows[i], c).
-  void (*gather_rows)(const T* src, std::size_t src_ld,
-                      const Vertex* rows, std::size_t lo, std::size_t hi,
-                      std::size_t dst_ld, std::size_t k, T* dst);
-  /// Rows [lo, hi) of the index list: dst(rows[i], c) = src(i, c).
-  void (*scatter_rows)(const T* src, std::size_t src_ld,
-                       const Vertex* rows, std::size_t lo, std::size_t hi,
-                       std::size_t dst_ld, std::size_t k, T* dst);
-
-  // --- interleaved apply-chain kernels ------------------------------------
   /// One Jacobi iteration over rows [lo, hi) (absolute CSR offsets into
   /// nbr/w): tmp(i, :) = xb(i, :) - inv_x[i] * (y_diag[i] * cur(i, :)
   ///                                            - sum_p w[p] * cur(nbr[p], :)).
@@ -150,11 +121,6 @@ template <typename T = double>
 /// Whether `level`'s native table is compiled in AND supported by this
 /// CPU (table_for() returns the real table, not a fallback).
 [[nodiscard]] bool simd_level_available(SimdLevel level) noexcept;
-
-/// Reduction chunk length shared with vector_ops' deterministic dot:
-/// per-column chunk partials are accumulated serially and folded in
-/// chunk order, so panel reductions equal norm2/dot bit-for-bit.
-inline constexpr std::size_t kReductionChunk = std::size_t{1} << 14;
 
 /// Row-block width the drivers hand to the serial kernels; one OpenMP
 /// work item per block.

@@ -31,29 +31,9 @@ struct V4 {
   static reg set1(double x) { return _mm256_set1_pd(x); }
   static reg loadu(const double* p) { return _mm256_loadu_pd(p); }
   static void storeu(double* p, reg v) { _mm256_storeu_pd(p, v); }
-  /// Dumps the W double lanes (chunk_dots' reduction outputs stay fp64).
-  static void store_lanes(double* p, reg v) { _mm256_storeu_pd(p, v); }
   static reg add(reg a, reg b) { return _mm256_add_pd(a, b); }
   static reg sub(reg a, reg b) { return _mm256_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm256_mul_pd(a, b); }
-  /// Lane l = p[l * stride] (column-major lane-per-column loads).
-  static reg gather_cols(const double* p, std::size_t stride) {
-    return _mm256_set_pd(p[3 * stride], p[2 * stride], p[stride], p[0]);
-  }
-  /// Lane l = base[idx[l]] (int32 row indices).
-  static reg gather_idx(const double* base, const Vertex* idx) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    return _mm256_i32gather_pd(base, vi, 8);
-  }
-  /// base[idx[l]] = lane l; AVX2 has no scatter, so stores are scalar.
-  static void scatter_idx(double* base, const Vertex* idx, reg v) {
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, v);
-    for (int l = 0; l < 4; ++l) {
-      base[static_cast<std::size_t>(idx[l])] = lanes[l];
-    }
-  }
 };
 
 struct V8F {
@@ -72,33 +52,9 @@ struct V8F {
   }
   static reg loadu(const float* p) { return _mm256_loadu_ps(p); }
   static void storeu(float* p, reg v) { _mm256_storeu_ps(p, v); }
-  /// chunk_dots' reduction outputs stay fp64: widen the 8 float lanes
-  /// on the final store (exact conversion).
-  static void store_lanes(double* p, reg v) {
-    _mm256_storeu_pd(p, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-    _mm256_storeu_pd(p + 4, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-  }
   static reg add(reg a, reg b) { return _mm256_add_ps(a, b); }
   static reg sub(reg a, reg b) { return _mm256_sub_ps(a, b); }
   static reg mul(reg a, reg b) { return _mm256_mul_ps(a, b); }
-  static reg gather_cols(const float* p, std::size_t stride) {
-    return _mm256_set_ps(p[7 * stride], p[6 * stride], p[5 * stride],
-                         p[4 * stride], p[3 * stride], p[2 * stride],
-                         p[stride], p[0]);
-  }
-  static reg gather_idx(const float* base, const Vertex* idx) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return _mm256_i32gather_ps(base, vi, 4);
-  }
-  /// base[idx[l]] = lane l; AVX2 has no scatter, so stores are scalar.
-  static void scatter_idx(float* base, const Vertex* idx, reg v) {
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, v);
-    for (int l = 0; l < 8; ++l) {
-      base[static_cast<std::size_t>(idx[l])] = lanes[l];
-    }
-  }
 };
 
 /// The lane traits of storage type T.

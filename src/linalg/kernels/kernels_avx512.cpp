@@ -36,29 +36,9 @@ struct V8 {
   static reg set1(double x) { return _mm512_set1_pd(x); }
   static reg loadu(const double* p) { return _mm512_loadu_pd(p); }
   static void storeu(double* p, reg v) { _mm512_storeu_pd(p, v); }
-  /// Dumps the W double lanes (chunk_dots' reduction outputs stay fp64).
-  static void store_lanes(double* p, reg v) { _mm512_storeu_pd(p, v); }
   static reg add(reg a, reg b) { return _mm512_add_pd(a, b); }
   static reg sub(reg a, reg b) { return _mm512_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
-  /// Lane l = p[l * stride] (column-major lane-per-column loads).
-  static reg gather_cols(const double* p, std::size_t stride) {
-    return _mm512_set_pd(p[7 * stride], p[6 * stride], p[5 * stride],
-                         p[4 * stride], p[3 * stride], p[2 * stride],
-                         p[stride], p[0]);
-  }
-  /// Lane l = base[idx[l]] (int32 row indices).
-  static reg gather_idx(const double* base, const Vertex* idx) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return _mm512_i32gather_pd(vi, base, 8);
-  }
-  /// base[idx[l]] = lane l (hardware scatter; row lists are duplicate-free).
-  static void scatter_idx(double* base, const Vertex* idx, reg v) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    _mm512_i32scatter_pd(base, vi, v, 8);
-  }
 };
 
 struct V16F {
@@ -80,31 +60,9 @@ struct V16F {
   }
   static reg loadu(const float* p) { return _mm512_loadu_ps(p); }
   static void storeu(float* p, reg v) { _mm512_storeu_ps(p, v); }
-  /// chunk_dots' reduction outputs stay fp64: widen the 16 float lanes
-  /// on the final store (exact conversion).
-  static void store_lanes(double* p, reg v) {
-    _mm512_storeu_pd(p, _mm512_cvtps_pd(_mm512_castps512_ps256(v)));
-    _mm512_storeu_pd(p + 8, _mm512_cvtps_pd(_mm512_extractf32x8_ps(v, 1)));
-  }
   static reg add(reg a, reg b) { return _mm512_add_ps(a, b); }
   static reg sub(reg a, reg b) { return _mm512_sub_ps(a, b); }
   static reg mul(reg a, reg b) { return _mm512_mul_ps(a, b); }
-  static reg gather_cols(const float* p, std::size_t stride) {
-    return _mm512_set_ps(p[15 * stride], p[14 * stride], p[13 * stride],
-                         p[12 * stride], p[11 * stride], p[10 * stride],
-                         p[9 * stride], p[8 * stride], p[7 * stride],
-                         p[6 * stride], p[5 * stride], p[4 * stride],
-                         p[3 * stride], p[2 * stride], p[stride], p[0]);
-  }
-  static reg gather_idx(const float* base, const Vertex* idx) {
-    const __m512i vi = _mm512_loadu_si512(idx);
-    return _mm512_i32gather_ps(vi, base, 4);
-  }
-  /// base[idx[l]] = lane l (hardware scatter; row lists are duplicate-free).
-  static void scatter_idx(float* base, const Vertex* idx, reg v) {
-    const __m512i vi = _mm512_loadu_si512(idx);
-    _mm512_i32scatter_ps(base, vi, v, 4);
-  }
 };
 
 /// The lane traits of storage type T.

@@ -1,9 +1,9 @@
 // Scalar reference kernels: the arithmetic ground truth every SIMD tier
 // must match bit-for-bit. Per column, each loop is the exact operation
-// order of the pre-dispatch ApplyChain / Panel code (and of vector_ops'
-// chunked dot): CSR sweeps stream each row's entries once per
-// kColChunk-wide column group with per-column accumulators, and k == 1
-// keeps the single-register accumulator of the original hot path.
+// order of the pre-dispatch ApplyChain code: CSR sweeps stream each
+// row's entries once per kColChunk-wide column group with per-column
+// accumulators, and k == 1 keeps the single-register accumulator of the
+// original hot path.
 //
 // Templated over the stored value type T, and ACCUMULATION IS NATIVE T:
 // the fp64 instantiation computes in double (operation for operation the
@@ -11,12 +11,7 @@
 // fp32 arithmetic is what lets the vector tiers pack twice the lanes per
 // register — widen-on-load designs keep fp64 lane counts and measure at
 // ~1.0x; the accuracy cost is owned by the fp64 refinement loop above
-// the chain (docs/PERFORMANCE.md "Precision modes"). Two scalars cross
-// the type boundary: axpy's coefficient `a` arrives as double and is
-// narrowed ONCE to T before the loop, and chunk_dots' outputs widen
-// T -> double on the final store (exact) — both choices are mirrored by
-// the vector tiers, which is what keeps fp32-scalar the exact reference
-// for the fp32 SIMD tiers.
+// the chain (docs/PERFORMANCE.md "Precision modes").
 //
 // Compiled with the library's baseline flags — no -march, no contraction
 // surprises.
@@ -34,59 +29,6 @@ namespace {
 /// buffer while the row's entries stream once.
 constexpr std::size_t kColChunk = 8;
 }  // namespace
-
-template <typename T>
-void axpy_cols(double a, const T* x, T* y, std::size_t lo,
-               std::size_t hi, std::size_t ld, std::size_t k,
-               const unsigned char* mask) {
-  const T av = static_cast<T>(a);
-  for (std::size_t c = 0; c < k; ++c) {
-    if (mask != nullptr && mask[c] == 0) continue;
-    const T* xc = x + c * ld;
-    T* yc = y + c * ld;
-    for (std::size_t i = lo; i < hi; ++i) {
-      yc[i] = static_cast<T>(yc[i] + av * xc[i]);
-    }
-  }
-}
-
-template <typename T>
-void chunk_dots(const T* a, const T* b, std::size_t lo,
-                std::size_t hi, std::size_t ld, std::size_t k, double* out) {
-  for (std::size_t c = 0; c < k; ++c) {
-    const T* ac = a + c * ld;
-    const T* bc = b + c * ld;
-    T s{};
-    for (std::size_t i = lo; i < hi; ++i) {
-      s = static_cast<T>(s + ac[i] * bc[i]);
-    }
-    out[c] = static_cast<double>(s);
-  }
-}
-
-template <typename T>
-void gather_rows(const T* src, std::size_t src_ld, const Vertex* rows,
-                 std::size_t lo, std::size_t hi, std::size_t dst_ld,
-                 std::size_t k, T* dst) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    const auto r = static_cast<std::size_t>(rows[i]);
-    for (std::size_t c = 0; c < k; ++c) {
-      dst[c * dst_ld + i] = src[c * src_ld + r];
-    }
-  }
-}
-
-template <typename T>
-void scatter_rows(const T* src, std::size_t src_ld, const Vertex* rows,
-                  std::size_t lo, std::size_t hi, std::size_t dst_ld,
-                  std::size_t k, T* dst) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    const auto r = static_cast<std::size_t>(rows[i]);
-    for (std::size_t c = 0; c < k; ++c) {
-      dst[c * dst_ld + r] = src[c * src_ld + i];
-    }
-  }
-}
 
 template <typename T>
 void csr_jacobi(std::size_t lo, std::size_t hi, std::size_t k,
@@ -219,10 +161,6 @@ constexpr KernelTableT<T> make_scalar_table() {
   return KernelTableT<T>{
       SimdLevel::kScalar,
       "scalar",
-      &axpy_cols<T>,
-      &chunk_dots<T>,
-      &gather_rows<T>,
-      &scatter_rows<T>,
       &csr_jacobi<T>,
       &csr_fwd<T>,
       &csr_bwd<T>,

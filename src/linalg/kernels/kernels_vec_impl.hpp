@@ -1,7 +1,7 @@
-// Shared SIMD kernel bodies, templated over a vector trait V (one per
-// ISA tier and storage type). Included ONLY by the per-ISA translation
-// units, which are compiled with the matching -m flags plus
-// -ffp-contract=off.
+// Shared SIMD bodies of the chain apply's three sweeps, templated over a
+// vector trait V (one per ISA tier and storage type). Included ONLY by
+// the per-ISA translation units, which are compiled with the matching
+// -m flags plus -ffp-contract=off.
 //
 // A trait names its STORED element type (V::elem: double or float) and
 // its NATIVE vector register (V::reg): a double vector for fp64 traits,
@@ -11,46 +11,32 @@
 // halving, is where the fp32 apply speedup comes from on compute-bound
 // hosts (a widen-to-double design keeps fp64 lane counts and measures
 // at ~1.0x). The accuracy cost of float arithmetic is owned by the fp64
-// refinement loop above the chain.
-//
-// Two scalars cross the type boundary, mirrored exactly by the scalar
-// reference: set1() narrows its double argument once per call site
-// (weights arrive as widened elems, so their round trip is lossless;
-// axpy's genuine double coefficient rounds once, identically to the
-// scalar reference's single narrowing), and chunk_dots widens its elem
-// accumulators to the double* output on the final store (exact).
+// refinement loop above the chain. set1() takes a double and narrows it
+// once per call site; every broadcast value is a widened elem, so the
+// round trip is lossless.
 //
 // The bit-identity discipline, concretely:
-//   * Interleaved kernels (csr_*) put one COLUMN per vector
-//     lane: a lane performs its column's adds/subs/muls in exactly the
-//     scalar order, and mul/add/sub intrinsics are never fused (no FMA
-//     intrinsics; contraction disabled), so lane results equal the
-//     scalar kernel bit-for-bit — per storage type (fp32 lanes match
-//     the fp32 scalar reference, never the fp64 one).
-//   * Column-major elementwise kernels (axpy_cols, gather/scatter)
-//     vectorize along rows — each element's arithmetic is independent,
-//     so packing cannot reorder anything.
-//   * chunk_dots must accumulate each column in ROW order (the
-//     deterministic-dot contract), so it vectorizes across columns with
-//     strided lane loads; the row-major accumulation order per lane is
-//     untouched.
-//   * Remainder columns (k % W) and rows fall back to the scalar
-//     pattern (elem accumulator, same native arithmetic), which is the
-//     same operation sequence by construction.
-//   * Kernels that put one column per LANE (chunk_dots, csr_*) delegate
-//     k < W to the NEXT LOWER tier (V::lower(): avx512 -> avx2 ->
-//     scalar): a panel that fills no lanes here may
-//     exactly fill the half-width register one tier down — the fp32
-//     avx512 tier holds 16 float lanes, so the common width-8 panel
-//     lands on the avx2 tier's single __m256 pass instead of a
-//     per-column remainder loop. The chain bottoms out at the scalar
-//     reference, whose dedicated single-column register fast paths E19
-//     measured 15-50% faster than any vector tail at width 1. Same bits
-//     at every hop (all tiers match the scalar reference per storage
-//     type), so delegation is a pure scheduling choice.
+//   * Each sweep puts one COLUMN per vector lane: a lane performs its
+//     column's adds/subs/muls in exactly the scalar order, and
+//     mul/add/sub intrinsics are never fused (no FMA intrinsics;
+//     contraction disabled), so lane results equal the scalar kernel
+//     bit-for-bit — per storage type (fp32 lanes match the fp32 scalar
+//     reference, never the fp64 one).
+//   * Remainder columns (k % W) fall back to the scalar pattern (elem
+//     accumulator, same native arithmetic), which is the same operation
+//     sequence by construction.
+//   * k < W delegates to the NEXT LOWER tier (V::lower(): avx512 ->
+//     avx2 -> scalar): a panel that fills no lanes here may exactly fill
+//     the half-width register one tier down — the fp32 avx512 tier holds
+//     16 float lanes, so the common width-8 panel lands on the avx2
+//     tier's single __m256 pass instead of a per-column remainder loop.
+//     The chain bottoms out at the scalar reference, whose dedicated
+//     single-column register fast paths E19 measured 15-50% faster than
+//     any vector tail at width 1. Same bits at every hop (all tiers
+//     match the scalar reference per storage type), so delegation is a
+//     pure scheduling choice.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 
 #include "linalg/kernels/kernels.hpp"
@@ -63,84 +49,6 @@ struct VecKernels {
   using reg = typename V::reg;
   using elem = typename V::elem;
   static constexpr std::size_t W = V::W;
-
-  static void axpy_cols(double a, const elem* x, elem* y, std::size_t lo,
-                        std::size_t hi, std::size_t ld, std::size_t k,
-                        const unsigned char* mask) {
-    const reg av = V::set1(a);
-    const elem ae = static_cast<elem>(a);
-    for (std::size_t c = 0; c < k; ++c) {
-      if (mask != nullptr && mask[c] == 0) continue;
-      const elem* xc = x + c * ld;
-      elem* yc = y + c * ld;
-      std::size_t i = lo;
-      for (; i + W <= hi; i += W) {
-        V::storeu(yc + i, V::add(V::loadu(yc + i), V::mul(av, V::loadu(xc + i))));
-      }
-      for (; i < hi; ++i) {
-        yc[i] = static_cast<elem>(yc[i] + ae * xc[i]);
-      }
-    }
-  }
-
-  static void chunk_dots(const elem* a, const elem* b, std::size_t lo,
-                         std::size_t hi, std::size_t ld, std::size_t k,
-                         double* out) {
-    if (k < W) {
-      V::lower().chunk_dots(a, b, lo, hi, ld, k, out);
-      return;
-    }
-    std::size_t c0 = 0;
-    for (; c0 + W <= k; c0 += W) {
-      const elem* ac = a + c0 * ld;
-      const elem* bc = b + c0 * ld;
-      reg acc = V::zero();
-      for (std::size_t i = lo; i < hi; ++i) {
-        acc = V::add(acc, V::mul(V::gather_cols(ac + i, ld),
-                                 V::gather_cols(bc + i, ld)));
-      }
-      double lanes[W];
-      V::store_lanes(lanes, acc);
-      for (std::size_t l = 0; l < W; ++l) out[c0 + l] = lanes[l];
-    }
-    for (; c0 < k; ++c0) {
-      const elem* ac = a + c0 * ld;
-      const elem* bc = b + c0 * ld;
-      elem s{};
-      for (std::size_t i = lo; i < hi; ++i) {
-        s = static_cast<elem>(s + ac[i] * bc[i]);
-      }
-      out[c0] = static_cast<double>(s);
-    }
-  }
-
-  static void gather_rows(const elem* src, std::size_t src_ld,
-                          const Vertex* rows, std::size_t lo, std::size_t hi,
-                          std::size_t dst_ld, std::size_t k, elem* dst) {
-    for (std::size_t c = 0; c < k; ++c) {
-      const elem* sc = src + c * src_ld;
-      elem* dc = dst + c * dst_ld;
-      std::size_t i = lo;
-      for (; i + W <= hi; i += W) {
-        V::storeu(dc + i, V::gather_idx(sc, rows + i));
-      }
-      for (; i < hi; ++i) dc[i] = sc[static_cast<std::size_t>(rows[i])];
-    }
-  }
-
-  static void scatter_rows(const elem* src, std::size_t src_ld,
-                           const Vertex* rows, std::size_t lo, std::size_t hi,
-                           std::size_t dst_ld, std::size_t k, elem* dst) {
-    for (std::size_t c = 0; c < k; ++c) {
-      const elem* sc = src + c * src_ld;
-      elem* dc = dst + c * dst_ld;
-      std::size_t i = lo;
-      for (; i + W <= hi; i += W) {
-        V::scatter_idx(dc, rows + i, V::loadu(sc + i));
-      }
-      for (; i < hi; ++i) dc[static_cast<std::size_t>(rows[i])] = sc[i];
-    }
-  }
 
   static void csr_jacobi(std::size_t lo, std::size_t hi, std::size_t k,
                          const EdgeId* off, const Vertex* nbr, const elem* w,
@@ -261,10 +169,6 @@ constexpr KernelTableT<typename V::elem> make_table(SimdLevel level,
   return KernelTableT<typename V::elem>{
       level,
       name,
-      &VecKernels<V>::axpy_cols,
-      &VecKernels<V>::chunk_dots,
-      &VecKernels<V>::gather_rows,
-      &VecKernels<V>::scatter_rows,
       &VecKernels<V>::csr_jacobi,
       &VecKernels<V>::csr_fwd,
       &VecKernels<V>::csr_bwd,

@@ -70,18 +70,18 @@ double LaplacianOperator::quadratic_form(std::span<const double> x) const {
   // negative by rounding near the kernel.
   const Vertex n = dimension();
   PARLAP_CHECK(x.size() == static_cast<std::size_t>(n));
-  return 0.5 * deterministic_sum(n, [&](std::int64_t ui) {
-           const auto u = static_cast<Vertex>(ui);
-           const auto nbrs = csr_.neighbors(u);
-           const auto ws = csr_.weights(u);
-           double acc = 0.0;
-           for (std::size_t k = 0; k < nbrs.size(); ++k) {
-             const double d = x[static_cast<std::size_t>(u)] -
-                              x[static_cast<std::size_t>(nbrs[k])];
-             acc += ws[k] * d * d;
-           }
-           return acc;
-         });
+  double s = 0.0;
+  deterministic_sums(x.size(), {&s, 1}, [&](std::size_t u, std::size_t) {
+    const auto nbrs = csr_.neighbors(static_cast<Vertex>(u));
+    const auto ws = csr_.weights(static_cast<Vertex>(u));
+    double acc = 0.0;
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const double d = x[u] - x[static_cast<std::size_t>(nbrs[k])];
+      acc += ws[k] * d * d;
+    }
+    return acc;
+  });
+  return 0.5 * s;
 }
 
 double LaplacianOperator::laplacian_norm(std::span<const double> x) const {

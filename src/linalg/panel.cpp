@@ -10,73 +10,6 @@
 
 namespace parlap {
 
-namespace {
-
-/// Per-column deterministic dots with the exact chunked_sum structure of
-/// vector_ops (kReductionChunk rows per chunk, chunk partials folded in
-/// chunk order, serial below one chunk), so panel_col_dots equals
-/// dot(col, col) bit-for-bit at every dispatch level. Within a chunk the
-/// dispatched kernel accumulates each column in row order (lane =
-/// column).
-void col_dots_chunked(const double* a, const double* b, std::size_t n,
-                      std::size_t k, double* out) {
-  const kernels::KernelTable& kt = kernels::active();
-  constexpr std::size_t kChunk = kernels::kReductionChunk;
-  if (n < kChunk) {
-    kt.chunk_dots(a, b, 0, n, n, k, out);
-    return;
-  }
-  const std::size_t chunks = (n + kChunk - 1) / kChunk;
-  std::vector<double> partial(chunks * k);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
-    const std::size_t lo = static_cast<std::size_t>(c) * kChunk;
-    const std::size_t hi = std::min(n, lo + kChunk);
-    kt.chunk_dots(a, b, lo, hi, n, k,
-                  partial.data() + static_cast<std::size_t>(c) * k);
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    double total = 0.0;
-    for (std::size_t ch = 0; ch < chunks; ++ch) total += partial[ch * k + c];
-    out[c] = total;
-  }
-}
-
-/// out[c] = sum of column c with sum()'s chunk structure (serial below
-/// one chunk, chunk partials folded in chunk order), so each column's
-/// sum equals sum(p.col(c)) bit for bit; one pass serves every column.
-void col_sums_chunked(const double* d, std::size_t n, std::size_t k,
-                      double* out) {
-  constexpr std::size_t kChunk = kernels::kReductionChunk;
-  const auto chunk_sums = [&](std::size_t lo, std::size_t hi, double* part) {
-    for (std::size_t c = 0; c < k; ++c) {
-      const double* col = d + c * n;
-      double s = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) s += col[i];
-      part[c] = s;
-    }
-  };
-  if (n < kChunk) {
-    chunk_sums(0, n, out);
-    return;
-  }
-  const std::size_t chunks = (n + kChunk - 1) / kChunk;
-  std::vector<double> partial(chunks * k);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
-    const std::size_t lo = static_cast<std::size_t>(c) * kChunk;
-    chunk_sums(lo, std::min(n, lo + kChunk),
-               partial.data() + static_cast<std::size_t>(c) * k);
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    double total = 0.0;
-    for (std::size_t ch = 0; ch < chunks; ++ch) total += partial[ch * k + c];
-    out[c] = total;
-  }
-}
-
-}  // namespace
-
 void panel_from_vectors(std::span<const Vector> bs, Panel& dst) {
   PARLAP_CHECK(!bs.empty());
   const std::size_t n = bs.front().size();
@@ -114,50 +47,67 @@ void panel_axpy(double a, const Panel& x, Panel& y,
   const std::size_t k = x.cols();
   const double* xd = x.data();
   double* yd = y.data();
-  const kernels::KernelTable& kt = kernels::active();
-  const unsigned char* m = mask.empty() ? nullptr : mask.data();
-  kernels::for_row_blocks(n, [&](std::size_t lo, std::size_t hi) {
-    kt.axpy_cols(a, xd, yd, lo, hi, n, k, m);
+  kernels::for_row_blocks(n, [&, a](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = 0; c < k; ++c) {
+      if (!mask.empty() && mask[c] == 0) continue;
+      const double* xc = xd + c * n;
+      double* yc = yd + c * n;
+      for (std::size_t i = lo; i < hi; ++i) yc[i] += a * xc[i];
+    }
   });
 }
 
 void panel_col_norms(const Panel& p, std::span<double> out) {
-  PARLAP_CHECK(out.size() == p.cols());
-  col_dots_chunked(p.data(), p.data(), p.rows(), p.cols(), out.data());
-  for (std::size_t c = 0; c < p.cols(); ++c) out[c] = std::sqrt(out[c]);
+  panel_col_dots(p, p, out);
+  for (double& v : out) v = std::sqrt(v);
 }
 
 void panel_col_dots(const Panel& a, const Panel& b, std::span<double> out) {
   PARLAP_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
   PARLAP_CHECK(out.size() == a.cols());
-  col_dots_chunked(a.data(), b.data(), a.rows(), a.cols(), out.data());
+  const std::size_t n = a.rows();
+  const double* ad = a.data();
+  const double* bd = b.data();
+  deterministic_sums(n, out, [&](std::size_t i, std::size_t c) {
+    return ad[c * n + i] * bd[c * n + i];
+  });
 }
 
-void panel_gather_rows(const Panel& src, std::span<const Vertex> rows,
-                       Panel& dst) {
+void panel_gather(const Panel& src, std::span<const Vertex> rows,
+                  Panel& dst) {
   dst.resize(rows.size(), src.cols());
   const std::size_t n = src.rows();
   const std::size_t m = rows.size();
   const std::size_t k = src.cols();
   const double* sd = src.data();
   double* dd = dst.data();
-  const kernels::KernelTable& kt = kernels::active();
   kernels::for_row_blocks(m, [&](std::size_t lo, std::size_t hi) {
-    kt.gather_rows(sd, n, rows.data(), lo, hi, m, k, dd);
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* sc = sd + c * n;
+      double* dc = dd + c * m;
+      for (std::size_t i = lo; i < hi; ++i) {
+        dc[i] = sc[static_cast<std::size_t>(rows[i])];
+      }
+    }
   });
 }
 
-void panel_scatter_rows(const Panel& src, std::span<const Vertex> rows,
-                        Panel& dst) {
+void panel_scatter(const Panel& src, std::span<const Vertex> rows,
+                   Panel& dst) {
   PARLAP_CHECK(src.rows() == rows.size() && src.cols() == dst.cols());
   const std::size_t n = dst.rows();
   const std::size_t m = rows.size();
   const std::size_t k = src.cols();
   const double* sd = src.data();
   double* dd = dst.data();
-  const kernels::KernelTable& kt = kernels::active();
   kernels::for_row_blocks(m, [&](std::size_t lo, std::size_t hi) {
-    kt.scatter_rows(sd, m, rows.data(), lo, hi, n, k, dd);
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* sc = sd + c * m;
+      double* dc = dd + c * n;
+      for (std::size_t i = lo; i < hi; ++i) {
+        dc[static_cast<std::size_t>(rows[i])] = sc[i];
+      }
+    }
   });
 }
 
@@ -165,10 +115,11 @@ void panel_project_out_ones(Panel& p) {
   const std::size_t n = p.rows();
   const std::size_t k = p.cols();
   if (n == 0) return;
-  std::vector<double> mean(k);
-  col_sums_chunked(p.data(), n, k, mean.data());
-  for (double& m : mean) m /= static_cast<double>(n);
   double* d = p.data();
+  std::vector<double> mean(k);
+  deterministic_sums(
+      n, mean, [&](std::size_t i, std::size_t c) { return d[c * n + i]; });
+  for (double& m : mean) m /= static_cast<double>(n);
   kernels::for_row_blocks(n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t c = 0; c < k; ++c) {
       double* col = d + c * n;

@@ -9,10 +9,11 @@
 // makes panel results bit-identical, column for column, to a sequential
 // loop of single-RHS solves at any block width and thread count.
 //
-// The kernels below are "blocked" in the row-major traversal sense: one
-// parallel pass over rows with a short inner loop over columns. Each
-// column's arithmetic is independent and ordered exactly as the scalar
-// kernel orders it, so blocking changes memory traffic, never bits.
+// The loops below are plain: one parallel pass over row blocks, columns
+// outer and rows inner within a block, and the reductions run through
+// deterministic_sums with one term per (row, column). Each column's
+// arithmetic is ordered exactly as the single-vector op orders it, so a
+// panel column equals dot / norm2 / axpy on that column by construction.
 #pragma once
 
 #include <cstddef>
@@ -82,20 +83,18 @@ void panel_assign(Panel& dst, const Panel& src);
 void panel_axpy(double a, const Panel& x, Panel& y,
                 std::span<const unsigned char> mask = {});
 
-/// out[c] = ||p.col(c)||_2, via the deterministic chunked norm2 — per
-/// column bit-identical to norm2 on a standalone vector.
+/// out[c] = ||p.col(c)||_2 — per column bit-identical to norm2 on a
+/// standalone vector.
 void panel_col_norms(const Panel& p, std::span<double> out);
 
-/// out[c] = <a.col(c), b.col(c)> (deterministic per column).
+/// out[c] = <a.col(c), b.col(c)> — per column bit-identical to dot.
 void panel_col_dots(const Panel& a, const Panel& b, std::span<double> out);
 
 /// dst(i, c) = src(rows[i], c): one indexed gather serving k columns.
-void panel_gather_rows(const Panel& src, std::span<const Vertex> rows,
-                       Panel& dst);
+void panel_gather(const Panel& src, std::span<const Vertex> rows, Panel& dst);
 
 /// dst(rows[i], c) = src(i, c): the inverse scatter.
-void panel_scatter_rows(const Panel& src, std::span<const Vertex> rows,
-                        Panel& dst);
+void panel_scatter(const Panel& src, std::span<const Vertex> rows, Panel& dst);
 
 /// Kernel projection per column: col -= mean(col), in one pass over the
 /// panel. Bit-identical to project_out_ones on each column.

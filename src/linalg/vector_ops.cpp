@@ -8,47 +8,21 @@
 
 namespace parlap {
 
-namespace {
-
-/// Deterministic parallel reduction over [0, n): fixed chunks, partials
-/// folded in chunk order.
-template <typename Map>
-double chunked_sum(std::int64_t n, Map&& map) {
-  constexpr std::int64_t kChunk = 1 << 14;
-  if (n < kChunk) {
-    double s = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) s += map(i);
-    return s;
-  }
-  const std::int64_t chunks = (n + kChunk - 1) / kChunk;
-  std::vector<double> partial(static_cast<std::size_t>(chunks));
-#pragma omp parallel for schedule(static)
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    const std::int64_t lo = c * kChunk;
-    const std::int64_t hi = std::min(n, lo + kChunk);
-    double s = 0.0;
-    for (std::int64_t i = lo; i < hi; ++i) s += map(i);
-    partial[static_cast<std::size_t>(c)] = s;
-  }
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total;
-}
-
-}  // namespace
-
 double dot(std::span<const double> x, std::span<const double> y) {
   PARLAP_CHECK(x.size() == y.size());
-  return chunked_sum(static_cast<std::int64_t>(x.size()), [&](std::int64_t i) {
-    return x[static_cast<std::size_t>(i)] * y[static_cast<std::size_t>(i)];
-  });
+  double s = 0.0;
+  deterministic_sums(x.size(), {&s, 1},
+                     [&](std::size_t i, std::size_t) { return x[i] * y[i]; });
+  return s;
 }
 
 double norm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
 
 double sum(std::span<const double> x) {
-  return chunked_sum(static_cast<std::int64_t>(x.size()),
-                     [&](std::int64_t i) { return x[static_cast<std::size_t>(i)]; });
+  double s = 0.0;
+  deterministic_sums(x.size(), {&s, 1},
+                     [&](std::size_t i, std::size_t) { return x[i]; });
+  return s;
 }
 
 void axpy(double a, std::span<const double> x, std::span<double> y) {
@@ -95,15 +69,11 @@ void project_out_ones_per_component(std::span<double> x,
 
 double max_abs_diff(std::span<const double> x, std::span<const double> y) {
   PARLAP_CHECK(x.size() == y.size());
-  return parallel_reduce(
-      std::size_t{0}, x.size(), 0.0,
-      [&](std::size_t i) { return std::abs(x[i] - y[i]); },
-      [](double a, double b) { return std::max(a, b); });
-}
-
-double deterministic_sum(std::int64_t n,
-                         const std::function<double(std::int64_t)>& map) {
-  return chunked_sum(n, [&](std::int64_t i) { return map(i); });
+  double m = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    m = std::max(m, std::abs(x[i] - y[i]));
+  }
+  return m;
 }
 
 }  // namespace parlap

@@ -1,11 +1,10 @@
 // Parallel dense vector kernels.
 //
-// Reductions use fixed-chunk per-thread partials folded in thread order, so
-// results are bit-identical across runs at a given thread count and
-// numerically stable across thread counts.
+// Reductions run through deterministic_sums (parallel/for_each.hpp):
+// fixed-size chunks folded in chunk order, so results are bit-identical
+// at every thread count.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -39,12 +38,5 @@ void project_out_ones_per_component(std::span<double> x,
 /// max_i |x_i - y_i|
 [[nodiscard]] double max_abs_diff(std::span<const double> x,
                                   std::span<const double> y);
-
-/// Deterministic parallel sum of map(i) over [0, n): fixed-size chunks
-/// accumulated independently and folded in chunk order, so the result is
-/// bit-identical for every thread count. Use this (never an ad-hoc OpenMP
-/// reduction) whenever a float sum can influence control flow.
-double deterministic_sum(std::int64_t n,
-                         const std::function<double(std::int64_t)>& map);
 
 }  // namespace parlap

@@ -19,7 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
+#include <vector>
 
 #include <omp.h>
 
@@ -30,7 +30,7 @@ namespace detail {
 inline thread_local int serial_scope_depth = 0;
 }  // namespace detail
 
-/// RAII guard that forces the parallel_for / parallel_reduce /
+/// RAII guard that forces the parallel_for / deterministic_sums /
 /// exclusive_scan primitives on the *current thread* to run serially for
 /// its lifetime. Used by worker pools whose threads each execute an
 /// already-parallel workload side by side.
@@ -101,38 +101,47 @@ void parallel_for(Index begin, Index end, Fn&& fn,
   for (std::int64_t i = lo; i < hi; ++i) fn(static_cast<Index>(i));
 }
 
-/// Map-reduce over [begin, end): accumulates `map(i)` into per-thread
-/// accumulators with `combine`, then folds them into `init`.
-template <typename T, typename Index, typename Map, typename Combine>
-[[nodiscard]] T parallel_reduce(Index begin, Index end, T init, Map&& map,
-                                Combine&& combine) {
-  const auto lo = static_cast<std::int64_t>(begin);
-  const auto hi = static_cast<std::int64_t>(end);
-  T result = std::move(init);
-  if (hi - lo < 2048 || !parallelism_allowed()) {
-    for (std::int64_t i = lo; i < hi; ++i)
-      result = combine(std::move(result), map(static_cast<Index>(i)));
-    return result;
-  }
-#pragma omp parallel
-  {
-    T local{};
-    bool has_local = false;
-#pragma omp for schedule(static) nowait
-    for (std::int64_t i = lo; i < hi; ++i) {
-      if (!has_local) {
-        local = map(static_cast<Index>(i));
-        has_local = true;
-      } else {
-        local = combine(std::move(local), map(static_cast<Index>(i)));
-      }
+/// Rows per chunk of deterministic_sums. Fixed, so neither the chunk
+/// partials nor their fold order depend on the thread count.
+inline constexpr std::size_t kReductionChunk = std::size_t{1} << 14;
+
+/// Deterministic per-column sums: out[c] = sum of term(i, c) over rows
+/// i in [0, n), for every c < out.size(). Each column sums in row order
+/// within fixed kReductionChunk-row chunks, and the chunk partials fold
+/// in chunk order, so the bits are the same at every thread count and
+/// column c of a k-column call equals a one-column call on that column.
+/// Below one chunk the sum is serial; above, the chunks fork when
+/// parallelism_allowed(). Use this, never an ad-hoc OpenMP reduction,
+/// whenever a float sum can influence control flow.
+template <typename Term>
+void deterministic_sums(std::size_t n, std::span<double> out, Term&& term) {
+  const std::size_t k = out.size();
+  const auto chunk_sums = [&](std::size_t lo, std::size_t hi, double* part) {
+    for (std::size_t c = 0; c < k; ++c) {
+      double s = 0.0;
+      for (std::size_t i = lo; i < hi; ++i) s += term(i, c);
+      part[c] = s;
     }
-#pragma omp critical(parlap_reduce)
-    {
-      if (has_local) result = combine(std::move(result), std::move(local));
-    }
+  };
+  if (n < kReductionChunk) {
+    chunk_sums(0, n, out.data());
+    return;
   }
-  return result;
+  const std::size_t chunks = (n + kReductionChunk - 1) / kReductionChunk;
+  std::vector<double> partial(chunks * k);
+  parallel_for(
+      std::size_t{0}, chunks,
+      [&](std::size_t ch) {
+        const std::size_t lo = ch * kReductionChunk;
+        chunk_sums(lo, std::min(n, lo + kReductionChunk),
+                   partial.data() + ch * k);
+      },
+      /*grain=*/2);
+  for (std::size_t c = 0; c < k; ++c) {
+    double total = 0.0;
+    for (std::size_t ch = 0; ch < chunks; ++ch) total += partial[ch * k + c];
+    out[c] = total;
+  }
 }
 
 }  // namespace parlap

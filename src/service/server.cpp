@@ -856,9 +856,8 @@ std::string SolveServer::stats_response() {
            kernels::simd_level_name(kernels::detected_simd_level()));
   w.member("simd_active", kernels::simd_level_name(kernels::active_simd_level()));
   // Default precision mode for requests without their own field ("auto"
-  // is echoed as spelled — it resolves per graph at solve time).
-  const std::string& precision = options_.engine.precision;
-  w.member("precision", precision.empty() ? "fp64" : precision);
+  // resolves per graph at solve time).
+  w.member("precision", precision_name(options_.engine.precision));
   w.end_object();
   // Rolling last-60s view next to the lifetime digests below, so a
   // dashboard can tell "slow now" from "slow once, long ago".

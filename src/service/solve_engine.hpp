@@ -106,13 +106,13 @@ struct EngineOptions {
   /// width; cache hit/miss counters count panels, not jobs.
   int block_width = 1;
   /// Default factorization storage precision for jobs that do not set
-  /// their own: "fp64", "fp32", or "auto" (empty = fp64). "auto" is
-  /// resolved per graph (resolve_precision) before the factorization
-  /// cache key is formed, so fp32 and fp64 factorizations of the same
-  /// graph never collide and an auto job shares the entry of the mode
-  /// it resolves to. fp64 results are bit-identical to a build without
-  /// the knob; fp32 meets each job's eps via fp64 refinement.
-  std::string precision{};
+  /// their own. kAuto is resolved per graph (resolve_precision) before
+  /// the factorization cache key is formed, so fp32 and fp64
+  /// factorizations of the same graph never collide and an auto job
+  /// shares the entry of the mode it resolves to. fp64 results are
+  /// bit-identical to a build without the knob; fp32 meets each job's
+  /// eps via fp64 refinement.
+  Precision precision = Precision::kFp64;
 };
 
 /// Telemetry of one solved panel (every task is recorded, width-1
@@ -268,8 +268,6 @@ class SolveEngine {
                                           std::span<JobResult> results);
 
   EngineOptions options_;
-  /// Parsed EngineOptions::precision (kFp64 when the string is empty).
-  Precision default_precision_ = Precision::kFp64;
   FactorizationCache cache_;
   std::mutex graphs_mutex_;
   std::uint64_t graphs_tick_ = 0;

@@ -2,8 +2,9 @@
 // panel path): solve_many / solve_panel results are bit-identical to a
 // sequential loop of solve() across block widths {1, 3, 8} and OpenMP
 // thread counts 1 vs 4, chain-level panel applies equal scalar applies
-// column for column, and a pooled ApplyWorkspace re-prepared across
-// block widths and storage precisions never reuses stale scratch.
+// column for column, a 16-wide panel keeps its bits at every SIMD
+// dispatch level, and a pooled ApplyWorkspace re-prepared across block
+// widths and storage precisions never reuses stale scratch.
 // Labeled core+parallel+panel so the TSan preset runs it.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "core/block_cholesky.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
+#include "linalg/kernels/kernels.hpp"
 #include "linalg/panel.hpp"
 #include "support/rng.hpp"
 
@@ -187,6 +189,48 @@ TEST(PanelSolve, SolveManyBitIdenticalToSequentialAcrossWidthsAndThreads) {
     }
   }
   omp_set_num_threads(saved);
+}
+
+TEST(PanelSolve, WidePanelKeepsScalarBitsAtEveryDispatchLevel) {
+  // 16 columns fill whole vector registers at every tier (AVX2: 4 fp64
+  // or 8 fp32 lanes, AVX-512: 8 or 16), so the chain sweeps run their
+  // vector lanes; a narrower panel would delegate to the scalar
+  // reference. set_simd_level is process-wide, so the active level is
+  // restored at the end.
+  const Multigraph g = make_grid2d(24, 24);
+  const std::size_t n = g.num_vertices();
+  const std::size_t k = 16;
+  Panel b(n, k);
+  for (std::size_t c = 0; c < k; ++c) {
+    const Vector bc = random_rhs_vec(n, 700 + c);
+    std::copy(bc.begin(), bc.end(), b.col(c).begin());
+  }
+  const kernels::SimdLevel saved = kernels::active_simd_level();
+  for (const Precision precision : {Precision::kFp64, Precision::kFp32}) {
+    SolverOptions opts;
+    opts.seed = 13;
+    opts.precision = precision;
+    const LaplacianSolver solver(g, opts);
+    kernels::set_simd_level(kernels::SimdLevel::kScalar);
+    Panel want;
+    const std::vector<SolveStats> want_stats =
+        solver.solve_panel(b, want, 1e-8);
+    for (const kernels::SimdLevel lvl :
+         {kernels::SimdLevel::kAvx2, kernels::SimdLevel::kAvx512}) {
+      if (!kernels::simd_level_available(lvl)) continue;
+      kernels::set_simd_level(lvl);
+      Panel got;
+      const std::vector<SolveStats> stats = solver.solve_panel(b, got, 1e-8);
+      for (std::size_t c = 0; c < k; ++c) {
+        EXPECT_TRUE(stats[c].converged);
+        EXPECT_EQ(stats[c].iterations, want_stats[c].iterations);
+        expect_bitwise(Vector(got.col(c).begin(), got.col(c).end()),
+                       Vector(want.col(c).begin(), want.col(c).end()),
+                       kernels::simd_level_name(lvl));
+      }
+    }
+  }
+  kernels::set_simd_level(saved);
 }
 
 TEST(PanelSolve, AnySolverPanelReportsMatchScalarPerRhs) {

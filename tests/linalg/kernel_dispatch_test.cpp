@@ -168,97 +168,6 @@ TEST(KernelDispatch, UnavailableLevelFallsBackToScalar) {
   }
 }
 
-TEST(KernelDispatch, AxpyColsMatchesScalarBitwise) {
-  const KernelTable& ref = table_for(SimdLevel::kScalar);
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTable& vec = table_for(lvl);
-    for (std::size_t k : kWidths) {
-      const std::size_t ld = kRows + 5;  // padded columns
-      const Misaligned x(random_doubles(ld * k, 101));
-      const std::vector<double> y0 = random_doubles(ld * k, 102);
-      std::vector<unsigned char> mask(k, 1);
-      if (k > 1) mask[k / 2] = 0;
-      for (const auto& [lo, hi] : kRanges) {
-        for (const unsigned char* m : {static_cast<const unsigned char*>(
-                                           nullptr),
-                                       static_cast<const unsigned char*>(
-                                           mask.data())}) {
-          std::vector<double> want = y0;
-          std::vector<double> got = y0;
-          ref.axpy_cols(0.37, x.data(), want.data(), lo, hi, ld, k, m);
-          vec.axpy_cols(0.37, x.data(), got.data(), lo, hi, ld, k, m);
-          expect_bits_equal(got, want, "axpy_cols", lvl, k, lo, hi);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelDispatch, ChunkDotsMatchesScalarBitwise) {
-  const KernelTable& ref = table_for(SimdLevel::kScalar);
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTable& vec = table_for(lvl);
-    for (std::size_t k : kWidths) {
-      const std::size_t ld = kRows + 3;
-      const Misaligned a(random_doubles(ld * k, 201));
-      const Misaligned b(random_doubles(ld * k, 202));
-      for (const auto& [lo, hi] : kRanges) {
-        std::vector<double> want(k, -1.0);
-        std::vector<double> got(k, -2.0);
-        ref.chunk_dots(a.data(), b.data(), lo, hi, ld, k, want.data());
-        vec.chunk_dots(a.data(), b.data(), lo, hi, ld, k, got.data());
-        expect_bits_equal(got, want, "chunk_dots", lvl, k, lo, hi);
-      }
-    }
-  }
-}
-
-TEST(KernelDispatch, GatherScatterRowsMatchScalarBitwise) {
-  const KernelTable& ref = table_for(SimdLevel::kScalar);
-  // Index list with duplicates (legal for gather) and an irregular
-  // permutation prefix; scatter uses the distinct prefix only.
-  std::vector<Vertex> rows;
-  Rng rng(7, RngTag::kTest, 29);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    rows.push_back(static_cast<Vertex>((i * 97 + 13) % kRows));
-  }
-  rows[5] = rows[4];  // duplicate source rows for gather
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTable& vec = table_for(lvl);
-    for (std::size_t k : kWidths) {
-      const std::size_t src_ld = kRows + 2;
-      const std::size_t dst_ld = kRows + 9;
-      const Misaligned src(random_doubles(src_ld * k, 301));
-      const std::vector<double> dst0 = random_doubles(dst_ld * k, 302);
-      for (const auto& [lo, hi] : kRanges) {
-        {
-          std::vector<double> want = dst0;
-          std::vector<double> got = dst0;
-          ref.gather_rows(src.data(), src_ld, rows.data(), lo, hi, dst_ld, k,
-                          want.data());
-          vec.gather_rows(src.data(), src_ld, rows.data(), lo, hi, dst_ld, k,
-                          got.data());
-          expect_bits_equal(got, want, "gather_rows", lvl, k, lo, hi);
-        }
-        {
-          // Distinct targets for scatter: (i * 97 + 13) mod kRows is a
-          // bijection (97 coprime to 259), except the duplicate we
-          // planted at 5 — restore it for the scatter run.
-          std::vector<Vertex> distinct = rows;
-          distinct[5] = static_cast<Vertex>((5 * 97 + 13) % kRows);
-          std::vector<double> want = dst0;
-          std::vector<double> got = dst0;
-          ref.scatter_rows(src.data(), src_ld, distinct.data(), lo, hi,
-                           dst_ld, k, want.data());
-          vec.scatter_rows(src.data(), src_ld, distinct.data(), lo, hi,
-                           dst_ld, k, got.data());
-          expect_bits_equal(got, want, "scatter_rows", lvl, k, lo, hi);
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelDispatch, CsrJacobiMatchesScalarBitwise) {
   const KernelTable& ref = table_for(SimdLevel::kScalar);
   const CsrFixture csr(kRows, kRows, 401);
@@ -341,13 +250,12 @@ TEST(KernelDispatch, CsrBwdMatchesScalarBitwise) {
 
 // ---------------------------------------------------------------------------
 // fp32 tier. The same "lane = column" contract holds per storage type:
-// the float tables accumulate in double registers and narrow once on
-// store, so fp32-scalar and fp32-vector must agree to the bit — even on
-// inputs that stress the float range (denormals that double arithmetic
-// keeps exact, and magnitudes whose double sum overflows the float
-// range so the narrow yields ±inf in every tier alike). Comparisons go
-// through the bit pattern, not operator==, so a NaN produced by both
-// tiers still counts as agreement.
+// every float table does the same native float operations in the same
+// order, so fp32-scalar and fp32-vector must agree to the bit — even on
+// inputs that stress the float range (denormals, and magnitudes whose
+// sums overflow to ±inf in every tier alike). Comparisons go through
+// the bit pattern, not operator==, so a NaN produced by both tiers
+// still counts as agreement.
 // ---------------------------------------------------------------------------
 
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
@@ -409,102 +317,6 @@ TEST(KernelDispatchF32, TableFollowsActiveLevel) {
     }
   }
   EXPECT_EQ(&active<double>(), &active());
-}
-
-TEST(KernelDispatchF32, AxpyColsMatchesScalarBitwise) {
-  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableT<float>& vec = table_for<float>(lvl);
-    for (std::size_t k : kWidths) {
-      const std::size_t ld = kRows + 5;
-      std::vector<float> xv = random_floats(ld * k, 111);
-      inject_specials(xv);
-      const MisalignedF x(std::move(xv));
-      std::vector<float> y0 = random_floats(ld * k, 112);
-      inject_specials(y0);
-      std::vector<unsigned char> mask(k, 1);
-      if (k > 1) mask[k / 2] = 0;
-      for (const auto& [lo, hi] : kRanges) {
-        for (const unsigned char* m : {static_cast<const unsigned char*>(
-                                           nullptr),
-                                       static_cast<const unsigned char*>(
-                                           mask.data())}) {
-          std::vector<float> want = y0;
-          std::vector<float> got = y0;
-          ref.axpy_cols(0.37, x.data(), want.data(), lo, hi, ld, k, m);
-          vec.axpy_cols(0.37, x.data(), got.data(), lo, hi, ld, k, m);
-          expect_bits_equal_f32(got, want, "axpy_cols", lvl, k, lo, hi);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelDispatchF32, ChunkDotsMatchesScalarBitwise) {
-  // Dots reduce fp32 storage into DOUBLE outputs — the accumulator
-  // never narrows, so the result vectors compare as doubles.
-  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableT<float>& vec = table_for<float>(lvl);
-    for (std::size_t k : kWidths) {
-      const std::size_t ld = kRows + 3;
-      std::vector<float> av = random_floats(ld * k, 211);
-      std::vector<float> bv = random_floats(ld * k, 212);
-      inject_specials(av);
-      inject_specials(bv);
-      const MisalignedF a(std::move(av));
-      const MisalignedF b(std::move(bv));
-      for (const auto& [lo, hi] : kRanges) {
-        std::vector<double> want(k, -1.0);
-        std::vector<double> got(k, -2.0);
-        ref.chunk_dots(a.data(), b.data(), lo, hi, ld, k, want.data());
-        vec.chunk_dots(a.data(), b.data(), lo, hi, ld, k, got.data());
-        expect_bits_equal(got, want, "chunk_dots(f32)", lvl, k, lo, hi);
-      }
-    }
-  }
-}
-
-TEST(KernelDispatchF32, GatherScatterRowsMatchScalarBitwise) {
-  const KernelTableT<float>& ref = table_for<float>(SimdLevel::kScalar);
-  std::vector<Vertex> rows;
-  for (std::size_t i = 0; i < kRows; ++i) {
-    rows.push_back(static_cast<Vertex>((i * 97 + 13) % kRows));
-  }
-  rows[5] = rows[4];  // duplicate source rows for gather
-  for (SimdLevel lvl : available_vector_levels()) {
-    const KernelTableT<float>& vec = table_for<float>(lvl);
-    for (std::size_t k : kWidths) {
-      const std::size_t src_ld = kRows + 2;
-      const std::size_t dst_ld = kRows + 9;
-      std::vector<float> srcv = random_floats(src_ld * k, 311);
-      inject_specials(srcv);
-      const MisalignedF src(std::move(srcv));
-      const std::vector<float> dst0 = random_floats(dst_ld * k, 312);
-      for (const auto& [lo, hi] : kRanges) {
-        {
-          std::vector<float> want = dst0;
-          std::vector<float> got = dst0;
-          ref.gather_rows(src.data(), src_ld, rows.data(), lo, hi, dst_ld, k,
-                          want.data());
-          vec.gather_rows(src.data(), src_ld, rows.data(), lo, hi, dst_ld, k,
-                          got.data());
-          expect_bits_equal_f32(got, want, "gather_rows", lvl, k, lo, hi);
-        }
-        {
-          std::vector<Vertex> distinct = rows;
-          distinct[5] = static_cast<Vertex>((5 * 97 + 13) % kRows);
-          std::vector<float> want = dst0;
-          std::vector<float> got = dst0;
-          ref.scatter_rows(src.data(), src_ld, distinct.data(), lo, hi,
-                           dst_ld, k, want.data());
-          vec.scatter_rows(src.data(), src_ld, distinct.data(), lo, hi,
-                           dst_ld, k, got.data());
-          expect_bits_equal_f32(got, want, "scatter_rows", lvl, k, lo, hi);
-        }
-      }
-    }
-  }
 }
 
 TEST(KernelDispatchF32, CsrJacobiMatchesScalarBitwise) {

@@ -1,12 +1,16 @@
-// Panel kernel contracts (linalg/panel.hpp): column-major layout,
-// per-column bit-equality of the blocked kernels with their scalar
-// counterparts, and gather/scatter round trips.
+// Panel contracts (linalg/panel.hpp): column-major layout, per-column
+// bit-equality of the panel loops with their single-vector counterparts
+// at every thread count, and gather/scatter round trips.
 #include "linalg/panel.hpp"
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <omp.h>
 
+#include <numeric>
+#include <optional>
+
+#include "parallel/for_each.hpp"
 #include "support/rng.hpp"
 
 namespace parlap {
@@ -67,23 +71,50 @@ TEST(Panel, AxpyMatchesScalarPerColumnAndHonorsMask) {
 }
 
 TEST(Panel, ColNormsAndDotsMatchScalar) {
-  const Panel a = random_panel(5000, 3, 3);
-  const Panel b = random_panel(5000, 3, 4);
-  std::vector<double> norms(3);
-  std::vector<double> dots(3);
-  panel_col_norms(a, norms);
-  panel_col_dots(a, b, dots);
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_EQ(norms[c], norm2(a.col(c)));  // bit-exact, same kernel
-    EXPECT_EQ(dots[c], dot(a.col(c), b.col(c)));
+  // 777 rows: one reduction chunk. 40000 rows: three chunks, which fork
+  // at 4 threads. The references are taken at 1 thread, so the panel
+  // reductions must also keep their bits across thread counts and under
+  // a SerialScope.
+  const int saved = omp_get_max_threads();
+  for (const std::size_t rows : {std::size_t{777}, std::size_t{40000}}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                                std::size_t{17}}) {
+      const Panel a = random_panel(rows, k, 3);
+      const Panel b = random_panel(rows, k, 4);
+      omp_set_num_threads(1);
+      std::vector<double> want_norms;
+      std::vector<double> want_dots;
+      for (std::size_t c = 0; c < k; ++c) {
+        want_norms.push_back(norm2(a.col(c)));
+        want_dots.push_back(dot(a.col(c), b.col(c)));
+      }
+      for (const bool serial_scope : {false, true}) {
+        for (const int threads : {1, 4}) {
+          omp_set_num_threads(threads);
+          std::optional<SerialScope> scope;
+          if (serial_scope) scope.emplace();
+          std::vector<double> norms(k);
+          std::vector<double> dots(k);
+          panel_col_norms(a, norms);
+          panel_col_dots(a, b, dots);
+          EXPECT_EQ(norms, want_norms) << "rows " << rows << " width " << k
+                                       << " threads " << threads
+                                       << " scope " << serial_scope;
+          EXPECT_EQ(dots, want_dots) << "rows " << rows << " width " << k
+                                     << " threads " << threads << " scope "
+                                     << serial_scope;
+        }
+      }
+    }
   }
+  omp_set_num_threads(saved);
 }
 
 TEST(Panel, GatherScatterRoundTrip) {
   const Panel src = random_panel(50, 3, 5);
   std::vector<Vertex> rows = {7, 0, 49, 13, 13};
   Panel picked;
-  panel_gather_rows(src, rows, picked);
+  panel_gather(src, rows, picked);
   ASSERT_EQ(picked.rows(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     for (std::size_t c = 0; c < 3; ++c) {
@@ -96,9 +127,9 @@ TEST(Panel, GatherScatterRoundTrip) {
   std::iota(distinct.begin(), distinct.end(), Vertex{0});
   std::swap(distinct[3], distinct[41]);
   Panel all;
-  panel_gather_rows(src, distinct, all);
+  panel_gather(src, distinct, all);
   Panel back(50, 3);
-  panel_scatter_rows(all, distinct, back);
+  panel_scatter(all, distinct, back);
   for (std::size_t i = 0; i < 50; ++i) {
     for (std::size_t c = 0; c < 3; ++c) {
       EXPECT_EQ(back.at(i, c), src.at(i, c));

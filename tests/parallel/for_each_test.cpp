@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -31,26 +32,30 @@ TEST(ParallelFor, EmptyRange) {
   EXPECT_FALSE(ran);
 }
 
-TEST(ParallelReduce, SumLarge) {
-  constexpr std::int64_t kN = 1 << 20;
-  const std::int64_t total = parallel_reduce(
-      std::int64_t{0}, kN, std::int64_t{0},
-      [](std::int64_t i) { return i; },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  EXPECT_EQ(total, kN * (kN - 1) / 2);
-}
-
-TEST(ParallelReduce, MaxSmall) {
-  const int result = parallel_reduce(
-      0, 100, -1, [](int i) { return (i * 37) % 101; },
-      [](int a, int b) { return a > b ? a : b; });
-  EXPECT_EQ(result, 100);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  const int result = parallel_reduce(
-      0, 0, 42, [](int) { return 0; }, [](int a, int b) { return a + b; });
-  EXPECT_EQ(result, 42);
+TEST(DeterministicSums, FoldsRowOrderChunksInChunkOrder) {
+  // Three columns over five full chunks and a short sixth: each column
+  // is summed in row order per kReductionChunk rows, and the partials
+  // fold in chunk order from 0.0. On these terms a reversed fold changes
+  // every column's bits.
+  constexpr std::size_t kN = 5 * kReductionChunk + 777;
+  const auto term = [](std::size_t i, std::size_t c) {
+    return static_cast<double>((i * 2654435761u + c * 97) % 1000003) /
+               1000003.0 -
+           0.5;
+  };
+  std::vector<double> got(3);
+  deterministic_sums(kN, got, term);
+  for (std::size_t c = 0; c < 3; ++c) {
+    double want = 0.0;
+    for (std::size_t lo = 0; lo < kN; lo += kReductionChunk) {
+      double part = 0.0;
+      for (std::size_t i = lo; i < std::min(kN, lo + kReductionChunk); ++i) {
+        part += term(i, c);
+      }
+      want += part;
+    }
+    EXPECT_EQ(got[c], want) << "column " << c;
+  }
 }
 
 TEST(ThreadCount, Positive) { EXPECT_GE(thread_count(), 1); }
@@ -92,26 +97,30 @@ TEST(SerialScope, NestedOmpRegionFallsBackToSerial) {
       if (i != expected_next) ++bad;
       ++expected_next;
     });
-    const std::int64_t total = parallel_reduce(
-        std::int64_t{0}, std::int64_t{1} << 14, std::int64_t{0},
-        [](std::int64_t i) { return i; },
-        [](std::int64_t a, std::int64_t b) { return a + b; });
-    if (total != (std::int64_t{1} << 14) * ((std::int64_t{1} << 14) - 1) / 2) {
-      ++bad;
-    }
+    // Two reduction chunks: the sum would fork if it were allowed to.
+    constexpr std::size_t kRows = 2 * kReductionChunk;
+    std::size_t next_row = 0;
+    double total = 0.0;
+    deterministic_sums(kRows, {&total, 1}, [&](std::size_t i, std::size_t) {
+      if (i != next_row) ++bad;
+      ++next_row;
+      return static_cast<double>(i);
+    });
+    if (total != static_cast<double>(kRows * (kRows - 1) / 2)) ++bad;
   }
   EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(SerialScope, ReduceUnderScopeMatchesParallel) {
-  constexpr std::int64_t kN = 1 << 20;
+  constexpr std::size_t kN = std::size_t{1} << 20;
   const auto run = [] {
-    return parallel_reduce(
-        std::int64_t{0}, kN, std::int64_t{0},
-        [](std::int64_t i) { return i % 7; },
-        [](std::int64_t a, std::int64_t b) { return a + b; });
+    std::vector<double> out(3);
+    deterministic_sums(kN, out, [](std::size_t i, std::size_t c) {
+      return 0.1 * static_cast<double>((i + c) % 7);
+    });
+    return out;
   };
-  const std::int64_t open = run();
+  const std::vector<double> open = run();
   SerialScope guard;
   EXPECT_EQ(run(), open);
 }

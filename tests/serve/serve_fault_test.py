@@ -2,17 +2,19 @@
 
 argv: <parlap_serve binary>
 
-Hostile-client behaviors the daemon must absorb without crashing,
-hanging, or leaking admission-queue slots: malformed JSON, schema
-violations, oversized lines, truncated lines followed by disconnects,
-disconnects with work still queued, and silent clients against an idle
-timeout. After every abuse the daemon must still answer a well-formed
+Malformed command lines exit 2 before the daemon starts. Hostile-client
+behaviors the daemon must absorb without crashing, hanging, or leaking
+admission-queue slots: malformed JSON, schema violations, oversized
+lines, truncated lines followed by disconnects, disconnects with work
+still queued, and silent clients against an idle timeout. After every abuse the daemon must still answer a well-formed
 request, and its queue accounting must return to zero. CI also runs
 this suite against the asan build.
 """
 
 import os
+import subprocess
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -162,9 +164,32 @@ def test_idle_timeout(c, binary):
                 "idle_reaped counter incremented")
 
 
+def test_usage_errors(c, binary):
+    """Malformed command lines exit 2 before the daemon binds anything."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sock = os.path.join(tmp, "s.sock")
+        cases = (
+            (["--socket", sock, "--bogus"], "unknown flag"),
+            (["--socket", sock, "--workers"], "flag missing its value"),
+            (["--socket", sock, "--workers", "two"], "non-integer --workers"),
+            (["--socket", sock, "--event-log", "--metrics"],
+             "a flag taken as --event-log's value"),
+        )
+        for args, what in cases:
+            try:
+                p = subprocess.run([binary] + args, capture_output=True,
+                                   text=True, timeout=30)
+                rc = p.returncode
+            except subprocess.TimeoutExpired:
+                rc = "timeout (the daemon started)"
+            c.check(rc == 2, "%s exits 2 (rc=%s)" % (what, rc))
+            c.check(not os.path.exists(sock), "%s binds no socket" % what)
+
+
 def main():
     binary = sys.argv[1]
     c = Checker()
+    test_usage_errors(c, binary)
     test_malformed(c, binary)
     test_oversized_line(c, binary)
     test_truncated_then_disconnect(c, binary)

@@ -78,6 +78,10 @@ def test_exit_codes(c, top_bin):
             % usage.returncode)
     usage = run_top([top_bin, "--socket", "/tmp/x", "--bogus"])
     c.check(usage.returncode == 2, "unknown flag is a usage error")
+    usage = run_top([top_bin, "--socket", "--plain", "--count", "1"])
+    c.check(usage.returncode == 2,
+            "a flag is not taken as --socket's value (rc=%s)"
+            % usage.returncode)
     dead = run_top([top_bin, "--socket", "/tmp/definitely_not_a_daemon.sock",
                     "--count", "1"])
     c.check(dead.returncode == 3,

@@ -18,13 +18,11 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -35,6 +33,7 @@
 #include "core/build_stats.hpp"
 #include "api/rhs.hpp"
 #include "api/solver_registry.hpp"
+#include "args.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/csr.hpp"
 #include "graph/io.hpp"
@@ -57,80 +56,8 @@ constexpr int kExitNotConverged = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitInput = 3;
 
-/// Thrown for malformed command lines; main() prints usage and exits 2.
-class UsageError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-// ---------------------------------------------------------------------------
-// Argument parsing
-// ---------------------------------------------------------------------------
-
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  /// Consumes `flag` if present (no value). Returns whether it was there.
-  bool take_flag(const std::string& flag) {
-    const auto it = std::find(args_.begin(), args_.end(), flag);
-    if (it == args_.end()) return false;
-    args_.erase(it);
-    return true;
-  }
-
-  /// Consumes `flag VALUE` if present; returns the value.
-  std::optional<std::string> take_value(const std::string& flag) {
-    const auto it = std::find(args_.begin(), args_.end(), flag);
-    if (it == args_.end()) return std::nullopt;
-    const auto val = std::next(it);
-    if (val == args_.end() || (val->size() > 1 && (*val)[0] == '-' &&
-                               !std::isdigit(static_cast<unsigned char>((*val)[1])))) {
-      throw UsageError("option " + flag + " needs a value");
-    }
-    std::string out = *val;
-    args_.erase(it, std::next(val));
-    return out;
-  }
-
-  double take_double(const std::string& flag, double fallback) {
-    const auto v = take_value(flag);
-    if (!v) return fallback;
-    try {
-      std::size_t used = 0;
-      const double d = std::stod(*v, &used);
-      if (used != v->size()) throw std::invalid_argument(*v);
-      return d;
-    } catch (const std::exception&) {
-      throw UsageError("option " + flag + ": '" + *v + "' is not a number");
-    }
-  }
-
-  std::int64_t take_int(const std::string& flag, std::int64_t fallback) {
-    const auto v = take_value(flag);
-    if (!v) return fallback;
-    try {
-      std::size_t used = 0;
-      const std::int64_t i = std::stoll(*v, &used);
-      if (used != v->size()) throw std::invalid_argument(*v);
-      return i;
-    } catch (const std::exception&) {
-      throw UsageError("option " + flag + ": '" + *v + "' is not an integer");
-    }
-  }
-
-  /// All options must have been consumed by now.
-  void expect_empty() const {
-    if (!args_.empty()) {
-      throw UsageError("unrecognized option '" + args_.front() + "'");
-    }
-  }
-
- private:
-  std::vector<std::string> args_;
-};
+using tools::Args;
+using tools::UsageError;
 
 // ---------------------------------------------------------------------------
 // Shared input handling (solve / info)
@@ -572,10 +499,12 @@ int cmd_batch(Args& args) {
   const auto workers = args.take_int("--workers", 1);
   const auto cache_budget = args.take_int("--cache-budget", 0);
   const auto block_width = args.take_int("--block-width", 1);
-  const std::string precision = args.take_value("--precision").value_or("");
-  if (!precision.empty() && !parse_precision(precision).has_value()) {
-    throw UsageError("--precision wants fp64|fp32|auto, got '" + precision +
-                     "'");
+  const std::string precision_arg =
+      args.take_value("--precision").value_or("fp64");
+  const auto precision = parse_precision(precision_arg);
+  if (!precision.has_value()) {
+    throw UsageError("--precision wants fp64|fp32|auto, got '" +
+                     precision_arg + "'");
   }
   const bool keep_solutions = args.take_flag("--solutions");
   const std::string json_path = args.take_value("--json").value_or("");
@@ -605,7 +534,7 @@ int cmd_batch(Args& args) {
   engine_options.cache_budget_entries = static_cast<EdgeId>(cache_budget);
   engine_options.keep_solutions = keep_solutions;
   engine_options.block_width = static_cast<int>(block_width);
-  engine_options.precision = precision;
+  engine_options.precision = *precision;
   service::SolveEngine engine(engine_options);
 
   std::cerr << "parlap_cli: batch " << jobs_path << ": " << jobs.size()
@@ -661,7 +590,7 @@ int cmd_batch(Args& args) {
     w.member("block_width", block_width);
     // The engine-default precision mode; per-job precision (post-auto
     // resolution) rides in each job entry below.
-    w.member("precision", precision.empty() ? "fp64" : precision);
+    w.member("precision", precision_name(*precision));
     w.key("cache");
     w.begin_object();
     w.member("budget_entries", cache_budget);

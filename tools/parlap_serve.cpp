@@ -10,15 +10,14 @@
 // Exit codes: 0 clean drain, 2 usage error, 3 startup/runtime failure.
 #include <csignal>
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
+#include "args.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -28,6 +27,8 @@
 namespace {
 
 using namespace parlap;
+using tools::Args;
+using tools::UsageError;
 
 constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
@@ -88,134 +89,70 @@ extern "C" void handle_stop_signal(int) {
   if (g_server != nullptr) g_server->request_drain();
 }
 
-std::int64_t parse_int_flag(std::vector<std::string>& args,
-                            const std::string& flag, std::int64_t fallback) {
-  const auto it = std::find(args.begin(), args.end(), flag);
-  if (it == args.end()) return fallback;
-  const auto val = std::next(it);
-  if (val == args.end()) {
-    throw std::invalid_argument("option " + flag + " needs a value");
-  }
-  std::int64_t out = 0;
-  try {
-    std::size_t used = 0;
-    out = std::stoll(*val, &used);
-    if (used != val->size()) throw std::invalid_argument(*val);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option " + flag + ": '" + *val +
-                                "' is not an integer");
-  }
-  args.erase(it, std::next(val));
-  return out;
-}
-
-std::string parse_string_flag(std::vector<std::string>& args,
-                              const std::string& flag) {
-  const auto it = std::find(args.begin(), args.end(), flag);
-  if (it == args.end()) return "";
-  const auto val = std::next(it);
-  if (val == args.end()) {
-    throw std::invalid_argument("option " + flag + " needs a value");
-  }
-  std::string out = *val;
-  args.erase(it, std::next(val));
-  return out;
-}
-
-double parse_double_flag(std::vector<std::string>& args,
-                         const std::string& flag, double fallback) {
-  const auto it = std::find(args.begin(), args.end(), flag);
-  if (it == args.end()) return fallback;
-  const auto val = std::next(it);
-  if (val == args.end()) {
-    throw std::invalid_argument("option " + flag + " needs a value");
-  }
-  double out = 0.0;
-  try {
-    std::size_t used = 0;
-    out = std::stod(*val, &used);
-    if (used != val->size()) throw std::invalid_argument(*val);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option " + flag + ": '" + *val +
-                                "' is not a number");
-  }
-  args.erase(it, std::next(val));
-  return out;
-}
-
-bool parse_bool_flag(std::vector<std::string>& args, const std::string& flag) {
-  const auto it = std::find(args.begin(), args.end(), flag);
-  if (it == args.end()) return false;
-  args.erase(it);
-  return true;
-}
-
 int run(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (parse_bool_flag(args, "--help") || parse_bool_flag(args, "-h")) {
+  Args args(argc, argv, 1);
+  if (args.take_flag("--help") || args.take_flag("-h")) {
     std::cout << kUsage;
     return kExitOk;
   }
 
   service::ServerOptions opt;
   service::EngineOptions& engine = opt.engine;
-  opt.socket_path = parse_string_flag(args, "--socket");
-  opt.tcp_port = static_cast<int>(parse_int_flag(args, "--tcp", -1));
-  engine.workers = static_cast<int>(parse_int_flag(args, "--workers", 1));
-  opt.max_queue_depth = static_cast<std::size_t>(
-      parse_int_flag(args, "--queue-limit", 256));
-  opt.max_queued_bytes = static_cast<std::size_t>(parse_int_flag(
-      args, "--max-queued-bytes",
-      static_cast<std::int64_t>(opt.max_queued_bytes)));
-  opt.max_line_bytes = static_cast<std::size_t>(parse_int_flag(
-      args, "--max-line-bytes",
-      static_cast<std::int64_t>(opt.max_line_bytes)));
-  opt.idle_timeout_ms =
-      static_cast<int>(parse_int_flag(args, "--idle-timeout-ms", 0));
-  opt.retry_after_ms =
-      static_cast<int>(parse_int_flag(args, "--retry-after-ms", 100));
+  opt.socket_path = args.take_value("--socket").value_or("");
+  opt.tcp_port = static_cast<int>(args.take_int("--tcp", -1));
+  engine.workers = static_cast<int>(args.take_int("--workers", 1));
+  opt.max_queue_depth =
+      static_cast<std::size_t>(args.take_int("--queue-limit", 256));
+  opt.max_queued_bytes = static_cast<std::size_t>(args.take_int(
+      "--max-queued-bytes", static_cast<std::int64_t>(opt.max_queued_bytes)));
+  opt.max_line_bytes = static_cast<std::size_t>(args.take_int(
+      "--max-line-bytes", static_cast<std::int64_t>(opt.max_line_bytes)));
+  opt.idle_timeout_ms = static_cast<int>(args.take_int("--idle-timeout-ms", 0));
+  opt.retry_after_ms = static_cast<int>(args.take_int("--retry-after-ms", 100));
   engine.cache_budget_entries =
-      static_cast<EdgeId>(parse_int_flag(args, "--cache-budget", 0));
+      static_cast<EdgeId>(args.take_int("--cache-budget", 0));
   engine.graph_cache_limit =
-      static_cast<std::size_t>(parse_int_flag(args, "--graph-cache", 32));
-  opt.event_log_path = parse_string_flag(args, "--event-log");
-  opt.slow_ms = parse_double_flag(args, "--slow-ms", 0.0);
-  const std::string simd = parse_string_flag(args, "--simd");
-  engine.precision = parse_string_flag(args, "--precision");
-  opt.graph_root = parse_string_flag(args, "--graph-root");
-  const std::string trace_path = parse_string_flag(args, "--trace-out");
-  const std::string metrics_out = parse_string_flag(args, "--metrics-out");
-  const bool metrics = parse_bool_flag(args, "--metrics");
-  if (!args.empty()) {
-    throw std::invalid_argument("unrecognized option '" + args.front() + "'");
-  }
+      static_cast<std::size_t>(args.take_int("--graph-cache", 32));
+  opt.event_log_path = args.take_value("--event-log").value_or("");
+  opt.slow_ms = args.take_double("--slow-ms", 0.0);
+  const auto simd = args.take_value("--simd");
+  const std::string precision =
+      args.take_value("--precision").value_or("fp64");
+  opt.graph_root = args.take_value("--graph-root").value_or("");
+  const std::string trace_path = args.take_value("--trace-out").value_or("");
+  const std::string metrics_out =
+      args.take_value("--metrics-out").value_or("");
+  const bool metrics = args.take_flag("--metrics");
+  args.expect_empty();
   if (opt.socket_path.empty() && opt.tcp_port < 0) {
-    throw std::invalid_argument("--socket PATH or --tcp PORT is required");
+    throw UsageError("--socket PATH or --tcp PORT is required");
   }
   if (engine.workers < 1) {
-    throw std::invalid_argument("--workers must be >= 1");
+    throw UsageError("--workers must be >= 1");
   }
   if (opt.tcp_port > 65535) {
-    throw std::invalid_argument("--tcp port out of range");
+    throw UsageError("--tcp port out of range");
   }
   if (opt.idle_timeout_ms < 0 || opt.retry_after_ms < 0) {
-    throw std::invalid_argument("timeouts must be non-negative");
+    throw UsageError("timeouts must be non-negative");
   }
   if (opt.slow_ms < 0) {
-    throw std::invalid_argument("--slow-ms must be non-negative");
+    throw UsageError("--slow-ms must be non-negative");
   }
   std::optional<kernels::SimdLevel> level;
-  if (!simd.empty()) {
-    level = kernels::parse_simd_level(simd);
+  if (simd) {
+    level = kernels::parse_simd_level(*simd);
     if (!level) {
-      throw std::invalid_argument(
-          "--simd wants scalar|avx2|avx512|auto, got '" + simd + "'");
+      throw UsageError("--simd wants scalar|avx2|avx512|auto, got '" + *simd +
+                       "'");
     }
   }
-  if (!engine.precision.empty() && !parse_precision(engine.precision)) {
-    throw std::invalid_argument("--precision wants fp64|fp32|auto, got '" +
-                                engine.precision + "'");
+  const auto mode = parse_precision(precision);
+  if (!mode) {
+    throw UsageError("--precision wants fp64|fp32|auto, got '" + precision +
+                     "'");
   }
+  engine.precision = *mode;
 
   if (!trace_path.empty()) {
     obs::Tracer::instance().clear();
@@ -248,7 +185,7 @@ int run(int argc, char** argv) {
   }
   std::cerr << ", " << engine.workers << " worker(s), queue limit "
             << opt.max_queue_depth << ", precision "
-            << (engine.precision.empty() ? "fp64" : engine.precision) << "\n"
+            << precision_name(engine.precision) << "\n"
             << std::flush;
 
   server.serve();
@@ -292,7 +229,7 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
-  } catch (const std::invalid_argument& e) {
+  } catch (const UsageError& e) {
     std::cerr << "parlap_serve: " << e.what() << "\n\n" << kUsage;
     return kExitUsage;
   } catch (const std::exception& e) {

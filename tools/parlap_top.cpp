@@ -21,7 +21,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -29,13 +29,15 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "args.hpp"
 #include "service/json.hpp"
 
 namespace {
 
 using namespace parlap;
+using tools::Args;
+using tools::UsageError;
 
 constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
@@ -63,41 +65,6 @@ struct TopOptions {
   long count = 0;
   bool plain = false;
 };
-
-std::string parse_string_flag(std::vector<std::string>& args,
-                              const std::string& flag) {
-  const auto it = std::find(args.begin(), args.end(), flag);
-  if (it == args.end()) return "";
-  const auto val = std::next(it);
-  if (val == args.end()) {
-    throw std::invalid_argument("option " + flag + " needs a value");
-  }
-  std::string out = *val;
-  args.erase(it, std::next(val));
-  return out;
-}
-
-long parse_int_flag(std::vector<std::string>& args, const std::string& flag,
-                    long fallback) {
-  const std::string raw = parse_string_flag(args, flag);
-  if (raw.empty()) return fallback;
-  try {
-    std::size_t used = 0;
-    const long out = std::stol(raw, &used);
-    if (used != raw.size()) throw std::invalid_argument(raw);
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option " + flag + ": '" + raw +
-                                "' is not an integer");
-  }
-}
-
-bool parse_bool_flag(std::vector<std::string>& args, const std::string& flag) {
-  const auto it = std::find(args.begin(), args.end(), flag);
-  if (it == args.end()) return false;
-  args.erase(it);
-  return true;
-}
 
 /// Connects, sends one stats request, reads one response line. Throws
 /// on any failure — the caller decides whether that is fatal.
@@ -242,26 +209,23 @@ void render(const std::string& line, const TopOptions& opt) {
 }
 
 int run(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (parse_bool_flag(args, "--help") || parse_bool_flag(args, "-h")) {
+  Args args(argc, argv, 1);
+  if (args.take_flag("--help") || args.take_flag("-h")) {
     std::cout << kUsage;
     return kExitOk;
   }
   TopOptions opt;
-  opt.socket_path = parse_string_flag(args, "--socket");
-  opt.tcp_port = static_cast<int>(parse_int_flag(args, "--tcp", -1));
-  opt.interval_ms =
-      static_cast<int>(parse_int_flag(args, "--interval-ms", 1000));
-  opt.count = parse_int_flag(args, "--count", 0);
-  opt.plain = parse_bool_flag(args, "--plain");
-  if (!args.empty()) {
-    throw std::invalid_argument("unrecognized option '" + args.front() + "'");
-  }
+  opt.socket_path = args.take_value("--socket").value_or("");
+  opt.tcp_port = static_cast<int>(args.take_int("--tcp", -1));
+  opt.interval_ms = static_cast<int>(args.take_int("--interval-ms", 1000));
+  opt.count = static_cast<long>(args.take_int("--count", 0));
+  opt.plain = args.take_flag("--plain");
+  args.expect_empty();
   if (opt.socket_path.empty() && opt.tcp_port < 0) {
-    throw std::invalid_argument("--socket PATH or --tcp PORT is required");
+    throw UsageError("--socket PATH or --tcp PORT is required");
   }
   if (opt.interval_ms < 1) {
-    throw std::invalid_argument("--interval-ms must be >= 1");
+    throw UsageError("--interval-ms must be >= 1");
   }
 
   for (long poll = 0; opt.count == 0 || poll < opt.count; ++poll) {
@@ -285,7 +249,7 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
-  } catch (const std::invalid_argument& e) {
+  } catch (const UsageError& e) {
     std::cerr << "parlap_top: " << e.what() << "\n\n" << kUsage;
     return kExitUsage;
   } catch (const std::exception& e) {

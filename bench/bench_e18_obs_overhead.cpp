@@ -20,7 +20,6 @@
 #include "common.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/window.hpp"
 #include "service/solve_engine.hpp"
 #include "support/timer.hpp"
 
@@ -114,15 +113,6 @@ int main() {
     hist.record_ns(i & 0xffff);
   });
 
-  // Windowed record = clock read + slot tag check + plain record; the
-  // steady-state path (slot already claimed for the current epoch) is
-  // what the serve worker pays per solve for last-60s stats.
-  obs::WindowedHistogram whist;
-  const double whist_ns = ns_per_op(iters, [&](std::size_t i) {
-    sink = sink + i;
-    whist.record_ns(i & 0xffff);
-  });
-
   // Enabled spans at a fraction of the iterations (each one is two
   // clock reads plus a buffer append; the buffer overflows by design —
   // drops are part of the measured path).
@@ -145,8 +135,6 @@ int main() {
   micro.add_row({std::string("counter_add"), counter_ns,
                  counter_ns - empty_ns});
   micro.add_row({std::string("hist_record"), hist_ns, hist_ns - empty_ns});
-  micro.add_row({std::string("windowed_record"), whist_ns,
-                 whist_ns - empty_ns});
   micro.add_row({std::string("span_enabled"), enabled_ns,
                  enabled_ns - empty_ns});
   print_table(micro);
@@ -157,8 +145,6 @@ int main() {
                      {"span_disabled_net_ns", disabled_ns - empty_ns},
                      {"counter_add_ns", counter_ns},
                      {"hist_record_ns", hist_ns},
-                     {"windowed_record_ns", whist_ns},
-                     {"windowed_record_net_ns", whist_ns - empty_ns},
                      {"span_enabled_ns", enabled_ns}});
 
   // --- macro: engine throughput traced-off vs traced-on ---------------

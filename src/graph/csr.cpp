@@ -27,7 +27,6 @@ CsrGraph::CsrGraph(const Multigraph& g)
   offsets_.assign(nn + 1, 0);
   nbr_.resize(static_cast<std::size_t>(2 * m));
   wgt_.resize(static_cast<std::size_t>(2 * m));
-  eid_.resize(static_cast<std::size_t>(2 * m));
 
   const int chunks = scatter_chunks(n_);
   const EdgeId chunk_len = (m + chunks - 1) / std::max(chunks, 1);
@@ -79,11 +78,9 @@ CsrGraph::CsrGraph(const Multigraph& g)
       const auto pu = static_cast<std::size_t>(local[static_cast<std::size_t>(u)]++);
       nbr_[pu] = v;
       wgt_[pu] = w;
-      eid_[pu] = e;
       const auto pv = static_cast<std::size_t>(local[static_cast<std::size_t>(v)]++);
       nbr_[pv] = u;
       wgt_[pv] = w;
-      eid_[pv] = e;
     }
   }
 

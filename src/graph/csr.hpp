@@ -36,16 +36,12 @@ class CsrGraph {
     return offsets_[static_cast<std::size_t>(v)];
   }
 
-  /// Neighbors of v, aligned with weights(v) and edge_ids(v).
+  /// Neighbors of v, aligned with weights(v).
   [[nodiscard]] std::span<const Vertex> neighbors(Vertex v) const {
     return {nbr_.data() + offset(v), static_cast<std::size_t>(degree(v))};
   }
   [[nodiscard]] std::span<const Weight> weights(Vertex v) const {
     return {wgt_.data() + offset(v), static_cast<std::size_t>(degree(v))};
-  }
-  /// Multigraph edge id of each incidence (for walk bookkeeping).
-  [[nodiscard]] std::span<const EdgeId> edge_ids(Vertex v) const {
-    return {eid_.data() + offset(v), static_cast<std::size_t>(degree(v))};
   }
 
   /// Weighted degree w(v), computed once at construction (deterministic:
@@ -67,7 +63,6 @@ class CsrGraph {
   std::vector<EdgeId> offsets_;  // size n+1
   std::vector<Vertex> nbr_;      // size 2m
   std::vector<Weight> wgt_;      // size 2m
-  std::vector<EdgeId> eid_;      // size 2m
   std::vector<Weight> wdeg_;     // size n
 };
 

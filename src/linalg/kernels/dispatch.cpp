@@ -19,13 +19,9 @@ SimdLevel detect() noexcept {
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(_M_X64))
   __builtin_cpu_init();
-  // The AVX-512 tier uses f (foundation) plus vl/dq/bw, the
-  // Skylake-X-and-later server baseline the kernels are compiled
-  // against; require all four, matching avx512_table()'s build flags.
-  if (avx512_table() != nullptr && __builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512bw")) {
+  // The AVX-512 tier is built with -mavx512f alone, so the foundation
+  // bit is all it needs.
+  if (avx512_table() != nullptr && __builtin_cpu_supports("avx512f")) {
     return SimdLevel::kAvx512;
   }
   if (avx2_table() != nullptr && __builtin_cpu_supports("avx2")) {

@@ -1,6 +1,6 @@
-// AVX-512 tier. Compiled with -mavx512f -mavx512vl -mavx512dq
-// -mavx512bw -ffp-contract=off on x86-64; elsewhere the tables are
-// absent and dispatch tops out at AVX2 or scalar.
+// AVX-512 tier. Compiled with -mavx512f -ffp-contract=off on x86-64 (it
+// uses only AVX-512F intrinsics); elsewhere the tables are absent and
+// dispatch tops out at AVX2 or scalar.
 //
 // Two traits share the kernel bodies: V8 (fp64 storage, 8 double lanes
 // in __m512d) and V16F (fp32 storage, 16 NATIVE float lanes in __m512 —

@@ -96,8 +96,6 @@ const char* kind_string(MetricSample::Kind kind) {
   switch (kind) {
     case MetricSample::Kind::kCounter:
       return "counter";
-    case MetricSample::Kind::kRealCounter:
-      return "real_counter";
     case MetricSample::Kind::kGauge:
       return "gauge";
     case MetricSample::Kind::kHistogram:
@@ -114,8 +112,7 @@ std::string render_prometheus(const std::vector<MetricSample>& samples) {
   for (const MetricSample& s : samples) {
     const std::string name = prometheus_name(s.name);
     switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-      case MetricSample::Kind::kRealCounter: {
+      case MetricSample::Kind::kCounter: {
         const std::string total = name + "_total";
         append_header(out, total, s.name, "counter");
         out += total;
@@ -171,15 +168,13 @@ std::string render_metrics_table(const std::vector<MetricSample>& samples) {
   table.set_header(
       {"metric", "kind", "value", "count", "p50_ms", "p95_ms", "p99_ms"}, 4);
   for (const MetricSample& s : samples) {
-    const char* kind = "counter";
-    if (s.kind == MetricSample::Kind::kRealCounter) kind = "sum";
-    if (s.kind == MetricSample::Kind::kGauge) kind = "gauge";
+    const std::string kind = kind_string(s.kind);
     if (s.kind == MetricSample::Kind::kHistogram) {
-      table.add_row({s.name, std::string("histogram"), s.value,
+      table.add_row({s.name, kind, s.value,
                      static_cast<std::int64_t>(s.count), s.p50 * 1e3,
                      s.p95 * 1e3, s.p99 * 1e3});
     } else {
-      table.add_row({s.name, std::string(kind), s.value, std::string(""),
+      table.add_row({s.name, kind, s.value, std::string(""),
                      std::string(""), std::string(""), std::string("")});
     }
   }

@@ -7,7 +7,7 @@
 // mechanical so it stays predictable:
 //
 //   dotted name "parlap.serve.solve_seconds" -> "parlap_serve_solve_seconds"
-//   Counter / RealCounter                    -> counter,   name + "_total"
+//   Counter                                  -> counter,   name + "_total"
 //   Gauge                                    -> gauge,     name as-is
 //   LatencyHistogram -> histogram: name_bucket{le="..."} over a fixed
 //     seconds ladder re-bucketed from the fine log buckets (cumulative,

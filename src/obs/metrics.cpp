@@ -4,29 +4,21 @@
 
 namespace parlap::obs {
 
-double LatencyHistogram::percentile_seconds(double q) const noexcept {
-  const std::uint64_t total = count();
+double LatencyHistogram::percentile_seconds(
+    std::span<const std::uint64_t> buckets, double q) noexcept {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : buckets) total += n;
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   // Nearest rank, 1-based; q == 0 degenerates to the first sample.
   std::uint64_t rank = static_cast<std::uint64_t>(
       q * static_cast<double>(total) + 0.9999999999);
   rank = std::clamp<std::uint64_t>(rank, 1, total);
+  // The buckets sum to total >= rank, so the walk stops inside them.
   std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += buckets_[b].load(std::memory_order_relaxed);
-    if (seen >= rank) {
-      return static_cast<double>(bucket_upper_ns(b)) * 1e-9;
-    }
-  }
-  // Concurrent recording can leave count() ahead of the bucket sums;
-  // report the largest occupied bucket.
-  for (std::size_t b = kBuckets; b-- > 0;) {
-    if (buckets_[b].load(std::memory_order_relaxed) > 0) {
-      return static_cast<double>(bucket_upper_ns(b)) * 1e-9;
-    }
-  }
-  return 0.0;
+  std::size_t b = 0;
+  while ((seen += buckets[b]) < rank) ++b;
+  return static_cast<double>(bucket_upper_ns(b)) * 1e-9;
 }
 
 std::uint64_t LatencyHistogram::bucket_upper_ns(std::size_t b) noexcept {
@@ -39,21 +31,48 @@ std::uint64_t LatencyHistogram::bucket_upper_ns(std::size_t b) noexcept {
   return lower + ((std::uint64_t{1} << (o - 4)) - 1);
 }
 
-void LatencyHistogram::merge_from(const LatencyHistogram& other) noexcept {
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    const std::uint64_t n = other.buckets_[b].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[b].fetch_add(n, std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  sum_ns_.fetch_add(other.sum_ns_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-}
-
 void LatencyHistogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_ns_.store(0, std::memory_order_relaxed);
+}
+
+namespace {
+
+/// Fills a histogram sample's mean and percentiles from its count, sum
+/// and buckets.
+void derive_digest(MetricSample& s) {
+  s.mean = s.count == 0 ? 0.0 : s.value / static_cast<double>(s.count);
+  s.p50 = LatencyHistogram::percentile_seconds(s.buckets, 0.50);
+  s.p95 = LatencyHistogram::percentile_seconds(s.buckets, 0.95);
+  s.p99 = LatencyHistogram::percentile_seconds(s.buckets, 0.99);
+}
+
+}  // namespace
+
+MetricSample histogram_sample(const LatencyHistogram& h) {
+  MetricSample s;
+  s.kind = MetricSample::Kind::kHistogram;
+  s.value = h.sum_seconds();
+  s.count = h.count();
+  s.buckets.resize(LatencyHistogram::kBuckets);
+  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+    s.buckets[b] = h.bucket_count(b);
+  }
+  derive_digest(s);
+  return s;
+}
+
+MetricSample histogram_delta(const MetricSample& later,
+                             const MetricSample& earlier) {
+  MetricSample s = later;
+  s.value -= earlier.value;
+  s.count -= earlier.count;
+  for (std::size_t b = 0; b < s.buckets.size(); ++b) {
+    s.buckets[b] -= earlier.buckets[b];
+  }
+  derive_digest(s);
+  return s;
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -66,13 +85,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   const std::scoped_lock lock(mutex_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-RealCounter& MetricsRegistry::real_counter(const std::string& name) {
-  const std::scoped_lock lock(mutex_);
-  auto& slot = real_counters_[name];
-  if (!slot) slot = std::make_unique<RealCounter>();
   return *slot;
 }
 
@@ -93,20 +105,12 @@ LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   const std::scoped_lock lock(mutex_);
   std::vector<MetricSample> out;
-  out.reserve(counters_.size() + real_counters_.size() + gauges_.size() +
-              histograms_.size());
+  out.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
     MetricSample s;
     s.name = name;
     s.kind = MetricSample::Kind::kCounter;
     s.value = static_cast<double>(c->value());
-    out.push_back(std::move(s));
-  }
-  for (const auto& [name, c] : real_counters_) {
-    MetricSample s;
-    s.name = name;
-    s.kind = MetricSample::Kind::kRealCounter;
-    s.value = c->value();
     out.push_back(std::move(s));
   }
   for (const auto& [name, g] : gauges_) {
@@ -117,19 +121,8 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     out.push_back(std::move(s));
   }
   for (const auto& [name, h] : histograms_) {
-    MetricSample s;
+    MetricSample s = histogram_sample(*h);
     s.name = name;
-    s.kind = MetricSample::Kind::kHistogram;
-    s.value = h->sum_seconds();
-    s.count = h->count();
-    s.p50 = h->percentile_seconds(0.50);
-    s.p95 = h->percentile_seconds(0.95);
-    s.p99 = h->percentile_seconds(0.99);
-    s.mean = h->mean_seconds();
-    s.buckets.resize(LatencyHistogram::kBuckets);
-    for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-      s.buckets[b] = h->bucket_count(b);
-    }
     out.push_back(std::move(s));
   }
   std::sort(out.begin(), out.end(),
@@ -142,7 +135,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset() {
   const std::scoped_lock lock(mutex_);
   for (const auto& [name, c] : counters_) c->reset();
-  for (const auto& [name, c] : real_counters_) c->reset();
   for (const auto& [name, g] : gauges_) g->reset();
   for (const auto& [name, h] : histograms_) h->reset();
 }

@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,26 +48,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Accumulating double (summed seconds, summed bytes…). CAS-loop add so
-/// no C++20 atomic<double>::fetch_add support is required of the
-/// toolchain.
-class RealCounter {
- public:
-  void add(double d) noexcept {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + d,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Last-write-wins instantaneous value (queue depth, resident entries).
@@ -113,25 +94,19 @@ class LatencyHistogram {
     return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) *
            1e-9;
   }
-  [[nodiscard]] double mean_seconds() const noexcept {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : sum_seconds() / static_cast<double>(n);
-  }
 
-  /// Nearest-rank percentile (q in [0, 1]) in seconds: the upper edge
-  /// of the bucket holding the rank-th sample. Monotone in q; at most
-  /// 12.5% above the exact order statistic for durations >= 8ns.
-  [[nodiscard]] double percentile_seconds(double q) const noexcept;
+  /// Nearest-rank percentile (q in [0, 1]) in seconds of the samples
+  /// counted in `buckets` (kBuckets entries, as MetricSample::buckets
+  /// holds them): the upper edge of the bucket holding the rank-th
+  /// sample, 0 when every bucket is empty. Monotone in q; at most 12.5%
+  /// above the exact order statistic for durations >= 8ns.
+  [[nodiscard]] static double percentile_seconds(
+      std::span<const std::uint64_t> buckets, double q) noexcept;
 
   /// Raw bucket count (tests compare across thread counts).
   [[nodiscard]] std::uint64_t bucket_count(std::size_t b) const noexcept {
     return buckets_[b].load(std::memory_order_relaxed);
   }
-
-  /// Adds another histogram's buckets/count/sum into this one (relaxed
-  /// reads of `other`, relaxed adds here). Exact once `other`'s writers
-  /// are quiescent — the windowed-view merge path.
-  void merge_from(const LatencyHistogram& other) noexcept;
 
   void reset() noexcept;
 
@@ -158,7 +133,7 @@ class LatencyHistogram {
 
 /// One instrument's exported state (see MetricsRegistry::snapshot()).
 struct MetricSample {
-  enum class Kind { kCounter, kRealCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kGauge, kHistogram };
   std::string name;
   Kind kind = Kind::kCounter;
   double value = 0.0;  ///< counter/gauge value; histogram sum of seconds
@@ -171,6 +146,18 @@ struct MetricSample {
   /// (Prometheus exposition) can re-bucket onto their own ladder.
   std::vector<std::uint64_t> buckets;
 };
+
+/// A histogram's exported state: count, summed seconds and every
+/// bucket, with the mean and percentiles derived from those buckets.
+[[nodiscard]] MetricSample histogram_sample(const LatencyHistogram& h);
+
+/// The samples a histogram recorded between two of its readings
+/// (`earlier` and `later`, both from histogram_sample): count, sum and
+/// buckets subtracted, mean and percentiles derived from the difference.
+/// Every field of a histogram only grows, so a later reading never falls
+/// below an earlier one unless the histogram was reset in between.
+[[nodiscard]] MetricSample histogram_delta(const MetricSample& later,
+                                           const MetricSample& earlier);
 
 /// Name -> instrument map. instance-per-scope is possible, but the
 /// process-wide global() is what the instrumentation in core/service
@@ -186,7 +173,6 @@ class MetricsRegistry {
   /// Find-or-create by name. References stay valid for the registry's
   /// lifetime — cache them off the hot path.
   [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] RealCounter& real_counter(const std::string& name);
   [[nodiscard]] Gauge& gauge(const std::string& name);
   [[nodiscard]] LatencyHistogram& histogram(const std::string& name);
 
@@ -202,7 +188,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   // node-based maps: find-or-create never invalidates references.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<RealCounter>> real_counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
 };

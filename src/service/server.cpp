@@ -18,7 +18,6 @@
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/window.hpp"
 #include "service/json.hpp"
 #include "support/check.hpp"
 #include "support/json_writer.hpp"
@@ -57,7 +56,7 @@ void begin_result(JsonWriter& w, std::string_view id,
 /// "KEY":{"count":N,"mean":x,"p50":x,"p95":x,"p99":x}, the digest shape
 /// of the stats lifetime and window blocks.
 void write_digest(JsonWriter& w, std::string_view key,
-                  const obs::WindowDigest& d) {
+                  const obs::MetricSample& d) {
   w.key(key);
   w.begin_object();
   w.member("count", d.count);
@@ -67,10 +66,6 @@ void write_digest(JsonWriter& w, std::string_view key,
   w.member("p99", d.p99);
   w.end_object();
 }
-
-/// The stats "window" block and the windowed instruments report this
-/// span (docs/SERVING.md documents the 60s contract).
-constexpr std::uint64_t kStatsWindowNs = 60'000'000'000ull;
 
 void set_nonblocking_cloexec(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
@@ -130,12 +125,6 @@ struct SolveServer::ServeMetrics {
   obs::Gauge& queued_bytes;
   obs::LatencyHistogram& solve_seconds;
   obs::LatencyHistogram& queue_wait_seconds;
-  /// Rolling last-60s views the stats window block reads; fed next to
-  /// the lifetime instruments above on the same record points.
-  obs::WindowedHistogram solve_window{};
-  obs::WindowedHistogram queue_wait_window{};
-  obs::WindowedCounter completed_window{};
-  obs::WindowedCounter shed_window{};
 
   static ServeMetrics& get() {
     static ServeMetrics* m = [] {
@@ -268,6 +257,7 @@ void SolveServer::start() {
     tcp_port_ = static_cast<int>(ntohs(bound.sin_port));
   }
   start_ns_ = steady_now_ns();
+  window_.tick(start_ns_, [this] { return read_window(); });
   started_ = true;
   event_log_.append("server_start", [&](JsonWriter& w) {
     w.member("workers", options_.engine.workers);
@@ -297,7 +287,6 @@ void SolveServer::run_request(std::uint64_t session_id,
   const double queue_seconds =
       static_cast<double>(steady_now_ns() - enqueue_ns) * 1e-9;
   metrics_->queue_wait_seconds.record_seconds(queue_seconds);
-  metrics_->queue_wait_window.record_seconds(queue_seconds);
   JobResult result;
   {
     // Every span this request touches — serve.solve here plus the
@@ -310,9 +299,7 @@ void SolveServer::run_request(std::uint64_t session_id,
     span.arg("ok", result.ok ? 1.0 : 0.0);
   }
   metrics_->solve_seconds.record_seconds(result.wall_seconds);
-  metrics_->solve_window.record_seconds(result.wall_seconds);
   metrics_->completed.add();
-  metrics_->completed_window.add();
 
   std::string line;
   JsonWriter w(line);
@@ -378,6 +365,9 @@ void SolveServer::serve() {
   PARLAP_CHECK_MSG(started_, "SolveServer::serve before start");
   std::vector<pollfd> fds;
   while (true) {
+    // The poll below returns at least every 500 ms, so each epoch's
+    // reading is at most that late.
+    window_.tick(steady_now_ns(), [this] { return read_window(); });
     if (drain_requested_.load(std::memory_order_relaxed) && !draining_) {
       begin_drain();
     }
@@ -743,7 +733,6 @@ void SolveServer::handle_solve(Session& s, SolveJob job,
   // Shed load: answer immediately with a retry hint instead of letting
   // the backlog (and the client's tail latency) grow without bound.
   metrics_->shed.add();
-  metrics_->shed_window.add();
   event_log_.append("shed", [&](JsonWriter& w) {
     w.member("request_id", request_id);
     w.member("id", job.id);
@@ -809,8 +798,17 @@ void SolveServer::respond_http(Session& s) {
   flush_session(s);
 }
 
+SolveServer::WindowReading SolveServer::read_window() const {
+  return WindowReading{metrics_->completed.value(), metrics_->shed.value(),
+                       obs::histogram_sample(metrics_->solve_seconds),
+                       obs::histogram_sample(metrics_->queue_wait_seconds)};
+}
+
 std::string SolveServer::stats_response() {
   PARLAP_TRACE_SPAN("serve.stats", "serve");
+  const std::uint64_t now_ns = steady_now_ns();
+  const WindowReading now = read_window();
+  const WindowReading& base = window_.base(now_ns);
   const FactorizationCache::Stats cache = engine_->cache_stats();
   const double hit_rate =
       cache.lookups() > 0
@@ -823,8 +821,7 @@ std::string SolveServer::stats_response() {
   w.begin_object();
   w.member("type", "stats");
   w.member("status", "ok");
-  w.member("uptime_seconds",
-           static_cast<double>(steady_now_ns() - start_ns_) * 1e-9);
+  w.member("uptime_seconds", static_cast<double>(now_ns - start_ns_) * 1e-9);
   w.member("draining", draining_);
   w.member("workers", options_.engine.workers);
   w.member("queue_limit", options_.max_queue_depth);
@@ -860,40 +857,40 @@ std::string SolveServer::stats_response() {
   w.member("precision", precision_name(options_.engine.precision));
   w.end_object();
   // Rolling last-60s view next to the lifetime digests below, so a
-  // dashboard can tell "slow now" from "slow once, long ago".
-  const std::uint64_t wcompleted =
-      metrics_->completed_window.sum(kStatsWindowNs);
+  // dashboard can tell "slow now" from "slow once, long ago": the same
+  // instruments, less their reading at the start of the window.
+  const std::uint64_t wcompleted = now.completed - base.completed;
   // Divide (exact for powers of ten) instead of scaling by 1e-9 so the
   // 60s window serializes as "60", not "60.000000000000007".
-  const double window_seconds = static_cast<double>(kStatsWindowNs) / 1e9;
+  const double window_seconds =
+      static_cast<double>(decltype(window_)::kWindowNs) / 1e9;
   w.key("window");
   w.begin_object();
   w.member("window_seconds", window_seconds);
   w.member("completed", wcompleted);
-  w.member("shed", metrics_->shed_window.sum(kStatsWindowNs));
+  w.member("shed", now.shed - base.shed);
   w.member("throughput_per_second",
            static_cast<double>(wcompleted) / window_seconds);
-  write_digest(w, "solve_seconds",
-               metrics_->solve_window.digest(kStatsWindowNs));
+  write_digest(w, "solve_seconds", obs::histogram_delta(now.solve_seconds,
+                                                        base.solve_seconds));
   write_digest(w, "queue_wait_seconds",
-               metrics_->queue_wait_window.digest(kStatsWindowNs));
+               obs::histogram_delta(now.queue_wait_seconds,
+                                    base.queue_wait_seconds));
   w.end_object();
   w.key("counters");
   w.begin_object();
   w.member("sessions", metrics_->sessions.value());
   w.member("requests", metrics_->requests.value());
   w.member("admitted", metrics_->admitted.value());
-  w.member("completed", metrics_->completed.value());
-  w.member("shed", metrics_->shed.value());
+  w.member("completed", now.completed);
+  w.member("shed", now.shed);
   w.member("rejected", metrics_->rejected.value());
   w.member("errors", metrics_->errors.value());
   w.member("idle_reaped", metrics_->idle_reaped.value());
   w.member("scrapes", metrics_->scrapes.value());
   w.end_object();
-  write_digest(w, "solve_seconds",
-               obs::WindowDigest::of(metrics_->solve_seconds));
-  write_digest(w, "queue_wait_seconds",
-               obs::WindowDigest::of(metrics_->queue_wait_seconds));
+  write_digest(w, "solve_seconds", now.solve_seconds);
+  write_digest(w, "queue_wait_seconds", now.queue_wait_seconds);
   w.key("cache");
   w.begin_object();
   w.member("hits", cache.hits);

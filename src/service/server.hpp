@@ -65,6 +65,8 @@
 #include <vector>
 
 #include "obs/event_log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/snapshot_window.hpp"
 #include "service/solve_engine.hpp"
 
 namespace parlap::service {
@@ -142,6 +144,14 @@ class SolveServer {
   struct Session;
   struct CompletedJob;
   struct ServeMetrics;
+  /// Lifetime readings of the instruments the stats "window" block
+  /// reports: the window is the current reading minus window_'s base.
+  struct WindowReading {
+    std::uint64_t completed = 0;
+    std::uint64_t shed = 0;
+    obs::MetricSample solve_seconds;
+    obs::MetricSample queue_wait_seconds;
+  };
 
   // --- I/O thread only -----------------------------------------------------
   void accept_ready(int listen_fd);
@@ -157,6 +167,7 @@ class SolveServer {
   /// resolved path.
   void admit_graph_file(SolveJob& job) const;
   void respond_http(Session& s);
+  [[nodiscard]] WindowReading read_window() const;
   [[nodiscard]] std::string stats_response();
   void respond(Session& s, std::string line);
   /// Counts an error and answers {"type":"error","status":"error",...},
@@ -193,6 +204,8 @@ class SolveServer {
   bool started_ = false;
   bool draining_ = false;  ///< I/O thread only
   std::uint64_t start_ns_ = 0;
+  /// One reading at start() and one per epoch, taken by the I/O loop.
+  obs::SnapshotWindow<WindowReading> window_;  ///< I/O thread only
 
   /// Request ids are minted at admission on the I/O thread and ride
   /// every span (obs::RequestIdScope) and response of that request.

@@ -562,12 +562,14 @@ BatchResult SolveEngine::run(std::span<const SolveJob> jobs) {
     stats.solves_per_second =
         static_cast<double>(stats.succeeded) / stats.wall_seconds;
   }
-  stats.p50_solve_seconds = solve_hist.percentile_seconds(0.50);
-  stats.p95_solve_seconds = solve_hist.percentile_seconds(0.95);
-  stats.p99_solve_seconds = solve_hist.percentile_seconds(0.99);
-  stats.p50_queue_seconds = queue_hist.percentile_seconds(0.50);
-  stats.p95_queue_seconds = queue_hist.percentile_seconds(0.95);
-  stats.p99_queue_seconds = queue_hist.percentile_seconds(0.99);
+  const obs::MetricSample solve = obs::histogram_sample(solve_hist);
+  const obs::MetricSample queue = obs::histogram_sample(queue_hist);
+  stats.p50_solve_seconds = solve.p50;
+  stats.p95_solve_seconds = solve.p95;
+  stats.p99_solve_seconds = solve.p99;
+  stats.p50_queue_seconds = queue.p50;
+  stats.p95_queue_seconds = queue.p95;
+  stats.p99_queue_seconds = queue.p99;
   stats.panels = static_cast<std::int64_t>(batch.panels.size());
   if (!batch.panels.empty()) {
     stats.panel_occupancy =

@@ -53,21 +53,6 @@ TEST(Csr, AdjacencyMatchesEdgeList) {
   EXPECT_EQ(from_edges, from_csr);
 }
 
-TEST(Csr, EdgeIdsRoundTrip) {
-  const Multigraph g = make_grid2d(7, 9);
-  const CsrGraph csr(g);
-  for (Vertex v = 0; v < csr.num_vertices(); ++v) {
-    const auto nbrs = csr.neighbors(v);
-    const auto eids = csr.edge_ids(v);
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      const EdgeId e = eids[k];
-      const bool forward = g.edge_u(e) == v && g.edge_v(e) == nbrs[k];
-      const bool backward = g.edge_v(e) == v && g.edge_u(e) == nbrs[k];
-      EXPECT_TRUE(forward || backward);
-    }
-  }
-}
-
 TEST(Csr, LargeGraphChunkedScatterConsistent) {
   // Big enough that the multi-chunk deterministic scatter is active.
   const Multigraph g = make_erdos_renyi(5000, 400000, 3);

@@ -65,9 +65,10 @@ TEST(MetricsTest, PercentilesWithinBoundOfExactQuantiles) {
   std::sort(samples.begin(), samples.end());
 
   EXPECT_EQ(hist.count(), samples.size());
+  const MetricSample s = histogram_sample(hist);
   for (const double q : {0.01, 0.10, 0.50, 0.90, 0.95, 0.99, 0.999}) {
     const double exact = exact_quantile_seconds(samples, q);
-    const double approx = hist.percentile_seconds(q);
+    const double approx = LatencyHistogram::percentile_seconds(s.buckets, q);
     // Never below the exact order statistic, never more than the
     // documented 12.5% above it.
     EXPECT_GE(approx, exact) << "q=" << q;
@@ -80,24 +81,22 @@ TEST(MetricsTest, PercentilesAreMonotoneInQ) {
   std::uniform_int_distribution<std::uint64_t> ns(1, std::uint64_t{1} << 30);
   LatencyHistogram hist;
   for (int i = 0; i < 10000; ++i) hist.record_ns(ns(rng));
+  const MetricSample s = histogram_sample(hist);
   double prev = 0.0;
   for (double q = 0.0; q <= 1.0; q += 0.01) {
-    const double v = hist.percentile_seconds(q);
+    const double v = LatencyHistogram::percentile_seconds(s.buckets, q);
     EXPECT_GE(v, prev) << "q=" << q;
     prev = v;
   }
-  const double p50 = hist.percentile_seconds(0.50);
-  const double p95 = hist.percentile_seconds(0.95);
-  const double p99 = hist.percentile_seconds(0.99);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
+  EXPECT_LE(s.p50, s.p95);
+  EXPECT_LE(s.p95, s.p99);
 }
 
 TEST(MetricsTest, EmptyHistogramReportsZero) {
-  const LatencyHistogram hist;
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_EQ(hist.percentile_seconds(0.5), 0.0);
-  EXPECT_EQ(hist.mean_seconds(), 0.0);
+  const MetricSample s = histogram_sample(LatencyHistogram{});
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.p50, 0.0);
+  EXPECT_EQ(s.mean, 0.0);
 }
 
 /// Runs `work(thread_index)` on `threads` concurrent threads.
@@ -110,31 +109,21 @@ void run_on(int threads, const std::function<void(int)>& work) {
 
 TEST(MetricsTest, CounterTotalsBitIdenticalAcrossThreadCounts) {
   // The same 40k increments, split across 1 vs 4 workers, must land on
-  // the same totals bit-for-bit. Counter adds are integer fetch_adds
-  // (exact by construction); RealCounter uses exactly-representable
-  // doubles so the CAS-loop sums cannot round differently by order.
+  // the same totals bit-for-bit: Counter adds are integer fetch_adds.
   constexpr int kPerThread = 10000;
   std::uint64_t count_totals[2];
-  double real_totals[2];
   const int thread_counts[2] = {1, 4};
   for (int c = 0; c < 2; ++c) {
     Counter counter;
-    RealCounter real;
     const int threads = thread_counts[c];
     const int per_thread = kPerThread * 4 / threads;
     run_on(threads, [&](int) {
-      for (int i = 0; i < per_thread; ++i) {
-        counter.add(3);
-        real.add(0.25);
-      }
+      for (int i = 0; i < per_thread; ++i) counter.add(3);
     });
     count_totals[c] = counter.value();
-    real_totals[c] = real.value();
   }
   EXPECT_EQ(count_totals[0], count_totals[1]);
-  EXPECT_EQ(real_totals[0], real_totals[1]);
   EXPECT_EQ(count_totals[0], std::uint64_t{3} * 4 * kPerThread);
-  EXPECT_EQ(real_totals[0], 0.25 * 4 * kPerThread);
 }
 
 TEST(MetricsTest, HistogramBucketsIdenticalAcrossThreadCounts) {
@@ -165,9 +154,11 @@ TEST(MetricsTest, HistogramBucketsIdenticalAcrossThreadCounts) {
     ASSERT_EQ(hists[0].bucket_count(b), hists[1].bucket_count(b))
         << "bucket " << b;
   }
-  for (const double q : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(hists[0].percentile_seconds(q), hists[1].percentile_seconds(q));
-  }
+  const MetricSample s1 = histogram_sample(hists[0]);
+  const MetricSample s4 = histogram_sample(hists[1]);
+  EXPECT_EQ(s1.p50, s4.p50);
+  EXPECT_EQ(s1.p95, s4.p95);
+  EXPECT_EQ(s1.p99, s4.p99);
 }
 
 TEST(MetricsTest, RegistryFindOrCreateIsStable) {
@@ -193,7 +184,7 @@ TEST(MetricsTest, RegistryFindOrCreateIsStable) {
 TEST(MetricsTest, SnapshotExportsSortedSamplesAndResetZeroes) {
   MetricsRegistry reg;
   reg.counter("z.last").add(2);
-  reg.real_counter("a.first").add(1.5);
+  reg.counter("a.first").add(5);
   reg.gauge("m.mid").set(-3);
   reg.histogram("h.lat").record_seconds(0.001);
 
@@ -209,8 +200,8 @@ TEST(MetricsTest, SnapshotExportsSortedSamplesAndResetZeroes) {
       EXPECT_EQ(s.kind, MetricSample::Kind::kCounter);
       EXPECT_EQ(s.value, 2.0);
     } else if (s.name == "a.first") {
-      EXPECT_EQ(s.kind, MetricSample::Kind::kRealCounter);
-      EXPECT_EQ(s.value, 1.5);
+      EXPECT_EQ(s.kind, MetricSample::Kind::kCounter);
+      EXPECT_EQ(s.value, 5.0);
     } else if (s.name == "m.mid") {
       EXPECT_EQ(s.kind, MetricSample::Kind::kGauge);
       EXPECT_EQ(s.value, -3.0);

@@ -1,14 +1,18 @@
-// Windowed-instrument contract: epoch advance includes exactly the
-// requested window, empty windows digest to zeros, a window merge is
-// bucket-identical to a lifetime histogram fed the same samples, and
-// aggregation is bit-identical across thread counts (the tsan-routed
-// concurrency surface of the serve daemon's last-60s stats).
-#include "obs/window.hpp"
+// Stats-window contract: a window is the current reading of lifetime
+// instruments minus the oldest reading kept inside it. An empty window
+// digests to zeros, samples leave once the window's base reading was
+// taken after them, the window digest is bucket-identical to a
+// histogram fed only the in-window samples, a window younger than 60s
+// reaches back to the first reading, and readings taken while 4 threads
+// record stay exact (the tsan-routed concurrency surface of the serve
+// daemon's last-60s stats).
+#include "obs/snapshot_window.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -18,189 +22,184 @@
 namespace parlap::obs {
 namespace {
 
-// A microsecond epoch keeps the arithmetic readable: epoch e spans
-// [e*1000, (e+1)*1000) ns on the injected clock.
-constexpr std::uint64_t kEpochNs = 1000;
+constexpr std::uint64_t kSecond = 1'000'000'000ull;
+// An arbitrary clock origin for the injected clock.
+constexpr std::uint64_t kStart = 1000 * kSecond;
 
-std::uint64_t at_epoch(std::uint64_t epoch) { return epoch * kEpochNs + 1; }
+struct Reading {
+  std::uint64_t events = 0;
+  MetricSample latency;
+};
 
-TEST(WindowTest, EmptyWindowDigestsToZero) {
-  const WindowedHistogram w(kEpochNs);
-  const WindowDigest d = w.digest_at(10 * kEpochNs, at_epoch(5));
-  EXPECT_EQ(d.count, 0u);
-  EXPECT_EQ(d.sum_seconds, 0.0);
-  EXPECT_EQ(d.mean, 0.0);
-  EXPECT_EQ(d.p50, 0.0);
-  EXPECT_EQ(d.p95, 0.0);
-  EXPECT_EQ(d.p99, 0.0);
-  EXPECT_EQ(d.window_seconds, 10 * kEpochNs * 1e-9);
+using Window = SnapshotWindow<Reading>;
+
+/// A counter and a histogram, as the serve daemon's lifetime
+/// instruments are.
+struct Instruments {
+  Counter events;
+  LatencyHistogram latency;
+
+  [[nodiscard]] Reading read() const {
+    return Reading{events.value(), histogram_sample(latency)};
+  }
+  void record(std::uint64_t ns) {
+    events.add();
+    latency.record_ns(ns);
+  }
+};
+
+void tick(Window& w, const Instruments& in, std::uint64_t now_ns) {
+  w.tick(now_ns, [&in] { return in.read(); });
 }
 
-TEST(WindowTest, EpochAdvanceExpiresOldSamples) {
-  WindowedHistogram w(kEpochNs);
-  w.record_ns_at(500, at_epoch(0));
-  w.record_ns_at(600, at_epoch(1));
-  w.record_ns_at(700, at_epoch(4));
-
-  // From epoch 4, a 4-epoch window covers epochs 0..4.
-  EXPECT_EQ(w.digest_at(4 * kEpochNs, at_epoch(4)).count, 3u);
-  // A 2-epoch window from epoch 4 covers epochs 2..4: only the 700.
-  EXPECT_EQ(w.digest_at(2 * kEpochNs, at_epoch(4)).count, 1u);
-  // The window boundary is inclusive: from epoch 6 a 2-epoch window
-  // still covers epochs 4..6 (two full epochs plus the current partial
-  // one), so the 700 survives; from epoch 7 it has aged out.
-  EXPECT_EQ(w.digest_at(2 * kEpochNs, at_epoch(6)).count, 1u);
-  EXPECT_EQ(w.digest_at(2 * kEpochNs, at_epoch(7)).count, 0u);
-  // A window wider than the ring clamps to kSlots - 1 epochs.
-  EXPECT_EQ(
-      w.digest_at(100 * kEpochNs, at_epoch(4)).count, 3u);
+/// The window at now_ns: the current reading minus the window's base.
+Reading window_at(const Window& w, const Instruments& in,
+                  std::uint64_t now_ns) {
+  const Reading now = in.read();
+  const Reading& base = w.base(now_ns);
+  return Reading{now.events - base.events,
+                 histogram_delta(now.latency, base.latency)};
 }
 
-TEST(WindowTest, RingReuseResetsRecycledSlot) {
-  WindowedHistogram w(kEpochNs);
-  w.record_ns_at(100, at_epoch(2));
-  w.record_ns_at(100, at_epoch(2));
-  // Epoch 2 + kSlots maps onto the same ring slot; the first record of
-  // the new epoch must reset the old contents, not add to them.
-  const std::uint64_t e2 = 2 + WindowedHistogram::kSlots;
-  w.record_ns_at(300, at_epoch(e2));
-  const WindowDigest d = w.digest_at(kEpochNs, at_epoch(e2));
-  EXPECT_EQ(d.count, 1u);
-  // An ancient record (clock before the slot's current epoch) drops
-  // instead of polluting the newer epoch.
-  w.record_ns_at(900, at_epoch(2));
-  EXPECT_EQ(w.digest_at(kEpochNs, at_epoch(e2)).count, 1u);
-  // And the whole-ring view holds only the surviving new-epoch sample.
-  EXPECT_EQ(
-      w.digest_at((WindowedHistogram::kSlots - 1) * kEpochNs, at_epoch(e2))
-          .count,
-      1u);
+TEST(SnapshotWindow, EmptyWindowDigestsToZero) {
+  Instruments in;
+  Window w;
+  for (std::uint64_t s = 0; s <= 90; ++s) tick(w, in, kStart + s * kSecond);
+  const Reading d = window_at(w, in, kStart + 90 * kSecond);
+  EXPECT_EQ(d.events, 0u);
+  EXPECT_EQ(d.latency.count, 0u);
+  EXPECT_EQ(d.latency.value, 0.0);
+  EXPECT_EQ(d.latency.mean, 0.0);
+  EXPECT_EQ(d.latency.p50, 0.0);
+  EXPECT_EQ(d.latency.p95, 0.0);
+  EXPECT_EQ(d.latency.p99, 0.0);
 }
 
-TEST(WindowTest, WindowMergeMatchesLifetimeHistogram) {
-  // Samples spread over several epochs inside the window: merging the
-  // window must reproduce the lifetime histogram bucket-for-bucket,
-  // so window percentiles are the same function of the same data.
-  WindowedHistogram w(kEpochNs);
-  LatencyHistogram lifetime;
+TEST(SnapshotWindow, SamplesLeaveOnceTheBaseFollowsThem) {
+  // Readings at 0, 5, 10, ... s; three samples between the readings at
+  // 0 and 5 s, two more at 61 s.
+  Instruments in;
+  Window w;
+  tick(w, in, kStart);
+  for (int i = 0; i < 3; ++i) in.record(500);
+  for (std::uint64_t s = 1; s <= 60; ++s) tick(w, in, kStart + s * kSecond);
+  // At 60 s the first reading is exactly a window old: still the base.
+  EXPECT_EQ(window_at(w, in, kStart + 60 * kSecond).latency.count, 3u);
+
+  tick(w, in, kStart + 61 * kSecond);
+  in.record(700);
+  in.record(700);
+  // From 61 s the base is the reading at 5 s, taken after the three.
+  const Reading d = window_at(w, in, kStart + 61 * kSecond);
+  EXPECT_EQ(d.events, 2u);
+  EXPECT_EQ(d.latency.count, 2u);
+  EXPECT_EQ(d.latency.p99,
+            static_cast<double>(LatencyHistogram::bucket_upper_ns(
+                LatencyHistogram::bucket_index(700))) *
+                1e-9);
+  // At 65 s the reading at 5 s is exactly a window old and is the base;
+  // the three, recorded before it, stay out.
+  for (std::uint64_t s = 62; s <= 65; ++s) tick(w, in, kStart + s * kSecond);
+  EXPECT_EQ(window_at(w, in, kStart + 65 * kSecond).events, 2u);
+  // Once every reading after the two is inside the window, they leave too.
+  for (std::uint64_t s = 66; s <= 130; ++s) {
+    tick(w, in, kStart + s * kSecond);
+  }
+  EXPECT_EQ(window_at(w, in, kStart + 130 * kSecond).latency.count, 0u);
+}
+
+TEST(SnapshotWindow, DigestMatchesHistogramOfInWindowSamples) {
+  // Samples every second for 120 s. At 120 s the base is the reading
+  // taken at 60 s, before that second's samples, so the window holds
+  // exactly the samples of seconds 60..120.
+  Instruments in;
+  Window w;
+  LatencyHistogram in_window;
   std::mt19937_64 rng(11);
   std::uniform_int_distribution<std::uint64_t> dur(1, 50'000'000);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t ns = dur(rng);
-    w.record_ns_at(ns, at_epoch(static_cast<std::uint64_t>(i % 8)));
-    lifetime.record_ns(ns);
+  for (std::uint64_t s = 0; s <= 120; ++s) {
+    tick(w, in, kStart + s * kSecond);
+    for (int i = 0; i < 40; ++i) {
+      const std::uint64_t ns = dur(rng);
+      in.record(ns);
+      if (s >= 60) in_window.record_ns(ns);
+    }
   }
-  LatencyHistogram merged;
-  w.merge_window_into(merged, 8 * kEpochNs, at_epoch(8));
-  ASSERT_EQ(merged.count(), lifetime.count());
-  EXPECT_EQ(merged.sum_seconds(), lifetime.sum_seconds());
-  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    ASSERT_EQ(merged.bucket_count(b), lifetime.bucket_count(b))
-        << "bucket " << b;
-  }
-  const WindowDigest d = w.digest_at(8 * kEpochNs, at_epoch(8));
-  EXPECT_EQ(d.count, lifetime.count());
-  EXPECT_EQ(d.p50, lifetime.percentile_seconds(0.50));
-  EXPECT_EQ(d.p95, lifetime.percentile_seconds(0.95));
-  EXPECT_EQ(d.p99, lifetime.percentile_seconds(0.99));
+  const Reading d = window_at(w, in, kStart + 120 * kSecond);
+  const MetricSample want = histogram_sample(in_window);
+  ASSERT_EQ(d.events, want.count);
+  ASSERT_EQ(d.latency.count, want.count);
+  EXPECT_EQ(d.latency.buckets, want.buckets);
+  EXPECT_EQ(d.latency.p50, want.p50);
+  EXPECT_EQ(d.latency.p95, want.p95);
+  EXPECT_EQ(d.latency.p99, want.p99);
+  // The sum is a difference of two lifetime sums in seconds.
+  EXPECT_NEAR(d.latency.mean, want.mean, want.mean * 1e-9);
 }
 
-TEST(WindowTest, AggregationBitIdenticalAcrossThreadCounts) {
-  // The same multiset of (sample, timestamp) pairs recorded by 1 thread
-  // and by 4 must produce identical buckets — the counts are relaxed
-  // fetch_adds, so totals are exact regardless of interleaving.
+TEST(SnapshotWindow, YoungWindowReachesBackToTheFirstReading) {
+  // A daemon younger than the window reports everything since start(),
+  // where it takes its first reading, and nothing from before it.
+  Instruments in;
+  Window w;
+  for (int i = 0; i < 4; ++i) in.record(100);
+  tick(w, in, kStart);
+  for (std::uint64_t s = 1; s <= 59; ++s) {
+    tick(w, in, kStart + s * kSecond);
+    if (s % 8 == 0) in.record(300);
+  }
+  const Reading d = window_at(w, in, kStart + 59 * kSecond);
+  EXPECT_EQ(d.events, 7u);
+  EXPECT_EQ(d.latency.count, 7u);
+}
+
+TEST(SnapshotWindow, ReadingsWhileFourThreadsRecordStayExact) {
+  // Four threads record a fixed multiset while this thread takes a
+  // reading each injected epoch and digests the window. Every window
+  // seen holds at most the samples recorded, and once the writers are
+  // done the window (still based on the first reading) equals a
+  // histogram fed the same samples from one thread, bucket for bucket.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kPerThread = 50000;
   std::mt19937_64 rng(23);
   std::uniform_int_distribution<std::uint64_t> dur(1, 10'000'000);
-  std::vector<std::uint64_t> samples(8000);
+  std::vector<std::uint64_t> samples(kThreads * kPerThread);
   for (std::uint64_t& s : samples) s = dur(rng);
+  LatencyHistogram serial;
+  for (const std::uint64_t s : samples) serial.record_ns(s);
+  const MetricSample want = histogram_sample(serial);
 
-  const auto run = [&](int threads) {
-    auto w = std::make_unique<WindowedHistogram>(kEpochNs);
-    std::vector<std::thread> pool;
-    const std::size_t chunk = samples.size() / static_cast<std::size_t>(threads);
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t lo = static_cast<std::size_t>(t) * chunk;
-      const std::size_t hi =
-          t + 1 == threads ? samples.size() : lo + chunk;
-      pool.emplace_back([&, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i) {
-          // Spread across 4 in-window epochs, deterministically by index.
-          w->record_ns_at(samples[i], at_epoch(i % 4));
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    return w;
-  };
-
-  const auto w1 = run(1);
-  const auto w4 = run(4);
-  LatencyHistogram m1;
-  LatencyHistogram m4;
-  w1->merge_window_into(m1, 4 * kEpochNs, at_epoch(4));
-  w4->merge_window_into(m4, 4 * kEpochNs, at_epoch(4));
-  ASSERT_EQ(m1.count(), samples.size());
-  ASSERT_EQ(m4.count(), samples.size());
-  EXPECT_EQ(m1.sum_seconds(), m4.sum_seconds());
-  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    ASSERT_EQ(m1.bucket_count(b), m4.bucket_count(b)) << "bucket " << b;
-  }
-}
-
-TEST(WindowTest, ConcurrentEpochTurnover) {
-  // Writers racing across an epoch boundary: every record lands in its
-  // own epoch's slot or is dropped as ancient — never double-counted.
-  // (The tsan preset checks the reset CAS protocol for races here.)
-  WindowedHistogram w(kEpochNs);
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 4000;
+  Instruments in;
+  Window w;
+  tick(w, in, kStart);
+  std::atomic<int> running{kThreads};
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&w, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        // All threads sweep the same epochs forward together.
-        w.record_ns_at(100 + static_cast<std::uint64_t>(t),
-                       at_epoch(i / 500));
+    pool.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        in.record(samples[static_cast<std::size_t>(t) * kPerThread + i]);
       }
+      running.fetch_sub(1, std::memory_order_release);
     });
   }
+  // The clock stops at one window after the first reading, which then
+  // stays the base.
+  std::uint64_t now = kStart;
+  std::uint64_t seen = 0;
+  while (running.load(std::memory_order_acquire) > 0) {
+    now = std::min(now + Window::kEpochNs, kStart + Window::kWindowNs);
+    tick(w, in, now);
+    const Reading d = window_at(w, in, now);
+    EXPECT_LE(d.latency.count, want.count);
+    EXPECT_GE(d.events, seen);
+    seen = d.events;
+  }
   for (std::thread& t : pool) t.join();
-  const WindowDigest d =
-      w.digest_at((WindowedHistogram::kSlots - 1) * kEpochNs,
-                  at_epoch(kPerThread / 500 - 1));
-  // Records racing a slot reset may drop (documented), never duplicate.
-  EXPECT_LE(d.count, kThreads * kPerThread);
-  EXPECT_GE(d.count, kPerThread);  // the winner of each reset records
-}
-
-TEST(WindowTest, WindowedCounterSumsAndExpires) {
-  WindowedCounter c(kEpochNs);
-  c.add_at(3, at_epoch(0));
-  c.add_at(2, at_epoch(1));
-  c.add_at(5, at_epoch(4));
-  EXPECT_EQ(c.sum_at(4 * kEpochNs, at_epoch(4)), 10u);
-  EXPECT_EQ(c.sum_at(2 * kEpochNs, at_epoch(4)), 5u);
-  EXPECT_EQ(c.sum_at(2 * kEpochNs, at_epoch(7)), 0u);
-  // Ring reuse: the recycled slot restarts from zero.
-  c.add_at(7, at_epoch(4 + WindowedCounter::kSlots));
-  EXPECT_EQ(c.sum_at(kEpochNs, at_epoch(4 + WindowedCounter::kSlots)), 7u);
-  // Ancient add after the slot advanced: dropped.
-  c.add_at(100, at_epoch(4));
-  EXPECT_EQ(c.sum_at(kEpochNs, at_epoch(4 + WindowedCounter::kSlots)), 7u);
-}
-
-TEST(WindowTest, DefaultClockEntryPointsRecord) {
-  // The production entry points (steady_now_ns clock) land in the
-  // current epoch and are visible to an immediate digest.
-  WindowedHistogram w;  // default 5s epochs, 60s window use
-  w.record_seconds(0.001);
-  w.record_ns(250);
-  const WindowDigest d = w.digest(60'000'000'000ull);
-  EXPECT_EQ(d.count, 2u);
-  WindowedCounter c;
-  c.add();
-  c.add(4);
-  EXPECT_EQ(c.sum(60'000'000'000ull), 5u);
+  const Reading d = window_at(w, in, kStart + Window::kWindowNs);
+  EXPECT_EQ(d.events, want.count);
+  EXPECT_EQ(d.latency.count, want.count);
+  EXPECT_EQ(d.latency.buckets, want.buckets);
+  EXPECT_EQ(d.latency.value, want.value);
 }
 
 }  // namespace

@@ -377,13 +377,17 @@ TEST(SolveServer, StatsEchoesConfigAndWindow) {
   EXPECT_TRUE(has_field(stats, "\"queue_limit\":99")) << stats;
   EXPECT_TRUE(has_field(stats, "\"slow_ms\":12.5")) << stats;
   // And the rolling window reports alongside lifetime. The registry is
-  // process-global, so earlier tests in this binary contribute too —
-  // assert at least this test's solve landed in the last-60s view.
-  EXPECT_TRUE(has_field(stats, "\"window_seconds\":60")) << stats;
-  const std::string wkey = "\"window\":{\"window_seconds\":60,\"completed\":";
-  const std::size_t at = stats.find(wkey);
+  // process-global and earlier tests in this binary solved too, but the
+  // window starts at this server's start(): it holds exactly this solve.
+  const std::string wkey =
+      "\"window\":{\"window_seconds\":60,\"completed\":1,\"shed\":0,";
+  EXPECT_TRUE(has_field(stats, wkey)) << stats;
+  // The window's solve digest comes before the lifetime one.
+  const std::string digest = "\"solve_seconds\":{\"count\":";
+  const std::size_t at = stats.find(digest, stats.find(wkey));
   ASSERT_NE(at, std::string::npos) << stats;
-  EXPECT_GE(std::strtoull(stats.c_str() + at + wkey.size(), nullptr, 10), 1u);
+  EXPECT_EQ(std::strtoull(stats.c_str() + at + digest.size(), nullptr, 10), 1u)
+      << stats;
 }
 
 TEST(SolveServer, DisconnectPurgesQueuedJobs) {

@@ -5,17 +5,26 @@
 // that looks like a flag ("--metrics" after "--event-log") is refused
 // rather than swallowed; negative numbers ("-1") are values. Every
 // malformed command line throws UsageError, which each tool's main()
-// turns into exit code 2.
+// turns into exit code 2. Flags that more than one tool takes
+// (--precision, --simd, --trace-out, --metrics) have one parser here.
 #pragma once
 
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <fstream>
+#include <iostream>
 #include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "linalg/kernels/kernels.hpp"
+#include "obs/exposition.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "support/precision.hpp"
 
 namespace parlap::tools {
 
@@ -90,6 +99,77 @@ class Args {
 
  private:
   std::vector<std::string> args_;
+};
+
+/// `--precision fp64|fp32|auto` (default fp64).
+inline Precision take_precision(Args& args) {
+  const std::string value = args.take_value("--precision").value_or("fp64");
+  const auto mode = parse_precision(value);
+  if (!mode) {
+    throw UsageError("--precision wants fp64|fp32|auto, got '" + value + "'");
+  }
+  return *mode;
+}
+
+/// `--simd scalar|avx2|avx512|auto`: sets the process-wide kernel level
+/// when given (without it $PARLAP_SIMD, else CPUID, decides). A level
+/// the host lacks clamps with a stderr note.
+inline void take_simd(Args& args) {
+  const auto value = args.take_value("--simd");
+  if (!value) return;
+  const auto level = kernels::parse_simd_level(*value);
+  if (!level) {
+    throw UsageError("--simd wants scalar|avx2|avx512|auto, got '" + *value +
+                     "'");
+  }
+  kernels::set_simd_level(*level);
+}
+
+/// `--trace-out FILE` and `--metrics`. take() arms the tracer (and zeroes
+/// the metrics registry, so the export covers this run alone); finish()
+/// writes the trace file and prints the metrics table. Tracing stays
+/// disabled — a compiled-in span is one predicted branch — unless
+/// --trace-out is given.
+struct ObsOptions {
+  std::string trace_path;  ///< --trace-out FILE (empty: tracing off)
+  bool metrics = false;    ///< --metrics: human summary table
+
+  static ObsOptions take(Args& args) {
+    ObsOptions obs;
+    obs.trace_path = args.take_value("--trace-out").value_or("");
+    obs.metrics = args.take_flag("--metrics");
+    if (!obs.trace_path.empty()) {
+      obs::Tracer::instance().clear();
+      obs::Tracer::instance().enable();
+    }
+    if (obs.metrics) obs::MetricsRegistry::global().reset();
+    return obs;
+  }
+
+  /// `tool` names the program in the stderr note.
+  void finish(const char* tool) const {
+    if (!trace_path.empty()) {
+      obs::Tracer& tracer = obs::Tracer::instance();
+      tracer.disable();
+      std::ofstream os(trace_path);
+      if (!os.good()) {
+        throw std::runtime_error("cannot open " + trace_path +
+                                 " for writing");
+      }
+      tracer.write_chrome(os);
+      std::cerr << tool << ": wrote " << tracer.event_count()
+                << " trace event(s) to " << trace_path;
+      if (tracer.dropped() > 0) {
+        std::cerr << " (" << tracer.dropped()
+                  << " dropped: per-thread buffers filled)";
+      }
+      std::cerr << "\n";
+    }
+    if (metrics) {
+      std::cout << obs::render_metrics_table(
+          obs::MetricsRegistry::global().snapshot());
+    }
+  }
 };
 
 }  // namespace parlap::tools

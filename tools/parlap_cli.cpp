@@ -39,8 +39,6 @@
 #include "graph/io.hpp"
 #include "harness/json_writer.hpp"
 #include "linalg/kernels/kernels.hpp"
-#include "obs/exposition.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/job_file.hpp"
 #include "service/solve_engine.hpp"
@@ -57,6 +55,7 @@ constexpr int kExitUsage = 2;
 constexpr int kExitInput = 3;
 
 using tools::Args;
+using tools::ObsOptions;
 using tools::UsageError;
 
 // ---------------------------------------------------------------------------
@@ -127,52 +126,6 @@ std::ofstream open_output(const std::string& path) {
   }
   return os;
 }
-
-// ---------------------------------------------------------------------------
-// Observability export (--trace-out / --metrics)
-// ---------------------------------------------------------------------------
-
-/// Shared tracing/metrics flags (solve and batch). Construction arms
-/// the tracer (and zeroes the metrics registry, so the export covers
-/// this run alone); finish() flushes the trace file and prints the
-/// metrics table. Tracing stays disabled — a compiled-in span is one
-/// predicted branch — unless --trace-out is given.
-struct ObsOptions {
-  std::string trace_path;  ///< --trace-out FILE (empty: tracing off)
-  bool metrics = false;    ///< --metrics: human summary table
-
-  static ObsOptions take(Args& args) {
-    ObsOptions obs;
-    obs.trace_path = args.take_value("--trace-out").value_or("");
-    obs.metrics = args.take_flag("--metrics");
-    if (!obs.trace_path.empty()) {
-      obs::Tracer::instance().clear();
-      obs::Tracer::instance().enable();
-    }
-    if (obs.metrics) obs::MetricsRegistry::global().reset();
-    return obs;
-  }
-
-  void finish() const {
-    if (!trace_path.empty()) {
-      obs::Tracer& tracer = obs::Tracer::instance();
-      tracer.disable();
-      std::ofstream os = open_output(trace_path);
-      tracer.write_chrome(os);
-      std::cerr << "parlap_cli: wrote " << tracer.event_count()
-                << " trace event(s) to " << trace_path;
-      if (tracer.dropped() > 0) {
-        std::cerr << " (" << tracer.dropped()
-                  << " dropped: per-thread buffers filled)";
-      }
-      std::cerr << "\n";
-    }
-    if (metrics) {
-      std::cout << obs::render_metrics_table(
-          obs::MetricsRegistry::global().snapshot());
-    }
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Build-phase telemetry rendering (--build-stats)
@@ -290,14 +243,7 @@ int cmd_solve(Args& args) {
   config.split_scale = args.take_double("--split-scale", 0.0);
   config.max_iterations =
       static_cast<int>(args.take_int("--max-iterations", 0));
-  const std::string precision_arg =
-      args.take_value("--precision").value_or("fp64");
-  const auto precision_mode = parse_precision(precision_arg);
-  if (!precision_mode.has_value()) {
-    throw UsageError("--precision wants fp64|fp32|auto, got '" +
-                     precision_arg + "'");
-  }
-  config.precision = *precision_mode;
+  config.precision = tools::take_precision(args);
   args.expect_empty();
   if ((rhs_path.empty() ? 0 : 1) + (rhs_demand ? 1 : 0) +
           (rhs_random > 0 ? 1 : 0) >
@@ -414,7 +360,7 @@ int cmd_solve(Args& args) {
 
   // The storage precision actually used (auto resolved at factor time).
   const Precision precision_used =
-      reports.empty() ? *precision_mode : reports.front().precision;
+      reports.empty() ? config.precision : reports.front().precision;
   TextTable table("solve: method " + method + ", eps " +
                   JsonWriter::format_number(eps) + ", precision " +
                   precision_name(precision_used));
@@ -486,7 +432,7 @@ int cmd_solve(Args& args) {
   }
 
   cli_span.end();
-  obs.finish();
+  obs.finish("parlap_cli");
   return all_converged ? kExitOk : kExitNotConverged;
 }
 
@@ -499,13 +445,7 @@ int cmd_batch(Args& args) {
   const auto workers = args.take_int("--workers", 1);
   const auto cache_budget = args.take_int("--cache-budget", 0);
   const auto block_width = args.take_int("--block-width", 1);
-  const std::string precision_arg =
-      args.take_value("--precision").value_or("fp64");
-  const auto precision = parse_precision(precision_arg);
-  if (!precision.has_value()) {
-    throw UsageError("--precision wants fp64|fp32|auto, got '" +
-                     precision_arg + "'");
-  }
+  const Precision precision = tools::take_precision(args);
   const bool keep_solutions = args.take_flag("--solutions");
   const std::string json_path = args.take_value("--json").value_or("");
   const std::string out_path = args.take_value("--out").value_or("");
@@ -534,7 +474,7 @@ int cmd_batch(Args& args) {
   engine_options.cache_budget_entries = static_cast<EdgeId>(cache_budget);
   engine_options.keep_solutions = keep_solutions;
   engine_options.block_width = static_cast<int>(block_width);
-  engine_options.precision = *precision;
+  engine_options.precision = precision;
   service::SolveEngine engine(engine_options);
 
   std::cerr << "parlap_cli: batch " << jobs_path << ": " << jobs.size()
@@ -590,7 +530,7 @@ int cmd_batch(Args& args) {
     w.member("block_width", block_width);
     // The engine-default precision mode; per-job precision (post-auto
     // resolution) rides in each job entry below.
-    w.member("precision", precision_name(*precision));
+    w.member("precision", precision_name(precision));
     w.key("cache");
     w.begin_object();
     w.member("budget_entries", cache_budget);
@@ -719,7 +659,7 @@ int cmd_batch(Args& args) {
   }
 
   cli_span.end();
-  obs.finish();
+  obs.finish("parlap_cli");
   return all_converged ? kExitOk : kExitNotConverged;
 }
 
@@ -970,14 +910,7 @@ int main(int argc, char** argv) {
     // process-wide): --simd scalar|avx2|avx512|auto, default
     // $PARLAP_SIMD. Results are bit-identical at every SIMD level
     // (docs/PERFORMANCE.md); unsupported requests clamp with a note.
-    if (const auto simd = args.take_value("--simd")) {
-      const auto level = kernels::parse_simd_level(*simd);
-      if (!level) {
-        throw UsageError("--simd wants scalar|avx2|avx512|auto, got '" +
-                         *simd + "'");
-      }
-      kernels::set_simd_level(*level);
-    }
+    tools::take_simd(args);
     if (command == "solve") return cmd_solve(args);
     if (command == "batch") return cmd_batch(args);
     if (command == "info") return cmd_info(args);

@@ -80,6 +80,14 @@ TEST(BlockCholesky, ChainStructureInvariants) {
   EXPECT_LE(chain.depth(), static_cast<int>(bound));
 }
 
+/// g with `extra` isolated vertices appended after its own.
+Multigraph with_isolated(const Multigraph& g, Vertex extra) {
+  return Multigraph::adopt(
+      g.num_vertices() + extra, std::vector<Vertex>(g.us().begin(), g.us().end()),
+      std::vector<Vertex>(g.vs().begin(), g.vs().end()),
+      std::vector<Weight>(g.ws().begin(), g.ws().end()));
+}
+
 TEST(BlockCholesky, MatchesRecordedChains) {
   // Pins whole chains, not properties: four unit-weight graphs deeper
   // than one level, split as LaplacianSolver's first round splits them
@@ -88,6 +96,9 @@ TEST(BlockCholesky, MatchesRecordedChains) {
   // recorded below, so a build change that alters any sampled level, any
   // summed weight or any rounding shows here. Unit weights keep libm out
   // of the pinned bits. Only a labelled hash rotation updates them.
+  // The last two cases pin signed zeros: a right-hand side with -0.0 at
+  // every third entry, whose zeros reach F rows as -0.0, and isolated
+  // vertices (1/X_ff = 0), whose outputs are +0.0.
   struct Recorded {
     const char* name;
     Multigraph g;
@@ -95,6 +106,8 @@ TEST(BlockCholesky, MatchesRecordedChains) {
     EdgeId stored_entries;
     std::uint64_t hash_fp64;
     std::uint64_t hash_fp32;
+    bool negative_zeros = false;  ///< -0.0 at every third rhs entry
+    Vertex isolated = 0;          ///< trailing isolated vertices of g
   };
   const Recorded cases[] = {
       {"grid2d:24", make_grid2d(24, 24), 40, 8528, 0xd8bae37fc99ea655ull,
@@ -107,6 +120,10 @@ TEST(BlockCholesky, MatchesRecordedChains) {
       // build's passes fork on these by volume, not by row count.
       {"barbell:200", make_barbell(200, 100), 34, 77336,
        0x9931ce93a3732ea8ull, 0x688d04f1492c5e72ull},
+      {"grid2d:24 -0.0 rhs", make_grid2d(24, 24), 40, 8528,
+       0xcf36226261129e9bull, 0xc3c131c9c6da4713ull, true},
+      {"grid2d:24 + 8 isolated", with_isolated(make_grid2d(24, 24), 8), 41,
+       8710, 0x979450120ddd7a50ull, 0x839a3db154e77145ull, false, 8},
   };
   const auto hash = [](std::span<const double> x) {
     std::uint64_t h = 0x736F6C75'74696F6Eull;
@@ -120,13 +137,21 @@ TEST(BlockCholesky, MatchesRecordedChains) {
     const Vertex n = c.g.num_vertices();
     const Multigraph split =
         split_edges_uniform(c.g, default_split_copies(n, 0.1));
-    const Vector b = random_vector(static_cast<std::size_t>(n), 41);
+    Vector b = random_vector(static_cast<std::size_t>(n), 41);
+    if (c.negative_zeros) {
+      for (std::size_t i = 0; i < b.size(); i += 3) b[i] = -0.0;
+    }
     for (const Precision p : {Precision::kFp64, Precision::kFp32}) {
       BlockCholeskyOptions opts;
       opts.precision = p;
       const BlockCholeskyChain chain = BlockCholeskyChain::build(split, 2024, opts);
       Vector y(b.size());
       chain.apply(b, y);
+      for (Vertex v = n - c.isolated; v < n; ++v) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(y[static_cast<std::size_t>(v)]),
+                  std::bit_cast<std::uint64_t>(0.0))
+            << c.name << " isolated vertex " << v;
+      }
       const std::uint64_t want =
           p == Precision::kFp64 ? c.hash_fp64 : c.hash_fp32;
       EXPECT_EQ(chain.depth(), c.depth) << c.name;

@@ -107,6 +107,11 @@ class AnySolver {
     return dimension() > 0 ? static_cast<EdgeId>(dimension()) : EdgeId{1};
   }
 
+  /// Rows the preconditioner's Jacobi sweeps visit per apply
+  /// (FactorizationInfo::jacobi_rows for the paper's solver); 0 for
+  /// methods without such sweeps.
+  [[nodiscard]] virtual Vertex jacobi_rows() const noexcept { return 0; }
+
   /// Resident value-array bytes of the factorization. The default
   /// charges 8 bytes (one fp64 value) per stored entry; methods with
   /// narrower storage (the paper solver's fp32 chains) override with

@@ -209,6 +209,10 @@ class ParlapAdapter final : public SolverBase {
     return std::max<EdgeId>(1, impl_->info().stored_entries);
   }
 
+  [[nodiscard]] Vertex jacobi_rows() const noexcept override {
+    return impl_->info().jacobi_rows;
+  }
+
   [[nodiscard]] std::size_t stored_bytes() const noexcept override {
     // True value bytes of the resident chains: fp32 storage reports
     // half the fp64 footprint of the same structure.

@@ -1,7 +1,9 @@
 #include "core/apply_chain.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "linalg/kernels/kernels.hpp"
@@ -20,37 +22,36 @@ namespace {
 /// flood the prefetch queue.
 constexpr std::size_t kMaxPrefetchBytes = std::size_t{64} * 1024;
 
-/// Writes `src` at dst[pos...] in storage type T (an fp32 chain narrows
-/// each value here, once) and returns the position past it.
-template <typename T>
-std::size_t put_values(const std::vector<double>& src,
-                       kernels::AlignedBuffer<T>& dst, std::size_t pos) {
-  std::transform(src.begin(), src.end(), dst.data() + pos,
-                 [](double v) { return static_cast<T>(v); });
-  return pos + src.size();
+/// Entries in staged row i of blk.
+std::size_t row_length(const EliminationLevel::SubCsr& blk, std::size_t i) {
+  return static_cast<std::size_t>(blk.off[i + 1] - blk.off[i]);
 }
 
-/// Fills `v` from the staged levels and the base factor, in the order
-/// finalize packs the index arrays: per level, inv_x and y_diag at its
-/// f_base, then the ff, fc and cf weights.
-template <typename T>
-void pack_values(ChainValues<T>& v, std::span<const EliminationLevel> staging,
-                 const GroundedFactor& base, std::size_t nf_total,
-                 std::size_t data_total) {
-  v.base.resize(base.values.size());
-  put_values(base.values, v.base, 0);
-  v.inv_x.resize(nf_total);
-  v.y_diag.resize(nf_total);
-  v.w.resize(data_total);
-  std::size_t f_pos = 0;
-  std::size_t data_pos = 0;
-  for (const EliminationLevel& lvl : staging) {
-    put_values(lvl.inv_x, v.inv_x, f_pos);
-    f_pos = put_values(lvl.y_diag, v.y_diag, f_pos);
-    for (const auto* blk : {&lvl.ff, &lvl.fc, &lvl.cf}) {
-      data_pos = put_values(blk->w, v.w, data_pos);
-    }
+/// Stable counting sort of the staged rows `in` by key(i) < keys,
+/// ascending, into out[0, in.size()); `count` is scratch.
+template <typename Key>
+void sort_rows(std::span<const Vertex> in, std::size_t keys, Key&& key,
+               std::vector<std::size_t>& count, Vertex* out) {
+  count.assign(keys + 1, 0);
+  for (const Vertex i : in) ++count[key(static_cast<std::size_t>(i)) + 1];
+  for (std::size_t k = 1; k < keys; ++k) count[k] += count[k - 1];
+  for (const Vertex i : in) out[count[key(static_cast<std::size_t>(i))]++] = i;
+}
+
+/// The rows of a staged block with `rows` rows ordered by length, ties
+/// in staged order: out[r] is the staged row packed as row r.
+/// `staged` and `count` are scratch.
+void order_by_length(const EliminationLevel::SubCsr& blk, std::size_t rows,
+                     std::vector<Vertex>& staged,
+                     std::vector<std::size_t>& count, Vertex* out) {
+  staged.resize(rows);
+  std::iota(staged.begin(), staged.end(), Vertex{0});
+  std::size_t longest = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    longest = std::max(longest, row_length(blk, i));
   }
+  sort_rows(staged, longest + 1,
+            [&](std::size_t i) { return row_length(blk, i); }, count, out);
 }
 
 }  // namespace
@@ -61,6 +62,8 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
                           std::uint64_t build_id, Precision storage) {
   PARLAP_CHECK(levels_.empty());  // finalize() runs once per chain
   PARLAP_CHECK(storage != Precision::kAuto);  // resolved before building
+  // jacobi_solve's closed form for uncoupled rows holds for odd l only.
+  PARLAP_CHECK(jacobi_terms % 2 == 1);
   const auto n0 = static_cast<Vertex>(slots.size());
   n0_ = n0;
   base_component_.resize(base.component.size());
@@ -91,53 +94,6 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
   cf_slots_.resize(cf_rows_total);
   off_.resize(off_total);
   nbr_.resize(data_total);
-
-  const auto slot_of = [slots](Vertex v) {
-    return slots[static_cast<std::size_t>(v)];
-  };
-  std::size_t f_pos = 0;
-  std::size_t cf_pos = 0;
-  std::size_t off_pos = 0;
-  std::size_t data_pos = 0;
-  // Packs blk's `rows` rows; with `to_slots` its columns name input
-  // vertices (fc) and are stored as their slots.
-  const auto pack_block = [&](const EliminationLevel::SubCsr& blk,
-                              std::size_t rows, bool to_slots) {
-    const std::size_t base = off_pos;
-    for (std::size_t i = 0; i <= rows; ++i) {
-      off_[off_pos++] = blk.off[i] + static_cast<EdgeId>(data_pos);
-    }
-    if (to_slots) {
-      std::transform(blk.nbr.begin(), blk.nbr.end(), nbr_.begin() + data_pos,
-                     slot_of);
-    } else {
-      std::copy(blk.nbr.begin(), blk.nbr.end(), nbr_.begin() + data_pos);
-    }
-    data_pos += blk.nbr.size();
-    return base;
-  };
-
-  for (const EliminationLevel& lvl : staging) {
-    Level meta;
-    meta.n = lvl.n;
-    meta.nf = lvl.nf;
-    meta.nc = lvl.nc;
-    meta.f_base = f_pos;
-    meta.cf_base = cf_pos;
-    std::copy(lvl.f_list.begin(), lvl.f_list.end(), f_lists_.begin() + f_pos);
-    f_pos += static_cast<std::size_t>(lvl.nf);
-    const auto nf = static_cast<std::size_t>(lvl.nf);
-    meta.ff_off = pack_block(lvl.ff, nf, false);
-    meta.fc_off = pack_block(lvl.fc, nf, true);
-    meta.cf_rows = static_cast<Vertex>(lvl.cf_rows.size());
-    meta.cf_off = pack_block(lvl.cf, lvl.cf_rows.size(), false);
-    std::transform(lvl.cf_rows.begin(), lvl.cf_rows.end(),
-                   cf_slots_.begin() + static_cast<std::ptrdiff_t>(cf_pos),
-                   slot_of);
-    cf_pos += lvl.cf_rows.size();
-    levels_.push_back(meta);
-  }
-
   slots_.resize(static_cast<std::size_t>(n0));
   slot_rows_.resize(static_cast<std::size_t>(n0));
   std::copy(slots.begin(), slots.end(), slots_.data());
@@ -145,12 +101,142 @@ void ApplyChain::finalize(std::span<const EliminationLevel> staging,
     slot_rows_[static_cast<std::size_t>(slots[static_cast<std::size_t>(v)])] = v;
   }
 
+  // Each level's row layout: coupled F rows (non-empty ff row) first,
+  // grouped by ff length, then fc length; the uncoupled rows after them,
+  // grouped by fc length. f_order[f_base + r] is the staged row packed
+  // as row r, f_pos its inverse, and each moved F vertex takes the slot
+  // of its packed row (base slots stay).
+  std::vector<Vertex> f_order(nf_total);
+  std::vector<Vertex> f_pos(nf_total);
+  std::vector<Vertex> by_fc;
+  std::vector<Vertex> staged;
+  std::vector<std::size_t> count;
+  std::size_t f_base = 0;
+  std::size_t cf_base = 0;
+  std::size_t off_pos = 0;
+  for (const EliminationLevel& lvl : staging) {
+    const auto nf = static_cast<std::size_t>(lvl.nf);
+    Level meta;
+    meta.n = lvl.n;
+    meta.nf = lvl.nf;
+    meta.nc = lvl.nc;
+    meta.cf_rows = static_cast<Vertex>(lvl.cf_rows.size());
+    meta.f_base = f_base;
+    meta.cf_base = cf_base;
+    meta.ff_off = off_pos;
+    meta.fc_off = meta.ff_off + nf + 1;
+    meta.cf_off = meta.fc_off + nf + 1;
+    off_pos = meta.cf_off + lvl.cf_rows.size() + 1;
+    // By fc length, then (stable) by ff length with the empty rows last.
+    by_fc.resize(nf);
+    order_by_length(lvl.fc, nf, staged, count, by_fc.data());
+    std::size_t longest_ff = 0;
+    for (std::size_t i = 0; i < nf; ++i) {
+      const std::size_t ff_len = row_length(lvl.ff, i);
+      longest_ff = std::max(longest_ff, ff_len);
+      if (ff_len > 0) {
+        ++meta.nf_coupled;
+      } else {
+        // An uncoupled row sums no F copy into Y's diagonal.
+        PARLAP_CHECK(std::bit_cast<std::uint64_t>(lvl.y_diag[i]) == 0);
+      }
+    }
+    sort_rows(
+        by_fc, longest_ff + 1,
+        [&](std::size_t i) {
+          const std::size_t ff_len = row_length(lvl.ff, i);
+          return ff_len > 0 ? ff_len - 1 : longest_ff;
+        },
+        count, f_order.data() + f_base);
+    for (std::size_t r = 0; r < nf; ++r) {
+      const auto i = static_cast<std::size_t>(f_order[f_base + r]);
+      f_pos[f_base + i] = static_cast<Vertex>(r);
+      slots_[static_cast<std::size_t>(slot_rows_[f_base + i])] =
+          static_cast<Vertex>(f_base + r);
+    }
+    levels_.push_back(meta);
+    f_base += nf;
+    cf_base += lvl.cf_rows.size();
+  }
+  for (Vertex v = 0; v < n0; ++v) {
+    slot_rows_[static_cast<std::size_t>(slots_[static_cast<std::size_t>(v)])] = v;
+  }
+
   if (storage == Precision::kFp32) {
-    pack_values(values_.emplace<ChainValues<float>>(), staging, base,
-                nf_total, data_total);
+    pack_levels(values_.emplace<ChainValues<float>>(), staging, base, f_order,
+                f_pos);
   } else {
-    pack_values(values_.emplace<ChainValues<double>>(), staging, base,
-                nf_total, data_total);
+    pack_levels(values_.emplace<ChainValues<double>>(), staging, base, f_order,
+                f_pos);
+  }
+}
+
+template <typename T>
+void ApplyChain::pack_levels(ChainValues<T>& v,
+                             std::span<const EliminationLevel> staging,
+                             const GroundedFactor& base,
+                             std::span<const Vertex> f_order,
+                             std::span<const Vertex> f_pos) {
+  // Every value is narrowed to T here, once (a no-op for fp64).
+  const auto to_t = [](double x) { return static_cast<T>(x); };
+  v.base.resize(base.values.size());
+  std::transform(base.values.begin(), base.values.end(), v.base.data(), to_t);
+  v.inv_x.resize(f_order.size());
+  v.y_diag.resize(f_order.size());
+  v.w.resize(nbr_.size());
+
+  std::size_t data_pos = 0;
+  // Writes the staged rows order[0, rows) of blk as packed rows from
+  // offsets() position `at` on, each row's entries in staged order, with
+  // their columns mapped through `col`.
+  const auto pack_rows = [&](const EliminationLevel::SubCsr& blk,
+                             const Vertex* order, std::size_t rows,
+                             std::size_t at, auto&& col) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      off_[at + r] = static_cast<EdgeId>(data_pos);
+      const auto i = static_cast<std::size_t>(order[r]);
+      for (EdgeId p = blk.off[i]; p < blk.off[i + 1]; ++p) {
+        const auto pz = static_cast<std::size_t>(p);
+        nbr_[data_pos] = col(blk.nbr[pz]);
+        v.w[data_pos] = to_t(blk.w[pz]);
+        ++data_pos;
+      }
+    }
+    off_[at + rows] = static_cast<EdgeId>(data_pos);
+  };
+  std::vector<Vertex> cf_order;
+  std::vector<Vertex> staged;
+  std::vector<std::size_t> count;
+  for (std::size_t k = 0; k < staging.size(); ++k) {
+    const EliminationLevel& lvl = staging[k];
+    const Level& meta = levels_[k];
+    const auto nf = static_cast<std::size_t>(meta.nf);
+    const Vertex* order = f_order.data() + meta.f_base;
+    const Vertex* pos = f_pos.data() + meta.f_base;
+    for (std::size_t r = 0; r < nf; ++r) {
+      const auto i = static_cast<std::size_t>(order[r]);
+      f_lists_[meta.f_base + r] = lvl.f_list[i];
+      v.inv_x[meta.f_base + r] = to_t(lvl.inv_x[i]);
+      v.y_diag[meta.f_base + r] = to_t(lvl.y_diag[i]);
+    }
+    pack_rows(lvl.ff, order, nf, meta.ff_off, [&](Vertex f) {
+      const Vertex r = pos[f];
+      // Y is symmetric, so a coupled row's neighbours are coupled too.
+      PARLAP_CHECK(r < meta.nf_coupled);
+      return r;
+    });
+    pack_rows(lvl.fc, order, nf, meta.fc_off,
+              [&](Vertex u) { return slots_[static_cast<std::size_t>(u)]; });
+    // cf rows by length; their entries keep ascending staged F order.
+    const auto cf_rows = static_cast<std::size_t>(meta.cf_rows);
+    cf_order.resize(cf_rows);
+    order_by_length(lvl.cf, cf_rows, staged, count, cf_order.data());
+    pack_rows(lvl.cf, cf_order.data(), cf_rows, meta.cf_off,
+              [&](Vertex f) { return pos[f]; });
+    for (std::size_t q = 0; q < cf_rows; ++q) {
+      cf_slots_[meta.cf_base + q] = slots_[static_cast<std::size_t>(
+          lvl.cf_rows[static_cast<std::size_t>(cf_order[q])])];
+    }
   }
 }
 
@@ -190,7 +276,15 @@ const T* ApplyChain::jacobi_solve(const Level& lvl, const ChainValues<T>& v,
   // run on all `cols` columns per CSR sweep. Buffers are interleaved
   // (row i's columns contiguous); the sweep itself is the dispatched
   // csr_jacobi kernel.
+  //
+  // Only the coupled rows [0, nf_coupled) are swept. An uncoupled row has
+  // an empty ff row and y_diag = +0.0, so each sweep would compute
+  // xb - inv_x * (0 * cur): xb itself, except that a -0.0 flips sign on
+  // every sweep. After an odd number l of sweeps (finalize checks l) that
+  // is xb + 0.0, bit for bit, which such a row gets in closed form; no
+  // coupled row reads it (Y is symmetric).
   const auto nf = static_cast<std::size_t>(lvl.nf);
+  const auto nfc = static_cast<std::size_t>(lvl.nf_coupled);
   const T* inv_x = v.inv_x.data() + lvl.f_base;
   const T* y_diag = v.y_diag.data() + lvl.f_base;
   const EdgeId* off = off_.data() + lvl.ff_off;
@@ -198,19 +292,26 @@ const T* ApplyChain::jacobi_solve(const Level& lvl, const ChainValues<T>& v,
   T* cur = buf.jac_cur.data();
   T* tmp = buf.jac_tmp.data();
 
-  parallel_for(std::size_t{0}, nf, [&](std::size_t i) {
-    // Native-T product: for float this equals the widen-multiply-narrow
-    // sequence bit for bit (a float product rounds once either way).
+  // Native-T product: for float this equals the widen-multiply-narrow
+  // sequence bit for bit (a float product rounds once either way).
+  parallel_for(std::size_t{0}, nfc, [&](std::size_t i) {
     for (std::size_t c = 0; c < cols; ++c) {
       xb[i * cols + c] = static_cast<T>(inv_x[i] * b_f[i * cols + c]);
       cur[i * cols + c] = xb[i * cols + c];
+    }
+  });
+  // l odd: the sweeps leave their result in the buffer tmp starts as,
+  // and write only its coupled rows.
+  parallel_for(nfc, nf, [&](std::size_t i) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      tmp[i * cols + c] = static_cast<T>(inv_x[i] * b_f[i * cols + c]) + T(0);
     }
   });
   for (int it = 1; it <= jacobi_terms_; ++it) {
     // tmp = xb - X^-1 (Y cur), one CSR sweep for every column; each
     // column's arithmetic order is the scalar kernel's at every dispatch
     // level (lane = column, no FMA).
-    kernels::for_row_blocks(nf, [&](std::size_t lo, std::size_t hi) {
+    kernels::for_row_blocks(nfc, [&](std::size_t lo, std::size_t hi) {
       kt.csr_jacobi(lo, hi, cols, off, nbr_.data(), v.w.data(), inv_x,
                     y_diag, xb, cur, tmp);
     });

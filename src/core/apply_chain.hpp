@@ -162,6 +162,9 @@ class ApplyChain {
     Vertex nf = 0;
     Vertex nc = 0;
     Vertex cf_rows = 0;       ///< stored cf rows (C vertices with an F neighbour)
+    /// F rows with a non-empty ff row; they are the level's first rows,
+    /// the only ones the Jacobi sweeps visit.
+    Vertex nf_coupled = 0;
     /// f_lists() and the values' inv_x / y_diag, nf entries; also the
     /// level's first slot (its F vertices own slots [f_base, f_base + nf)).
     std::size_t f_base = 0;
@@ -200,6 +203,13 @@ class ApplyChain {
   /// Total packed sub-CSR entries (memory proxy for E12).
   [[nodiscard]] EdgeId stored_entries() const noexcept {
     return static_cast<EdgeId>(nbr_.size());
+  }
+  /// F rows the Jacobi sweeps visit per apply, summed over levels (each
+  /// level's nf_coupled): the per-row work count of the series.
+  [[nodiscard]] Vertex jacobi_rows() const noexcept {
+    Vertex rows = 0;
+    for (const Level& lvl : levels_) rows += lvl.nf_coupled;
+    return rows;
   }
   /// Value bytes actually held by the packed arrays (weights + Jacobi
   /// diagonals + base factor): the bytes-aware cache cost proxy — an fp32
@@ -263,6 +273,15 @@ class ApplyChain {
   template <typename T>
   ApplyBuffers<T>& prepare_workspace(ApplyWorkspace& ws,
                                      std::size_t cols) const;
+
+  /// Writes the staged levels' rows, reordered by f_order (and each
+  /// level's cf rows by length), into the packed arrays and `v`.
+  template <typename T>
+  void pack_levels(ChainValues<T>& v,
+                   std::span<const EliminationLevel> staging,
+                   const GroundedFactor& base,
+                   std::span<const Vertex> f_order,
+                   std::span<const Vertex> f_pos);
 
   /// Truncated Jacobi series Z b over level `lvl` (nf x cols panels).
   /// Returns the result, which lives in buf's Jacobi scratch until the

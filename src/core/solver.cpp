@@ -103,6 +103,7 @@ LaplacianSolver::LaplacianSolver(const Multigraph& g, SolverOptions opts)
     info_.depth = std::max(info_.depth, cr.chain.depth());
     info_.jacobi_terms = std::max(info_.jacobi_terms, cr.chain.jacobi_terms());
     info_.stored_entries += cr.chain.stored_entries();
+    info_.jacobi_rows += cr.chain.apply_chain().jacobi_rows();
     info_.stored_value_bytes += cr.chain.stored_value_bytes();
     build_stats_.accumulate(cr.chain.build_stats());
   }

@@ -120,6 +120,9 @@ struct FactorizationInfo {
   int jacobi_terms = 0;
   Vertex components = 0;
   EdgeId stored_entries = 0;  ///< preconditioner memory proxy
+  /// F rows the Jacobi sweeps visit per apply (rows with an F neighbour),
+  /// summed over the round-0 chains' levels.
+  Vertex jacobi_rows = 0;
   /// Resolved storage precision of the round-0 chains (kFp64 or kFp32;
   /// never kAuto — the constructor resolves it).
   Precision precision = Precision::kFp64;

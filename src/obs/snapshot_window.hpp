@@ -12,7 +12,8 @@
 // Coverage: a window reaches back to its base reading, at most
 // kWindowNs before now. With a reading kept each epoch, that is at
 // least about one epoch short of kWindowNs, and a window younger than
-// kWindowNs reaches back to the first reading.
+// kWindowNs reaches back to the first reading. base() returns the
+// reading's time with it, so a rate divides by the span covered.
 //
 // One thread calls tick() and base(). Other threads may record while a
 // reading is taken: each count only grows, so a later reading never
@@ -40,21 +41,23 @@ class SnapshotWindow {
     while (now_ns - kept_.front().at_ns > kWindowNs) kept_.pop_front();
   }
 
-  /// The oldest kept reading taken at most kWindowNs before now_ns, or
-  /// the newest when all are older (no tick for a whole window).
-  /// Requires a prior tick().
-  [[nodiscard]] const Reading& base(std::uint64_t now_ns) const {
-    for (const Dated& d : kept_) {
-      if (now_ns - d.at_ns <= kWindowNs) return d.reading;
-    }
-    return kept_.back().reading;
-  }
-
- private:
+  /// A kept reading and the time it was taken.
   struct Dated {
     std::uint64_t at_ns = 0;
     Reading reading{};
   };
+
+  /// The oldest kept reading taken at most kWindowNs before now_ns, or
+  /// the newest when all are older (no tick for a whole window): the
+  /// window covers [at_ns, now_ns]. Requires a prior tick().
+  [[nodiscard]] const Dated& base(std::uint64_t now_ns) const {
+    for (const Dated& d : kept_) {
+      if (now_ns - d.at_ns <= kWindowNs) return d;
+    }
+    return kept_.back();
+  }
+
+ private:
   std::deque<Dated> kept_;
 };
 

@@ -808,7 +808,7 @@ std::string SolveServer::stats_response() {
   PARLAP_TRACE_SPAN("serve.stats", "serve");
   const std::uint64_t now_ns = steady_now_ns();
   const WindowReading now = read_window();
-  const WindowReading& base = window_.base(now_ns);
+  const auto& [base_ns, base] = window_.base(now_ns);
   const FactorizationCache::Stats cache = engine_->cache_stats();
   const double hit_rate =
       cache.lookups() > 0
@@ -869,8 +869,13 @@ std::string SolveServer::stats_response() {
   w.member("window_seconds", window_seconds);
   w.member("completed", wcompleted);
   w.member("shed", now.shed - base.shed);
+  // A rate over the span the window covers, which is less than
+  // window_seconds for a daemon younger than that.
+  const double covered_seconds = static_cast<double>(now_ns - base_ns) / 1e9;
   w.member("throughput_per_second",
-           static_cast<double>(wcompleted) / window_seconds);
+           covered_seconds > 0.0
+               ? static_cast<double>(wcompleted) / covered_seconds
+               : 0.0);
   write_digest(w, "solve_seconds", obs::histogram_delta(now.solve_seconds,
                                                         base.solve_seconds));
   write_digest(w, "queue_wait_seconds",

@@ -62,6 +62,9 @@ def validate_solve_json(doc, method, n_runs):
     stored = doc.get("stored_entries", 0)
     check(isinstance(stored, int) and stored >= 1,
           f"{method}: stored_entries >= 1, got {stored}")
+    jr = doc.get("jacobi_rows", -1)
+    check(isinstance(jr, int) and 0 <= jr <= inp.get("vertices", 0),
+          f"{method}: 0 <= jacobi_rows <= vertices, got {jr}")
     check(isinstance(doc.get("stored_bytes"), int) and doc["stored_bytes"] >= 1,
           f"{method}: stored_bytes >= 1, got {doc.get('stored_bytes')}")
     oc = doc.get("op_complexity", -1)
@@ -161,8 +164,11 @@ def run_checks(cli, data, fixture, tmp):
         doc = json.loads(out_json.read_text())
         check(doc.get("op_complexity", 1e9) < 30,
               f"chain shape: grid2d:48 op_complexity {doc.get('op_complexity')} < 30")
+        check(0 < doc.get("jacobi_rows", 0) < doc["input"]["vertices"],
+              f"chain shape: grid2d:48 sweeps some but not all rows, "
+              f"jacobi_rows {doc.get('jacobi_rows')}")
         line = (f"chain: stored_entries {doc.get('stored_entries')}, "
-                f"op_complexity ")
+                f"jacobi_rows {doc.get('jacobi_rows')}, op_complexity ")
         check(any(l.startswith(line) and
                   l.endswith(f", stored_bytes {doc.get('stored_bytes')}")
                   for l in p.stdout.splitlines()),

@@ -283,7 +283,12 @@ TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
   // sums a row's copies: no packed row of ff or cf repeats an F column, no
   // fc row repeats a slot, no two stored cf rows carry the same slot, each
   // ff row still sums to its Y diagonal, and cf is fc's transpose bit for
-  // bit.
+  // bit. And each level is laid out for its sweeps: ff is non-empty
+  // exactly on the coupled rows [0, nf_coupled), whose ff columns stay
+  // below nf_coupled; F rows are grouped by ff length, then fc length,
+  // with the uncoupled rows last, and cf rows by length; ties keep the
+  // staged order, which is ascending vertex order (F rows by f_lists, cf
+  // rows by the input row their slot holds).
   const Multigraph grid = split_edges_uniform(make_grid2d(24, 24), 8);
   const Multigraph rmat = split_edges_uniform(make_rmat(10, 4096, 31), 8);
   for (const Multigraph* g : {&grid, &rmat}) {
@@ -293,9 +298,45 @@ TEST(BlockCholesky, StoredRowsHaveDistinctColumns) {
     const auto col = ac.columns();
     const auto& w = ac.values<double>().w;
     const auto cf_slots = ac.cf_slots();
+    const auto f_lists = ac.f_lists();
+    std::vector<Vertex> row_of_slot(ac.slots().size());
+    for (std::size_t v = 0; v < row_of_slot.size(); ++v) {
+      row_of_slot[static_cast<std::size_t>(ac.slots()[v])] = static_cast<Vertex>(v);
+    }
     ASSERT_GE(ac.depth(), 1);
     for (std::size_t k = 0; k < ac.levels().size(); ++k) {
       const ApplyChain::Level& lvl = ac.levels()[k];
+      const auto len = [&](std::size_t base, Vertex r) {
+        const auto rz = static_cast<std::size_t>(r);
+        return off[base + rz + 1] - off[base + rz];
+      };
+      ASSERT_LE(lvl.nf_coupled, lvl.nf);
+      for (Vertex i = 0; i < lvl.nf; ++i) {
+        EXPECT_EQ(len(lvl.ff_off, i) > 0, i < lvl.nf_coupled)
+            << "level " << k << " F row " << i;
+        const auto iz = static_cast<std::size_t>(i);
+        for (EdgeId p = off[lvl.ff_off + iz]; p < off[lvl.ff_off + iz + 1]; ++p) {
+          EXPECT_LT(col[static_cast<std::size_t>(p)], lvl.nf_coupled)
+              << "level " << k << " F row " << i;
+        }
+      }
+      const auto f_key = [&](Vertex i) {
+        const EdgeId ff = len(lvl.ff_off, i);
+        return std::tuple(ff == 0, ff, len(lvl.fc_off, i),
+                          f_lists[lvl.f_base + static_cast<std::size_t>(i)]);
+      };
+      for (Vertex i = 1; i < lvl.nf; ++i) {
+        EXPECT_LT(f_key(i - 1), f_key(i)) << "level " << k << " F row " << i;
+      }
+      const auto cf_key = [&](Vertex r) {
+        const Vertex slot = cf_slots[lvl.cf_base + static_cast<std::size_t>(r)];
+        return std::pair(len(lvl.cf_off, r),
+                         row_of_slot[static_cast<std::size_t>(slot)]);
+      };
+      for (Vertex r = 1; r < lvl.cf_rows; ++r) {
+        EXPECT_LT(cf_key(r - 1), cf_key(r)) << "level " << k << " cf row " << r;
+      }
+
       // Columns are F indices (ff, cf: below nf) or slots (fc: below n0).
       const auto rows_distinct = [&](std::size_t base, Vertex rows,
                                      Vertex cols, const char* block) {

@@ -66,6 +66,7 @@ void expect_same_chain(const BlockCholeskyChain& a,
     EXPECT_EQ(la.nc, lb.nc);
     EXPECT_EQ(la.f_base, lb.f_base);
     EXPECT_EQ(la.cf_rows, lb.cf_rows);
+    EXPECT_EQ(la.nf_coupled, lb.nf_coupled);
     EXPECT_EQ(la.cf_base, lb.cf_base);
     EXPECT_EQ(la.ff_off, lb.ff_off);
     EXPECT_EQ(la.fc_off, lb.fc_off);

@@ -56,7 +56,7 @@ void tick(Window& w, const Instruments& in, std::uint64_t now_ns) {
 Reading window_at(const Window& w, const Instruments& in,
                   std::uint64_t now_ns) {
   const Reading now = in.read();
-  const Reading& base = w.base(now_ns);
+  const Reading& base = w.base(now_ns).reading;
   return Reading{now.events - base.events,
                  histogram_delta(now.latency, base.latency)};
 }
@@ -151,6 +151,8 @@ TEST(SnapshotWindow, YoungWindowReachesBackToTheFirstReading) {
   const Reading d = window_at(w, in, kStart + 59 * kSecond);
   EXPECT_EQ(d.events, 7u);
   EXPECT_EQ(d.latency.count, 7u);
+  // The window covers the 59 s since that reading, not 60.
+  EXPECT_EQ(w.base(kStart + 59 * kSecond).at_ns, kStart);
 }
 
 TEST(SnapshotWindow, ReadingsWhileFourThreadsRecordStayExact) {

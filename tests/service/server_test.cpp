@@ -390,6 +390,39 @@ TEST(SolveServer, StatsEchoesConfigAndWindow) {
       << stats;
 }
 
+/// The number after `key` in a flat one-line JSON response (0 when the
+/// key is absent).
+double number_after(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(key);
+  if (at == std::string::npos) return 0.0;
+  return std::strtod(line.c_str() + at + key.size(), nullptr);
+}
+
+TEST(SolveServer, YoungDaemonWindowRateCoversItsUptime) {
+  // A daemon younger than the 60 s window divides its window's
+  // completions by the span the window covers, its uptime, not by 60 s:
+  // one solve in its first seconds reads well above 1/60 per second.
+  const std::string path = test_socket_path();
+  TestServer server(base_options(path));
+  Client c(path);
+  ASSERT_TRUE(c.connected());
+
+  c.send_line(kJobA);
+  ASSERT_TRUE(has_field(c.read_line(), "\"status\":\"ok\""));
+  c.send_line(R"({"type":"stats"})");
+  const std::string stats = c.read_line();
+  ASSERT_TRUE(has_field(stats, "\"window_seconds\":60,\"completed\":1,"))
+      << stats;
+  const double uptime = number_after(stats, "\"uptime_seconds\":");
+  const double rate = number_after(stats, "\"throughput_per_second\":");
+  ASSERT_GT(uptime, 0.0) << stats;
+  ASSERT_LT(uptime, 60.0) << stats;
+  EXPECT_GT(rate, 1.0 / 60.0) << stats;
+  // The window's base is the reading start() takes, so the span it
+  // covers is the uptime the same response reports.
+  EXPECT_NEAR(rate * uptime, 1.0, 1e-9) << stats;
+}
+
 TEST(SolveServer, DisconnectPurgesQueuedJobs) {
   const std::string path = test_socket_path();
   ServerOptions opt = base_options(path);

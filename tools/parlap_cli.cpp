@@ -339,8 +339,9 @@ int cmd_solve(Args& args) {
   if (build_stats) {
     std::ostringstream line;
     line << "chain: stored_entries " << solver->stored_entries()
-         << ", op_complexity " << std::setprecision(4) << op_complexity
-         << ", stored_bytes " << solver->stored_bytes() << '\n';
+         << ", jacobi_rows " << solver->jacobi_rows() << ", op_complexity "
+         << std::setprecision(4) << op_complexity << ", stored_bytes "
+         << solver->stored_bytes() << '\n';
     std::cout << line.str();
     if (const BuildStats* bs = solver->build_stats()) {
       print_build_stats(method, *bs);
@@ -405,6 +406,7 @@ int cmd_solve(Args& args) {
     w.member("precision", precision_name(precision_used));
     w.member("setup_seconds", solver->setup_seconds());
     w.member("stored_entries", solver->stored_entries());
+    w.member("jacobi_rows", solver->jacobi_rows());
     w.member("op_complexity", op_complexity);
     w.member("stored_bytes", solver->stored_bytes());
     if (const BuildStats* bs = solver->build_stats()) {

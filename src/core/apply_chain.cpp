@@ -279,10 +279,10 @@ const T* ApplyChain::jacobi_solve(const Level& lvl, const ChainValues<T>& v,
   //
   // Only the coupled rows [0, nf_coupled) are swept. An uncoupled row has
   // an empty ff row and y_diag = +0.0, so each sweep would compute
-  // xb - inv_x * (0 * cur): xb itself, except that a -0.0 flips sign on
-  // every sweep. After an odd number l of sweeps (finalize checks l) that
-  // is xb + 0.0, bit for bit, which such a row gets in closed form; no
-  // coupled row reads it (Y is symmetric).
+  // xb - inv_x * (0 * cur): for finite values xb itself, except that a
+  // -0.0 flips sign on every sweep. After an odd number l of sweeps
+  // (finalize checks l) that is xb + 0.0, bit for bit, which such a row
+  // gets in closed form; no coupled row reads it (Y is symmetric).
   const auto nf = static_cast<std::size_t>(lvl.nf);
   const auto nfc = static_cast<std::size_t>(lvl.nf_coupled);
   const T* inv_x = v.inv_x.data() + lvl.f_base;

@@ -17,12 +17,23 @@
 //
 // Elimination slots: every input vertex owns one row of a single n0-row
 // apply vector. Level k's F vertices take slots [f_base, f_base + nf) in
-// f_list order, and the base takes the last base_n slots; a kept vertex
-// keeps its slot all the way down. finalize() rewrites the F->C columns
-// to slots and tags each stored C->F row (only C vertices with an F
-// neighbour have one) with its slot, so ApplyCholesky works in place on
-// that one vector: level k reads and writes its contiguous F slice plus
-// the slots its blocks name, and no kept row is copied between levels.
+// the level's packed row order (below), and the base takes the last
+// base_n slots in base order; a kept vertex keeps its slot all the way
+// down. finalize() rewrites the F->C columns to slots and tags each
+// stored C->F row (only C vertices with an F neighbour have one) with
+// its slot, so ApplyCholesky works in place on that one vector: level k
+// reads and writes its contiguous F slice plus the slots its blocks name,
+// and no kept row is copied between levels.
+//
+// Level layout: the sweeps cost per row, so finalize() orders each
+// level's rows for them and never reorders the entries inside a row. F
+// rows with a non-empty ff row (nf_coupled of them) come first, grouped
+// by ff length, then fc length; the uncoupled F rows follow, grouped by
+// fc length; cf rows are grouped by length. Ties keep the staged
+// (ascending vertex) order. The Jacobi series sweeps only the coupled
+// rows and gives each uncoupled row its exact closed form (see
+// jacobi_solve), so every column does the same operations in the same
+// order as over the staged layout: the layout changes no bit.
 //
 // Base solve: the base graph's Laplacian is stored as its grounded GTH
 // factor (linalg/dense.hpp), applied exactly as L^+ by triangular sweeps
@@ -155,8 +166,9 @@ class ApplyChain {
   /// Per-level metadata: sizes plus base indices into the packed arrays.
   /// Row-offset values stored in offsets() are absolute into columns() /
   /// weights(); per level the blocks are packed ff, fc, cf. ff and cf
-  /// columns are level-local F indices, fc columns are slots. cf stores
-  /// only the C rows that have an entry, in C order.
+  /// columns are the level's packed F rows, fc columns are slots. cf
+  /// stores only the C rows that have an entry, grouped by length; each
+  /// cf row keeps its entries in staged (ascending vertex) F order.
   struct Level {
     Vertex n = 0;
     Vertex nf = 0;
@@ -174,12 +186,14 @@ class ApplyChain {
     std::size_t cf_off = 0;   ///< offsets(), cf_rows+1 entries
   };
 
-  /// Packs `staging` (consumed by copy; buffers stay with the arena for
+  /// Packs `staging` (read in place; buffers stay with the arena for
   /// recycling) plus the base graph's grounded factor into the immutable
-  /// form.
-  /// `slots[v]` is input vertex v's elimination slot; the staged fc
-  /// columns and cf rows, which name input vertices, are rewritten
-  /// through it. `storage` selects the value store's type (fp64 keeps
+  /// form, each level in the layout described at the top of this file.
+  /// `slots[v]` is input vertex v's slot in the staged order (F vertices
+  /// in f_list order); finalize() moves each F vertex to its packed
+  /// row's slot and rewrites the staged fc columns and cf rows, which
+  /// name input vertices, through the final slots. `jacobi_terms` must
+  /// be odd. `storage` selects the value store's type (fp64 keeps
   /// the staged doubles; fp32 narrows every value once, here; kAuto is a
   /// caller bug — resolve before building).
   void finalize(std::span<const EliminationLevel> staging,
@@ -222,6 +236,8 @@ class ApplyChain {
   [[nodiscard]] const std::vector<Level>& levels() const noexcept {
     return levels_;
   }
+  /// Each level's F vertices (level-local ids) in packed row order, at
+  /// Level::f_base.
   [[nodiscard]] std::span<const Vertex> f_lists() const noexcept {
     return {f_lists_.data(), f_lists_.size()};
   }

@@ -60,6 +60,7 @@ ApproxSchurResult approx_schur(const Multigraph& g,
   lg.adopt(cur);
   FiveDdScratch five_dd;
   WalkGraph wg;
+  WalkScratch walk_scratch;
   std::vector<Vertex> f_index;
   ApproxSchurResult result;
   while (lg.num_vertices() > num_c) {
@@ -83,7 +84,7 @@ ApproxSchurResult approx_schur(const Multigraph& g,
     build_walk_graph(lg, fdd.f, wg);
     const WalkStats ws = sample_schur_complement(
         lg, wg, fdd.f, f_index, seed,
-        static_cast<std::uint64_t>(result.levels), opts.walks);
+        static_cast<std::uint64_t>(result.levels), opts.walks, walk_scratch);
     lg.eliminate(ws.edges_in - ws.edges_out);
     result.walk_stats.push_back(ws);
     ++result.levels;

@@ -332,9 +332,10 @@ BlockCholeskyChain BlockCholeskyChain::build_impl(
       ls.walks = sample_schur_complement(lg, arena.walk_graph, fdd.f,
                                          f_index, seed,
                                          static_cast<std::uint64_t>(level),
-                                         opts.walks);
+                                         opts.walks, arena.walk_scratch);
     }
     lt.walked = ls.walks.walked;
+    lt.resampled = ls.walks.resampled;
     lt.phases.schur = phase.seconds();
 
     phase.reset();
@@ -354,6 +355,7 @@ BlockCholeskyChain BlockCholeskyChain::build_impl(
     chain.build_stats_.phases.accumulate(lt.phases);
     chain.build_stats_.edges_scanned += lt.edges_scanned;
     chain.build_stats_.walked += lt.walked;
+    chain.build_stats_.resampled += lt.resampled;
     chain.build_stats_.level_timings.push_back(lt);
     ++level;
   }

@@ -19,6 +19,16 @@ void ChainBuildArena::for_each_capacity(Fn&& fn) const {
   vec(walk_graph.w);
   vec(walk_graph.prob);
   vec(walk_graph.alias);
+  vec(walk_scratch.ends);
+  vec(walk_scratch.comp);
+  vec(walk_scratch.comp_off);
+  vec(walk_scratch.comp_rows);
+  vec(walk_scratch.comp_vol);
+  vec(walk_scratch.sets);
+  vec(walk_scratch.failed);
+  vec(walk_scratch.redo);
+  vec(walk_scratch.redo_rows);
+  vec(walk_scratch.redo_off);
   vec(five_dd.staging);
   vec(five_dd.sample);
   vec(five_dd.degree);

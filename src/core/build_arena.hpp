@@ -11,14 +11,15 @@
 //     sample rows. The view overload copies the input into it; the
 //     consuming overload swaps the input's own arrays in (and back out
 //     when the build ends), so nothing is copied;
-//   * WalkGraph rows/alias tables, the level-local F index, the input
-//     vertices' slots, the F degrees, level extraction's per-chunk target
-//     slots and transpose histograms, and the 5-DD sampling buffers all
-//     live here and are resized (never reallocated, once warm) per level.
-//     Every such buffer is sized on the calling thread before a pass
-//     forks, and the alias tables are built inside their own rows
-//     (build_alias needs no scratch), so no parallel region of a build
-//     allocates.
+//   * WalkGraph rows/alias tables, the walks' terminals and the
+//     connectivity guard's components and union-find (WalkScratch), the
+//     level-local F index, the input vertices' slots, the F degrees,
+//     level extraction's per-chunk target slots and transpose histograms,
+//     and the 5-DD sampling buffers all live here and are resized (never
+//     reallocated, once warm) per level. Every such buffer is sized on
+//     the calling thread before a pass forks, and the alias tables are
+//     built inside their own rows (build_alias needs no scratch), so no
+//     parallel region of a build allocates.
 //
 // The per-level sub-CSRs and F lists are staged in arena-recycled
 // EliminationLevel buffers too; only the chain's own outputs — the
@@ -63,6 +64,7 @@ class ChainBuildArena {
   std::vector<Vertex> f_index;       ///< level-local id -> F position
   std::vector<Weight> f_degree;      ///< weighted degree of each F vertex
   WalkGraph walk_graph;              ///< F-row adjacency + alias tables
+  WalkScratch walk_scratch;          ///< walk terminals + connectivity guard
   FiveDdScratch five_dd;             ///< 5-DD sampling scratch
   std::vector<EdgeId> extract_hist;  ///< level-extraction transpose scratch
   std::vector<EdgeId> extract_base;

@@ -31,8 +31,9 @@ struct BuildPhaseTimes {
   double partition = 0.0;   ///< F bookkeeping: F index, slots, F degrees
   double walk_graph = 0.0;  ///< F rows of the walk graph + alias tables
   double schur = 0.0;       ///< terminal walks of the F-incident edges,
-                            ///< written in place (Algorithm 4), and the
-                            ///< live-list update (plus any compaction)
+                            ///< written in place (Algorithm 4), their
+                            ///< connectivity guard, and the live-list
+                            ///< update (plus any compaction)
   double extract = 0.0;     ///< level sub-CSR extraction (Y, L_FC, L_CF)
 
   [[nodiscard]] double total() const noexcept {
@@ -58,6 +59,8 @@ struct BuildLevelTiming {
   /// pass per 5-DD round.
   EdgeId edges_scanned = 0;
   EdgeId walked = 0;   ///< F-incident edges whose terminal walks ran
+  /// F-component redraws the connectivity guard ran (WalkStats::resampled)
+  std::int64_t resampled = 0;
   BuildPhaseTimes phases;
 };
 
@@ -76,6 +79,7 @@ struct BuildStats {
   /// Work counters summed over levels (see BuildLevelTiming).
   EdgeId edges_scanned = 0;
   EdgeId walked = 0;
+  std::int64_t resampled = 0;
   BuildPhaseTimes phases;  ///< summed over all levels
   /// Per-level breakdown of the largest single build seen (kept from the
   /// stats with the most levels when merging components/rounds).
@@ -96,6 +100,7 @@ struct BuildStats {
     arena_allocations += o.arena_allocations;
     edges_scanned += o.edges_scanned;
     walked += o.walked;
+    resampled += o.resampled;
     phases.accumulate(o.phases);
     if (o.levels > levels) {
       levels = o.levels;

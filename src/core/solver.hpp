@@ -69,10 +69,13 @@ enum class SplitStrategy {
 struct SolverOptions {
   std::uint64_t seed = 42;
   /// alpha^-1 = max(1, ceil(split_scale * ceil(log2 n)^2)) edge copies.
-  /// Theory wants a large hidden constant; 0.1 is a practical default
-  /// (the outer PCG loop absorbs the weaker concentration; `adaptive`
-  /// rebuilds guard the tail). Ablated in bench E9.
-  double split_scale = 0.1;
+  /// Theory wants a large hidden constant; 0.05 is a practical default
+  /// (9 copies at n = 5000). The outer PCG loop absorbs the weaker
+  /// concentration, and the terminal walks' connectivity guard
+  /// (core/terminal_walks.hpp) keeps every sampled level connected, which
+  /// is what thin graphs (paths, barbells) lose first as copies fall;
+  /// `adaptive` rebuilds guard the tail. Ablated in bench E9.
+  double split_scale = 0.05;
   SplitStrategy split = SplitStrategy::kUniform;
   LeverageOptions leverage;  ///< used when split == kLeverage
   BlockCholeskyOptions chain;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <omp.h>
 
 #include "parallel/alias_table.hpp"
 #include "parallel/for_each.hpp"
@@ -17,12 +20,113 @@ namespace {
 /// this many entries, so a row of any length spreads over the team.
 constexpr EdgeId kWalkBlock = 512;
 
+/// Joins F rows a and b in the walks' shared union-find: a root only ever
+/// links, by compare-and-swap, under a smaller root, so whatever the
+/// interleaving every component's root ends as its least row. Finds halve
+/// paths; any ancestor a racing store leaves is still in the same tree.
+void unite(Vertex* parent, Vertex a, Vertex b) {
+  const auto at = [parent](Vertex x) {
+    return std::atomic_ref<Vertex>(parent[static_cast<std::size_t>(x)]);
+  };
+  const auto find = [&](Vertex x) {
+    for (Vertex p = at(x).load(std::memory_order_relaxed); p != x;
+         p = at(x).load(std::memory_order_relaxed)) {
+      const Vertex gp = at(p).load(std::memory_order_relaxed);
+      at(x).store(gp, std::memory_order_relaxed);
+      x = gp;
+    }
+    return x;
+  };
+  while (true) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return;
+    if (a < b) std::swap(a, b);
+    Vertex expected = a;
+    if (at(a).compare_exchange_strong(expected, b,
+                                      std::memory_order_relaxed)) {
+      return;
+    }
+  }
+}
+
+/// Resolves the F rows' union-find into components, numbered in order of
+/// their least row, and groups the rows by component (comp_off,
+/// comp_rows; rows ascending) with each component's walk-graph volume
+/// scanned into comp_vol. Serial, O(nf). Returns the component count.
+Vertex group_components(std::span<const EdgeId> off, WalkScratch& s) {
+  const std::size_t nf = off.size() - 1;
+  // Every link points to a smaller row, already renumbered.
+  Vertex ncomp = 0;
+  for (std::size_t i = 0; i < nf; ++i) {
+    const Vertex p = s.comp[i];
+    s.comp[i] = p == static_cast<Vertex>(i)
+                    ? ncomp++
+                    : s.comp[static_cast<std::size_t>(p)];
+  }
+  const auto nc = static_cast<std::size_t>(ncomp);
+  s.comp_off.assign(nc + 1, 0);
+  s.comp_vol.assign(nc + 1, 0);
+  for (std::size_t i = 0; i < nf; ++i) {
+    const auto c = static_cast<std::size_t>(s.comp[i]);
+    ++s.comp_off[c + 1];
+    s.comp_vol[c + 1] += off[i + 1] - off[i];
+  }
+  for (std::size_t c = 0; c < nc; ++c) {
+    s.comp_off[c + 1] += s.comp_off[c];
+    s.comp_vol[c + 1] += s.comp_vol[c];
+  }
+  // Scatter with comp_off[c] as c's cursor, which leaves it at c + 1's
+  // start; shifting restores the starts.
+  s.comp_rows.resize(nf);
+  for (std::size_t i = 0; i < nf; ++i) {
+    s.comp_rows[static_cast<std::size_t>(
+        s.comp_off[static_cast<std::size_t>(s.comp[i])]++)] =
+        static_cast<Vertex>(i);
+  }
+  for (std::size_t c = nc; c > 0; --c) s.comp_off[c] = s.comp_off[c - 1];
+  s.comp_off[0] = 0;
+  return ncomp;
+}
+
 }  // namespace
 
 // A walk region's threads count into private WalkStats merged by
 // accumulate(): integer sums and a max, equal in any merge order.
 #pragma omp declare reduction(merge : WalkStats : omp_out.accumulate(omp_in)) \
     initializer(omp_priv = WalkStats{})
+
+namespace {
+
+/// Hands out a row list's entries in blocks of kWalkBlock, forked when
+/// they pay: row i holds entries [off[i], off[i + 1]) of the list, and
+/// fn(i, lo, hi, stats) walks its row-local entries [lo, hi) of one
+/// block. Each thread counts into a private WalkStats; the copies merge
+/// when the region joins. One combined construct: its loop is set up
+/// before the team starts, so no team thread allocates.
+template <typename Fn>
+WalkStats for_each_walk_block(std::span<const EdgeId> off, Fn&& fn) {
+  const EdgeId volume = off.back();
+  const EdgeId blocks = (volume + kWalkBlock - 1) / kWalkBlock;
+  WalkStats stats;
+#pragma omp parallel for schedule(dynamic, 1) reduction(merge : stats) \
+    if (fork_pays(volume))
+  for (EdgeId b = 0; b < blocks; ++b) {
+    const EdgeId lo = b * kWalkBlock;
+    const EdgeId hi = std::min(volume, lo + kWalkBlock);
+    // The rows that meet [lo, hi), from the last one starting at or
+    // before lo.
+    auto i = static_cast<std::size_t>(
+        std::upper_bound(off.begin(), off.end(), lo) - off.begin() - 1);
+    for (; off[i] < hi; ++i) {
+      fn(i, std::max(lo, off[i]) - off[i], std::min(hi, off[i + 1]) - off[i],
+         stats);
+    }
+  }
+  return stats;
+}
+
+}  // namespace
 
 void build_walk_graph(const LevelGraph& g, std::span<const Vertex> f,
                       WalkGraph& wg) {
@@ -63,10 +167,12 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
                                   std::span<const Vertex> f,
                                   std::span<const Vertex> f_index,
                                   std::uint64_t seed, std::uint64_t level,
-                                  const WalkOptions& opts) {
+                                  const WalkOptions& opts,
+                                  WalkScratch& scratch) {
   const EdgeId m = g.num_edges();
   PARLAP_CHECK(walk_graph.rows() == static_cast<Vertex>(f.size()));
   PARLAP_CHECK(f_index.size() == static_cast<std::size_t>(g.num_vertices()));
+  PARLAP_CHECK(level < (std::uint64_t{1} << 16));
 
   const int cap = opts.max_walk_steps > 0
                       ? opts.max_walk_steps
@@ -79,6 +185,12 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
   // Exceptions must not cross the OpenMP region boundary; failures set
   // this flag and the check fires after the region joins.
   std::atomic<bool> retries_exhausted{false};
+  const auto check_walks = [&] {
+    PARLAP_CHECK_MSG(!retries_exhausted.load(),
+                     "terminal walk failed to reach C within "
+                         << cap << " steps after " << opts.max_retries
+                         << " retries; is V\\C 5-DD?");
+  };
 
   struct WalkOutcome {
     Vertex terminal = kInvalidVertex;  ///< level-local id
@@ -126,62 +238,210 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
     }
   };
 
-  // Blocks of F-row entries, in walk-graph order: entry p of the level is
-  // entry p - off[i] of F row i. Each thread counts into its private copy
-  // of `stats`; the copies merge when the region joins. One combined
-  // construct: its loop is set up before the team starts, so no team
-  // thread allocates.
-  WalkStats stats;
-#pragma omp parallel for schedule(dynamic, 1) reduction(merge : stats) \
-    if (fork_pays(volume))
+  // One draw of the walked edge e in F row fi's row: both walks, then the
+  // edge's slot receives the sampled edge or a tombstone. Draw 0 is the
+  // first; draw a > 0 is the a-th redraw of e's component. Returns the
+  // two terminals, or kInvalidVertex twice once a walk ran out of retries.
+  using Ends = std::array<Vertex, 2>;
+  const auto draw = [&](Vertex fi, const RowEntry& e, std::uint64_t a,
+                        WalkStats& st) -> Ends {
+    Rng rng(seed, RngTag::kTerminalWalk,
+            ((level << 40) ^ static_cast<std::uint64_t>(e.rank)) ^ (a << 56));
+    const Vertex u = e.from_u != 0 ? fi : e.other;
+    const Vertex v = e.from_u != 0 ? e.other : fi;
+    const WalkOutcome w1 = run_walk(g.rank(u), rng);
+    const WalkOutcome w2 = run_walk(g.rank(v), rng);
+    if (retries_exhausted.load(std::memory_order_relaxed)) {
+      return {kInvalidVertex, kInvalidVertex};
+    }
+    st.retries += w1.retries + w2.retries;
+    st.total_steps += w1.length + w2.length;
+    st.max_walk_len = std::max({st.max_walk_len, w1.length, w2.length});
+    if (w1.terminal == w2.terminal) {
+      g.drop_edge(e.slot);
+    } else {
+      const double inv_sum =
+          1.0 / e.w + w1.inv_weight_sum + w2.inv_weight_sum;
+      g.set_edge(e.slot, live[static_cast<std::size_t>(w1.terminal)],
+                 live[static_cast<std::size_t>(w2.terminal)], 1.0 / inv_sum);
+    }
+    return {w1.terminal, w2.terminal};
+  };
+  const auto f_row = [&](std::size_t i) {
+    return g.row(static_cast<std::size_t>(g.sample_position(f[i])));
+  };
+
+  // Sized here, so no region allocates.
+  const std::size_t nf = f.size();
+  scratch.ends.resize(static_cast<std::size_t>(volume));
+  scratch.comp.resize(nf);
+  std::iota(scratch.comp.begin(), scratch.comp.end(), Vertex{0});
+  Ends* const ends = scratch.ends.data();
+  Vertex* const comp = scratch.comp.data();
+
+  // The walks, in walk-graph order: entry p of the level is entry
+  // p - off[i] of F row i.
+  WalkStats stats = for_each_walk_block(
+      off, [&](std::size_t i, EdgeId lo, EdgeId hi, WalkStats& st) {
+        const std::span<const RowEntry> row = f_row(i);
+        for (EdgeId j = lo; j < hi; ++j) {
+          if (retries_exhausted.load(std::memory_order_relaxed)) return;
+          const RowEntry& e = row[static_cast<std::size_t>(j)];
+          Ends& out = ends[off[i] + j];
+          // An F-F edge is in two F rows; it walks from its u endpoint's,
+          // and joins the two rows' components.
+          if (g.selected(e.other)) {
+            if (e.from_u == 0) {
+              out = {kInvalidVertex, kInvalidVertex};
+              continue;
+            }
+            unite(comp, static_cast<Vertex>(i),
+                  f_index[static_cast<std::size_t>(g.rank(e.other))]);
+          }
+          out = draw(f[i], e, 0, st);
+          ++st.walked;
+          if (out[0] == out[1]) ++st.dropped_loops;
+        }
+      });
+  check_walks();
+
+  // The guard. Components are numbered in order of their least row;
+  // comp_vol places their entries one after another.
+  const Vertex ncomp = group_components(off, scratch);
+  const std::span<const Vertex> comp_off(scratch.comp_off);
+  const std::span<const Vertex> comp_rows(scratch.comp_rows);
+  const std::span<const EdgeId> comp_vol(scratch.comp_vol);
+  const bool fork = fork_pays(volume);
+  const auto nk = static_cast<std::size_t>(g.num_vertices());
+  scratch.sets.resize(
+      (fork ? static_cast<std::size_t>(thread_count()) : 1) * nk);
+  scratch.failed.resize(static_cast<std::size_t>(ncomp));
+  // Component k's draw a is stamped stamp0 + k * (kMaxRedraws + 1) + a.
+  // Stamps are 32 bits, so once they would wrap every entry is cleared.
+  const std::uint64_t stamps =
+      static_cast<std::uint64_t>(ncomp) * (kMaxRedraws + 1) + 1;
+  if (scratch.epoch + stamps > std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(scratch.sets.begin(), scratch.sets.end(), WalkScratch::Set{});
+    scratch.epoch = 0;
+  }
+  const std::uint64_t stamp0 = scratch.epoch + 1;
+  scratch.epoch += stamps;
+  const auto stamp_of = [&](Vertex k, int a) {
+    return static_cast<std::uint32_t>(
+        stamp0 + static_cast<std::uint64_t>(k) * (kMaxRedraws + 1) +
+        static_cast<std::uint64_t>(a));
+  };
+  // Runs fn(p) for every entry p of component k that walks.
+  const auto for_each_walked = [&](Vertex k, auto&& fn) {
+    const auto kz = static_cast<std::size_t>(k);
+    for (Vertex c = comp_off[kz]; c < comp_off[kz + 1]; ++c) {
+      const auto r = static_cast<std::size_t>(
+          comp_rows[static_cast<std::size_t>(c)]);
+      for (EdgeId p = off[r]; p < off[r + 1]; ++p) {
+        if (ends[p][0] != kInvalidVertex) fn(p);
+      }
+    }
+  };
+  const auto loops = [&](Vertex k) {
+    EdgeId n = 0;
+    for_each_walked(k, [&](EdgeId p) { n += ends[p][0] == ends[p][1]; });
+    return n;
+  };
+
+  // Whether the kept draws of component k's entries connect N_C(K). The
+  // terminals of K's walks are exactly N_C(K): each lies in it, and the
+  // C end of an F-C edge is its own terminal. So one pass over the ends
+  // makes each terminal a set when first seen (stamped) and joins the
+  // two terminals of every sampled edge.
+  const auto connects = [&](Vertex k, std::uint32_t stamp,
+                            WalkScratch::Set* sets) {
+    Vertex open = 0;  // sets made minus joins
+    const auto find = [&](Vertex x) {
+      if (sets[x].stamp != stamp) {
+        sets[x] = {stamp, x};
+        ++open;
+        return x;
+      }
+      while (sets[x].parent != x) {
+        x = sets[x].parent = sets[sets[x].parent].parent;  // path halving
+      }
+      return x;
+    };
+    for_each_walked(k, [&](EdgeId p) {
+      const Vertex x = find(ends[p][0]);
+      const Vertex y = find(ends[p][1]);
+      if (x == y) return;
+      sets[std::max(x, y)].parent = std::min(x, y);
+      --open;
+    });
+    return open <= 1;
+  };
+
+  // Every component's first draw, in blocks of component-ordered
+  // entries: each component is checked by the block holding its first
+  // entry, on its thread's sets.
+#pragma omp parallel for schedule(dynamic, 1) if (fork)
   for (EdgeId b = 0; b < blocks; ++b) {
     const EdgeId lo = b * kWalkBlock;
     const EdgeId hi = std::min(volume, lo + kWalkBlock);
-    // The rows that meet [lo, hi), from the last one starting at or
-    // before lo; each walks its entries inside the block.
-    auto i = static_cast<std::size_t>(
-        std::upper_bound(off.begin(), off.end(), lo) - off.begin() - 1);
-    for (; off[i] < hi; ++i) {
-      const Vertex fi = f[i];
-      const EdgeId first = std::max(lo, off[i]);
-      const EdgeId last = std::min(hi, off[i + 1]);
-      const std::span<const RowEntry> row =
-          g.row(static_cast<std::size_t>(g.sample_position(fi)))
-              .subspan(static_cast<std::size_t>(first - off[i]),
-                       static_cast<std::size_t>(last - first));
-      for (const RowEntry& e : row) {
-        if (retries_exhausted.load(std::memory_order_relaxed)) break;
-        // An F-F edge is in two F rows; it walks from its u endpoint's.
-        if (e.from_u == 0 && g.selected(e.other)) continue;
-        Rng rng(seed, RngTag::kTerminalWalk,
-                (level << 40) ^ static_cast<std::uint64_t>(e.rank));
-        const Vertex u = e.from_u != 0 ? fi : e.other;
-        const Vertex v = e.from_u != 0 ? e.other : fi;
-        const WalkOutcome w1 = run_walk(g.rank(u), rng);
-        const WalkOutcome w2 = run_walk(g.rank(v), rng);
-        if (retries_exhausted.load(std::memory_order_relaxed)) break;
-        ++stats.walked;
-        stats.retries += w1.retries + w2.retries;
-        stats.total_steps += w1.length + w2.length;
-        stats.max_walk_len =
-            std::max({stats.max_walk_len, w1.length, w2.length});
-        if (w1.terminal == w2.terminal) {
-          ++stats.dropped_loops;
-          g.drop_edge(e.slot);
-          continue;
-        }
-        const double inv_sum =
-            1.0 / e.w + w1.inv_weight_sum + w2.inv_weight_sum;
-        g.set_edge(e.slot, live[static_cast<std::size_t>(w1.terminal)],
-                   live[static_cast<std::size_t>(w2.terminal)], 1.0 / inv_sum);
-      }
+    WalkScratch::Set* sets =
+        scratch.sets.data() +
+        static_cast<std::size_t>(omp_get_thread_num()) * nk;
+    for (auto k = static_cast<Vertex>(
+             std::lower_bound(comp_vol.begin(), comp_vol.end() - 1, lo) -
+             comp_vol.begin());
+         k < ncomp && comp_vol[static_cast<std::size_t>(k)] < hi; ++k) {
+      scratch.failed[static_cast<std::size_t>(k)] =
+          connects(k, stamp_of(k, 0), sets) ? 0 : 1;
     }
   }
 
-  PARLAP_CHECK_MSG(!retries_exhausted.load(),
-                   "terminal walk failed to reach C within "
-                       << cap << " steps after " << opts.max_retries
-                       << " retries; is V\\C 5-DD?");
+  // The components that failed redraw all their walked entries together,
+  // in blocks of entries, until each connects or kMaxRedraws is reached;
+  // their dropped loops are recounted from the kept draws.
+  std::vector<Vertex>& redo = scratch.redo;
+  redo.clear();
+  for (Vertex k = 0; k < ncomp; ++k) {
+    if (scratch.failed[static_cast<std::size_t>(k)] == 0) continue;
+    redo.push_back(k);
+    stats.dropped_loops -= loops(k);
+  }
+  for (int a = 1; a <= kMaxRedraws && !redo.empty(); ++a) {
+    stats.resampled += static_cast<std::int64_t>(redo.size());
+    scratch.redo_rows.clear();
+    scratch.redo_off.assign(1, 0);
+    for (const Vertex k : redo) {
+      const auto kz = static_cast<std::size_t>(k);
+      for (Vertex c = comp_off[kz]; c < comp_off[kz + 1]; ++c) {
+        const auto r = comp_rows[static_cast<std::size_t>(c)];
+        scratch.redo_rows.push_back(r);
+        scratch.redo_off.push_back(scratch.redo_off.back() +
+                                   off[static_cast<std::size_t>(r) + 1] -
+                                   off[static_cast<std::size_t>(r)]);
+      }
+    }
+    stats.accumulate(for_each_walk_block(
+        scratch.redo_off,
+        [&](std::size_t i, EdgeId lo, EdgeId hi, WalkStats& st) {
+          const auto r = static_cast<std::size_t>(scratch.redo_rows[i]);
+          const std::span<const RowEntry> row = f_row(r);
+          for (EdgeId j = lo; j < hi; ++j) {
+            if (retries_exhausted.load(std::memory_order_relaxed)) return;
+            Ends& e = ends[off[r] + j];
+            if (e[0] == kInvalidVertex) continue;  // F-F edge, second row
+            e = draw(f[r], row[static_cast<std::size_t>(j)],
+                     static_cast<std::uint64_t>(a), st);
+          }
+        }));
+    check_walks();
+    // A component leaves once it connects, or at the last redraw.
+    std::erase_if(redo, [&](Vertex k) {
+      const bool done = a == kMaxRedraws ||
+                        connects(k, stamp_of(k, a), scratch.sets.data());
+      if (done) stats.dropped_loops += loops(k);
+      return done;
+    });
+  }
 
   stats.edges_in = m;
   stats.edges_out = m - stats.dropped_loops;
@@ -237,8 +497,9 @@ Multigraph terminal_walks(MultigraphView g, const WalkGraph& walk_graph,
   const std::vector<Vertex> f = f_list_of(f_index, walk_graph.rows());
   (void)lg.scan(f);
   lg.select(f);
+  WalkScratch scratch;
   const WalkStats ws = sample_schur_complement(lg, walk_graph, f, f_index,
-                                               seed, level, opts);
+                                               seed, level, opts, scratch);
   if (stats != nullptr) *stats = ws;
 
   // The level graph now holds H in g's ids; renumbering ranks the kept

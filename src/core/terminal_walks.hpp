@@ -26,16 +26,40 @@
 // to sampling every edge of a compacted copy of G^(k). An F-F edge sits in
 // two F rows and walks once, from the row of its u endpoint.
 //
-// Both passes split by volume, not by F row (parallel/for_each.hpp's
-// fork rule): the walks go out in fixed blocks of F-row entries, so a
-// level whose few F vertices carry thousands of edges spreads over the
-// team, and the walk graph's rows run in chunks of equal volume.
+// Every sample keeps the level's connectivity. Group F into components
+// K joined by F-F edges, and let N_C(K) be K's distinct C neighbours.
+// Every walk that starts in K ends in N_C(K), and H differs from G^(k-1)
+// only on F-incident edges, so if the edges sampled from K's walked
+// entries connect N_C(K), every path of G^(k-1) through K survives in H
+// between the same terminals. The guard checks exactly that, in O(vol K)
+// per component: the walks record each entry's two terminals in a dense
+// array (WalkScratch), and one pass, split by volume, runs a small
+// union-find per component. A component that fails redraws all its
+// walked entries with attempt a = 1, 2, ... folded into the walk key,
+// ((level << 40) ^ rank) ^ (a << 56), until N_C(K) is connected or
+// kMaxRedraws is reached (then the last draw stays, and the solver's
+// escalation remains the last resort). Levels lie below 2^16 and ranks
+// below 2^40, so no redraw key equals a first-draw key.
+//
+// This is rejection sampling of each component's star on the event
+// "connects N_C(K)". A component that connects on its first draw keeps
+// that draw, bit for bit, so a level in which no component fails is
+// sampled exactly as without the guard; one that fails is conditioned on
+// the event, which the PCG outer loop absorbs (without it a thin graph's
+// sample splits, and W is singular).
+//
+// All three passes split by volume, not by F row (parallel/for_each.hpp's
+// fork rule): the walks and the guard go out in fixed blocks of F-row
+// entries, so a level whose few F vertices carry thousands of edges
+// spreads over the team, and the walk graph's rows run in chunks of equal
+// volume.
 //
 // The MultigraphView entry points (build_walk_graph, terminal_walks) wrap
 // the level-graph ones for whole-graph callers: they copy the graph into
 // a fresh LevelGraph, run the same code, and return owning results.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -59,10 +83,14 @@ struct WalkStats {
   EdgeId edges_in = 0;
   EdgeId edges_out = 0;
   EdgeId walked = 0;             ///< F-incident edges whose walks ran
-  EdgeId dropped_loops = 0;      ///< walks that closed on one terminal
-  std::int64_t total_steps = 0;  ///< sum of |W1| + |W2| over all edges
+  EdgeId dropped_loops = 0;      ///< kept draws that closed on one terminal
+  /// Sum of |W1| + |W2| over every walk run, redraws included.
+  std::int64_t total_steps = 0;
   int max_walk_len = 0;          ///< longest single walk (steps)
-  std::int64_t retries = 0;
+  std::int64_t retries = 0;      ///< walks restarted at the step cap
+  /// F-component redraws: one per component per extra draw of its walked
+  /// entries, when the previous draw left N_C(K) disconnected.
+  std::int64_t resampled = 0;
 
   void accumulate(const WalkStats& other) {
     edges_in += other.edges_in;
@@ -73,7 +101,44 @@ struct WalkStats {
     max_walk_len = max_walk_len > other.max_walk_len ? max_walk_len
                                                      : other.max_walk_len;
     retries += other.retries;
+    resampled += other.resampled;
   }
+};
+
+/// Redraws of one F component before its last draw is kept disconnected.
+/// Each draw of a component whose star can connect succeeds with
+/// probability well above 1/10 (a 1-copy clique vertex of degree 60 is
+/// about the worst case), so 32 redraws almost never run out.
+inline constexpr int kMaxRedraws = 32;
+
+/// The connectivity guard's scratch, resized (never shrunk) per level; a
+/// caller that keeps it across levels and builds (ChainBuildArena owns
+/// one) reaches zero steady-state reallocations.
+struct WalkScratch {
+  /// The two terminals (level-local ids) a walked entry's kept draw
+  /// reached, aligned with the walk graph's entries; kInvalidVertex on
+  /// the second row of an F-F edge, which does not walk.
+  std::vector<std::array<Vertex, 2>> ends;
+  /// F row -> union-find parent while the walks join F-F edges, then the
+  /// row's component.
+  std::vector<Vertex> comp;
+  std::vector<Vertex> comp_off;   ///< components' ranges in comp_rows
+  std::vector<Vertex> comp_rows;  ///< F rows grouped by component
+  std::vector<EdgeId> comp_vol;   ///< components' walk-graph volume, scanned
+  /// A terminal's union-find entry: valid only under the current stamp.
+  struct Set {
+    std::uint32_t stamp = 0;
+    Vertex parent = 0;
+  };
+  /// Per thread of the guard's team, n_k entries each.
+  std::vector<Set> sets;
+  std::vector<std::uint8_t> failed;  ///< per component: its first draw failed
+  std::vector<Vertex> redo;          ///< the components still redrawing
+  std::vector<Vertex> redo_rows;     ///< their rows, and the rows' volumes
+  std::vector<EdgeId> redo_off;      ///< scanned
+  /// The last stamp handed out: stale entries from earlier levels and
+  /// builds never match a new one.
+  std::uint64_t epoch = 0;
 };
 
 /// Adjacency of the F = V\C rows only (complete incident edge lists),
@@ -102,13 +167,15 @@ void build_walk_graph(const LevelGraph& g, std::span<const Vertex> f,
 
 /// Runs Algorithm 4 (the terminal-walk Schur sample) in place on g: every
 /// edge incident to f (select()ed) walks both ends into C and its slot
-/// receives the sampled edge (level-0 ids) or a tombstone. `f_index[x]`
-/// gives level-local vertex x's row in `walk_graph` or kInvalidVertex for
-/// terminals. Call g.eliminate(stats.edges_in - stats.edges_out) after.
+/// receives the sampled edge (level-0 ids) or a tombstone; then the
+/// connectivity guard redraws every F component whose sample leaves its
+/// C neighbours disconnected. `f_index[x]` gives level-local vertex x's
+/// row in `walk_graph` or kInvalidVertex for terminals. Call
+/// g.eliminate(stats.edges_in - stats.edges_out) after.
 [[nodiscard]] WalkStats sample_schur_complement(
     LevelGraph& g, const WalkGraph& walk_graph, std::span<const Vertex> f,
     std::span<const Vertex> f_index, std::uint64_t seed, std::uint64_t level,
-    const WalkOptions& opts);
+    const WalkOptions& opts, WalkScratch& scratch);
 
 /// Whole-graph convenience: the F-row adjacency + alias tables of g for
 /// the F given by `f_index[v]` (v's F-position or kInvalidVertex; `nf`

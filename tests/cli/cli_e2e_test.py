@@ -135,7 +135,7 @@ def run_checks(cli, data, fixture, tmp):
               build.get("peak_arena_bytes", -1) >= 0,
               "build-stats: arena counters present")
         detail = build.get("levels_detail", [])
-        for key in ("edges_scanned", "walked"):
+        for key in ("edges_scanned", "walked", "resampled"):
             check(build.get(key, -1) >= 0 and
                   build.get(key) == sum(lvl.get(key, 0) for lvl in detail),
                   f"build-stats: {key} present and summed over levels")

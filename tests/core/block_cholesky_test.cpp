@@ -15,6 +15,10 @@
 
 #include "core/alpha_bound.hpp"
 #include "core/block_cholesky.hpp"
+#include "core/five_dd.hpp"
+#include "core/level_graph.hpp"
+#include "core/terminal_walks.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "linalg/dense.hpp"
@@ -160,6 +164,71 @@ TEST(BlockCholesky, MatchesRecordedChains) {
           << c.name << (p == Precision::kFp64 ? " fp64" : " fp32")
           << " hash 0x" << std::hex << hash(y);
     }
+  }
+}
+
+TEST(BlockCholesky, EverySampledLevelStaysConnected) {
+  // At the copies split_scale 0.05 gives (9 for path:5000, 5 for
+  // barbell:200) and seed 42, a walk sample that drops every copy of a
+  // link splits path:5000 at level 84 and barbell:200 at level 14 unless
+  // the terminal walks' connectivity guard redraws the failing stars
+  // (core/terminal_walks.hpp). The levels are replayed with the build's
+  // own steps and seeds, each checked against the chain's walk counts,
+  // and every sampled graph must have no more components than the input.
+  struct Case {
+    const char* name;
+    Multigraph g;
+    std::int64_t copies;
+  };
+  const Case cases[] = {{"path:5000", make_path(5000), 9},
+                        {"barbell:200", make_barbell(200, 100), 5}};
+  const std::uint64_t seed = 42;
+  const BlockCholeskyOptions opts;
+  for (const Case& c : cases) {
+    ASSERT_EQ(default_split_copies(c.g.num_vertices(), 0.05), c.copies);
+    const Multigraph split = split_edges_uniform(c.g, c.copies);
+    const Vertex input_components = connected_components(split).count;
+    const BlockCholeskyChain chain =
+        BlockCholeskyChain::build(split, seed, opts);
+    EXPECT_GT(chain.build_stats().resampled, 0) << c.name;
+
+    LevelGraph lg;
+    lg.assign(split);
+    FiveDdScratch five_dd;
+    WalkGraph wg;
+    WalkScratch scratch;
+    std::vector<Vertex> f_index;
+    int level = 0;
+    for (const LevelStats& want : chain.level_stats()) {
+      const std::uint64_t lseed = splitmix64(
+          seed ^ splitmix64(0x4C45564Cull + static_cast<std::uint64_t>(level)));
+      const FiveDdResult fdd = five_dd_subset(
+          lg, lg.live(), FiveDdDegree::kFull, lseed, opts.five_dd, five_dd);
+      f_index.assign(static_cast<std::size_t>(lg.num_vertices()),
+                     kInvalidVertex);
+      for (std::size_t i = 0; i < fdd.f.size(); ++i) {
+        f_index[static_cast<std::size_t>(lg.rank(fdd.f[i]))] =
+            static_cast<Vertex>(i);
+      }
+      build_walk_graph(lg, fdd.f, wg);
+      const WalkStats ws = sample_schur_complement(
+          lg, wg, fdd.f, f_index, seed, static_cast<std::uint64_t>(level),
+          opts.walks, scratch);
+      lg.eliminate(ws.edges_in - ws.edges_out);
+      ASSERT_EQ(static_cast<Vertex>(fdd.f.size()), want.f_size)
+          << c.name << " level " << level;
+      ASSERT_EQ(ws.walked, want.walks.walked) << c.name << " level " << level;
+      ASSERT_EQ(ws.dropped_loops, want.walks.dropped_loops)
+          << c.name << " level " << level;
+      ASSERT_EQ(ws.resampled, want.walks.resampled)
+          << c.name << " level " << level;
+      LevelGraph sampled = lg;
+      EXPECT_LE(connected_components(sampled.renumbered()).count,
+                input_components)
+          << c.name << " level " << level;
+      ++level;
+    }
+    EXPECT_EQ(level, chain.depth()) << c.name;
   }
 }
 

@@ -185,6 +185,31 @@ TEST(TerminalWalks, WalkLengthsShortOnFiveDdSets) {
   EXPECT_EQ(stats.retries, 0);
 }
 
+TEST(TerminalWalks, EliminatedStarStaysConnected) {
+  // Path 0-1-2, one copy per edge, F = {1}: each edge walks from 1 to a
+  // uniform neighbour, so a draw drops both edges with probability 1/4
+  // and would split {0, 2}. The guard redraws such a star until its
+  // terminals connect, and a star that connects first time keeps its
+  // draw.
+  Multigraph g(3);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, 1.0);
+  const std::vector<Vertex> f{1};
+  const Partition p = make_partition(g, f);
+  std::int64_t redrawn = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    WalkStats stats;
+    const Multigraph h = run_walks(g, p, seed, &stats);
+    EXPECT_GE(h.num_edges(), 1) << "seed " << seed;
+    EXPECT_EQ(stats.edges_out, h.num_edges()) << "seed " << seed;
+    EXPECT_EQ(stats.edges_out + stats.dropped_loops, stats.edges_in);
+    EXPECT_EQ(stats.walked, 2);
+    redrawn += stats.resampled > 0 ? 1 : 0;
+  }
+  EXPECT_GT(redrawn, 0);
+  EXPECT_LT(redrawn, 32);
+}
+
 TEST(TerminalWalks, IsolatedCVertexSurvives) {
   // A C vertex with no edges shouldn't break anything.
   Multigraph g(4);

@@ -97,13 +97,14 @@ struct BuildRecord {
   std::vector<std::uint64_t> chain;
   /// levels, edges_scanned and walked; then per level f_size and walked.
   std::vector<std::int64_t> counters;
-  /// Per level: walked, dropped_loops, total_steps, max_walk_len, retries.
+  /// Per level: walked, dropped_loops, total_steps, max_walk_len, retries,
+  /// resampled.
   std::vector<std::int64_t> walks;
 };
 
 void append_walk_stats(std::vector<std::int64_t>& out, const WalkStats& w) {
   out.insert(out.end(), {w.walked, w.dropped_loops, w.total_steps,
-                         w.max_walk_len, w.retries});
+                         w.max_walk_len, w.retries, w.resampled});
 }
 
 BuildRecord record_builds(const Multigraph& g, std::uint64_t seed) {
@@ -180,7 +181,7 @@ TEST(ThreadDeterminism, ChainBuildSplitByVolume) {
   // taken when it was recorded. A walk run twice rewrites its slot with
   // the same edge; its doubled counts are what shows it.
   std::int64_t total_steps = 0;
-  for (std::size_t i = 0; i < serial.walks.size(); i += 5) {
+  for (std::size_t i = 0; i < serial.walks.size(); i += 6) {
     total_steps += serial.walks[i + 2];
   }
   EXPECT_EQ(serial.counters[2], 1156909);  // walked

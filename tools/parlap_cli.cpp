@@ -139,7 +139,7 @@ void print_build_stats(const std::string& method, const BuildStats& bs) {
                   " MiB, " + std::to_string(bs.arena_allocations) +
                   " arena realloc(s)");
   table.set_header({"level", "n", "m", "|F|", "scanned", "walked",
-                    "degrees_ms", "five_dd_ms", "partition_ms",
+                    "resampled", "degrees_ms", "five_dd_ms", "partition_ms",
                     "walk_graph_ms", "schur_ms", "extract_ms"},
                    4);
   for (std::size_t k = 0; k < bs.level_timings.size(); ++k) {
@@ -149,14 +149,15 @@ void print_build_stats(const std::string& method, const BuildStats& bs) {
                    static_cast<std::int64_t>(lt.edges),
                    static_cast<std::int64_t>(lt.f_size),
                    static_cast<std::int64_t>(lt.edges_scanned),
-                   static_cast<std::int64_t>(lt.walked),
+                   static_cast<std::int64_t>(lt.walked), lt.resampled,
                    lt.phases.degrees * 1e3, lt.phases.five_dd * 1e3,
                    lt.phases.partition * 1e3, lt.phases.walk_graph * 1e3,
                    lt.phases.schur * 1e3, lt.phases.extract * 1e3});
   }
   table.add_row({std::string("total"), std::string(""), std::string(""),
                  std::string(""), static_cast<std::int64_t>(bs.edges_scanned),
-                 static_cast<std::int64_t>(bs.walked), bs.phases.degrees * 1e3,
+                 static_cast<std::int64_t>(bs.walked), bs.resampled,
+                 bs.phases.degrees * 1e3,
                  bs.phases.five_dd * 1e3, bs.phases.partition * 1e3,
                  bs.phases.walk_graph * 1e3, bs.phases.schur * 1e3,
                  bs.phases.extract * 1e3});
@@ -176,6 +177,7 @@ void write_build_stats_json(JsonWriter& w, const BuildStats& bs) {
   w.member("arena_allocations", bs.arena_allocations);
   w.member("edges_scanned", bs.edges_scanned);
   w.member("walked", bs.walked);
+  w.member("resampled", bs.resampled);
   w.key("phases");
   w.begin_object();
   w.member("degrees_seconds", bs.phases.degrees);
@@ -194,6 +196,7 @@ void write_build_stats_json(JsonWriter& w, const BuildStats& bs) {
     w.member("f_size", lt.f_size);
     w.member("edges_scanned", lt.edges_scanned);
     w.member("walked", lt.walked);
+    w.member("resampled", lt.resampled);
     w.member("degrees_seconds", lt.phases.degrees);
     w.member("five_dd_seconds", lt.phases.five_dd);
     w.member("partition_seconds", lt.phases.partition);

@@ -94,8 +94,10 @@ Multigraph with_isolated(const Multigraph& g, Vertex extra) {
 
 TEST(BlockCholesky, MatchesRecordedChains) {
   // Pins whole chains, not properties: four unit-weight graphs deeper
-  // than one level, split as LaplacianSolver's first round splits them
-  // (default_split_copies(n, 0.1)) and built at a fixed seed. Depth,
+  // than one level, split as LaplacianSolver's first round splits them at
+  // the default split_scale (default_split_copies(n, 0.05): 5 copies for
+  // grid2d:24, path:600 and barbell:200, 4 for barbell:60) and built at a
+  // fixed seed. Depth,
   // stored entries and the bits of one apply must equal the values
   // recorded below, so a build change that alters any sampled level, any
   // summed weight or any rounding shows here. Unit weights keep libm out
@@ -114,20 +116,20 @@ TEST(BlockCholesky, MatchesRecordedChains) {
     Vertex isolated = 0;          ///< trailing isolated vertices of g
   };
   const Recorded cases[] = {
-      {"grid2d:24", make_grid2d(24, 24), 40, 8528, 0xd8bae37fc99ea655ull,
-       0xa2a2c34c972e3da2ull},
-      {"path:600", make_path(600), 40, 2000, 0xda98700ddc0dc0dcull,
-       0xdf284d04152e2608ull},
-      {"barbell:60", make_barbell(60, 30), 10, 4356, 0x7f59682380bb6f2full,
-       0xf5b33934061083d6ull},
+      {"grid2d:24", make_grid2d(24, 24), 39, 7292, 0x683862304339e79aull,
+       0x94a75b119f431ed1ull},
+      {"path:600", make_path(600), 40, 2002, 0x1effd8059405f6bcull,
+       0x1814830df029ca80ull},
+      {"barbell:60", make_barbell(60, 30), 10, 4362, 0x2376a12756c5afa8ull,
+       0x06524fc5d239208cull},
       // Deep levels with at most 16 F rows but 20K-44K walks each: the
       // build's passes fork on these by volume, not by row count.
-      {"barbell:200", make_barbell(200, 100), 34, 77336,
-       0x9931ce93a3732ea8ull, 0x688d04f1492c5e72ull},
-      {"grid2d:24 -0.0 rhs", make_grid2d(24, 24), 40, 8528,
-       0xcf36226261129e9bull, 0xc3c131c9c6da4713ull, true},
-      {"grid2d:24 + 8 isolated", with_isolated(make_grid2d(24, 24), 8), 41,
-       8710, 0x979450120ddd7a50ull, 0x839a3db154e77145ull, false, 8},
+      {"barbell:200", make_barbell(200, 100), 34, 77286,
+       0x4a7e7b31f08af66full, 0x4482e8b9ffa8761dull},
+      {"grid2d:24 -0.0 rhs", make_grid2d(24, 24), 39, 7292,
+       0x86fc436fb93ee90eull, 0xb9809e20c2aefc00ull, true},
+      {"grid2d:24 + 8 isolated", with_isolated(make_grid2d(24, 24), 8), 40,
+       6992, 0x1a2ed9be6ab84926ull, 0x25e74e6301c9ebd5ull, false, 8},
   };
   const auto hash = [](std::span<const double> x) {
     std::uint64_t h = 0x736F6C75'74696F6Eull;
@@ -140,7 +142,7 @@ TEST(BlockCholesky, MatchesRecordedChains) {
   for (const Recorded& c : cases) {
     const Vertex n = c.g.num_vertices();
     const Multigraph split =
-        split_edges_uniform(c.g, default_split_copies(n, 0.1));
+        split_edges_uniform(c.g, default_split_copies(n, 0.05));
     Vector b = random_vector(static_cast<std::size_t>(n), 41);
     if (c.negative_zeros) {
       for (std::size_t i = 0; i < b.size(); i += 3) b[i] = -0.0;

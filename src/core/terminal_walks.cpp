@@ -20,6 +20,11 @@ namespace {
 /// this many entries, so a row of any length spreads over the team.
 constexpr EdgeId kWalkBlock = 512;
 
+/// Redraws of one F component before its last draw is kept. At the
+/// default split no component of the five oneshot benchmark graphs needs
+/// more than 3 (seed 42); at 1 copy per edge rmat:11 needs up to 21.
+constexpr int kMaxRedraws = 32;
+
 /// Joins F rows a and b in the walks' shared union-find: a root only ever
 /// links, by compare-and-swap, under a smaller root, so whatever the
 /// interleaving every component's root ends as its least row. Finds halve

@@ -36,17 +36,17 @@
 // array (WalkScratch), and one pass, split by volume, runs a small
 // union-find per component. A component that fails redraws all its
 // walked entries with attempt a = 1, 2, ... folded into the walk key,
-// ((level << 40) ^ rank) ^ (a << 56), until N_C(K) is connected or
-// kMaxRedraws is reached (then the last draw stays, and the solver's
+// ((level << 40) ^ rank) ^ (a << 56), until N_C(K) is connected or 32
+// redraws have run (then the last draw stays, and the solver's
 // escalation remains the last resort). Levels lie below 2^16 and ranks
 // below 2^40, so no redraw key equals a first-draw key.
 //
 // This is rejection sampling of each component's star on the event
 // "connects N_C(K)". A component that connects on its first draw keeps
 // that draw, bit for bit, so a level in which no component fails is
-// sampled exactly as without the guard; one that fails is conditioned on
-// the event, which the PCG outer loop absorbs (without it a thin graph's
-// sample splits, and W is singular).
+// sampled exactly as without the guard. One that fails is conditioned on
+// the event: a bias, but a split sample would leave W singular, and no
+// outer loop converges on that.
 //
 // All three passes split by volume, not by F row (parallel/for_each.hpp's
 // fork rule): the walks and the guard go out in fixed blocks of F-row
@@ -104,12 +104,6 @@ struct WalkStats {
     resampled += other.resampled;
   }
 };
-
-/// Redraws of one F component before its last draw is kept disconnected.
-/// Each draw of a component whose star can connect succeeds with
-/// probability well above 1/10 (a 1-copy clique vertex of degree 60 is
-/// about the worst case), so 32 redraws almost never run out.
-inline constexpr int kMaxRedraws = 32;
 
 /// The connectivity guard's scratch, resized (never shrunk) per level; a
 /// caller that keeps it across levels and builds (ChainBuildArena owns

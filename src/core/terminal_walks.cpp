@@ -29,6 +29,8 @@ constexpr int kMaxRedraws = 32;
 /// links, by compare-and-swap, under a smaller root, so whatever the
 /// interleaving every component's root ends as its least row. Finds halve
 /// paths; any ancestor a racing store leaves is still in the same tree.
+/// A flat tree is only read, so the many walks of one component's F-F
+/// copies share its cache lines instead of passing them around.
 void unite(Vertex* parent, Vertex a, Vertex b) {
   const auto at = [parent](Vertex x) {
     return std::atomic_ref<Vertex>(parent[static_cast<std::size_t>(x)]);
@@ -37,6 +39,7 @@ void unite(Vertex* parent, Vertex a, Vertex b) {
     for (Vertex p = at(x).load(std::memory_order_relaxed); p != x;
          p = at(x).load(std::memory_order_relaxed)) {
       const Vertex gp = at(p).load(std::memory_order_relaxed);
+      if (gp == p) return p;
       at(x).store(gp, std::memory_order_relaxed);
       x = gp;
     }
@@ -289,19 +292,24 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
   WalkStats stats = for_each_walk_block(
       off, [&](std::size_t i, EdgeId lo, EdgeId hi, WalkStats& st) {
         const std::span<const RowEntry> row = f_row(i);
+        Ends* const row_ends = ends + off[i];
+        Vertex joined = kInvalidVertex;  // the F neighbour last joined
         for (EdgeId j = lo; j < hi; ++j) {
           if (retries_exhausted.load(std::memory_order_relaxed)) return;
           const RowEntry& e = row[static_cast<std::size_t>(j)];
-          Ends& out = ends[off[i] + j];
+          Ends& out = row_ends[j];
           // An F-F edge is in two F rows; it walks from its u endpoint's,
-          // and joins the two rows' components.
+          // and joins the two rows' components (once per run of copies).
           if (g.selected(e.other)) {
             if (e.from_u == 0) {
               out = {kInvalidVertex, kInvalidVertex};
               continue;
             }
-            unite(comp, static_cast<Vertex>(i),
-                  f_index[static_cast<std::size_t>(g.rank(e.other))]);
+            if (e.other != joined) {
+              joined = e.other;
+              unite(comp, static_cast<Vertex>(i),
+                    f_index[static_cast<std::size_t>(g.rank(e.other))]);
+            }
           }
           out = draw(f[i], e, 0, st);
           ++st.walked;

@@ -137,58 +137,36 @@ void extract_level(const WalkGraph& wg, std::span<const double> f_degree,
     lvl.inv_x[i] = x > 0.0 ? 1.0 / x : 0.0;
   });
 
-  // L_CF = transpose of fc: stable chunked counting sort by C column,
-  // keeping only the C rows that have an entry; the scatter also turns
-  // fc's columns into input ids.
-  const auto entries = static_cast<EdgeId>(lvl.fc.nbr.size());
-  const int chunks = chunks_for(entries);
-  const EdgeId chunk_len = (entries + chunks - 1) / chunks;
-  arena.extract_hist.assign(static_cast<std::size_t>(chunks) * nz, 0);
-  EdgeId* hist = arena.extract_hist.data();
-#pragma omp parallel for schedule(static) num_threads(chunks) if (chunks > 1)
-  for (int c = 0; c < chunks; ++c) {
-    EdgeId* local = hist + static_cast<std::size_t>(c) * nz;
-    const EdgeId lo = c * chunk_len;
-    const EdgeId hi = std::min(entries, lo + chunk_len);
-    for (EdgeId p = lo; p < hi; ++p) {
-      ++local[static_cast<std::size_t>(lvl.fc.nbr[static_cast<std::size_t>(p)])];
-    }
+  // L_CF = transpose of fc: one serial stable counting sort by C column
+  // (count, scan, scatter in fc order), keeping only the C rows that have
+  // an entry; the scatter also turns fc's columns into input ids.
+  // cursor[t] is C column t's count, then its next cf slot.
+  const std::size_t entries = lvl.fc.nbr.size();
+  arena.extract_hist.assign(nz, 0);
+  EdgeId* cursor = arena.extract_hist.data();
+  for (std::size_t p = 0; p < entries; ++p) {
+    ++cursor[static_cast<std::size_t>(lvl.fc.nbr[p])];
   }
-  arena.extract_base.resize(static_cast<std::size_t>(chunks) * nz);
-  EdgeId* base = arena.extract_base.data();
   lvl.cf.off.clear();
   lvl.cf_rows.clear();
   EdgeId run = 0;
   for (std::size_t t = 0; t < nz; ++t) {
-    const EdgeId row_start = run;
-    for (int c = 0; c < chunks; ++c) {
-      base[static_cast<std::size_t>(c) * nz + t] = run;
-      run += hist[static_cast<std::size_t>(c) * nz + t];
-    }
-    if (run == row_start) continue;
-    lvl.cf.off.push_back(row_start);
+    const EdgeId count = cursor[t];
+    if (count == 0) continue;
+    cursor[t] = run;
+    lvl.cf.off.push_back(run);
     lvl.cf_rows.push_back(live[t]);
+    run += count;
   }
   lvl.cf.off.push_back(run);
   lvl.cf.nbr.resize(static_cast<std::size_t>(run));
   lvl.cf.w.resize(static_cast<std::size_t>(run));
-  // Row index of each fc entry: recover via upper_bound on fc.off; to
-  // stay O(1) per entry we walk rows per chunk instead.
-#pragma omp parallel for schedule(static) num_threads(chunks) if (chunks > 1)
-  for (int c = 0; c < chunks; ++c) {
-    EdgeId* local = base + static_cast<std::size_t>(c) * nz;
-    const EdgeId lo = c * chunk_len;
-    const EdgeId hi = std::min(entries, lo + chunk_len);
-    if (lo >= hi) continue;
-    // First row whose range intersects [lo, hi).
-    auto it = std::upper_bound(lvl.fc.off.begin(), lvl.fc.off.end(), lo);
-    auto row = static_cast<std::size_t>(it - lvl.fc.off.begin()) - 1;
-    for (EdgeId p = lo; p < hi; ++p) {
-      while (lvl.fc.off[row + 1] <= p) ++row;
+  for (std::size_t i = 0; i < nfz; ++i) {
+    for (EdgeId p = lvl.fc.off[i]; p < lvl.fc.off[i + 1]; ++p) {
       const auto pz = static_cast<std::size_t>(p);
       const auto j = static_cast<std::size_t>(lvl.fc.nbr[pz]);
-      const auto slot = static_cast<std::size_t>(local[j]++);
-      lvl.cf.nbr[slot] = static_cast<Vertex>(row);
+      const auto slot = static_cast<std::size_t>(cursor[j]++);
+      lvl.cf.nbr[slot] = static_cast<Vertex>(i);
       lvl.cf.w[slot] = lvl.fc.w[pz];
       lvl.fc.nbr[pz] = live[j];
     }

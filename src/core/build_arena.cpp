@@ -35,7 +35,6 @@ void ChainBuildArena::for_each_capacity(Fn&& fn) const {
   vec(five_dd.induced);
   vec(five_dd.candidate);
   vec(extract_hist);
-  vec(extract_base);
   vec(extract_slot);
   // Staging levels are enumerated last: entries appended mid-build land
   // beyond the begin_build() snapshot and are counted as growth.

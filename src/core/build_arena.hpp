@@ -14,7 +14,7 @@
 //   * WalkGraph rows/alias tables, the walks' terminals and the
 //     connectivity guard's components and union-find (WalkScratch), the
 //     level-local F index, the input vertices' slots, the F degrees,
-//     level extraction's per-chunk target slots and transpose histograms,
+//     level extraction's per-chunk target slots and transpose cursors,
 //     and the 5-DD sampling buffers all live here and are resized (never
 //     reallocated, once warm) per level. Every such buffer is sized on
 //     the calling thread before a pass forks, and the alias tables are
@@ -66,8 +66,8 @@ class ChainBuildArena {
   WalkGraph walk_graph;              ///< F-row adjacency + alias tables
   WalkScratch walk_scratch;          ///< walk terminals + connectivity guard
   FiveDdScratch five_dd;             ///< 5-DD sampling scratch
-  std::vector<EdgeId> extract_hist;  ///< level-extraction transpose scratch
-  std::vector<EdgeId> extract_base;
+  /// Level extraction's transpose counts, then cursors (n_k entries).
+  std::vector<EdgeId> extract_hist;
   /// Level extraction's per-chunk target slots (chunks x n_k), used to sum
   /// a row's parallel copies into one entry.
   std::vector<EdgeId> extract_slot;

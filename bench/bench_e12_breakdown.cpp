@@ -41,15 +41,6 @@ void BM_EdgeSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeSplit)->Unit(benchmark::kMillisecond);
 
-void BM_WeightedDegrees(benchmark::State& state) {
-  const Multigraph& s = fixture_split();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.weighted_degrees());
-  }
-  state.SetItemsProcessed(state.iterations() * s.num_edges());
-}
-BENCHMARK(BM_WeightedDegrees)->Unit(benchmark::kMillisecond);
-
 void BM_FiveDdSubset(benchmark::State& state) {
   const Multigraph& s = fixture_split();
   std::uint64_t seed = 0;

@@ -12,52 +12,14 @@ namespace parlap {
 
 namespace {
 
-/// Ranks per chunk when m live edges are cut into `chunks` fixed chunks.
-EdgeId chunk_len(EdgeId m, std::int64_t chunks) {
-  return std::max<EdgeId>(1, (m + chunks - 1) / chunks);
-}
-
-/// Layout of a full weighted degree (weighted_degrees()'s): one chunk
-/// below 2^15 edges, else min(32, 2^24 / n) chunks.
-EdgeId degree_chunk_len(Vertex n, EdgeId m) {
-  if (m < (1 << 15)) return chunk_len(m, 1);
-  return chunk_len(m, std::max<std::int64_t>(
-                          1, std::min<std::int64_t>(
-                                 32, (std::int64_t{1} << 24) /
-                                         std::max<Vertex>(n, 1))));
-}
-
-/// Layout of a degree within a set of `size` vertices: min(32, 2^23 /
-/// size) chunks.
-EdgeId within_chunk_len(std::size_t size, EdgeId m) {
-  return chunk_len(m, std::max<std::int64_t>(
-                          1, std::min<std::int64_t>(
-                                 32, (std::int64_t{1} << 23) /
-                                         std::max<std::int64_t>(
-                                             static_cast<std::int64_t>(size), 1))));
-}
-
-/// Weight of the row's entries that pass `keep`: per chunk of `len`
-/// ranks a partial sum in rank order, the partials added in chunk order —
-/// the same floating-point sum as accumulating chunk-local partial arrays
-/// over the edge list and folding them, at any thread count.
+/// Weight of the row's entries that pass `keep`, summed in row order.
 template <typename Keep>
-double chunked_row_sum(std::span<const RowEntry> row, EdgeId len,
-                       Keep&& keep) {
+double row_sum(std::span<const RowEntry> row, Keep&& keep) {
   double total = 0.0;
-  double partial = 0.0;
-  EdgeId chunk = -1;
   for (const RowEntry& e : row) {
-    if (!keep(e)) continue;
-    const EdgeId c = e.rank / len;
-    if (c != chunk) {
-      total += partial;
-      partial = 0.0;
-      chunk = c;
-    }
-    partial += e.w;
+    if (keep(e)) total += e.w;
   }
-  return total + partial;
+  return total;
 }
 
 /// Draws `count` distinct elements of `pool` by partial Fisher-Yates on a
@@ -81,14 +43,13 @@ void sample_without_replacement(std::span<const Vertex> pool,
 
 /// filter(S) = { i in S : deg_{G[S]}(i) <= degree(i) / 5 } after one sweep
 /// of g for S. Any subset of a filtered set only loses induced degree, so
-/// the result is 5-DD. `degree_len` is the test degree's chunk length.
+/// the result is 5-DD.
 std::vector<Vertex> filter_five_dd(LevelGraph& g, std::span<const Vertex> s,
-                                   FiveDdDegree degree, EdgeId degree_len,
+                                   FiveDdDegree degree,
                                    FiveDdScratch& scratch,
                                    FiveDdResult& result) {
   result.edges_scanned += g.scan(s);
   const WallTimer timer;
-  const EdgeId induced_len = within_chunk_len(s.size(), g.num_edges());
   scratch.degree.resize(s.size());
   scratch.induced.resize(s.size());
   const std::uint8_t* candidate = scratch.candidate.data();
@@ -99,12 +60,12 @@ std::vector<Vertex> filter_five_dd(LevelGraph& g, std::span<const Vertex> s,
     const std::span<const RowEntry> row = g.row(i);
     scratch.degree[i] =
         degree == FiveDdDegree::kFull
-            ? chunked_row_sum(row, degree_len, [](const RowEntry&) { return true; })
-            : chunked_row_sum(row, degree_len, [&](const RowEntry& e) {
+            ? row_sum(row, [](const RowEntry&) { return true; })
+            : row_sum(row, [&](const RowEntry& e) {
                 return candidate[e.other] != 0;
               });
-    scratch.induced[i] = chunked_row_sum(
-        row, induced_len, [&](const RowEntry& e) { return g.in_sample(e.other); });
+    scratch.induced[i] =
+        row_sum(row, [&](const RowEntry& e) { return g.in_sample(e.other); });
   });
   result.degree_seconds += timer.seconds();
   std::vector<Vertex> f;
@@ -130,10 +91,6 @@ FiveDdResult five_dd_subset(LevelGraph& g, std::span<const Vertex> candidates,
   const auto sample_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::floor(opts.sample_fraction *
                                              static_cast<double>(nc))));
-  const EdgeId degree_len =
-      degree == FiveDdDegree::kFull
-          ? degree_chunk_len(g.num_vertices(), g.num_edges())
-          : within_chunk_len(nc, g.num_edges());
   if (degree == FiveDdDegree::kWithinCandidates) {
     const auto n0 = static_cast<std::size_t>(g.id_bound());
     if (scratch.candidate.size() < n0) scratch.candidate.resize(n0, 0);
@@ -149,8 +106,7 @@ FiveDdResult five_dd_subset(LevelGraph& g, std::span<const Vertex> candidates,
     Rng rng(seed, RngTag::kFiveDd, static_cast<std::uint64_t>(round));
     sample_without_replacement(candidates, sample_size, rng, scratch.staging,
                                scratch.sample);
-    result.f = filter_five_dd(g, scratch.sample, degree, degree_len, scratch,
-                              result);
+    result.f = filter_five_dd(g, scratch.sample, degree, scratch, result);
     if (result.f.size() >= target) break;
     PARLAP_CHECK_MSG(round + 1 < opts.max_rounds,
                      "5DDSubset failed to reach target size "
@@ -174,8 +130,7 @@ FiveDdResult five_dd_subset(LevelGraph& g, std::span<const Vertex> candidates,
     sample_without_replacement(pool, extra, rng, scratch.staging, s);
     s.insert(s.end(), result.f.begin(), result.f.end());
     std::sort(s.begin(), s.end());
-    std::vector<Vertex> grown =
-        filter_five_dd(g, s, degree, degree_len, scratch, result);
+    std::vector<Vertex> grown = filter_five_dd(g, s, degree, scratch, result);
     if (grown.size() > result.f.size()) result.f = std::move(grown);
   }
 

@@ -10,14 +10,12 @@
 // Implementation: every round runs on a LevelGraph (level_graph.hpp).
 // One read-only sweep of its edge array sorts the edges incident to the
 // sample S into S rows, and each S row sums its degree and its induced
-// degree itself (the rows in chunks of equal volume): in rank order, as
-// one partial sum per fixed chunk of the live-edge range, the partials
-// added in chunk order. The chunk
-// layout depends only on n, m and |S|, never on the thread count, so the
-// test sees the same floating-point sums on every machine, and they are
-// the sums a chunked scan over the whole edge list computes. The accepted
-// F is a subset of the last S, so its rows stay in the level graph for
-// the walk graph and the walks.
+// degree itself (the rows in chunks of equal volume), one plain sum in
+// row order. Row order is slot order, so the test sees the same
+// floating-point sums at every thread count, and a full degree is the
+// sum Multigraph::weighted_degrees() computes. The accepted F is a subset
+// of the last S, so its rows stay in the level graph for the walk graph
+// and the walks.
 //
 // The `candidates` overload implements the induced-subgraph call of
 // ApproxSchur (Algorithm 6): degrees are measured inside G[candidates],

@@ -13,8 +13,8 @@ namespace parlap {
 namespace {
 
 /// Contiguous blocks the sweep splits the edge array into: one per
-/// thread, none shorter than 16k slots. Ranks, rows and everything
-/// downstream are the same for any block count.
+/// thread, none shorter than 16k slots. Rows and everything downstream
+/// are the same for any block count.
 int scan_blocks(EdgeId slots) {
   if (!parallelism_allowed()) return 1;
   return static_cast<int>(std::clamp<EdgeId>(
@@ -25,7 +25,7 @@ int scan_blocks(EdgeId slots) {
 
 void LevelGraph::sweep_block(const Vertex* us, const Vertex* vs,
                              const Weight* ws, const std::uint8_t* flag,
-                             Vertex tomb, EdgeId lo, EdgeId hi, Block& blk) {
+                             EdgeId lo, EdgeId hi, Block& blk) {
   // The buffer's size is its capacity; `used` counts the records, and
   // past the capacity only counts them (the caller grows the buffer and
   // sweeps the block again). Local pointers keep the hot loop in
@@ -33,18 +33,15 @@ void LevelGraph::sweep_block(const Vertex* us, const Vertex* vs,
   Record* out = blk.rec.data();
   const std::size_t cap = blk.rec.size();
   std::size_t used = 0;
-  EdgeId live = 0;
   for (EdgeId e = lo; e < hi; ++e) {
     const Vertex a = us[e];
     const Vertex c = vs[e];
     if ((flag[a] | flag[c]) != 0) {
-      if (used < cap) out[used] = {e, live, a, c, ws[e]};
+      if (used < cap) out[used] = {e, a, c, ws[e]};
       ++used;
     }
-    live += a != tomb ? 1 : 0;
   }
   blk.used = used;
-  blk.live = live;
 }
 
 void LevelGraph::reset_ids(Vertex n0) {
@@ -86,7 +83,7 @@ EdgeId LevelGraph::scan(std::span<const Vertex> s) {
     pos_[v] = static_cast<Vertex>(i);
   }
 
-  // The sweep: copy each S-incident edge with its rank within the block.
+  // The sweep: copy each S-incident edge.
   const auto slots = static_cast<EdgeId>(u_.size());
   const int nb = scan_blocks(slots);
   if (blocks_.size() < static_cast<std::size_t>(nb)) {
@@ -96,10 +93,9 @@ EdgeId LevelGraph::scan(std::span<const Vertex> s) {
   const Vertex* vs = v_.data();
   const Weight* ws = w_.data();
   const std::uint8_t* flag = flag_.data();
-  const Vertex tomb = n0_;
 #pragma omp parallel for schedule(static) num_threads(nb) if (nb > 1)
   for (int b = 0; b < nb; ++b) {
-    sweep_block(us, vs, ws, flag, tomb, slots * b / nb, slots * (b + 1) / nb,
+    sweep_block(us, vs, ws, flag, slots * b / nb, slots * (b + 1) / nb,
                 blocks_[static_cast<std::size_t>(b)]);
   }
   // A block that outgrew its buffer grows here, on the calling thread, and
@@ -109,16 +105,8 @@ EdgeId LevelGraph::scan(std::span<const Vertex> s) {
     Block& blk = blocks_[static_cast<std::size_t>(b)];
     if (blk.used <= blk.rec.size()) continue;
     blk.rec.resize(std::max<std::size_t>(std::bit_ceil(blk.used), 1024));
-    sweep_block(us, vs, ws, flag, tomb, slots * b / nb, slots * (b + 1) / nb,
-                blk);
+    sweep_block(us, vs, ws, flag, slots * b / nb, slots * (b + 1) / nb, blk);
   }
-  EdgeId rank_base = 0;
-  for (int b = 0; b < nb; ++b) {
-    Block& blk = blocks_[static_cast<std::size_t>(b)];
-    blk.first_rank = rank_base;
-    rank_base += blk.live;
-  }
-  PARLAP_DCHECK(rank_base == live_edges_);
 
   // Rows: a stable counting sort of the records by sample position.
   // row_hist_ holds per-block counts, then per-block write cursors.
@@ -159,9 +147,8 @@ EdgeId LevelGraph::scan(std::span<const Vertex> s) {
     const Block& blk = blocks_[static_cast<std::size_t>(b)];
     EdgeId* cursor = hist + static_cast<std::size_t>(b) * ns;
     for (const Record& r : std::span<const Record>(blk.rec.data(), blk.used)) {
-      const EdgeId rank = blk.first_rank + r.rank;
-      if (flag[r.u] != 0) rows[cursor[pos[r.u]]++] = {rank, r.slot, r.v, 1, r.w};
-      if (flag[r.v] != 0) rows[cursor[pos[r.v]]++] = {rank, r.slot, r.u, 0, r.w};
+      if (flag[r.u] != 0) rows[cursor[pos[r.u]]++] = {r.slot, r.v, 1, r.w};
+      if (flag[r.v] != 0) rows[cursor[pos[r.v]]++] = {r.slot, r.u, 0, r.w};
     }
   }
   return slots;

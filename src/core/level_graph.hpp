@@ -9,18 +9,19 @@
 // endpoints n0, an id no vertex has) when its walk closed on one terminal.
 // Nothing is renumbered, and edges move only when the array is compacted.
 //
-// Order is what keeps this bit for bit equal to building each G^(k) as a
-// fresh, compacted, renumbered graph. Live edges never change their
-// relative order, so an edge's rank among live edges is its index in that
-// compacted G^(k); the live vertices form an ascending list, so a live
-// vertex's rank in it is its renumbered id. Everything keyed by edge
-// index or vertex id (walk randomness, degree summation order, the 5-DD
-// sample, row order) is keyed by these ranks instead.
+// A slot is an edge's identity within a level: it stays put until the
+// array is compacted, and a tombstone moves no other edge. So the walks
+// key their randomness by slot (terminal_walks.hpp), and dropping one
+// edge changes no other edge's draw. Rows list their entries in slot
+// order, so per-row sums (degrees, the 5-DD test) add in edge-array
+// order. The live vertices form an ascending list, and a live vertex's
+// rank in it is its level-local id (the walk graph's and the extracted
+// level's).
 //
 // The only whole-array pass of a level is scan(): per 5-DD round, one
-// read-only sweep copies the edges incident to the sample S, each with
-// its rank, into per-block buffers, and sorts them into S rows (one per
-// member of S, entries in rank order). Degrees, the 5-DD test, the walk
+// read-only sweep copies the edges incident to the sample S, with their
+// slots, into per-block buffers, and sorts them into S rows (one per
+// member of S, entries in slot order). Degrees, the 5-DD test, the walk
 // graph's F rows and the walks themselves all derive from those
 // O(vol S) rows. The sweep reads two ids and one flag byte per endpoint;
 // the sentinel's flag is never set, so tombstones cost no branch. When
@@ -47,7 +48,6 @@ namespace parlap {
 
 /// One edge incident to a row's vertex, as scan() copied it.
 struct RowEntry {
-  EdgeId rank;   ///< index among live edges (the compacted G^(k) index)
   EdgeId slot;   ///< position in the edge array
   Vertex other;  ///< the endpoint that is not the row's vertex
   Vertex from_u; ///< 1 when the row's vertex is the edge's u endpoint
@@ -81,7 +81,7 @@ class LevelGraph {
   }
 
   /// Makes `s` (live level-0 ids, any order) the sample and sorts the
-  /// edges incident to it into rows: row(i) lists s[i]'s edges in rank
+  /// edges incident to it into rows: row(i) lists s[i]'s edges in slot
   /// order. One read-only sweep of the edge array; returns the slots it
   /// read, tombstones included.
   EdgeId scan(std::span<const Vertex> s);
@@ -160,7 +160,6 @@ class LevelGraph {
 
   struct Record {
     EdgeId slot;
-    EdgeId rank;  ///< among the block's live edges
     Vertex u;
     Vertex v;
     Weight w;
@@ -168,15 +167,13 @@ class LevelGraph {
   struct Block {
     std::vector<Record> rec;  ///< size = capacity; the first `used` are valid
     std::size_t used = 0;     ///< records found (beyond rec.size(): overflow)
-    EdgeId live = 0;        ///< live edges in the block
-    EdgeId first_rank = 0;  ///< rank of its first live edge
   };
 
   /// The sweep over slots [lo, hi): copies the records of the edges with
-  /// a flagged endpoint into blk and counts its live edges.
+  /// a flagged endpoint into blk.
   static void sweep_block(const Vertex* us, const Vertex* vs,
                           const Weight* ws, const std::uint8_t* flag,
-                          Vertex tomb, EdgeId lo, EdgeId hi, Block& blk);
+                          EdgeId lo, EdgeId hi, Block& blk);
   void reset_ids(Vertex n0);
   void clear_marks() noexcept;
   void compact(bool renumber);

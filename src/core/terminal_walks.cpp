@@ -153,7 +153,7 @@ void build_walk_graph(const LevelGraph& g, std::span<const Vertex> f,
   wg.prob.resize(static_cast<std::size_t>(vol));
   wg.alias.resize(static_cast<std::size_t>(vol));
 
-  // Rows in rank order, then an alias table per row (Lemma 2.6: O(deg)
+  // Rows in slot order, then an alias table per row (Lemma 2.6: O(deg)
   // build, O(1) query), in chunks of equal volume.
   const int chunks = fork_pays(vol) ? thread_count() : 1;
   for_each_row_chunk(std::span<const EdgeId>(wg.off), chunks,
@@ -254,7 +254,7 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
   const auto draw = [&](Vertex fi, const RowEntry& e, std::uint64_t a,
                         WalkStats& st) -> Ends {
     Rng rng(seed, RngTag::kTerminalWalk,
-            ((level << 40) ^ static_cast<std::uint64_t>(e.rank)) ^ (a << 56));
+            ((level << 40) ^ static_cast<std::uint64_t>(e.slot)) ^ (a << 56));
     const Vertex u = e.from_u != 0 ? fi : e.other;
     const Vertex v = e.from_u != 0 ? e.other : fi;
     const WalkOutcome w1 = run_walk(g.rank(u), rng);

@@ -20,11 +20,11 @@
 //
 // Only F-incident edges walk: an edge with both endpoints in C is its own
 // walk and stays where it is. Each walked edge owns a counter-based RNG
-// stream keyed by (seed, level, rank among live edges) and writes its
-// sampled edge, or a tombstone, into its own slot of the level graph's
-// edge array, so the result is identical under any thread count and equal
-// to sampling every edge of a compacted copy of G^(k). An F-F edge sits in
-// two F rows and walks once, from the row of its u endpoint.
+// stream keyed by (seed, level, slot), its position in the level graph's
+// edge array, and writes its sampled edge, or a tombstone, into that
+// slot, so the result is identical under any thread count, and a
+// tombstone elsewhere in the array changes no edge's draw. An F-F edge
+// sits in two F rows and walks once, from the row of its u endpoint.
 //
 // Every sample keeps the level's connectivity. Group F into components
 // K joined by F-F edges, and let N_C(K) be K's distinct C neighbours.
@@ -36,9 +36,9 @@
 // array (WalkScratch), and one pass, split by volume, runs a small
 // union-find per component. A component that fails redraws all its
 // walked entries with attempt a = 1, 2, ... folded into the walk key,
-// ((level << 40) ^ rank) ^ (a << 56), until N_C(K) is connected or 32
+// ((level << 40) ^ slot) ^ (a << 56), until N_C(K) is connected or 32
 // redraws have run (then the last draw stays, and the solver's
-// escalation remains the last resort). Levels lie below 2^16 and ranks
+// escalation remains the last resort). Levels lie below 2^16 and slots
 // below 2^40, so no redraw key equals a first-draw key.
 //
 // This is rejection sampling of each component's star on the event
@@ -153,7 +153,7 @@ struct WalkGraph {
 };
 
 /// Builds the walk graph's rows from g's sample rows: row i holds the
-/// edges of f[i] (a select()ed sample member) in rank order, stepping to
+/// edges of f[i] (a select()ed sample member) in slot order, stepping to
 /// level-local ids, plus its alias table. Reuses `out`'s storage.
 /// O(vol(F)) work, deterministic.
 void build_walk_graph(const LevelGraph& g, std::span<const Vertex> f,

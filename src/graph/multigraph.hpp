@@ -156,7 +156,8 @@ class Multigraph {
     return MultigraphView(n_, u_, v_, w_);
   }
 
-  /// Weighted degree w(u) = sum of incident multi-edge weights (parallel).
+  /// Weighted degrees w(u) = sum of incident multi-edge weights, added in
+  /// edge order (serial).
   [[nodiscard]] std::vector<Weight> weighted_degrees() const;
 
   /// Sum of all multi-edge weights (parallel reduction).
@@ -175,9 +176,5 @@ class Multigraph {
 
 inline MultigraphView::MultigraphView(const Multigraph& g)
     : MultigraphView(g.num_vertices(), g.us(), g.vs(), g.ws()) {}
-
-/// Weighted degrees of a view (parallel, bit-identical for every thread
-/// count).
-[[nodiscard]] std::vector<Weight> weighted_degrees(MultigraphView g);
 
 }  // namespace parlap

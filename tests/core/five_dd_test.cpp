@@ -3,7 +3,10 @@
 // subgraphs (the ApproxSchur variant).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/five_dd.hpp"
 #include "graph/generators.hpp"
@@ -121,6 +124,30 @@ TEST(FiveDd, DifferentSeedsDifferentSubsets) {
   const FiveDdResult a = run(g, 1);
   const FiveDdResult b = run(g, 2);
   EXPECT_NE(a.f, b.f);
+}
+
+TEST(FiveDd, TestDegreesAreWeightedDegrees) {
+  // Past 2^15 edges, where degree sums were once cut into chunks: each S
+  // row sums its entries in row order, which is edge order, so the 1/5
+  // test divides by weighted_degrees()'s sum, bit for bit.
+  Multigraph g = make_erdos_renyi(4000, 40000, 9);
+  apply_weights(g, WeightModel::power_law(0.1, 100.0, 2.5), 10);
+  ASSERT_GE(g.num_edges(), EdgeId{1} << 15);
+  const std::vector<Weight> deg = g.weighted_degrees();
+  LevelGraph lg;
+  lg.assign(g);
+  FiveDdScratch scratch;
+  const FiveDdResult r =
+      five_dd_subset(lg, lg.live(), FiveDdDegree::kFull, 7, {}, scratch);
+  ASSERT_FALSE(r.f.empty());
+  ASSERT_FALSE(scratch.sample.empty());
+  for (const Vertex v : scratch.sample) {
+    const double got = scratch.degree[static_cast<std::size_t>(
+        lg.sample_position(v))];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(deg[static_cast<std::size_t>(v)]))
+        << "vertex " << v;
+  }
 }
 
 TEST(IsFiveDd, RejectsAdjacentPairWithLowDegree) {

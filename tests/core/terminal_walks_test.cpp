@@ -3,8 +3,11 @@
 // never-more-edges invariant, weight composition, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <tuple>
+#include <vector>
 
 #include "core/alpha_bound.hpp"
 #include "core/five_dd.hpp"
@@ -208,6 +211,79 @@ TEST(TerminalWalks, EliminatedStarStaysConnected) {
   }
   EXPECT_GT(redrawn, 0);
   EXPECT_LT(redrawn, 32);
+}
+
+TEST(TerminalWalks, TombstoneLeavesEveryOtherDrawAlone) {
+  // A walk's randomness is keyed by its edge's slot in the level graph,
+  // and a slot stays put until the array is compacted, so tombstoning a
+  // C-C edge (as an earlier level's walk does) changes no other edge's
+  // draw. Two copies of a level graph, one with its first C-C edge
+  // tombstoned, sample the same F: every other slot must receive the
+  // same edge in both.
+  const Multigraph g = split_edges_uniform(make_grid2d(20, 20), 4);
+  const std::vector<Vertex> f = five_dd_subset(g, 3).f;
+  std::vector<Vertex> f_index(static_cast<std::size_t>(g.num_vertices()),
+                              kInvalidVertex);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    f_index[static_cast<std::size_t>(f[i])] = static_cast<Vertex>(i);
+  }
+  const auto in_f = [&](Vertex v) {
+    return f_index[static_cast<std::size_t>(v)] != kInvalidVertex;
+  };
+  EdgeId cc = 0;
+  while (in_f(g.edge_u(cc)) || in_f(g.edge_v(cc))) ++cc;
+  EdgeId walked_after = 0;
+  for (EdgeId e = cc + 1; e < g.num_edges(); ++e) {
+    walked_after += in_f(g.edge_u(e)) || in_f(g.edge_v(e)) ? 1 : 0;
+  }
+  ASSERT_GT(walked_after, 100);
+
+  struct Sampled {
+    std::vector<std::tuple<Vertex, Vertex, Weight>> edges;  // renumbered
+    WalkStats stats;
+  };
+  const auto sample = [&](bool tombstone) {
+    LevelGraph lg;
+    lg.assign(g);
+    if (tombstone) {
+      lg.drop_edge(cc);
+      lg.eliminate(1);
+    }
+    (void)lg.scan(f);
+    lg.select(f);
+    WalkGraph wg;
+    build_walk_graph(lg, f, wg);
+    WalkScratch scratch;
+    Sampled out;
+    out.stats = sample_schur_complement(lg, wg, f, f_index, 11, 0, {}, scratch);
+    lg.eliminate(out.stats.edges_in - out.stats.edges_out);
+    const MultigraphView h = lg.renumbered();
+    for (EdgeId e = 0; e < h.num_edges(); ++e) {
+      out.edges.emplace_back(h.edge_u(e), h.edge_v(e), h.edge_weight(e));
+    }
+    return out;
+  };
+  const Sampled whole = sample(false);
+  const Sampled dropped = sample(true);
+  EXPECT_EQ(dropped.stats.walked, whole.stats.walked);
+  EXPECT_EQ(dropped.stats.dropped_loops, whole.stats.dropped_loops);
+  EXPECT_EQ(dropped.stats.total_steps, whole.stats.total_steps);
+  EXPECT_EQ(dropped.stats.resampled, whole.stats.resampled);
+
+  // Both arrays compact in slot order, so the tombstoned copy must equal
+  // the other with the C-C edge (renumbered: F leaves the ids) removed.
+  const auto renumbered = [&](Vertex v) {
+    return v - static_cast<Vertex>(std::lower_bound(f.begin(), f.end(), v) -
+                                   f.begin());
+  };
+  std::vector<std::tuple<Vertex, Vertex, Weight>> want = whole.edges;
+  const auto at = std::find(
+      want.begin(), want.end(),
+      std::make_tuple(renumbered(g.edge_u(cc)), renumbered(g.edge_v(cc)),
+                      g.edge_weight(cc)));
+  ASSERT_NE(at, want.end());
+  want.erase(at);
+  EXPECT_TRUE(dropped.edges == want);
 }
 
 TEST(TerminalWalks, IsolatedCVertexSurvives) {

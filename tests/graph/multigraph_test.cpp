@@ -46,7 +46,7 @@ TEST(Multigraph, RejectsNonPositiveWeight) {
 }
 
 TEST(Multigraph, WeightedDegreesLargeParallelPath) {
-  // Exercise the parallel accumulation path (> 2^15 edges).
+  // Over 2^15 edges, each degree a sum of hundreds of copies.
   const Vertex n = 300;
   Multigraph g(n);
   const EdgeId reps = 400;

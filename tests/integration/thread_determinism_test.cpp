@@ -184,8 +184,8 @@ TEST(ThreadDeterminism, ChainBuildSplitByVolume) {
   for (std::size_t i = 0; i < serial.walks.size(); i += 6) {
     total_steps += serial.walks[i + 2];
   }
-  EXPECT_EQ(serial.counters[2], 641052);  // walked
-  EXPECT_EQ(total_steps, 684208);
+  EXPECT_EQ(serial.counters[2], 642073);  // walked
+  EXPECT_EQ(total_steps, 684759);
 
   // The connectivity guard redraws a component on a level whose walks
   // and check fork.

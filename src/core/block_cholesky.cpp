@@ -52,15 +52,13 @@ void extract_level(const WalkGraph& wg, std::span<const double> f_degree,
   // stale slots from other rows, levels or builds never need clearing.
   // A forked pass takes one chunk per thread, with at most 2^24 slots
   // of scratch in all.
-  const auto chunks_for = [&](EdgeId volume) {
-    return fork_pays(volume)
-               ? static_cast<int>(std::clamp<std::int64_t>(
-                     (std::int64_t{1} << 24) / std::max<std::int64_t>(lvl.n, 1),
-                     1, thread_count()))
-               : 1;
-  };
   const std::span<const EdgeId> wg_off(wg.off);
-  const int row_chunks = chunks_for(wg.volume());
+  const int row_chunks =
+      fork_pays(wg.volume())
+          ? static_cast<int>(std::clamp<std::int64_t>(
+                (std::int64_t{1} << 24) / std::max<std::int64_t>(lvl.n, 1), 1,
+                thread_count()))
+          : 1;
   arena.extract_slot.resize(static_cast<std::size_t>(row_chunks) * nz);
   const auto for_each_row = [&](auto&& row) {
     for_each_row_chunk(wg_off, row_chunks, [&](std::size_t i, int c) {

@@ -12,11 +12,11 @@
 // A slot is an edge's identity within a level: it stays put until the
 // array is compacted, and a tombstone moves no other edge. So the walks
 // key their randomness by slot (terminal_walks.hpp), and dropping one
-// edge changes no other edge's draw. Rows list their entries in slot
-// order, so per-row sums (degrees, the 5-DD test) add in edge-array
-// order. The live vertices form an ascending list, and a live vertex's
-// rank in it is its level-local id (the walk graph's and the extracted
-// level's).
+// edge leaves every other edge's random stream as it was. Rows list
+// their entries in slot order, so per-row sums (degrees, the 5-DD test)
+// add in edge-array order. The live vertices form an ascending list, and
+// a live vertex's rank in it is its level-local id (the walk graph's and
+// the extracted level's).
 //
 // The only whole-array pass of a level is scan(): per 5-DD round, one
 // read-only sweep copies the edges incident to the sample S, with their

@@ -23,8 +23,9 @@
 // stream keyed by (seed, level, slot), its position in the level graph's
 // edge array, and writes its sampled edge, or a tombstone, into that
 // slot, so the result is identical under any thread count, and a
-// tombstone elsewhere in the array changes no edge's draw. An F-F edge
-// sits in two F rows and walks once, from the row of its u endpoint.
+// tombstone elsewhere in the array leaves the stream as it was. An F-F
+// edge sits in two F rows and walks once, from the row of its u
+// endpoint.
 //
 // Every sample keeps the level's connectivity. Group F into components
 // K joined by F-F edges, and let N_C(K) be K's distinct C neighbours.

@@ -218,8 +218,9 @@ TEST(TerminalWalks, TombstoneLeavesEveryOtherDrawAlone) {
   // and a slot stays put until the array is compacted, so tombstoning a
   // C-C edge (as an earlier level's walk does) changes no other edge's
   // draw. Two copies of a level graph, one with its first C-C edge
-  // tombstoned, sample the same F: every other slot must receive the
-  // same edge in both.
+  // tombstoned, sample the same F (their walk caps, set by the live edge
+  // count, are equal): every other slot must receive the same edge in
+  // both.
   const Multigraph g = split_edges_uniform(make_grid2d(20, 20), 4);
   const std::vector<Vertex> f = five_dd_subset(g, 3).f;
   std::vector<Vertex> f_index(static_cast<std::size_t>(g.num_vertices()),

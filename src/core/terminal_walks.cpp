@@ -1,8 +1,10 @@
 #include "core/terminal_walks.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <omp.h>
@@ -106,12 +108,29 @@ Vertex group_components(std::span<const EdgeId> off, WalkScratch& s) {
 
 namespace {
 
+/// One block of a row list's entries, [lo, hi) of the list, whose row i
+/// holds entries [off[i], off[i + 1]).
+struct WalkBlock {
+  std::span<const EdgeId> off;
+  std::size_t first;  ///< the last row starting at or before lo
+  EdgeId lo;
+  EdgeId hi;
+
+  /// Calls fn(i, j_lo, j_hi) for each row i that meets the block, in
+  /// order, with the row-local entries [j_lo, j_hi) it holds.
+  template <typename Fn>
+  void for_each_row(Fn&& fn) const {
+    for (std::size_t i = first; off[i] < hi; ++i) {
+      fn(i, std::max(lo, off[i]) - off[i], std::min(hi, off[i + 1]) - off[i]);
+    }
+  }
+};
+
 /// Hands out a row list's entries in blocks of kWalkBlock, forked when
-/// they pay: row i holds entries [off[i], off[i + 1]) of the list, and
-/// fn(i, lo, hi, stats) walks its row-local entries [lo, hi) of one
-/// block. Each thread counts into a private WalkStats; the copies merge
-/// when the region joins. One combined construct: its loop is set up
-/// before the team starts, so no team thread allocates.
+/// they pay: fn(block, stats) walks one block. Each thread counts into a
+/// private WalkStats; the copies merge when the region joins. One
+/// combined construct: its loop is set up before the team starts, so no
+/// team thread allocates.
 template <typename Fn>
 WalkStats for_each_walk_block(std::span<const EdgeId> off, Fn&& fn) {
   const EdgeId volume = off.back();
@@ -121,18 +140,20 @@ WalkStats for_each_walk_block(std::span<const EdgeId> off, Fn&& fn) {
     if (fork_pays(volume))
   for (EdgeId b = 0; b < blocks; ++b) {
     const EdgeId lo = b * kWalkBlock;
-    const EdgeId hi = std::min(volume, lo + kWalkBlock);
-    // The rows that meet [lo, hi), from the last one starting at or
-    // before lo.
-    auto i = static_cast<std::size_t>(
+    const auto first = static_cast<std::size_t>(
         std::upper_bound(off.begin(), off.end(), lo) - off.begin() - 1);
-    for (; off[i] < hi; ++i) {
-      fn(i, std::max(lo, off[i]) - off[i], std::min(hi, off[i + 1]) - off[i],
-         stats);
-    }
+    fn(WalkBlock{off, first, lo, std::min(volume, lo + kWalkBlock)}, stats);
   }
   return stats;
 }
+
+/// A walk block's first Philox blocks: entry n's stream begins with
+/// below[n] (its first step's next_below draw), then coin[n] (its
+/// next_double). 8 KB, on the walking thread's stack.
+struct FirstDraws {
+  std::array<std::uint64_t, kWalkBlock> below;
+  std::array<std::uint64_t, kWalkBlock> coin;
+};
 
 }  // namespace
 
@@ -181,6 +202,7 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
   PARLAP_CHECK(walk_graph.rows() == static_cast<Vertex>(f.size()));
   PARLAP_CHECK(f_index.size() == static_cast<std::size_t>(g.num_vertices()));
   PARLAP_CHECK(level < (std::uint64_t{1} << 16));
+  PARLAP_CHECK(opts.max_retries >= 1);
 
   const int cap = opts.max_walk_steps > 0
                       ? opts.max_walk_steps
@@ -200,30 +222,31 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
                          << " retries; is V\\C 5-DD?");
   };
 
+  // Draw a of the entry at `slot` runs on stream walk_index(slot, a).
+  const auto walk_index = [&](EdgeId slot, std::uint64_t a) {
+    return ((level << 40) ^ static_cast<std::uint64_t>(slot)) ^ (a << 56);
+  };
+
   struct WalkOutcome {
-    Vertex terminal = kInvalidVertex;  ///< level-local id
+    Vertex at = kInvalidVertex;  ///< level-local; the terminal once done
     double inv_weight_sum = 0.0;
     int length = 0;
     int retries = 0;  ///< capped attempts before this one
   };
-  const auto run_walk = [&](Vertex start, Rng& rng) {
+  // The walk from `start` whose first attempt stands at `out` (it may
+  // have taken steps already); a capped attempt restarts at start.
+  const auto run_walk = [&](Vertex start, WalkOutcome out, Rng& rng) {
     for (int attempt = 0;; ++attempt) {
       if (attempt >= opts.max_retries ||
           retries_exhausted.load(std::memory_order_relaxed)) {
         retries_exhausted.store(true, std::memory_order_relaxed);
         return WalkOutcome{};
       }
-      WalkOutcome out;
-      out.retries = attempt;
-      Vertex x = start;
-      bool capped = false;
+      if (attempt > 0) out = {start, 0.0, 0, attempt};
       while (true) {
-        const Vertex fx = f_index[static_cast<std::size_t>(x)];
-        if (fx == kInvalidVertex) break;  // reached a terminal
-        if (out.length >= cap) {
-          capped = true;
-          break;
-        }
+        const Vertex fx = f_index[static_cast<std::size_t>(out.at)];
+        if (fx == kInvalidVertex) return out;  // reached a terminal
+        if (out.length >= cap) break;
         const auto lo = static_cast<std::size_t>(
             walk_graph.off[static_cast<std::size_t>(fx)]);
         const auto deg = static_cast<std::size_t>(
@@ -236,47 +259,96 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
             rng);
         const std::size_t step = lo + static_cast<std::size_t>(k);
         out.inv_weight_sum += 1.0 / walk_graph.w[step];
-        x = walk_graph.nbr[step];
+        out.at = walk_graph.nbr[step];
         ++out.length;
-      }
-      if (!capped) {
-        out.terminal = x;
-        return out;
       }
     }
   };
 
-  // One draw of the walked edge e in F row fi's row: both walks, then the
-  // edge's slot receives the sampled edge or a tombstone. Draw 0 is the
-  // first; draw a > 0 is the a-th redraw of e's component. Returns the
-  // two terminals, or kInvalidVertex twice once a walk ran out of retries.
+  // Keeps a draw of the walked edge e, w1 from its u end: e's slot
+  // receives the sampled edge, or a tombstone. Returns the two terminals.
   using Ends = std::array<Vertex, 2>;
-  const auto draw = [&](Vertex fi, const RowEntry& e, std::uint64_t a,
-                        WalkStats& st) -> Ends {
-    Rng rng(seed, RngTag::kTerminalWalk,
-            ((level << 40) ^ static_cast<std::uint64_t>(e.slot)) ^ (a << 56));
-    const Vertex u = e.from_u != 0 ? fi : e.other;
-    const Vertex v = e.from_u != 0 ? e.other : fi;
-    const WalkOutcome w1 = run_walk(g.rank(u), rng);
-    const WalkOutcome w2 = run_walk(g.rank(v), rng);
-    if (retries_exhausted.load(std::memory_order_relaxed)) {
-      return {kInvalidVertex, kInvalidVertex};
-    }
+  const auto keep = [&](const RowEntry& e, const WalkOutcome& w1,
+                        const WalkOutcome& w2, WalkStats& st) -> Ends {
     st.retries += w1.retries + w2.retries;
     st.total_steps += w1.length + w2.length;
     st.max_walk_len = std::max({st.max_walk_len, w1.length, w2.length});
-    if (w1.terminal == w2.terminal) {
+    if (w1.at == w2.at) {
       g.drop_edge(e.slot);
     } else {
       const double inv_sum =
           1.0 / e.w + w1.inv_weight_sum + w2.inv_weight_sum;
-      g.set_edge(e.slot, live[static_cast<std::size_t>(w1.terminal)],
-                 live[static_cast<std::size_t>(w2.terminal)], 1.0 / inv_sum);
+      g.set_edge(e.slot, live[static_cast<std::size_t>(w1.at)],
+                 live[static_cast<std::size_t>(w2.at)], 1.0 / inv_sum);
     }
-    return {w1.terminal, w2.terminal};
+    return {w1.at, w2.at};
+  };
+
+  // One draw of the walked edge e in F row fi's row, one edge at a time:
+  // both walks, then keep. Draw 0 is the first; draw a > 0 is the a-th
+  // redraw of e's component. Returns the two terminals, or kInvalidVertex
+  // twice once a walk ran out of retries.
+  const auto draw = [&](Vertex fi, const RowEntry& e, std::uint64_t a,
+                        WalkStats& st) -> Ends {
+    Rng rng(seed, RngTag::kTerminalWalk, walk_index(e.slot, a));
+    const Vertex u = g.rank(e.from_u != 0 ? fi : e.other);
+    const Vertex v = g.rank(e.from_u != 0 ? e.other : fi);
+    const WalkOutcome w1 = run_walk(u, {u}, rng);
+    const WalkOutcome w2 = run_walk(v, {v}, rng);
+    if (retries_exhausted.load(std::memory_order_relaxed)) {
+      return {kInvalidVertex, kInvalidVertex};
+    }
+    return keep(e, w1, w2, st);
+  };
+
+  // The same draw of entry e of F row i, given the first two draws of
+  // its stream. The row vertex's walk consumes the stream first (a C end
+  // takes no step, and an F-F edge walks from its u endpoint's row), so
+  // they are that walk's first step. Where next_below would test for
+  // rejection (low word < degree), the draw falls back to draw. A step
+  // onto a terminal from an F-C edge ends the draw; otherwise both walks
+  // go on at block 1, as draw's would.
+  const auto draw_from = [&](std::size_t i, const RowEntry& e,
+                             std::uint64_t a, std::uint64_t below,
+                             std::uint64_t coin, WalkStats& st) -> Ends {
+    const auto lo = static_cast<std::size_t>(off[i]);
+    const auto deg = static_cast<std::uint64_t>(off[i + 1] - off[i]);
+    const unsigned __int128 prod = static_cast<unsigned __int128>(below) * deg;
+    if (static_cast<std::uint64_t>(prod) < deg) return draw(f[i], e, a, st);
+    const std::size_t k = lo + static_cast<std::size_t>(prod >> 64);
+    const std::size_t step =
+        Rng::to_unit(coin) < walk_graph.prob[k]
+            ? k
+            : lo + static_cast<std::size_t>(walk_graph.alias[k]);
+    WalkOutcome row{walk_graph.nbr[step], 1.0 / walk_graph.w[step], 1, 0};
+    WalkOutcome other{g.rank(e.other)};
+    if (f_index[static_cast<std::size_t>(row.at)] != kInvalidVertex ||
+        g.selected(e.other)) {
+      Rng rng(seed, RngTag::kTerminalWalk, walk_index(e.slot, a), 1);
+      row = run_walk(g.rank(f[i]), row, rng);
+      other = run_walk(other.at, other, rng);
+      if (retries_exhausted.load(std::memory_order_relaxed)) {
+        return {kInvalidVertex, kInvalidVertex};
+      }
+    }
+    return e.from_u != 0 ? keep(e, row, other, st) : keep(e, other, row, st);
   };
   const auto f_row = [&](std::size_t i) {
     return g.row(static_cast<std::size_t>(g.sample_position(f[i])));
+  };
+  // Pass one of a walk block whose list row i is F row row_of(i): every
+  // entry's draw-a stream and its first block, into d in block order.
+  const auto derive_first_blocks = [&](const WalkBlock& blk, std::uint64_t a,
+                                       auto&& row_of, FirstDraws& d) {
+    std::size_t n = 0;
+    blk.for_each_row([&](std::size_t i, EdgeId lo, EdgeId hi) {
+      const RowEntry* row = f_row(row_of(i)).data();
+      for (EdgeId j = lo; j < hi; ++j) {
+        d.below[n++] = walk_index(row[static_cast<std::size_t>(j)].slot, a);
+      }
+    });
+    Rng::first_draws(seed, RngTag::kTerminalWalk, {d.below.data(), n},
+                     {d.coin.data(), n});
   };
 
   // Sized here, so no region allocates.
@@ -288,33 +360,40 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
   Vertex* const comp = scratch.comp.data();
 
   // The walks, in walk-graph order: entry p of the level is entry
-  // p - off[i] of F row i.
+  // p - off[i] of F row i. A row left early, once the retries ran out,
+  // leaves q behind, but every later entry then returns before reading d.
   WalkStats stats = for_each_walk_block(
-      off, [&](std::size_t i, EdgeId lo, EdgeId hi, WalkStats& st) {
-        const std::span<const RowEntry> row = f_row(i);
-        Ends* const row_ends = ends + off[i];
-        Vertex joined = kInvalidVertex;  // the F neighbour last joined
-        for (EdgeId j = lo; j < hi; ++j) {
-          if (retries_exhausted.load(std::memory_order_relaxed)) return;
-          const RowEntry& e = row[static_cast<std::size_t>(j)];
-          Ends& out = row_ends[j];
-          // An F-F edge is in two F rows; it walks from its u endpoint's,
-          // and joins the two rows' components (once per run of copies).
-          if (g.selected(e.other)) {
-            if (e.from_u == 0) {
-              out = {kInvalidVertex, kInvalidVertex};
-              continue;
+      off, [&](const WalkBlock& blk, WalkStats& st) {
+        FirstDraws d;
+        derive_first_blocks(blk, 0, std::identity{}, d);
+        std::size_t q = 0;  // the entry's place in d
+        blk.for_each_row([&](std::size_t i, EdgeId lo, EdgeId hi) {
+          const std::span<const RowEntry> row = f_row(i);
+          Ends* const row_ends = ends + off[i];
+          Vertex joined = kInvalidVertex;  // the F neighbour last joined
+          for (EdgeId j = lo; j < hi; ++j, ++q) {
+            if (retries_exhausted.load(std::memory_order_relaxed)) return;
+            const RowEntry& e = row[static_cast<std::size_t>(j)];
+            Ends& out = row_ends[j];
+            // An F-F edge is in two F rows; it walks from its u
+            // endpoint's, and joins the two rows' components (once per
+            // run of copies).
+            if (g.selected(e.other)) {
+              if (e.from_u == 0) {
+                out = {kInvalidVertex, kInvalidVertex};
+                continue;
+              }
+              if (e.other != joined) {
+                joined = e.other;
+                unite(comp, static_cast<Vertex>(i),
+                      f_index[static_cast<std::size_t>(g.rank(e.other))]);
+              }
             }
-            if (e.other != joined) {
-              joined = e.other;
-              unite(comp, static_cast<Vertex>(i),
-                    f_index[static_cast<std::size_t>(g.rank(e.other))]);
-            }
+            out = draw_from(i, e, 0, d.below[q], d.coin[q], st);
+            ++st.walked;
+            if (out[0] == out[1]) ++st.dropped_loops;
           }
-          out = draw(f[i], e, 0, st);
-          ++st.walked;
-          if (out[0] == out[1]) ++st.dropped_loops;
-        }
+        });
       });
   check_walks();
 
@@ -433,18 +512,27 @@ WalkStats sample_schur_complement(LevelGraph& g, const WalkGraph& walk_graph,
                                    off[static_cast<std::size_t>(r)]);
       }
     }
+    const auto redo_row = [&](std::size_t i) {
+      return static_cast<std::size_t>(scratch.redo_rows[i]);
+    };
     stats.accumulate(for_each_walk_block(
-        scratch.redo_off,
-        [&](std::size_t i, EdgeId lo, EdgeId hi, WalkStats& st) {
-          const auto r = static_cast<std::size_t>(scratch.redo_rows[i]);
-          const std::span<const RowEntry> row = f_row(r);
-          for (EdgeId j = lo; j < hi; ++j) {
-            if (retries_exhausted.load(std::memory_order_relaxed)) return;
-            Ends& e = ends[off[r] + j];
-            if (e[0] == kInvalidVertex) continue;  // F-F edge, second row
-            e = draw(f[r], row[static_cast<std::size_t>(j)],
-                     static_cast<std::uint64_t>(a), st);
-          }
+        scratch.redo_off, [&](const WalkBlock& blk, WalkStats& st) {
+          FirstDraws d;
+          derive_first_blocks(blk, static_cast<std::uint64_t>(a), redo_row,
+                              d);
+          std::size_t q = 0;
+          blk.for_each_row([&](std::size_t i, EdgeId lo, EdgeId hi) {
+            const std::size_t r = redo_row(i);
+            const std::span<const RowEntry> row = f_row(r);
+            for (EdgeId j = lo; j < hi; ++j, ++q) {
+              if (retries_exhausted.load(std::memory_order_relaxed)) return;
+              Ends& e = ends[off[r] + j];
+              if (e[0] == kInvalidVertex) continue;  // F-F edge, second row
+              e = draw_from(r, row[static_cast<std::size_t>(j)],
+                            static_cast<std::uint64_t>(a), d.below[q],
+                            d.coin[q], st);
+            }
+          });
         }));
     check_walks();
     // A component leaves once it connects, or at the last redraw.

@@ -55,6 +55,21 @@
 // spreads over the team, and the walk graph's rows run in chunks of equal
 // volume.
 //
+// A block of walks runs in two passes. The first, one branch-free loop
+// over the block's entries (Rng::first_draws), derives each entry's
+// stream and its first Philox block: the two draws of one step. The
+// second takes each entry's first step from them. That step belongs to
+// the row vertex's walk, which is the stream's first consumer: a C end
+// takes no step, and an F-F edge walks from its u endpoint's row. A step
+// onto a terminal from an F-C edge ends the draw there; otherwise both
+// walks go on from block 1 of the same stream, with the caps and retries
+// of a draw made one edge at a time. Each walk thus consumes the same
+// key, the same blocks and the same draws in the same order as that
+// draw, so the sample is the same bit for bit. Where next_below would
+// test for rejection (low word < degree, odds deg / 2^64), the entry
+// falls back to the one-edge draw. Redraws run the same two passes, with
+// their attempt in the key.
+//
 // The MultigraphView entry points (build_walk_graph, terminal_walks) wrap
 // the level-graph ones for whole-graph callers: they copy the graph into
 // a fresh LevelGraph, run the same code, and return owning results.
@@ -75,8 +90,9 @@ struct WalkOptions {
   /// randomness. 0 = auto (32 + 16 ceil(log2 m)). With escape probability
   /// >= 4/5 a cap this size is hit with probability ~5^-cap.
   int max_walk_steps = 0;
-  /// Hard failure after this many retries of one walk (indicates the
-  /// F = V\C set is not almost-independent, i.e. misuse).
+  /// Hard failure after this many attempts of one walk, at least 1
+  /// (running out indicates the F = V\C set is not almost-independent,
+  /// i.e. misuse).
   int max_retries = 64;
 };
 

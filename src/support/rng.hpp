@@ -10,8 +10,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "support/check.hpp"
 
@@ -82,14 +84,39 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
 
 /// A buffered stream view over Philox output. Cheap to construct (no state
 /// beyond key + counter); satisfies UniformRandomBitGenerator.
+///
+/// Philox block b of a stream yields its draws 2b and 2b + 1. A loop over
+/// many streams can take their first blocks together (first_draws) and
+/// go on with any of them at block 1 (the four-argument constructor).
 class Rng {
  public:
   using result_type = std::uint64_t;
 
   /// Stream for logical object `index` under `tag`, all derived from `seed`.
   Rng(std::uint64_t seed, RngTag tag, std::uint64_t index) noexcept
-      : key_lo_(splitmix64(seed ^ splitmix64(static_cast<std::uint64_t>(tag)))),
-        key_hi_(splitmix64(index ^ 0xA5A5A5A5DEADBEEFull)) {}
+      : Rng(seed, tag, index, 0) {}
+  /// The same stream positioned at Philox block `block`: its first draw is
+  /// the original's draw 2 * block.
+  Rng(std::uint64_t seed, RngTag tag, std::uint64_t index,
+      std::uint64_t block) noexcept
+      : key_lo_(tag_key(seed, tag)), key_hi_(index_key(index)),
+        counter_(block) {}
+
+  /// The first block of many streams: stream index[n] of (seed, tag)
+  /// begins with draws index[n] (overwritten) and then second[n], the
+  /// first two next_u64 of Rng(seed, tag, index[n]). Branch-free over
+  /// structure of arrays, so GCC vectorizes the loop at the default ISA.
+  static void first_draws(std::uint64_t seed, RngTag tag,
+                          std::span<std::uint64_t> index,
+                          std::span<std::uint64_t> second) noexcept {
+    PARLAP_DCHECK(second.size() >= index.size());
+    const std::uint64_t key_lo = tag_key(seed, tag);
+    for (std::size_t n = 0; n < index.size(); ++n) {
+      const Draws d = block_draws(key_lo, index_key(index[n]), 0);
+      index[n] = d[0];
+      second[n] = d[1];
+    }
+  }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
@@ -99,11 +126,11 @@ class Rng {
   result_type operator()() noexcept { return next_u64(); }
 
   std::uint64_t next_u64() noexcept {
-    if (have_ == 0) refill();
-    --have_;
-    const std::uint64_t lo = buffer_[2 * have_];
-    const std::uint64_t hi = buffer_[2 * have_ + 1];
-    return lo | (hi << 32);
+    if (next_ == 2) {
+      draws_ = block_draws(key_lo_, key_hi_, counter_++);
+      next_ = 0;
+    }
+    return draws_[static_cast<std::size_t>(next_++)];
   }
 
   std::uint32_t next_u32() noexcept {
@@ -111,8 +138,10 @@ class Rng {
   }
 
   /// Uniform double in [0, 1) with 53 random bits.
-  double next_double() noexcept {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  double next_double() noexcept { return to_unit(next_u64()); }
+  /// The double next_double makes of draw x.
+  static double to_unit(std::uint64_t x) noexcept {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
   }
 
   /// Uniform integer in [0, bound) via Lemire's multiply-shift rejection.
@@ -134,17 +163,30 @@ class Rng {
   }
 
  private:
-  void refill() noexcept {
-    const Philox::Block b = Philox::block(key_lo_, key_hi_, counter_++, 0);
-    buffer_ = b;
-    have_ = 2;
+  /// The two draws of one Philox block, in the order next_u64 returns them.
+  using Draws = std::array<std::uint64_t, 2>;
+
+  /// The stream's Philox key: the low word depends on (seed, tag) alone,
+  /// the high word on the index alone.
+  static constexpr std::uint64_t tag_key(std::uint64_t seed,
+                                         RngTag tag) noexcept {
+    return splitmix64(seed ^ splitmix64(static_cast<std::uint64_t>(tag)));
+  }
+  static constexpr std::uint64_t index_key(std::uint64_t index) noexcept {
+    return splitmix64(index ^ 0xA5A5A5A5DEADBEEFull);
+  }
+  static Draws block_draws(std::uint64_t key_lo, std::uint64_t key_hi,
+                           std::uint64_t block) noexcept {
+    const Philox::Block b = Philox::block(key_lo, key_hi, block, 0);
+    return {b[2] | static_cast<std::uint64_t>(b[3]) << 32,
+            b[0] | static_cast<std::uint64_t>(b[1]) << 32};
   }
 
   std::uint64_t key_lo_;
   std::uint64_t key_hi_;
   std::uint64_t counter_ = 0;
-  Philox::Block buffer_{};
-  int have_ = 0;
+  Draws draws_{};
+  int next_ = 2;  ///< draws_'s next unused entry; 2 = refill first
 };
 
 }  // namespace parlap

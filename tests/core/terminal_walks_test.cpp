@@ -14,6 +14,7 @@
 #include "core/terminal_walks.hpp"
 #include "graph/generators.hpp"
 #include "linalg/dense.hpp"
+#include "parallel/alias_table.hpp"
 
 namespace parlap {
 namespace {
@@ -285,6 +286,163 @@ TEST(TerminalWalks, TombstoneLeavesEveryOtherDrawAlone) {
   ASSERT_NE(at, want.end());
   want.erase(at);
   EXPECT_TRUE(dropped.edges == want);
+}
+
+// A per-edge reference for the first draw of one level's walks, on a
+// level-0 graph (level-local ids are g's): every F-incident edge, in slot
+// order, walks from its u end and then its v end on the stream keyed
+// (level << 40) ^ slot. At an F vertex a walk steps along one of its
+// edges, listed in slot order, drawn by sample_alias from their weights'
+// alias table; it ends at the first terminal, and a walk that has taken
+// `cap` steps without reaching one restarts from its start on the same
+// stream. Each slot ends as the sampled edge or a tombstone (n, n, 0).
+struct ReferenceDraw {
+  std::vector<std::tuple<Vertex, Vertex, Weight>> slots;
+  WalkStats stats;
+};
+
+ReferenceDraw reference_walks(const Multigraph& g,
+                              std::span<const Vertex> f_index,
+                              std::uint64_t seed, std::uint64_t level,
+                              int cap, int max_retries) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const auto in_f = [&](Vertex v) {
+    return f_index[static_cast<std::size_t>(v)] != kInvalidVertex;
+  };
+  std::vector<std::vector<EdgeId>> edges_of(n);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (const Vertex x : {g.edge_u(e), g.edge_v(e)}) {
+      if (in_f(x)) edges_of[static_cast<std::size_t>(x)].push_back(e);
+    }
+  }
+  std::vector<std::vector<double>> prob(n);
+  std::vector<std::vector<std::int32_t>> alias(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    if (edges_of[x].empty()) continue;
+    std::vector<double> w;
+    for (const EdgeId e : edges_of[x]) w.push_back(g.edge_weight(e));
+    prob[x].resize(w.size());
+    alias[x].resize(w.size());
+    build_alias(w, prob[x], alias[x]);
+  }
+
+  struct Walk {
+    Vertex end;
+    double inv_weight_sum = 0.0;
+    int length = 0;
+    int retries = 0;
+  };
+  const auto walk = [&](Vertex start, Rng& rng) {
+    for (int attempt = 0; attempt < max_retries; ++attempt) {
+      Walk w{start, 0.0, 0, attempt};
+      while (in_f(w.end) && w.length < cap) {
+        const auto x = static_cast<std::size_t>(w.end);
+        const EdgeId e = edges_of[x][static_cast<std::size_t>(
+            sample_alias(prob[x], alias[x], rng))];
+        w.inv_weight_sum += 1.0 / g.edge_weight(e);
+        w.end = g.edge_u(e) == w.end ? g.edge_v(e) : g.edge_u(e);
+        ++w.length;
+      }
+      if (!in_f(w.end)) return w;
+    }
+    ADD_FAILURE() << "walk from " << start << " ran out of retries";
+    return Walk{start};
+  };
+
+  ReferenceDraw out;
+  const auto tombstone = static_cast<Vertex>(n);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Vertex u = g.edge_u(e);
+    const Vertex v = g.edge_v(e);
+    out.slots.emplace_back(u, v, g.edge_weight(e));
+    if (!in_f(u) && !in_f(v)) continue;
+    Rng rng(seed, RngTag::kTerminalWalk,
+            (level << 40) ^ static_cast<std::uint64_t>(e));
+    const Walk w1 = walk(u, rng);
+    const Walk w2 = walk(v, rng);
+    WalkStats& st = out.stats;
+    ++st.walked;
+    st.retries += w1.retries + w2.retries;
+    st.total_steps += w1.length + w2.length;
+    st.max_walk_len = std::max({st.max_walk_len, w1.length, w2.length});
+    if (w1.end == w2.end) {
+      ++st.dropped_loops;
+      out.slots.back() = {tombstone, tombstone, 0.0};
+    } else {
+      out.slots.back() = {w1.end, w2.end,
+                          1.0 / (1.0 / g.edge_weight(e) + w1.inv_weight_sum +
+                                 w2.inv_weight_sum)};
+    }
+  }
+  return out;
+}
+
+TEST(TerminalWalks, MatchesPerEdgeReference) {
+  // A 5-DD F of a random graph keeps F-F edges, so some walks step
+  // inside F before they escape. The sampler walks in blocks, taking
+  // each entry's first step from a batched Philox block and going on at
+  // block 1 only when it must; slot by slot and counter by counter it
+  // must equal the per-edge reference. A cap of one step makes every walk
+  // that steps onto F retry, on the stream it resumed.
+  const Multigraph g =
+      split_edges_uniform(make_erdos_renyi(600, 4800, 5), 3);
+  const std::vector<Vertex> f = five_dd_subset(g, 7).f;
+  std::vector<Vertex> f_index(static_cast<std::size_t>(g.num_vertices()),
+                              kInvalidVertex);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    f_index[static_cast<std::size_t>(f[i])] = static_cast<Vertex>(i);
+  }
+  EdgeId ff_edges = 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ff_edges += f_index[static_cast<std::size_t>(g.edge_u(e))] !=
+                        kInvalidVertex &&
+                    f_index[static_cast<std::size_t>(g.edge_v(e))] !=
+                        kInvalidVertex
+                ? 1
+                : 0;
+  }
+  ASSERT_GT(ff_edges, 0);
+
+  constexpr std::uint64_t kSeed = 19;
+  constexpr std::uint64_t kLevel = 3;
+  for (const int cap : {40, 1}) {
+    SCOPED_TRACE(cap);
+    WalkOptions opts;
+    opts.max_walk_steps = cap;
+    // The level graph walks in h's own edge arrays and gives them back.
+    Multigraph h = g;
+    LevelGraph lg;
+    lg.adopt(h);
+    (void)lg.scan(f);
+    lg.select(f);
+    WalkGraph wg;
+    build_walk_graph(lg, f, wg);
+    WalkScratch scratch;
+    const WalkStats got = sample_schur_complement(lg, wg, f, f_index, kSeed,
+                                                  kLevel, opts, scratch);
+    lg.give_back(h);
+    ASSERT_EQ(got.resampled, 0) << "a redrawn component has no reference";
+
+    const ReferenceDraw want = reference_walks(g, f_index, kSeed, kLevel,
+                                               cap, opts.max_retries);
+    ASSERT_EQ(h.num_edges(), g.num_edges());
+    for (EdgeId e = 0; e < h.num_edges(); ++e) {
+      ASSERT_EQ(std::make_tuple(h.edge_u(e), h.edge_v(e), h.edge_weight(e)),
+                want.slots[static_cast<std::size_t>(e)])
+          << "slot " << e;
+    }
+    EXPECT_EQ(got.walked, want.stats.walked);
+    EXPECT_EQ(got.dropped_loops, want.stats.dropped_loops);
+    EXPECT_EQ(got.total_steps, want.stats.total_steps);
+    EXPECT_EQ(got.max_walk_len, want.stats.max_walk_len);
+    EXPECT_EQ(got.retries, want.stats.retries);
+    if (cap == 1) {
+      EXPECT_GT(got.retries, 0);
+    } else {
+      EXPECT_GE(got.max_walk_len, 2);
+      EXPECT_EQ(got.retries, 0);
+    }
+  }
 }
 
 TEST(TerminalWalks, IsolatedCVertexSurvives) {

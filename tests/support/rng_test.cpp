@@ -103,6 +103,48 @@ TEST(Rng, NoShortCycle) {
   EXPECT_EQ(seen.size(), 10000u);
 }
 
+TEST(Rng, BatchedFirstDrawsAreTheStream) {
+  // Indices laid out as the terminal walks key theirs: the level in bits
+  // 40-55, a slot below 2^40, a redraw's attempt from bit 56 up.
+  std::vector<std::uint64_t> index;
+  Rng pick(8, RngTag::kTest, 0);
+  for (const std::uint64_t level : {0ull, 1ull, 9ull, 0xFFFFull}) {
+    for (const std::uint64_t attempt : {0ull, 1ull, 2ull, 32ull, 255ull}) {
+      for (const std::uint64_t slot :
+           {0ull, 1ull, 511ull, 512ull, (1ull << 40) - 1}) {
+        index.push_back(((level << 40) ^ slot) ^ (attempt << 56));
+      }
+      for (int k = 0; k < 500; ++k) {
+        index.push_back(((level << 40) ^ pick.next_below(1ull << 40)) ^
+                        (attempt << 56));
+      }
+    }
+  }
+  ASSERT_GE(index.size(), 10000u);
+
+  constexpr std::uint64_t kSeed = 42;
+  std::vector<std::uint64_t> first = index;
+  std::vector<std::uint64_t> second(index.size());
+  Rng::first_draws(kSeed, RngTag::kTerminalWalk, first, second);
+  for (std::size_t n = 0; n < index.size(); ++n) {
+    Rng stream(kSeed, RngTag::kTerminalWalk, index[n]);
+    ASSERT_EQ(first[n], stream.next_u64()) << "index " << index[n];
+    ASSERT_EQ(second[n], stream.next_u64()) << "index " << index[n];
+    // A stream positioned at block 1 goes on exactly like the original,
+    // through calls that take one draw or, where next_below rejects (about
+    // half the time at bound 2^63 + 1), more.
+    Rng resumed(kSeed, RngTag::kTerminalWalk, index[n], 1);
+    for (int k = 0; k < 3; ++k) {
+      ASSERT_EQ(resumed.next_below(3), stream.next_below(3));
+      ASSERT_EQ(resumed.next_double(), stream.next_double());
+      ASSERT_EQ(resumed.next_u64(), stream.next_u64());
+      ASSERT_EQ(resumed.next_below((1ull << 63) + 1),
+                stream.next_below((1ull << 63) + 1));
+      ASSERT_EQ(resumed.next_double(), stream.next_double());
+    }
+  }
+}
+
 TEST(SplitMix, InjectiveOnSmallRange) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 10000; ++i) seen.insert(splitmix64(i));

@@ -24,11 +24,13 @@
 // member of S, entries in slot order). Degrees, the 5-DD test, the walk
 // graph's F rows and the walks themselves all derive from those
 // O(vol S) rows. The sweep reads two ids and one flag byte per endpoint;
-// the sentinel's flag is never set, so tombstones cost no branch. When
-// tombstones outnumber live edges the array is compacted, in order, so
-// compaction costs O(1) amortized per dropped edge. Other per-level work
-// is O(n_k + vol S_k): only the flag, position and rank entries a level
-// set are touched again.
+// the sentinel's flag is never set, so tombstones need no test. It sets
+// a bit per hit in a mask of 64 slots without branching, then copies the
+// hits lowest bit first, so only the copies branch. When tombstones
+// outnumber live edges the array is compacted, in order, so compaction
+// costs O(1) amortized per dropped edge. Other per-level work is
+// O(n_k + vol S_k): only the flag, position and rank entries a level set
+// are touched again.
 //
 // Buffers are plain vectors, resized (never shrunk) per call; a
 // LevelGraph kept alive across builds (ChainBuildArena owns one) reaches
@@ -170,7 +172,7 @@ class LevelGraph {
   };
 
   /// The sweep over slots [lo, hi): copies the records of the edges with
-  /// a flagged endpoint into blk.
+  /// a flagged endpoint into blk, in slot order.
   static void sweep_block(const Vertex* us, const Vertex* vs,
                           const Weight* ws, const std::uint8_t* flag,
                           EdgeId lo, EdgeId hi, Block& blk);

@@ -4,7 +4,8 @@
 // Chain construction is the tail-latency driver of every factorization-
 // cache miss (E15's workload), so this experiment measures exactly that
 // path: BlockCholeskyChain::build on the E15 graph families, split the
-// same way LaplacianSolver's round 0 splits them. Two regimes per graph:
+// same way LaplacianSolver's round 0 splits them (SolverOptions'
+// default split_scale). Two regimes per graph:
 //
 //   cold  — every build gets a fresh ChainBuildArena (first-ever build,
 //           the allocation-heavy behavior the old copy-per-level pipeline
@@ -14,13 +15,14 @@
 //
 // Reported per graph: median cold/warm build seconds, warm speedup,
 // build throughput (split multi-edges per second, warm), the steady-state
-// arena reallocation count (must be 0 — the zero-realloc property), peak
-// arena bytes, the base factorization's share of a warm build (base_ms),
-// the thread scaling of a warm build (its median at 1 thread over its
-// median at the default thread count), and the per-phase breakdown of a
-// warm build. The barbell family's deep levels eliminate a handful of
-// vertices that carry tens of thousands of multi-edges between them, so
-// its scaling shows whether those levels' passes fork.
+// arena reallocations summed over the measured warm builds (must be 0 —
+// the zero-realloc property), peak arena bytes, the base factorization's
+// share of a warm build (base_ms), the thread scaling of a warm build (its
+// median at 1 thread over its median at the default thread count), and
+// each phase's median over the measured warm builds. The barbell family's
+// deep levels eliminate a handful of vertices that carry tens of
+// thousands of multi-edges between them, so its scaling shows whether
+// those levels' passes fork.
 #include <string>
 #include <vector>
 
@@ -30,6 +32,7 @@
 #include "core/alpha_bound.hpp"
 #include "core/block_cholesky.hpp"
 #include "core/build_arena.hpp"
+#include "core/solver.hpp"
 
 using namespace parlap;
 using namespace parlap::bench;
@@ -67,7 +70,7 @@ int main() {
   for (const std::string& name : graphs) {
     const Multigraph g = make_workload(name, scale, seed);
     const Multigraph split = split_edges_uniform(
-        g, default_split_copies(g.num_vertices(), /*scale=*/0.1));
+        g, default_split_copies(g.num_vertices(), SolverOptions{}.split_scale));
     const BlockCholeskyOptions opts;
 
     // Cold: a fresh arena per build — every scratch buffer grows from
@@ -81,12 +84,27 @@ int main() {
     // warmup build sizes every buffer; the measured builds must then
     // report zero arena reallocations.
     ChainBuildArena arena;
-    BuildStats last;
+    std::vector<BuildStats> builds;
     const std::vector<double> warm = measure(reps, /*warmup=*/1, [&] {
       const BlockCholeskyChain chain =
           BlockCholeskyChain::build(split, seed, opts, arena);
-      last = chain.build_stats();
+      builds.push_back(chain.build_stats());
     });
+    builds.erase(builds.begin());  // the warmup build
+    const BuildStats& last = builds.back();
+    std::int64_t reallocs = 0;
+    for (const BuildStats& b : builds) reallocs += b.arena_allocations;
+    // Seconds' median over the measured warm builds.
+    const auto median_of = [&](auto&& seconds) {
+      std::vector<double> v;
+      for (const BuildStats& b : builds) v.push_back(seconds(b));
+      return summarize(v).median;
+    };
+    const auto phase = [&](double BuildPhaseTimes::*p) {
+      return median_of([p](const BuildStats& b) { return b.phases.*p; });
+    };
+    const double base_s =
+        median_of([](const BuildStats& b) { return b.base_seconds; });
 
     // The same warm builds on one thread: their median over the default
     // thread count's is the build's thread scaling.
@@ -109,14 +127,12 @@ int main() {
         static_cast<double>(last.peak_arena_bytes) / (1 << 20);
     table.add_row({name, static_cast<std::int64_t>(g.num_vertices()),
                    static_cast<std::int64_t>(split.num_edges()),
-                   cold_s.median * 1e3, warm_s.median * 1e3,
-                   last.base_seconds * 1e3,
+                   cold_s.median * 1e3, warm_s.median * 1e3, base_s * 1e3,
                    warm_s.median > 0.0 ? cold_s.median / warm_s.median : 0.0,
                    scaling, medges_per_s,
                    static_cast<std::int64_t>(last.edges_scanned),
                    static_cast<std::int64_t>(last.walked),
-                   static_cast<std::int64_t>(last.arena_allocations),
-                   arena_mib});
+                   reallocs, arena_mib});
 
     reporter().record(
         BenchCase{"build-warm:" + name,
@@ -125,18 +141,17 @@ int main() {
                    {"levels", static_cast<double>(last.levels)},
                    {"split_medges_per_s", medges_per_s},
                    {"warm_t1_over_default", scaling},
-                   {"steady_arena_reallocs",
-                    static_cast<double>(last.arena_allocations)},
+                   {"steady_arena_reallocs", static_cast<double>(reallocs)},
                    {"peak_arena_mib", arena_mib},
                    {"edges_scanned", static_cast<double>(last.edges_scanned)},
                    {"walked", static_cast<double>(last.walked)},
-                   {"degrees_seconds", last.phases.degrees},
-                   {"five_dd_seconds", last.phases.five_dd},
-                   {"partition_seconds", last.phases.partition},
-                   {"walk_graph_seconds", last.phases.walk_graph},
-                   {"schur_seconds", last.phases.schur},
-                   {"extract_seconds", last.phases.extract},
-                   {"base_seconds", last.base_seconds}},
+                   {"degrees_seconds", phase(&BuildPhaseTimes::degrees)},
+                   {"five_dd_seconds", phase(&BuildPhaseTimes::five_dd)},
+                   {"partition_seconds", phase(&BuildPhaseTimes::partition)},
+                   {"walk_graph_seconds", phase(&BuildPhaseTimes::walk_graph)},
+                   {"schur_seconds", phase(&BuildPhaseTimes::schur)},
+                   {"extract_seconds", phase(&BuildPhaseTimes::extract)},
+                   {"base_seconds", base_s}},
                   warm});
     reporter().record(
         BenchCase{"build-cold:" + name,
@@ -144,9 +159,9 @@ int main() {
                    {"m_split", static_cast<double>(split.num_edges())}},
                   cold});
 
-    if (last.arena_allocations != 0) {
-      std::cerr << "E16: WARNING: steady-state build of '" << name
-                << "' performed " << last.arena_allocations
+    if (reallocs != 0) {
+      std::cerr << "E16: WARNING: steady-state builds of '" << name
+                << "' performed " << reallocs
                 << " arena reallocation(s); expected 0\n";
       zero_realloc_violated = true;
     }
